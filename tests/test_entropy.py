@@ -1,5 +1,7 @@
-"""Adaptive arithmetic coder: losslessness, framing, corruption behavior."""
+"""Adaptive arithmetic coder: losslessness, framing, corruption behavior,
+and the exact bytes it writes (golden hashes and a reference model)."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -21,6 +23,60 @@ from ggsc.entropy import (
 
 def stream(symbols, alphabet):
     return SymbolStream(alphabet, np.asarray(symbols, dtype=np.int64))
+
+
+def golden_symbols(alphabet, n, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.zipf(1.3, size=n) - 1) % alphabet
+
+
+def reference_encode(symbols, alphabet):
+    """The coder written out plainly: counts in a list whose sums are taken
+    per symbol (O(alphabet)), one renormalization bit at a time, the whole
+    low register flushed at the end.  Reads `entropy.RESCALE_LIMIT` at call
+    time, like the coder, so both can be run with a lowered limit."""
+    half, quarter, mask = 1 << 31, 1 << 30, (1 << 32) - 1
+    counts = [entropy.COUNT_INIT] * alphabet
+    low, high, pending, bits = 0, mask, 0, []
+
+    def emit(bit):
+        nonlocal pending
+        bits.append(bit)
+        bits.extend([1 - bit] * pending)
+        pending = 0
+
+    for s in symbols:
+        s = int(s)
+        total = sum(counts)
+        cumlow = sum(counts[:s])
+        rng = high - low + 1
+        high = low + (cumlow + counts[s]) * rng // total - 1
+        low = low + cumlow * rng // total
+        while True:
+            if high < half:
+                emit(0)
+            elif low >= half:
+                emit(1)
+                low -= half
+                high -= half
+            elif low >= quarter and high < half + quarter:
+                pending += 1
+                low -= quarter
+                high -= quarter
+            else:
+                break
+            low, high = 2 * low, 2 * high + 1
+        counts[s] += entropy.COUNT_INCREMENT
+        if total + entropy.COUNT_INCREMENT > entropy.RESCALE_LIMIT:
+            counts = [(c + 1) >> 1 for c in counts]
+    if len(symbols):
+        for k in range(31, -1, -1):
+            emit((low >> k) & 1)
+    bits += [0] * (-len(bits) % 8)
+    body = bytes(
+        int("".join(map(str, bits[i : i + 8])), 2) for i in range(0, len(bits), 8)
+    )
+    return struct.pack("<I", len(symbols)) + body
 
 
 class TestSymbolStream:
@@ -83,6 +139,39 @@ class TestPythonKernelWidth:
         monkeypatch.setattr(entropy, "_aac_decode_core",
                             getattr(kernel, "py_func", kernel))
         np.testing.assert_array_equal(aac_decode(payload, 8).symbols, symbols)
+
+
+class TestGoldenBytes:
+    """SHA-256 of payloads written by the coder when these pins were
+    recorded.  A change to any of them is a stream format change: bump
+    `codec.VERSION` and record them again."""
+
+    @pytest.mark.parametrize(
+        "alphabet, n, seed, size, digest",
+        [
+            (2, 3000, 1, 375,
+             "2b34eaa1beac62cbb4bb36320d4e53033b78ee05d132ba4b4ecdb37415f84fb2"),
+            (128, 3000, 2, 2048,
+             "d8de3daab6c26696cb916d0a528b4949859c13cd1edb3f1c2bf7670d73b6864a"),
+            (1024, 3000, 3, 2491,
+             "29c1718daf676de4dd90700fdc0118dd9f6eb8e26363001ed99bf959e2e95eec"),
+            (65536, 3000, 4, 3198,
+             "ff27edf1f88db94f7f7ba540f0b93ee294065d0a2a22cee1853348b10288682c"),
+            # 700k symbols push the model total past RESCALE_LIMIT once.
+            (64, 700_000, 5, 415766,
+             "899d5b9c029fb379b5f447966fa7539b5bc72b48d9c52cace8cfe79008c055c0"),
+            (256, 0, 6, 4,
+             "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"),
+            (2, 1, 7, 9,
+             "a536aa3cede6ea3c1f3e0357c3c60e0f216a8c89b853df13b29daa8f85065dfb"),
+            (65536, 1, 8, 10,
+             "fffd3f15e69c9398987984c963f7a1f829c63ee921707bae7a56514dff3a35a5"),
+        ],
+    )
+    def test_payload_hash(self, alphabet, n, seed, size, digest):
+        payload = aac_encode(stream(golden_symbols(alphabet, n, seed), alphabet))
+        assert len(payload) == size
+        assert hashlib.sha256(payload).hexdigest() == digest
 
 
 class TestRoundTrip:
@@ -277,3 +366,23 @@ def test_lossless_property(seed, n, alphabet, skew):
     out = aac_decode(aac_encode(stream(syms, alphabet)), alphabet)
     np.testing.assert_array_equal(out.symbols, syms)
     assert out.alphabet_size == alphabet
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(min_value=0, max_value=300),
+    alphabet=st.integers(min_value=2, max_value=300),
+    rescale_limit=st.sampled_from([None, 1 << 12, 1 << 14]),
+)
+def test_matches_reference_model(seed, n, alphabet, rescale_limit):
+    """Bytes equal to the plain reference coder's, and lossless.  The
+    lowered rescale limits make short streams halve the model many times."""
+    syms = golden_symbols(alphabet, n, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if rescale_limit is not None:
+            mp.setattr(entropy, "RESCALE_LIMIT", rescale_limit)
+        payload = aac_encode(stream(syms, alphabet))
+        assert payload == reference_encode(syms, alphabet)
+        out = aac_decode(payload, alphabet)
+    np.testing.assert_array_equal(out.symbols, syms)
