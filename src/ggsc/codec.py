@@ -487,11 +487,14 @@ def decode(
         geometry = geom_codec.decode_centers_external(
             stream.geometry_payload, params.q_geo, decode_cmd
         )
+        if len(geometry) != stream.gs_count:
+            raise CorruptPayloadError(
+                f"geometry holds {len(geometry)} points, "
+                f"header says {stream.gs_count}"
+            )
     else:
-        geometry = geom_codec.decode_centers(stream.geometry_payload, params.q_geo)
-    if len(geometry) != stream.gs_count:
-        raise CorruptPayloadError(
-            f"geometry holds {len(geometry)} points, header says {stream.gs_count}"
+        geometry = geom_codec.decode_centers(
+            stream.geometry_payload, params.q_geo, stream.gs_count
         )
 
     recon_centers = dequantize(geometry.points, stream.geom_grid)
@@ -500,17 +503,13 @@ def decode(
 
     levels_by_group: dict[str, list[np.ndarray]] = {}
     for name, comps in ATTRIBUTE_GROUPS:
-        decoded = entropy.aac_decode(
-            stream.attribute_payloads[name], 1 << params.q_for(name)
-        )
         expected = sum(
             comps * spectral.clip_count(params.alpha_for(name), len(leaf))
             for leaf in part.leaves
         )
-        if len(decoded) != expected:
-            raise CorruptPayloadError(
-                f"{name}: payload holds {len(decoded)} symbols, expected {expected}"
-            )
+        decoded = entropy.aac_decode(
+            stream.attribute_payloads[name], 1 << params.q_for(name), expected
+        )
         levels = []
         cursor = 0
         for leaf in part.leaves:

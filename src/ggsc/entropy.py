@@ -11,8 +11,23 @@ encoder and decoder:
 * a coded symbol's count grows by 32,
 * when the total exceeds 2^24 all counts are halved, rounding up.
 
-Cumulative frequencies live in a Fenwick tree, so model queries and
-updates are O(log alphabet).  A payload is framed as
+The model depends only on the symbols already coded, and `total` grows
+by a fixed step, so the points where it halves are known in advance.
+The encoder therefore computes every symbol's (cumlow, cumhigh, total)
+with numpy before coding starts: inside one rescale segment a symbol's
+cumulative count is the segment's base prefix plus the increment times
+the number of earlier, smaller symbols in the segment.  The decoder
+learns each symbol only as it decodes it, so its model is a Fenwick tree
+(a Python list built with numpy, rebuilt at each rescale) with
+O(log alphabet) queries and updates.  Both sides do a renormalization
+as one step: the k equal top bits of low and high (k = 32 minus the bit
+length of low ^ high) and then the run of underflow positions (low =
+01..., high = 10...).  The encoder gathers its bits in an int flushed to
+a bytearray; the decoder reads them through 48-bit windows precomputed
+for every byte offset.  The interval arithmetic, the model and the flush
+are those of the bit-at-a-time coder, so the bytes are too.
+
+A payload is framed as
 
     [symbol count: u32 LE][coded bytes, MSB-first within each byte]
 
@@ -32,24 +47,27 @@ violations, trailing garbage, truncation anywhere, and the vast
 majority of bit flips.  The unavoidable residue is corruption that
 happens to transform one canonical payload into another, which is
 indistinguishable from a legitimate encoding of a different stream
-without out-of-band redundancy; callers that frame payloads (the
-container layer does) should cross-check expected symbol counts and
-section lengths, which is how the codec narrows the window further.
+without out-of-band redundancy.  Callers that frame payloads pass the
+symbol count they expect (the container layer does), which narrows the
+window further and bounds the decoder's memory and time by that count.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import jit
-
 _MASK = (1 << 32) - 1
+_LOW31 = _MASK >> 1
 _TOP = 1 << 31
 _SECOND = 1 << 30
+
+# Symbols whose model values are converted to Python ints at a time, and
+# the coded bits gathered in an int before they go to the output buffer.
+_CHUNK = 1 << 14
+_FLUSH_BITS = 256
 
 COUNT_INIT = 1
 COUNT_INCREMENT = 32
@@ -90,201 +108,204 @@ class SymbolStream:
         return self.symbols.shape[0]
 
 
-@jit
-def _fenwick_rebuild(counts, tree):
-    a = counts.shape[0]
-    for i in range(a + 1):
-        tree[i] = 0
-    for i in range(1, a + 1):
-        tree[i] += counts[i - 1]
-        j = i + (i & (-i))
-        if j <= a:
-            tree[j] += tree[i]
+def _earlier_counts(seg: np.ndarray, alphabet: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each i: (#{j < i : seg[j] < seg[i]}, #{j < i : seg[j] == seg[i]}).
 
-
-@jit
-def _fenwick_add(tree, sym, delta):
-    j = sym + 1
-    while j < tree.shape[0]:
-        tree[j] += delta
-        j += j & (-j)
-
-
-@jit
-def _fenwick_prefix(tree, sym):
-    """Sum of counts[0:sym]."""
-    s = 0
-    j = sym
-    while j > 0:
-        s += tree[j]
-        j -= j & (-j)
-    return s
-
-
-@jit
-def _fenwick_locate(tree, a, top_bit, target):
-    """(symbol, prefix) with prefix = cum(symbol) <= target < cum(symbol+1)."""
-    pos = 0
-    rem = target
-    bit = top_bit
-    while bit > 0:
-        nxt = pos + bit
-        if nxt <= a and tree[nxt] <= rem:
-            pos = nxt
-            rem -= tree[nxt]
-        bit >>= 1
-    return pos, target - rem
-
-
-@jit
-def _aac_encode_core(symbols, alphabet, out):
-    """Encode into `out` (zeroed uint8); returns bit count, or -1 on a bad symbol."""
-    n = symbols.shape[0]
-    counts = np.full(alphabet, COUNT_INIT, dtype=np.int64)
-    tree = np.zeros(alphabet + 1, dtype=np.int64)
-    _fenwick_rebuild(counts, tree)
-    total = alphabet * COUNT_INIT
-
-    low = 0
-    high = _MASK
-    underflow = 0
-    pos = 0
-    for i in range(n):
-        sym = symbols[i]
-        if sym < 0 or sym >= alphabet:
-            return -1
-        cumlow = _fenwick_prefix(tree, sym)
-        cumhigh = cumlow + counts[sym]
-        rng = high - low + 1
-        high = low + cumhigh * rng // total - 1
-        low = low + cumlow * rng // total
-        while True:
-            if ((low ^ high) & _TOP) == 0:
-                bit = (low >> 31) & 1
-                if bit == 1:
-                    out[pos >> 3] |= 1 << (7 - (pos & 7))
-                pos += 1
-                while underflow > 0:
-                    if bit == 0:
-                        out[pos >> 3] |= 1 << (7 - (pos & 7))
-                    pos += 1
-                    underflow -= 1
-                low = (low << 1) & _MASK
-                high = ((high << 1) & _MASK) | 1
-            elif (low & ~high & _SECOND) != 0:
-                underflow += 1
-                low = (low << 1) & (_MASK >> 1)
-                high = ((high << 1) & (_MASK >> 1)) | _TOP | 1
-            else:
-                break
-        counts[sym] += COUNT_INCREMENT
-        _fenwick_add(tree, sym, COUNT_INCREMENT)
-        total += COUNT_INCREMENT
-        if total > RESCALE_LIMIT:
-            total = 0
-            for s in range(alphabet):
-                c = (counts[s] + 1) >> 1
-                counts[s] = c
-                total += c
-            _fenwick_rebuild(counts, tree)
-    # Flush the whole low register (pending underflow bits trail the
-    # first one, as in renormalization).  The stream value is then low
-    # itself, and the decoder consumes exactly this many bits: priming
-    # plus one per renormalization adds up to the same total, so a
-    # canonical payload never makes the decoder read past its end.
-    for k in range(31, -1, -1):
-        bit = (low >> k) & 1
-        if bit == 1:
-            out[pos >> 3] |= 1 << (7 - (pos & 7))
-        pos += 1
-        while underflow > 0:
-            if bit == 0:
-                out[pos >> 3] |= 1 << (7 - (pos & 7))
-            pos += 1
-            underflow -= 1
-    return pos
-
-
-@jit
-def _aac_decode_core(payload, alphabet, out):
-    """Decode len(out) symbols from `payload` (uint8, MSB-first bits).
-
-    Returns 0 on success, -1 if the payload runs out of bits.  The
-    canonical encoder writes exactly the bits consumed here, so hitting
-    the end mid-stream means truncation.
+    With R_b(i) = #{j < i : seg[j] >> b == seg[i] >> b}, a smaller earlier
+    symbol first differs from seg[i] at one bit b where seg[i] has a 1, so
+    the first count is the sum over b of bit_b(seg[i]) * (R_{b+1} - R_b),
+    and the second is R_0.  Each R_b is one stable (radix) argsort.
     """
-    n = out.shape[0]
-    counts = np.full(alphabet, COUNT_INIT, dtype=np.int64)
-    tree = np.zeros(alphabet + 1, dtype=np.int64)
-    _fenwick_rebuild(counts, tree)
+    n = seg.shape[0]
+    pos = np.arange(n)
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    less = np.zeros(n, dtype=np.int64)
+    above = pos  # R_b for b = bit width of the alphabet: every j < i
+    for b in range((alphabet - 1).bit_length() - 1, -1, -1):
+        key = (seg >> b).astype(np.uint16)
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        here = np.empty(n, dtype=np.int64)
+        here[order] = pos - np.maximum.accumulate(np.where(first, pos, 0))
+        less += ((seg >> b) & 1) * (above - here)
+        above = here
+    return less, above
+
+
+def _model(symbols: np.ndarray, alphabet: int):
+    """Yield the adaptive model's (cumlow, cumhigh, total) for every symbol,
+    as int64 arrays, one rescale segment at a time.
+
+    `total` grows by COUNT_INCREMENT per symbol, so where the model halves
+    is known in advance; inside a segment the counts are the segment's base
+    counts plus COUNT_INCREMENT per earlier occurrence.
+    """
+    n = symbols.shape[0]
+    base = np.full(alphabet, COUNT_INIT, dtype=np.int64)
     total = alphabet * COUNT_INIT
-
-    top_bit = 1
-    while (top_bit << 1) <= alphabet:
-        top_bit <<= 1
-
-    nbits = payload.shape[0] * 8
-    low = 0
-    high = _MASK
-    code = 0
-    bitpos = 0
-    for _ in range(32):
-        if bitpos >= nbits:
-            return -1
-        b = (payload[bitpos >> 3] >> (7 - (bitpos & 7))) & 1
-        code = (code << 1) | b
-        bitpos += 1
-
-    for i in range(n):
-        rng = high - low + 1
-        value = ((code - low + 1) * total - 1) // rng
-        sym, cumlow = _fenwick_locate(tree, alphabet, top_bit, value)
-        cumhigh = cumlow + counts[sym]
-        high = low + cumhigh * rng // total - 1
-        low = low + cumlow * rng // total
-        while True:
-            if ((low ^ high) & _TOP) == 0:
-                if bitpos >= nbits:
-                    return -1
-                b = (payload[bitpos >> 3] >> (7 - (bitpos & 7))) & 1
-                bitpos += 1
-                code = ((code << 1) & _MASK) | b
-                low = (low << 1) & _MASK
-                high = ((high << 1) & _MASK) | 1
-            elif (low & ~high & _SECOND) != 0:
-                if bitpos >= nbits:
-                    return -1
-                b = (payload[bitpos >> 3] >> (7 - (bitpos & 7))) & 1
-                bitpos += 1
-                code = (code & _TOP) | ((code << 1) & (_MASK >> 1)) | b
-                low = (low << 1) & (_MASK >> 1)
-                high = ((high << 1) & (_MASK >> 1)) | _TOP | 1
-            else:
-                break
-        out[i] = sym
-        counts[sym] += COUNT_INCREMENT
-        _fenwick_add(tree, sym, COUNT_INCREMENT)
-        total += COUNT_INCREMENT
-        if total > RESCALE_LIMIT:
-            total = 0
-            for s in range(alphabet):
-                c = (counts[s] + 1) >> 1
-                counts[s] = c
-                total += c
-            _fenwick_rebuild(counts, tree)
-    return 0
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, (RESCALE_LIMIT - total) // COUNT_INCREMENT + 1))
+        seg = symbols[start:stop]
+        less, equal = _earlier_counts(seg, alphabet)
+        cumlow = (np.cumsum(base) - base)[seg] + COUNT_INCREMENT * less
+        cumhigh = cumlow + base[seg] + COUNT_INCREMENT * equal
+        yield cumlow, cumhigh, total + COUNT_INCREMENT * np.arange(stop - start)
+        if stop < n:
+            counts = base + COUNT_INCREMENT * np.bincount(seg, minlength=alphabet)
+            base = (counts + 1) >> 1
+            total = int(base.sum())
+        start = stop
 
 
 def _encode_bytes(symbols: np.ndarray, alphabet: int) -> bytes:
     if symbols.shape[0] == 0:
         return b""
-    # 32 bits per symbol comfortably dominates the worst case of
-    # ~log2(RESCALE_LIMIT) + renormalization slack per symbol.
-    out = np.zeros(4 * symbols.shape[0] + 16, dtype=np.uint8)
-    bits = _aac_encode_core(symbols, alphabet, out)
-    if bits < 0:
+    if symbols.min() < 0 or symbols.max() >= alphabet:
         raise ValueError("symbols out of range for the declared alphabet")
-    return out[: (bits + 7) // 8].tobytes()
+    out = bytearray()
+    acc = nacc = 0  # output bits not yet in `out`, MSB first, and their count
+    low, high, pending = 0, _MASK, 0
+    for arrays in _model(symbols, alphabet):
+        for a in range(0, arrays[0].shape[0], _CHUNK):
+            chunk = [arr[a : a + _CHUNK].tolist() for arr in arrays]
+            for cumlow, cumhigh, total in zip(*chunk):
+                rng = high - low + 1
+                high = low + cumhigh * rng // total - 1
+                low += cumlow * rng // total
+                x = low ^ high
+                if x < _TOP:
+                    # k equal top bits leave; the first is followed by
+                    # the pending underflow bits, each its complement.
+                    k = 32 - x.bit_length()
+                    acc = (acc << (k + pending)) | (
+                        (low >> (32 - k)) + (((1 << pending) - 1) << (k - 1))
+                    )
+                    nacc += k + pending
+                    pending = 0
+                    low = (low << k) & _MASK
+                    high = ((high << k) & _MASK) | ((1 << k) - 1)
+                    if nacc >= _FLUSH_BITS:
+                        r = nacc & 7
+                        out += (acc >> r).to_bytes(nacc >> 3, "big")
+                        acc &= (1 << r) - 1
+                        nacc = r
+                if low & ~high & _SECOND:
+                    # low = 01.., high = 10..: u underflow shifts, one per
+                    # position where low has a 1 and high a 0.
+                    u = 31 - ((low & ~high & _LOW31) ^ _LOW31).bit_length()
+                    pending += u
+                    low = (low << u) & _LOW31
+                    high = ((high << u) & _LOW31) | _TOP | ((1 << u) - 1)
+    # Flush the whole low register (pending underflow bits trail the
+    # first one, as in renormalization).  The stream value is then low
+    # itself, and the decoder consumes exactly this many bits: priming
+    # plus one per renormalization adds up to the same total, so a
+    # canonical payload never makes the decoder read past its end.
+    acc = (acc << (32 + pending)) | (low + (((1 << pending) - 1) << 31))
+    nacc += 32 + pending
+    pad = -nacc % 8
+    out += (acc << pad).to_bytes((nacc + pad) >> 3, "big")
+    return bytes(out)
+
+
+def _fenwick(counts: np.ndarray, size: int) -> list[int]:
+    """Fenwick tree of `counts` as a list of `size` entries; entries past
+    the alphabet hold a sentinel that no search target reaches."""
+    a = counts.shape[0]
+    cum = np.zeros(a + 1, dtype=np.int64)
+    np.cumsum(counts, out=cum[1:])
+    i = np.arange(a + 1)
+    tree = (cum - cum[i - (i & -i)]).tolist()
+    tree += [1 << 62] * (size - a - 1)
+    return tree
+
+
+def _decode_symbols(data: bytes, alphabet: int, count: int) -> np.ndarray:
+    """Decode `count` symbols from the coded bytes (MSB-first bits).
+
+    Raises `CorruptPayloadError` if the bytes run out first: the canonical
+    encoder writes exactly the bits consumed here, so that is truncation.
+    """
+    nbits = 8 * len(data)
+    if nbits < 32:
+        raise CorruptPayloadError("payload ends before its symbol count is met")
+    # window[p]: the 48 bits starting at byte p.  One renormalization
+    # reads at most 25 bits (an interval of width >= 2^30 / 2^24 doubles
+    # until it exceeds 2^30), which fit after any bit offset in the byte.
+    padded = np.frombuffer(data + bytes(5), dtype=np.uint8).astype(np.int64)
+    win = np.zeros(len(data), dtype=np.int64)
+    for j in range(6):
+        win = (win << 8) | padded[j : j + len(data)]
+    window = win.tolist()
+
+    top_bit = 1 << (alphabet.bit_length() - 1)
+    counts = [COUNT_INIT] * alphabet
+    tree = _fenwick(np.full(alphabet, COUNT_INIT, dtype=np.int64), 2 * top_bit)
+    total = alphabet * COUNT_INIT
+    limit = RESCALE_LIMIT
+
+    low, high = 0, _MASK
+    code = window[0] >> 16
+    bitpos = 32
+    out: list[int] = []
+    for _ in range(count):
+        rng = high - low + 1
+        value = ((code - low + 1) * total - 1) // rng
+        sym = 0
+        rem = value
+        bit = top_bit
+        while bit:
+            t = tree[sym + bit]
+            if t <= rem:
+                sym += bit
+                rem -= t
+            bit >>= 1
+        c = counts[sym]
+        cumlow = value - rem
+        high = low + (cumlow + c) * rng // total - 1
+        low += cumlow * rng // total
+        k = 32 - (low ^ high).bit_length()
+        if k:
+            low = (low << k) & _MASK
+            high = ((high << k) & _MASK) | ((1 << k) - 1)
+        u = 0
+        if low & ~high & _SECOND:
+            u = 31 - ((low & ~high & _LOW31) ^ _LOW31).bit_length()
+            low = (low << u) & _LOW31
+            high = ((high << u) & _LOW31) | _TOP | ((1 << u) - 1)
+        need = k + u
+        if need:
+            if bitpos + need > nbits:
+                raise CorruptPayloadError(
+                    "payload ends before its symbol count is met"
+                )
+            bits = (window[bitpos >> 3] >> (48 - (bitpos & 7) - need)) & (
+                (1 << need) - 1
+            )
+            bitpos += need
+            if u:
+                # Underflow shifts keep the code's top bit.
+                code = (((code << k) | (bits >> u)) & _TOP) | (
+                    ((code << need) | bits) & _LOW31
+                )
+            else:
+                code = ((code << k) | bits) & _MASK
+        out.append(sym)
+        counts[sym] = c + COUNT_INCREMENT
+        j = sym + 1
+        while j <= alphabet:
+            tree[j] += COUNT_INCREMENT
+            j += j & -j
+        total += COUNT_INCREMENT
+        if total > limit:
+            halved = (np.array(counts, dtype=np.int64) + 1) >> 1
+            counts = halved.tolist()
+            total = int(halved.sum())
+            tree = _fenwick(halved, 2 * top_bit)
+    return np.array(out, dtype=np.int64)
 
 
 def aac_encode(stream: SymbolStream) -> bytes:
@@ -294,29 +315,33 @@ def aac_encode(stream: SymbolStream) -> bytes:
     )
 
 
-def aac_decode(payload: bytes, alphabet_size: int) -> SymbolStream:
-    """Decode a payload; raises `CorruptPayloadError` on any inconsistency."""
+def aac_decode(
+    payload: bytes, alphabet_size: int, count: int | None = None
+) -> SymbolStream:
+    """Decode a payload; raises `CorruptPayloadError` on any inconsistency.
+
+    `count` is the number of symbols the caller expects.  A header that
+    claims any other number is rejected before anything is allocated, so
+    callers that know the count bound the decoder's memory and time.
+    """
     if not MIN_ALPHABET <= alphabet_size <= MAX_ALPHABET:
         raise ValueError(
             f"alphabet_size must be in [{MIN_ALPHABET}, {MAX_ALPHABET}]"
         )
     if len(payload) < 4:
         raise CorruptPayloadError("payload shorter than its count header")
-    (count,) = struct.unpack_from("<I", payload, 0)
-    # Widened so the bit reader's accumulator promotes to int64: a uint8
-    # scalar would keep `code` in uint8 without a JIT (NEP 50) and overflow.
-    data = np.frombuffer(payload, dtype=np.uint8, offset=4).astype(np.int64)
-    if count == 0:
+    (claimed,) = struct.unpack_from("<I", payload, 0)
+    if count is not None and claimed != count:
+        raise CorruptPayloadError(
+            f"payload holds {claimed} symbols, expected {count}"
+        )
+    if claimed == 0:
         if len(payload) != 4:
             raise CorruptPayloadError("empty stream carries trailing bytes")
         return SymbolStream(alphabet_size, np.empty(0, dtype=np.int64))
-    try:
-        symbols = np.empty(count, dtype=np.int64)
-    except MemoryError as exc:
-        raise CorruptPayloadError("symbol count exceeds available memory") from exc
-    if _aac_decode_core(data, alphabet_size, symbols) != 0:
-        raise CorruptPayloadError("payload ends before its symbol count is met")
-    if _encode_bytes(symbols, alphabet_size) != payload[4:]:
+    body = bytes(payload[4:])
+    symbols = _decode_symbols(body, alphabet_size, claimed)
+    if _encode_bytes(symbols, alphabet_size) != body:
         raise CorruptPayloadError(
             "payload fails canonical re-encoding (truncated or corrupt)"
         )

@@ -178,13 +178,21 @@ def encode_centers(geom: QuantizedGeometry) -> bytes:
     )
 
 
-def decode_centers(payload: bytes, q: int) -> QuantizedGeometry:
-    """Invert `encode_centers`; any framing inconsistency raises."""
+def decode_centers(
+    payload: bytes, q: int, count: int | None = None
+) -> QuantizedGeometry:
+    """Invert `encode_centers`; any framing inconsistency raises.
+
+    `count` is the number of points the container declares; a section
+    holding any other number is rejected before its buckets are decoded.
+    """
     if len(payload) < 9:
         raise CorruptPayloadError("geometry payload shorter than its header")
     n, q_stored = struct.unpack_from("<IB", payload, 0)
     if n == 0:
         raise CorruptPayloadError("geometry payload holds zero points")
+    if count is not None and n != count:
+        raise CorruptPayloadError(f"geometry holds {n} points, header says {count}")
     if q_stored != q:
         raise CorruptPayloadError(
             f"geometry payload coded at q={q_stored}, expected q={q}"
@@ -192,10 +200,7 @@ def decode_centers(payload: bytes, q: int) -> QuantizedGeometry:
     (blen,) = struct.unpack_from("<I", payload, 5)
     if len(payload) < 9 + blen + 8:
         raise CorruptPayloadError("geometry payload truncated in bucket section")
-    buckets_stream = aac_decode(payload[9 : 9 + blen], BUCKET_ALPHABET)
-    buckets = buckets_stream.symbols
-    if len(buckets) != n:
-        raise CorruptPayloadError("bucket count disagrees with point count")
+    buckets = aac_decode(payload[9 : 9 + blen], BUCKET_ALPHABET, n).symbols
     if buckets.size and buckets.max() > 3 * q:
         raise CorruptPayloadError("bucket exceeds the lattice code width")
 

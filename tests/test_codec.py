@@ -1,6 +1,7 @@
 """Container format and end-to-end encode/decode behavior."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ggsc.quantizer import dequantize, quantize
 from ggsc import spectral
 
 from conftest import make_cloud
+from test_entropy import bounded_failure
 
 
 SMALL = CodecParams(max_leaf=50)
@@ -351,6 +353,15 @@ class TestCorruptStreams:
         )
         stream.attribute_payloads["opacity"] = forged
         with pytest.raises(CorruptPayloadError, match="expected"):
+            decode(stream)
+
+    def test_huge_attribute_count_rejected_before_decoding(self):
+        """An attribute payload claiming 2^32 - 1 symbols is refused on
+        the count the partition implies."""
+        stream = encode(make_cloud(40, seed=19), SMALL)
+        payload = stream.attribute_payloads["sh_y"]
+        stream.attribute_payloads["sh_y"] = struct.pack("<I", 2**32 - 1) + payload[4:]
+        with bounded_failure(seconds=1.0, bytes_=16 << 20):
             decode(stream)
 
     def test_geometry_count_disagrees_with_header(self):

@@ -1,8 +1,11 @@
 """Adaptive arithmetic coder: losslessness, framing, corruption behavior,
 and the exact bytes it writes (golden hashes and a reference model)."""
 
+import contextlib
 import hashlib
 import struct
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +26,23 @@ from ggsc.entropy import (
 
 def stream(symbols, alphabet):
     return SymbolStream(alphabet, np.asarray(symbols, dtype=np.int64))
+
+
+@contextlib.contextmanager
+def bounded_failure(seconds, bytes_):
+    """The block must raise `CorruptPayloadError` within `seconds`, having
+    allocated at most `bytes_` at its peak (as traced by tracemalloc)."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(CorruptPayloadError):
+            yield
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < seconds, elapsed
+    assert peak < bytes_, peak
 
 
 def golden_symbols(alphabet, n, seed):
@@ -126,18 +146,13 @@ class TestFraming:
 
 
 class TestPythonKernelWidth:
-    def test_aac_decode_through_python_body(self, monkeypatch):
-        """The decoder kernel's plain-Python body must not overflow on
-        payload bytes >= 0x80: a uint8 payload element would keep the
-        32-bit code register in uint8 under numpy 2 scalar promotion, so
-        `aac_decode` widens the bytes first.  The Python body is forced so
-        this runs with numba installed too."""
+    def test_aac_decode_through_python_body(self):
+        """Payload bytes >= 0x80 decode exactly: the bit reader must not
+        keep any register in a narrow integer type (a uint8 byte would keep
+        the 32-bit code register in uint8 under numpy 2 scalar promotion)."""
         symbols = np.arange(64, dtype=np.int64) % 7 + 1
         payload = aac_encode(stream(symbols, 8))
         assert max(payload[4:]) >= 0x80
-        kernel = entropy._aac_decode_core
-        monkeypatch.setattr(entropy, "_aac_decode_core",
-                            getattr(kernel, "py_func", kernel))
         np.testing.assert_array_equal(aac_decode(payload, 8).symbols, symbols)
 
 
@@ -343,6 +358,22 @@ class TestCorruption:
             syms = rng.integers(0, a, size=n)
             out = aac_decode(aac_encode(stream(syms, a)), a)
             np.testing.assert_array_equal(out.symbols, syms)
+
+    def test_expected_count_checked(self):
+        payload, syms = self._payload()
+        np.testing.assert_array_equal(aac_decode(payload, 256, 300).symbols, syms)
+        with pytest.raises(CorruptPayloadError, match="expected 299"):
+            aac_decode(payload, 256, 299)
+        with pytest.raises(CorruptPayloadError):
+            aac_decode(aac_encode(stream([], 256)), 256, 1)
+
+    def test_huge_count_rejected_before_allocation(self):
+        """A header claiming 2^32 - 1 symbols is refused on the count the
+        caller expects, before a symbol buffer exists."""
+        payload, _ = self._payload()
+        forged = struct.pack("<I", 2**32 - 1) + payload[4:]
+        with bounded_failure(seconds=0.5, bytes_=1 << 20):
+            aac_decode(forged, 256, 300)
 
     def test_decode_alphabet_validation(self):
         payload, _ = self._payload()

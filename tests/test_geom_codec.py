@@ -18,6 +18,7 @@ from ggsc.geom_codec import (
 )
 from ggsc.partition import morton_order
 
+from test_entropy import bounded_failure
 from test_partition import interleave_oracle
 
 
@@ -213,6 +214,22 @@ class TestCorruption:
         payload[0:4] = struct.pack("<I", 299)
         with pytest.raises(CorruptPayloadError):
             decode_centers(bytes(payload), 8)
+
+    def test_point_count_differs_from_container(self):
+        payload = self._payload()
+        assert len(decode_centers(payload, 8, 300)) == 300
+        with pytest.raises(CorruptPayloadError, match="header says 299"):
+            decode_centers(payload, 8, 299)
+
+    def test_huge_counts_rejected_before_decoding(self):
+        """2^32 - 1 points, or 2^32 - 1 coded buckets, are refused on the
+        counts the caller and the section header give, before decoding."""
+        payload = self._payload()
+        many = struct.pack("<I", 2**32 - 1)
+        with bounded_failure(seconds=0.5, bytes_=1 << 20):
+            decode_centers(many + payload[4:], 8, 300)
+        with bounded_failure(seconds=0.5, bytes_=1 << 20):
+            decode_centers(payload[:9] + many + payload[13:], 8)
 
     def test_bucket_overflow_rejected(self):
         """A bucket claiming more bits than the lattice width is framing
