@@ -23,7 +23,7 @@ O(log alphabet) queries and updates.  Both sides do a renormalization
 as one step: the k equal top bits of low and high (k = 32 minus the bit
 length of low ^ high) and then the run of underflow positions (low =
 01..., high = 10...).  The encoder gathers its bits in an int flushed to
-a bytearray; the decoder reads them through 48-bit windows precomputed
+a bytearray; the decoder reads them through 64-bit windows precomputed
 for every byte offset.  The interval arithmetic, the model and the flush
 are those of the bit-at-a-time coder, so the bytes are too.
 
@@ -55,6 +55,7 @@ window further and bounds the decoder's memory and time by that count.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,7 @@ _SECOND = 1 << 30
 
 # Symbols whose model values are converted to Python ints at a time, and
 # the coded bits gathered in an int before they go to the output buffer.
-_CHUNK = 1 << 14
+_CHUNK = 1 << 12
 _FLUSH_BITS = 256
 
 COUNT_INIT = 1
@@ -127,9 +128,13 @@ def _earlier_counts(seg: np.ndarray, alphabet: int) -> tuple[np.ndarray, np.ndar
         order = np.argsort(key, kind="stable")
         ordered = key[order]
         np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        start = np.where(first, pos, 0)
+        np.maximum.accumulate(start, out=start)
         here = np.empty(n, dtype=np.int64)
-        here[order] = pos - np.maximum.accumulate(np.where(first, pos, 0))
-        less += ((seg >> b) & 1) * (above - here)
+        here[order] = pos - start
+        diff = above - here
+        diff *= key & 1
+        less += diff
         above = here
     return less, above
 
@@ -140,21 +145,29 @@ def _model(symbols: np.ndarray, alphabet: int):
 
     `total` grows by COUNT_INCREMENT per symbol, so where the model halves
     is known in advance; inside a segment the counts are the segment's base
-    counts plus COUNT_INCREMENT per earlier occurrence.
+    counts plus COUNT_INCREMENT per earlier occurrence.  Until the first
+    rescale every base count is COUNT_INIT, which needs no table.
     """
     n = symbols.shape[0]
-    base = np.full(alphabet, COUNT_INIT, dtype=np.int64)
+    base = None
     total = alphabet * COUNT_INIT
     start = 0
     while start < n:
         stop = min(n, start + max(1, (RESCALE_LIMIT - total) // COUNT_INCREMENT + 1))
         seg = symbols[start:stop]
         less, equal = _earlier_counts(seg, alphabet)
-        cumlow = (np.cumsum(base) - base)[seg] + COUNT_INCREMENT * less
-        cumhigh = cumlow + base[seg] + COUNT_INCREMENT * equal
+        if base is None:
+            cumlow = COUNT_INIT * seg + COUNT_INCREMENT * less
+            cumhigh = cumlow + COUNT_INIT + COUNT_INCREMENT * equal
+        else:
+            cum = np.cumsum(base)
+            cum -= base
+            cumlow = cum[seg] + COUNT_INCREMENT * less
+            cumhigh = cumlow + base[seg] + COUNT_INCREMENT * equal
         yield cumlow, cumhigh, total + COUNT_INCREMENT * np.arange(stop - start)
         if stop < n:
-            counts = base + COUNT_INCREMENT * np.bincount(seg, minlength=alphabet)
+            counts = COUNT_INCREMENT * np.bincount(seg, minlength=alphabet)
+            counts += COUNT_INIT if base is None else base
             base = (counts + 1) >> 1
             total = int(base.sum())
         start = stop
@@ -211,16 +224,28 @@ def _encode_bytes(symbols: np.ndarray, alphabet: int) -> bytes:
     return bytes(out)
 
 
-def _fenwick(counts: np.ndarray, size: int) -> list[int]:
-    """Fenwick tree of `counts` as a list of `size` entries; entries past
-    the alphabet hold a sentinel that no search target reaches."""
+def _fenwick(counts: np.ndarray) -> list[int]:
+    """Fenwick tree of `counts` as a list (entry 0 unused).
+
+    A search from the top power of two at or below the alphabet size
+    visits indices up to twice that power minus one; when the alphabet is
+    not a power of two, the entries past it hold a sentinel that no
+    search target reaches.  (A power-of-two alphabet needs none: its last
+    entry is the total, which every target is below.)
+    """
     a = counts.shape[0]
-    cum = np.zeros(a + 1, dtype=np.int64)
-    np.cumsum(counts, out=cum[1:])
-    i = np.arange(a + 1)
-    tree = (cum - cum[i - (i & -i)]).tolist()
-    tree += [1 << 62] * (size - a - 1)
-    return tree
+    tree = np.zeros(a + 1, dtype=np.int64)
+    tree[1:] = counts
+    step = 1
+    while step < a:
+        child = np.arange(step, a + 1 - step, 2 * step)
+        tree[child + step] += tree[child]
+        step *= 2
+    top_bit = 1 << (a.bit_length() - 1)
+    out = tree.tolist()
+    if a != top_bit:
+        out += [1 << 62] * (2 * top_bit - a - 1)
+    return out
 
 
 def _decode_symbols(data: bytes, alphabet: int, count: int) -> np.ndarray:
@@ -232,25 +257,25 @@ def _decode_symbols(data: bytes, alphabet: int, count: int) -> np.ndarray:
     nbits = 8 * len(data)
     if nbits < 32:
         raise CorruptPayloadError("payload ends before its symbol count is met")
-    # window[p]: the 48 bits starting at byte p.  One renormalization
-    # reads at most 25 bits (an interval of width >= 2^30 / 2^24 doubles
-    # until it exceeds 2^30), which fit after any bit offset in the byte.
-    padded = np.frombuffer(data + bytes(5), dtype=np.uint8).astype(np.int64)
-    win = np.zeros(len(data), dtype=np.int64)
-    for j in range(6):
-        win = (win << 8) | padded[j : j + len(data)]
-    window = win.tolist()
+    # window[p]: the 64 bits starting at byte p (big-endian words read at
+    # every byte offset).  One renormalization reads at most 25 bits (an
+    # interval of width >= 2^30 / 2^24 doubles until it exceeds 2^30),
+    # which fit after any bit offset in the byte.
+    words = np.ndarray(
+        (len(data),), dtype=">u8", buffer=data + bytes(7), strides=(1,)
+    )
+    window = array("Q", words.astype(np.uint64).tobytes())
 
     top_bit = 1 << (alphabet.bit_length() - 1)
     counts = [COUNT_INIT] * alphabet
-    tree = _fenwick(np.full(alphabet, COUNT_INIT, dtype=np.int64), 2 * top_bit)
+    tree = _fenwick(np.full(alphabet, COUNT_INIT, dtype=np.int64))
     total = alphabet * COUNT_INIT
     limit = RESCALE_LIMIT
 
     low, high = 0, _MASK
-    code = window[0] >> 16
+    code = window[0] >> 32
     bitpos = 32
-    out: list[int] = []
+    out = array("q")
     for _ in range(count):
         rng = high - low + 1
         value = ((code - low + 1) * total - 1) // rng
@@ -282,7 +307,7 @@ def _decode_symbols(data: bytes, alphabet: int, count: int) -> np.ndarray:
                 raise CorruptPayloadError(
                     "payload ends before its symbol count is met"
                 )
-            bits = (window[bitpos >> 3] >> (48 - (bitpos & 7) - need)) & (
+            bits = (window[bitpos >> 3] >> (64 - (bitpos & 7) - need)) & (
                 (1 << need) - 1
             )
             bitpos += need
@@ -304,8 +329,8 @@ def _decode_symbols(data: bytes, alphabet: int, count: int) -> np.ndarray:
             halved = (np.array(counts, dtype=np.int64) + 1) >> 1
             counts = halved.tolist()
             total = int(halved.sum())
-            tree = _fenwick(halved, 2 * top_bit)
-    return np.array(out, dtype=np.int64)
+            tree = _fenwick(halved)
+    return np.frombuffer(out, dtype=np.int64)
 
 
 def aac_encode(stream: SymbolStream) -> bytes:
