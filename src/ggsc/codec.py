@@ -507,9 +507,12 @@ def decode(
             comps * spectral.clip_count(params.alpha_for(name), len(leaf))
             for leaf in part.leaves
         )
-        decoded = entropy.aac_decode(
-            stream.attribute_payloads[name], 1 << params.q_for(name), expected
-        )
+        try:
+            decoded = entropy.aac_decode(
+                stream.attribute_payloads[name], 1 << params.q_for(name), expected
+            )
+        except CorruptPayloadError as exc:
+            raise CorruptPayloadError(f"{name}: {exc}") from exc
         levels = []
         cursor = 0
         for leaf in part.leaves:

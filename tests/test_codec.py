@@ -352,7 +352,8 @@ class TestCorruptStreams:
             SymbolStream(1 << 10, np.zeros(17, dtype=np.int64))
         )
         stream.attribute_payloads["opacity"] = forged
-        with pytest.raises(CorruptPayloadError, match="expected"):
+        with pytest.raises(CorruptPayloadError,
+                           match="opacity: payload holds 17 symbols, expected"):
             decode(stream)
 
     def test_huge_attribute_count_rejected_before_decoding(self):
