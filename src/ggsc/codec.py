@@ -485,13 +485,8 @@ def decode(
                 f"set {geom_codec.DECODE_CMD_VAR} to decode it"
             )
         geometry = geom_codec.decode_centers_external(
-            stream.geometry_payload, params.q_geo, decode_cmd
+            stream.geometry_payload, params.q_geo, decode_cmd, stream.gs_count
         )
-        if len(geometry) != stream.gs_count:
-            raise CorruptPayloadError(
-                f"geometry holds {len(geometry)} points, "
-                f"header says {stream.gs_count}"
-            )
     else:
         geometry = geom_codec.decode_centers(
             stream.geometry_payload, params.q_geo, stream.gs_count

@@ -47,9 +47,10 @@ violations, trailing garbage, truncation anywhere, and the vast
 majority of bit flips.  The unavoidable residue is corruption that
 happens to transform one canonical payload into another, which is
 indistinguishable from a legitimate encoding of a different stream
-without out-of-band redundancy.  Callers that frame payloads pass the
-symbol count they expect (the container layer does), which narrows the
-window further and bounds the decoder's memory and time by that count.
+without out-of-band redundancy.  The caller passes the symbol count it
+expects; a header that claims any other count is rejected before
+decoding, which narrows the window further and bounds the decoder's
+memory and time by that count.
 """
 
 from __future__ import annotations
@@ -340,14 +341,12 @@ def aac_encode(stream: SymbolStream) -> bytes:
     )
 
 
-def aac_decode(
-    payload: bytes, alphabet_size: int, count: int | None = None
-) -> SymbolStream:
+def aac_decode(payload: bytes, alphabet_size: int, count: int) -> SymbolStream:
     """Decode a payload; raises `CorruptPayloadError` on any inconsistency.
 
     `count` is the number of symbols the caller expects.  A header that
     claims any other number is rejected before anything is allocated, so
-    callers that know the count bound the decoder's memory and time.
+    the count bounds the decoder's memory and time.
     """
     if not MIN_ALPHABET <= alphabet_size <= MAX_ALPHABET:
         raise ValueError(
@@ -356,7 +355,7 @@ def aac_decode(
     if len(payload) < 4:
         raise CorruptPayloadError("payload shorter than its count header")
     (claimed,) = struct.unpack_from("<I", payload, 0)
-    if count is not None and claimed != count:
+    if claimed != count:
         raise CorruptPayloadError(
             f"payload holds {claimed} symbols, expected {count}"
         )

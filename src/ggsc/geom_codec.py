@@ -178,9 +178,13 @@ def encode_centers(geom: QuantizedGeometry) -> bytes:
     )
 
 
-def decode_centers(
-    payload: bytes, q: int, count: int | None = None
-) -> QuantizedGeometry:
+def _check_count(n: int, count: int) -> None:
+    """Reject a geometry section whose point count is not the container's."""
+    if n != count:
+        raise CorruptPayloadError(f"geometry holds {n} points, header says {count}")
+
+
+def decode_centers(payload: bytes, q: int, count: int) -> QuantizedGeometry:
     """Invert `encode_centers`; any framing inconsistency raises.
 
     `count` is the number of points the container declares; a section
@@ -191,8 +195,7 @@ def decode_centers(
     n, q_stored = struct.unpack_from("<IB", payload, 0)
     if n == 0:
         raise CorruptPayloadError("geometry payload holds zero points")
-    if count is not None and n != count:
-        raise CorruptPayloadError(f"geometry holds {n} points, header says {count}")
+    _check_count(n, count)
     if q_stored != q:
         raise CorruptPayloadError(
             f"geometry payload coded at q={q_stored}, expected q={q}"
@@ -322,11 +325,15 @@ def encode_centers_external(geom: QuantizedGeometry, command: str) -> bytes:
     return struct.pack("<BI", EXTERNAL_TAG, len(blob)) + blob
 
 
-def decode_centers_external(payload: bytes, q: int, command: str) -> QuantizedGeometry:
+def decode_centers_external(
+    payload: bytes, q: int, command: str, count: int
+) -> QuantizedGeometry:
     """Run the external decoder and restore canonical Morton order.
 
     The external codec must be lossless, duplicates included; the point
     *order* it emits is free because the section is re-sorted here.
+    `count` is the number of points the container declares; any other
+    number of decoded points is rejected.
     """
     if len(payload) < 5:
         raise CorruptPayloadError("external geometry payload too short")
@@ -337,5 +344,6 @@ def decode_centers_external(payload: bytes, q: int, command: str) -> QuantizedGe
     points = _ascii_ply_to_points(blob)
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 1:
         raise CorruptPayloadError("external decoder emitted no points")
+    _check_count(points.shape[0], count)
     order = partition.morton_order(points, q)
     return QuantizedGeometry(q=q, points=points[order])

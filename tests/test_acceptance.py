@@ -68,7 +68,7 @@ def _warm_jit():
     """One tiny solve so jit compilation never bills a timed budget."""
     pts = np.random.default_rng(0).uniform(0.0, 1.0, (12, 3))
     spectral.graph_spectrum(pts, 0.5)
-    aac_decode(aac_encode(SymbolStream(4, np.array([0, 1, 2, 3]))), 4)
+    aac_decode(aac_encode(SymbolStream(4, np.array([0, 1, 2, 3]))), 4, 4)
 
 
 def _half_step(stream, name: str) -> float:
@@ -229,7 +229,7 @@ def _entropy_round_trips(rng: np.random.Generator, count: int) -> None:
         alphabet = int(rng.integers(2, (1 << 16) + 1))
         n = int(rng.integers(0, 400))
         symbols = rng.integers(0, alphabet, size=n)
-        decoded = aac_decode(aac_encode(SymbolStream(alphabet, symbols)), alphabet)
+        decoded = aac_decode(aac_encode(SymbolStream(alphabet, symbols)), alphabet, n)
         assert decoded.alphabet_size == alphabet
         assert np.array_equal(decoded.symbols, symbols)
 

@@ -285,17 +285,16 @@ class TestSymbolLayout:
         params = CodecParams(max_leaf=16, alpha_scale=0.5)
         stream, edbg = encode(cloud, params, collect_debug=True)
 
-        decoded = aac_decode(stream.attribute_payloads["scale"],
-                             1 << params.q_scale)
         expected = []
         grid = stream.attr_grids["scale"]
         for leaf, coeffs in zip(edbg.part.leaves, edbg.coefficients["scale"]):
             k = spectral.clip_count(params.alpha_scale, len(leaf))
             levels = quantize(coeffs[:k], grid)
             expected.append(levels.T.ravel())
-        np.testing.assert_array_equal(
-            decoded.symbols, np.concatenate(expected)
-        )
+        expected = np.concatenate(expected)
+        decoded = aac_decode(stream.attribute_payloads["scale"],
+                             1 << params.q_scale, expected.size)
+        np.testing.assert_array_equal(decoded.symbols, expected)
 
 
 class TestRateBehavior:
@@ -318,8 +317,9 @@ class TestRateBehavior:
         cloud = make_cloud(64, seed=17)
         stream, edbg = encode(cloud, CodecParams(max_leaf=16),
                               collect_debug=True)
-        decoded = aac_decode(stream.attribute_payloads["opacity"], 1 << 10)
-        assert len(decoded) == 64  # one coefficient per primitive, C=1
+        # one coefficient per primitive, C=1; any other count raises
+        decoded = aac_decode(stream.attribute_payloads["opacity"], 1 << 10, 64)
+        assert len(decoded) == 64
 
 
 class TestCorruptStreams:

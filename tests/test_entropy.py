@@ -128,7 +128,7 @@ class TestFraming:
     def test_empty_stream_is_count_header_only(self):
         payload = aac_encode(stream([], 256))
         assert payload == b"\x00\x00\x00\x00"
-        out = aac_decode(payload, 256)
+        out = aac_decode(payload, 256, 0)
         assert len(out) == 0
 
     def test_count_header_is_little_endian_u32(self):
@@ -137,7 +137,7 @@ class TestFraming:
 
     def test_single_zero_round_trip(self):
         payload = aac_encode(stream([0], 2))
-        out = aac_decode(payload, 2)
+        out = aac_decode(payload, 2, 1)
         np.testing.assert_array_equal(out.symbols, [0])
 
     def test_encoding_is_deterministic(self):
@@ -153,7 +153,8 @@ class TestPythonKernelWidth:
         symbols = np.arange(64, dtype=np.int64) % 7 + 1
         payload = aac_encode(stream(symbols, 8))
         assert max(payload[4:]) >= 0x80
-        np.testing.assert_array_equal(aac_decode(payload, 8).symbols, symbols)
+        out = aac_decode(payload, 8, len(symbols))
+        np.testing.assert_array_equal(out.symbols, symbols)
 
 
 class TestGoldenBytes:
@@ -194,20 +195,20 @@ class TestRoundTrip:
     def test_random_streams(self, alphabet):
         rng = np.random.default_rng(alphabet)
         syms = rng.integers(0, alphabet, size=3000)
-        out = aac_decode(aac_encode(stream(syms, alphabet)), alphabet)
+        out = aac_decode(aac_encode(stream(syms, alphabet)), alphabet, len(syms))
         np.testing.assert_array_equal(out.symbols, syms)
         assert out.alphabet_size == alphabet
 
     def test_hundred_thousand_symbols(self):
         rng = np.random.default_rng(1)
         syms = rng.integers(0, 256, size=10**5)
-        out = aac_decode(aac_encode(stream(syms, 256)), 256)
+        out = aac_decode(aac_encode(stream(syms, 256)), 256, len(syms))
         np.testing.assert_array_equal(out.symbols, syms)
 
     def test_skewed_stream(self):
         rng = np.random.default_rng(2)
         syms = np.minimum(rng.geometric(0.3, size=20000) - 1, 63)
-        out = aac_decode(aac_encode(stream(syms, 64)), 64)
+        out = aac_decode(aac_encode(stream(syms, 64)), 64, len(syms))
         np.testing.assert_array_equal(out.symbols, syms)
 
     def test_model_rescale_path(self):
@@ -215,7 +216,7 @@ class TestRoundTrip:
         limit; coding must stay lossless through the halving."""
         rng = np.random.default_rng(3)
         syms = (rng.random(700_000) < 0.2).astype(np.int64)
-        out = aac_decode(aac_encode(stream(syms, 2)), 2)
+        out = aac_decode(aac_encode(stream(syms, 2)), 2, len(syms))
         np.testing.assert_array_equal(out.symbols, syms)
 
 
@@ -284,47 +285,47 @@ class TestCorruption:
     def test_too_short_for_header(self):
         for blob in (b"", b"\x01", b"\x00\x00\x00"):
             with pytest.raises(CorruptPayloadError):
-                aac_decode(blob, 256)
+                aac_decode(blob, 256, 1)
 
     def test_empty_stream_with_trailing_garbage(self):
         with pytest.raises(CorruptPayloadError):
-            aac_decode(b"\x00\x00\x00\x00\xff", 256)
+            aac_decode(b"\x00\x00\x00\x00\xff", 256, 0)
 
     def test_count_only_but_symbols_promised(self):
         with pytest.raises(CorruptPayloadError):
-            aac_decode(b"\x10\x00\x00\x00", 256)
+            aac_decode(b"\x10\x00\x00\x00", 256, 16)
 
     def test_interior_truncation(self):
         payload, _ = self._payload()
         for keep in (len(payload) // 4, len(payload) // 2, len(payload) - 40):
             with pytest.raises(CorruptPayloadError):
-                aac_decode(payload[:keep], 256)
+                aac_decode(payload[:keep], 256, 300)
 
     def test_trailing_garbage(self):
         payload, _ = self._payload()
         with pytest.raises(CorruptPayloadError):
-            aac_decode(payload + b"\x00", 256)
+            aac_decode(payload + b"\x00", 256, 300)
         with pytest.raises(CorruptPayloadError):
-            aac_decode(payload + b"\x5a\x5a", 256)
+            aac_decode(payload + b"\x5a\x5a", 256, 300)
 
     def test_count_inflation(self):
         payload, _ = self._payload()
         (count,) = struct.unpack_from("<I", payload, 0)
         forged = struct.pack("<I", count + 50) + payload[4:]
         with pytest.raises(CorruptPayloadError):
-            aac_decode(forged, 256)
+            aac_decode(forged, 256, count + 50)
 
     def test_count_deflation(self):
         payload, _ = self._payload()
         (count,) = struct.unpack_from("<I", payload, 0)
         forged = struct.pack("<I", count - 50) + payload[4:]
         with pytest.raises(CorruptPayloadError):
-            aac_decode(forged, 256)
+            aac_decode(forged, 256, count - 50)
 
     def test_wrong_alphabet(self):
         payload, _ = self._payload(alphabet=256)
         with pytest.raises(CorruptPayloadError):
-            aac_decode(payload, 128)
+            aac_decode(payload, 128, 300)
 
     def test_single_bit_flips_detected_or_equivalent(self):
         """Flip every bit of a payload once.  Each tampered payload must
@@ -340,7 +341,7 @@ class TestCorruption:
             tampered[byte] ^= 1 << (7 - bit)
             tampered = bytes(tampered)
             try:
-                got = aac_decode(tampered, 256)
+                got = aac_decode(tampered, 256, 200)
             except CorruptPayloadError:
                 detected += 1
             else:
@@ -356,7 +357,7 @@ class TestCorruption:
             n = int(rng.integers(1, 500))
             a = int(rng.integers(2, 1000))
             syms = rng.integers(0, a, size=n)
-            out = aac_decode(aac_encode(stream(syms, a)), a)
+            out = aac_decode(aac_encode(stream(syms, a)), a, n)
             np.testing.assert_array_equal(out.symbols, syms)
 
     def test_expected_count_checked(self):
@@ -378,9 +379,9 @@ class TestCorruption:
     def test_decode_alphabet_validation(self):
         payload, _ = self._payload()
         with pytest.raises(ValueError):
-            aac_decode(payload, 1)
+            aac_decode(payload, 1, 300)
         with pytest.raises(ValueError):
-            aac_decode(payload, 1 << 17)
+            aac_decode(payload, 1 << 17, 300)
 
 
 @settings(max_examples=40, deadline=None)
@@ -394,7 +395,7 @@ def test_lossless_property(seed, n, alphabet, skew):
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.full(min(alphabet, 512), skew))
     syms = rng.choice(min(alphabet, 512), size=n, p=probs).astype(np.int64)
-    out = aac_decode(aac_encode(stream(syms, alphabet)), alphabet)
+    out = aac_decode(aac_encode(stream(syms, alphabet)), alphabet, n)
     np.testing.assert_array_equal(out.symbols, syms)
     assert out.alphabet_size == alphabet
 
@@ -415,5 +416,5 @@ def test_matches_reference_model(seed, n, alphabet, rescale_limit):
             mp.setattr(entropy, "RESCALE_LIMIT", rescale_limit)
         payload = aac_encode(stream(syms, alphabet))
         assert payload == reference_encode(syms, alphabet)
-        out = aac_decode(payload, alphabet)
+        out = aac_decode(payload, alphabet, n)
     np.testing.assert_array_equal(out.symbols, syms)

@@ -52,7 +52,7 @@ class TestQuantizedGeometry:
 class TestRoundTrip:
     def test_single_origin_point(self):
         geom = QuantizedGeometry(q=8, points=np.array([[0, 0, 0]]))
-        out = decode_centers(encode_centers(geom), 8)
+        out = decode_centers(encode_centers(geom), 8, 1)
         np.testing.assert_array_equal(out.points, [[0, 0, 0]])
 
     def test_full_grid_compresses_hard(self):
@@ -64,7 +64,7 @@ class TestRoundTrip:
         payload = encode_centers(geom)
         raw_bytes = 512 * 3 * 3 / 8
         assert len(payload) < raw_bytes / 4
-        out = decode_centers(payload, 3)
+        out = decode_centers(payload, 3, 512)
         np.testing.assert_array_equal(out.points, geom.points)
 
     def test_random_points_with_duplicates(self):
@@ -72,13 +72,13 @@ class TestRoundTrip:
         pts = rng.integers(0, 2**12, size=(10**4, 3))
         pts[5000:5100] = pts[:100]  # force duplicates
         geom = sorted_geom(pts, 12)
-        out = decode_centers(encode_centers(geom), 12)
+        out = decode_centers(encode_centers(geom), 12, len(geom))
         np.testing.assert_array_equal(out.points, geom.points)
 
     def test_duplicates_carry_multiplicity(self):
         pts = np.array([[3, 1, 4]] * 5 + [[3, 1, 5]] * 2)
         geom = sorted_geom(pts, 4)
-        out = decode_centers(encode_centers(geom), 4)
+        out = decode_centers(encode_centers(geom), 4, len(geom))
         assert len(out) == 7
         np.testing.assert_array_equal(out.points, geom.points)
 
@@ -88,7 +88,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(1)
         pts = rng.integers(0, 2**25, size=(500, 3))
         geom = sorted_geom(pts, 25)
-        out = decode_centers(encode_centers(geom), 25)
+        out = decode_centers(encode_centers(geom), 25, len(geom))
         np.testing.assert_array_equal(out.points, geom.points)
 
     def test_extreme_corner_points(self):
@@ -96,7 +96,7 @@ class TestRoundTrip:
         top = (1 << q) - 1
         pts = np.array([[0, 0, 0], [top, top, top], [top, 0, top]])
         geom = sorted_geom(pts, q)
-        out = decode_centers(encode_centers(geom), q)
+        out = decode_centers(encode_centers(geom), q, len(geom))
         np.testing.assert_array_equal(out.points, geom.points)
 
     def test_unsorted_input_rejected(self):
@@ -122,7 +122,7 @@ class TestPythonKernelWidth:
         kernel = geom_codec._unpack_deltas
         monkeypatch.setattr(geom_codec, "_unpack_deltas",
                             getattr(kernel, "py_func", kernel))
-        back = decode_centers(payload, geom.q)
+        back = decode_centers(payload, geom.q, len(geom))
         np.testing.assert_array_equal(back.points, geom.points)
 
 
@@ -148,13 +148,13 @@ class TestSectionLayout:
         n, q_stored = struct.unpack_from("<IB", payload, 0)
         assert (n, q_stored) == (4, 2)
         (blen,) = struct.unpack_from("<I", payload, 5)
-        buckets = aac_decode(payload[9 : 9 + blen], BUCKET_ALPHABET).symbols
+        buckets = aac_decode(payload[9 : 9 + blen], BUCKET_ALPHABET, 4).symbols
         np.testing.assert_array_equal(buckets, [3, 0, 1, 4])
         (nbits,) = struct.unpack_from("<Q", payload, 9 + blen)
         assert nbits == 5
         remainder = payload[9 + blen + 8 :]
         assert remainder == bytes([0b01000000])
-        out = decode_centers(payload, q)
+        out = decode_centers(payload, q, 4)
         np.testing.assert_array_equal(out.points, geom.points)
 
     def test_payload_length_accounts_exactly(self):
@@ -176,29 +176,29 @@ class TestCorruption:
 
     def test_empty_payload(self):
         with pytest.raises(CorruptPayloadError):
-            decode_centers(b"", 8)
+            decode_centers(b"", 8, 300)
 
     def test_header_truncations(self):
         payload = self._payload()
         for keep in (1, 4, 8, 12, len(payload) // 2, len(payload) - 1):
             with pytest.raises(CorruptPayloadError):
-                decode_centers(payload[:keep], 8)
+                decode_centers(payload[:keep], 8, 300)
 
     def test_zero_point_count(self):
         payload = bytearray(self._payload())
         payload[0:4] = struct.pack("<I", 0)
-        with pytest.raises(CorruptPayloadError):
-            decode_centers(bytes(payload), 8)
+        with pytest.raises(CorruptPayloadError, match="zero points"):
+            decode_centers(bytes(payload), 8, 0)
 
     def test_q_mismatch(self):
         payload = self._payload()
         with pytest.raises(CorruptPayloadError, match="q=8"):
-            decode_centers(payload, 9)
+            decode_centers(payload, 9, 300)
 
     def test_trailing_garbage(self):
         payload = self._payload()
         with pytest.raises(CorruptPayloadError):
-            decode_centers(payload + b"\x00", 8)
+            decode_centers(payload + b"\x00", 8, 300)
 
     def test_nonzero_remainder_padding(self):
         payload = bytearray(self._payload())
@@ -207,13 +207,13 @@ class TestCorruption:
         if nbits % 8:  # flip a padding bit in the final byte
             payload[-1] |= 1
             with pytest.raises(CorruptPayloadError):
-                decode_centers(bytes(payload), 8)
+                decode_centers(bytes(payload), 8, 300)
 
     def test_point_count_tamper(self):
         payload = bytearray(self._payload())
         payload[0:4] = struct.pack("<I", 299)
         with pytest.raises(CorruptPayloadError):
-            decode_centers(bytes(payload), 8)
+            decode_centers(bytes(payload), 8, 299)
 
     def test_point_count_differs_from_container(self):
         payload = self._payload()
@@ -229,7 +229,7 @@ class TestCorruption:
         with bounded_failure(seconds=0.5, bytes_=1 << 20):
             decode_centers(many + payload[4:], 8, 300)
         with bounded_failure(seconds=0.5, bytes_=1 << 20):
-            decode_centers(payload[:9] + many + payload[13:], 8)
+            decode_centers(payload[:9] + many + payload[13:], 8, 300)
 
     def test_bucket_overflow_rejected(self):
         """A bucket claiming more bits than the lattice width is framing
@@ -246,7 +246,7 @@ class TestCorruption:
         forged = bytes(payload)[:5] + struct.pack("<I", len(forged_buckets)) \
             + forged_buckets + rest
         with pytest.raises(CorruptPayloadError):
-            decode_centers(forged, 2)
+            decode_centers(forged, 2, 2)
 
 
 class TestExternalHook:
@@ -266,8 +266,10 @@ class TestExternalHook:
         tag, length = struct.unpack_from("<BI", payload, 0)
         assert tag == EXTERNAL_TAG
         assert len(payload) == 5 + length
-        out = decode_centers_external(payload, 6, cmd)
+        out = decode_centers_external(payload, 6, cmd, len(geom))
         np.testing.assert_array_equal(out.points, geom.points)
+        with pytest.raises(CorruptPayloadError, match="header says 49"):
+            decode_centers_external(payload, 6, cmd, 49)
 
     def test_decoder_restores_morton_order(self, tmp_path):
         """External tools may emit points in any order; the section decode
@@ -288,7 +290,7 @@ class TestExternalHook:
         rng = np.random.default_rng(5)
         geom = sorted_geom(rng.integers(0, 2**6, size=(40, 3)), 6)
         payload = encode_centers_external(geom, encode_cmd)
-        out = decode_centers_external(payload, 6, decode_cmd)
+        out = decode_centers_external(payload, 6, decode_cmd, len(geom))
         np.testing.assert_array_equal(out.points, geom.points)
 
     def test_failing_tool_raises(self, tmp_path):
@@ -307,14 +309,14 @@ class TestExternalHook:
                                            "'import sys, shutil; shutil.copy(sys.argv[1], sys.argv[2])' "
                                            "{in} {out}")
         with pytest.raises(CorruptPayloadError):
-            decode_centers_external(payload, 4, cmd)
+            decode_centers_external(payload, 4, cmd, 1)
 
     def test_framing_validation(self):
         with pytest.raises(CorruptPayloadError):
-            decode_centers_external(b"\x01", 4, "true")
+            decode_centers_external(b"\x01", 4, "true", 1)
         bogus = struct.pack("<BI", 2, 0)
         with pytest.raises(CorruptPayloadError):
-            decode_centers_external(bogus, 4, "true")
+            decode_centers_external(bogus, 4, "true", 1)
         short = struct.pack("<BI", EXTERNAL_TAG, 10) + b"abc"
         with pytest.raises(CorruptPayloadError):
-            decode_centers_external(short, 4, "true")
+            decode_centers_external(short, 4, "true", 1)
