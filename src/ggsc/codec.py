@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,19 +326,12 @@ def _leaf_spectra(
     threads: int,
 ) -> list[spectral.GraphSpectrum]:
     if params.sigma_scope == "global":
-        sigma = spectral.sigma_from_box(_box_of(centers))
-        jobs = [(leaf, sigma) for leaf in part.leaves]
+        sigmas = [spectral.sigma_from_box(_box_of(centers))] * len(part.leaves)
     else:
-        jobs = [
-            (leaf, spectral.sigma_from_box(_box_of(centers[leaf])))
-            for leaf in part.leaves
+        sigmas = [
+            spectral.sigma_from_box(_box_of(centers[leaf])) for leaf in part.leaves
         ]
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(lambda j: spectral.graph_spectrum(centers[j[0]], j[1]), jobs)
-            )
-    return [spectral.graph_spectrum(centers[leaf], s) for leaf, s in jobs]
+    return spectral.graph_spectra(centers, part.leaves, sigmas, threads=threads)
 
 
 def _attribute_signals(cloud: GaussianCloud) -> dict[str, np.ndarray]:
@@ -391,11 +383,12 @@ def encode(
     payloads: dict[str, bytes] = {}
     levels_by_group: dict[str, list[np.ndarray]] = {}
     for name, comps in ATTRIBUTE_GROUPS:
-        grid = fit_grid(
-            np.concatenate(kept[name], axis=0), params.q_for(name), params.scale_mode
-        )
+        blocks = np.concatenate(kept[name], axis=0)
+        grid = fit_grid(blocks, params.q_for(name), params.scale_mode)
         attr_grids[name] = grid
-        levels = [quantize(block, grid) for block in kept[name]]
+        # quantize is elementwise: one call on all leaves, split per leaf.
+        cuts = np.cumsum([block.shape[0] for block in kept[name]])[:-1]
+        levels = np.split(quantize(blocks, grid), cuts)
         levels_by_group[name] = levels
         symbols = np.concatenate([lv.T.ravel() for lv in levels])
         payloads[name] = entropy.aac_encode(

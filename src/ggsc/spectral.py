@@ -20,25 +20,30 @@ solver is Householder tridiagonalization followed by implicit QL (tql2):
 * the reduction and the accumulation of its reflectors use numpy
   elementwise ufuncs and row/column sums only (no `@`, no `np.dot`), whose
   summation order is fixed by the array shape, not by the CPU;
-* the O(m^2) QL recurrence on the tridiagonal runs on scalars, so every
-  deflation and convergence decision is a scalar comparison, and never
-  reads the basis: it logs its Givens rotations (`_tql_rotations`,
-  compiled when numba is present, with identical arithmetic either way);
+* the O(m^2) QL recurrence on the tridiagonal runs on Python floats, so
+  every deflation and convergence decision is a scalar comparison, and
+  never reads the basis: it logs its Givens rotations (`_tql_rotations`);
 * numpy applies the logged rotations to the basis rows one wavefront step
   at a time (`_apply_rotations`), bit-identical to tql2's own update.
 
-The per-leaf cost is O(m^3) numpy work plus O(m^2) scalar steps; the
-result does not depend on the thread count.
+At leaf sizes of a few dozen most of a single solve is fixed numpy call
+overhead, so `graph_spectra` solves all leaves of one size together:
+`eig_sym` takes a (B, m, m) stack, the reduction, the rotation pass and
+the sign/order normalization each run once over the stack, and only the
+scalar QL recurrence runs per leaf.  Every per-matrix operation is the
+same elementwise op or the same sum along the same axis as for one
+matrix, so a leaf's bits do not depend on the batch, the chunk or the
+thread count it is solved in.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import HAVE_NUMBA, jit
 from .gs_core import Box3
 
 #: QL sweep limit per eigenvalue (EISPACK's); exceeding it raises instead
@@ -51,6 +56,12 @@ _SIGMA_FLOOR_SQ = 1e-12
 #: Initial rotation log length per m^2 (QL takes about m^2 rotations);
 #: a solve that needs more doubles the log and runs again.
 _LOG_CAP_PER_M2 = 2
+#: Matrix entries per batched solve in `graph_spectra`: 2^16 float64
+#: entries is 512 KiB per temporary.  Small leaves, whose solves are
+#: mostly fixed numpy call overhead, still fit hundreds to a chunk; at
+#: m = 100 to 200 a larger batch leaves the CPU cache and each of its
+#: O(B m^2) passes gets slower per leaf than in a small batch.
+BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,9 @@ class GraphSpectrum:
 
     eigenvalues: (m,) ascending, non-negative.
     basis:       (m, m) orthonormal, column j pairs with eigenvalue j.
+
+    `eig_sym` on a stack of B matrices returns one spectrum whose arrays
+    carry the leading batch axis, (B, m) and (B, m, m).
     """
 
     eigenvalues: np.ndarray
@@ -106,48 +120,62 @@ def laplacian(adjacency: np.ndarray) -> np.ndarray:
 
 
 def _tridiagonalize(a: np.ndarray):
-    """Householder reduction of a symmetric matrix to tridiagonal form.
+    """Householder reduction of a stack of symmetric matrices to
+    tridiagonal form.
 
-    Returns (d, e, q) with d the diagonal, e[i] the coupling of rows i
-    and i + 1 (e[m-1] = 0) and q orthogonal such that q^T a q is the
-    tridiagonal matrix.  `a` is destroyed.  Only elementwise ufuncs and
-    numpy's pairwise row sums are used, never BLAS, so the bits do not
-    depend on the machine's vendor kernels.  The rank-2 update is formed
-    as w + w^T, which keeps the trailing block exactly symmetric.
+    `a` is (B, m, m) and is destroyed.  Returns (d, e, q), each with the
+    leading batch axis: d the diagonals, e[:, i] the coupling of rows i
+    and i + 1 (e[:, m-1] = 0) and q orthogonal such that q^T a q is the
+    tridiagonal matrix.  Only elementwise ufuncs and numpy's sums along
+    the same axes as for one matrix are used, never BLAS, so a matrix's
+    bits depend neither on the machine's vendor kernels nor on the other
+    matrices of its batch.  The rank-2 update is formed as w + w^T,
+    which keeps the trailing block exactly symmetric.  A step whose
+    column is already tridiagonal (zero below the subdiagonal) is
+    skipped for exactly the matrices where it is.
     """
-    m = a.shape[0]
-    d = np.empty(m)
-    e = np.zeros(m)
+    nb, m, _ = a.shape
+    d = np.empty((nb, m))
+    e = np.zeros((nb, m))
     reflectors = []
     for k in range(m - 2):
-        x = a[k + 1:, k]
-        x0 = float(x[0])
-        sigma = float(np.sum(x[1:] * x[1:]))
-        d[k] = a[k, k]
-        if sigma == 0.0:
-            e[k] = x0  # column already tridiagonal
+        d[:, k] = a[:, k, k]
+        x = a[:, k + 1:, k]
+        e[:, k] = x[:, 0]
+        sigma = np.sum(x[:, 1:] * x[:, 1:], axis=1)
+        live = sigma != 0.0
+        if not live.any():
             continue
-        alpha = -math.copysign(math.sqrt(x0 * x0 + sigma), x0)
+        # A full batch is updated in place; a partial one is gathered,
+        # updated and written back.
+        partial = not live.all()
+        sel = np.flatnonzero(live) if partial else slice(None)
+        x0 = x[sel, 0]
+        alpha = -np.copysign(np.sqrt(x0 * x0 + sigma[sel]), x0)
         h = alpha * (alpha - x0)  # ||v||^2 / 2 for v = x - alpha e1
-        v = x.copy()
-        v[0] = x0 - alpha
-        b = a[k + 1:, k + 1:]
-        p = np.sum(b * v, axis=1) / h
-        half = float(np.sum(v * p)) / (2.0 * h)
-        w = np.multiply.outer(v, p - half * v)
-        b -= w + w.T
-        e[k] = alpha
-        reflectors.append((k, v, h))
+        v = x[sel].copy()
+        v[:, 0] = x0 - alpha
+        b = a[sel, k + 1:, k + 1:]
+        p = np.sum(b * v[:, None, :], axis=2) / h[:, None]
+        half = np.sum(v * p, axis=1) / (2.0 * h)
+        w = v[:, :, None] * (p - half[:, None] * v)[:, None, :]
+        b -= w + w.transpose(0, 2, 1)
+        if partial:
+            a[sel, k + 1:, k + 1:] = b
+        e[sel, k] = alpha
+        reflectors.append((k, partial, sel, v, h))
     if m >= 2:
-        d[m - 2] = a[m - 2, m - 2]
-        e[m - 2] = a[m - 1, m - 2]
-    d[m - 1] = a[m - 1, m - 1]
+        d[:, m - 2] = a[:, m - 2, m - 2]
+        e[:, m - 2] = a[:, m - 1, m - 2]
+    d[:, m - 1] = a[:, m - 1, m - 1]
     # Q = H_0 H_1 ... accumulated from the right end, so each reflector
     # only touches the trailing block it acts on.
-    q = np.eye(m)
-    for k, v, h in reversed(reflectors):
-        sub = q[k + 1:, k + 1:]
-        sub -= np.multiply.outer(v, np.sum(v[:, None] * sub, axis=0) / h)
+    q = np.tile(np.eye(m), (nb, 1, 1))
+    for k, partial, sel, v, h in reversed(reflectors):
+        sub = q[sel, k + 1:, k + 1:]
+        sub -= v[:, :, None] * (np.sum(v[:, :, None] * sub, axis=1) / h[:, None])[:, None, :]
+        if partial:
+            q[sel, k + 1:, k + 1:] = sub
     return d, e, q
 
 
@@ -170,8 +198,8 @@ def _tql_rotations(d, e, rot_i, rot_c, rot_s, rot_t, max_sweeps):
     On return d holds the eigenvalues (unsorted) and e is destroyed.
     Returns -1 if an eigenvalue needs more than `max_sweeps` QL sweeps
     and -2 if the log arrays are too short.  Scalars only, no numpy
-    calls: the same body runs compiled or as plain Python, on arrays or
-    (faster in plain Python) on lists.
+    calls: it runs on lists of Python floats, about twice as fast as on
+    numpy scalars, with the same arithmetic on either.
     """
     m = len(d)
     cap = len(rot_i)
@@ -246,9 +274,6 @@ def _tql_rotations(d, e, rot_i, rot_c, rot_s, rot_t, max_sweeps):
     return count
 
 
-_tql_rotations_jit = jit(_tql_rotations)
-
-
 def _apply_rotations(zt, rot_i, rot_c, rot_s, rot_t) -> None:
     """Apply logged QL rotations to the rows of `zt`, one wavefront step
     per numpy pass.
@@ -280,21 +305,15 @@ def _apply_rotations(zt, rot_i, rot_c, rot_s, rot_t) -> None:
         zt[i] = zi
 
 
-def _householder_ql(a: np.ndarray, max_sweeps: int):
-    """(eigenvalues, eigenvector columns) of a symmetric matrix; `a` is
-    destroyed.  Raises RuntimeError if QL fails to converge."""
-    m = a.shape[0]
-    d, e, q = _tridiagonalize(a)
+def _ql_log(d: np.ndarray, e: np.ndarray, max_sweeps: int):
+    """Run `_tql_rotations` on one tridiagonal, regrowing the rotation log
+    until it fits.  Returns (eigenvalues, rot_i, rot_c, rot_s, rot_t) as
+    arrays; raises RuntimeError if QL fails to converge."""
+    m = d.shape[0]
     cap = _LOG_CAP_PER_M2 * m * m + 16
     while True:
-        if HAVE_NUMBA:
-            work = [d.copy(), e.copy(), np.empty(cap, dtype=np.int64),
-                    np.empty(cap), np.empty(cap), np.empty(cap, dtype=np.int64)]
-        else:
-            # Python floats run the scalar recurrence about twice as fast
-            # as numpy scalars; the arithmetic is the same.
-            work = [d.tolist(), e.tolist(), *([0] * cap for _ in range(4))]
-        count = _tql_rotations_jit(*work, max_sweeps)
+        work = [d.tolist(), e.tolist(), *([0] * cap for _ in range(4))]
+        count = _tql_rotations(*work, max_sweeps)
         if count != -2:
             break
         cap *= 2
@@ -303,92 +322,157 @@ def _householder_ql(a: np.ndarray, max_sweeps: int):
             f"QL iteration did not converge within {max_sweeps} sweeps "
             "per eigenvalue"
         )
-    vals = np.asarray(work[0], dtype=np.float64)
-    logs = [np.asarray(w[:count], dtype=dt)
-            for w, dt in zip(work[2:6], (np.int64, np.float64, np.float64, np.int64))]
-    zt = np.ascontiguousarray(q.T)
-    _apply_rotations(zt, *logs)
-    return vals, zt.T.copy()
+    return (np.asarray(work[0], dtype=np.float64),
+            *(np.asarray(w[:count], dtype=dt) for w, dt in
+              zip(work[2:6], (np.int64, np.float64, np.float64, np.int64))))
 
 
-def _normalize_columns(vals: np.ndarray, vecs: np.ndarray):
-    """Ascending eigenvalue order with deterministic signs and tie order.
+def _householder_ql(a: np.ndarray, max_sweeps: int):
+    """Eigenvalues (B, m) and eigenvectors, as the rows of a (B, m, m)
+    stack, of a stack of symmetric matrices; `a` is destroyed.
 
-    Each column is flipped so its largest-magnitude entry (first such
-    entry when magnitudes tie) is non-negative; runs of exactly equal
-    eigenvalues are ordered lexicographically by eigenvector entries.
+    The QL recurrence runs per matrix.  The bases of the whole stack are
+    rotated in one `_apply_rotations` pass over their stacked (B * m, m)
+    rows: matrix j's logged rows are offset by j * m, so rotations of
+    different matrices that share a wavefront step touch disjoint rows,
+    and the stable sort keeps each matrix's log order.
     """
-    m = vals.shape[0]
-    for j in range(m):
-        col = vecs[:, j]
-        k = int(np.argmax(np.abs(col)))
-        if col[k] < 0.0:
-            vecs[:, j] = -col
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    i = 0
-    while i < m:
-        j = i + 1
-        while j < m and vals[j] == vals[i]:
-            j += 1
-        if j - i > 1:
-            cols = sorted(range(i, j), key=lambda c: tuple(vecs[:, c]))
-            vecs[:, i:j] = vecs[:, cols]
-        i = j
-    return vals, vecs
+    nb, m, _ = a.shape
+    d, e, q = _tridiagonalize(a)
+    vals = np.empty((nb, m))
+    logs = []
+    for j in range(nb):
+        vals[j], rot_i, *rest = _ql_log(d[j], e[j], max_sweeps)
+        logs.append((rot_i + j * m, *rest))
+    zt = np.ascontiguousarray(q.transpose(0, 2, 1)).reshape(nb * m, m)
+    _apply_rotations(zt, *(np.concatenate(col) for col in zip(*logs)))
+    return vals, zt.reshape(nb, m, m)
+
+
+def _normalize_rows(vals: np.ndarray, rows: np.ndarray):
+    """Ascending eigenvalue order with deterministic signs and tie order,
+    for a stack: vals (B, m), eigenvectors as the rows of `rows` (B, m, m).
+
+    Each eigenvector is flipped so its largest-magnitude entry (first
+    such entry when magnitudes tie) is non-negative; runs of exactly
+    equal eigenvalues are ordered lexicographically by eigenvector
+    entries.  Returns C-contiguous rows.
+    """
+    m = vals.shape[1]
+    lead = np.argmax(np.abs(rows), axis=2)[:, :, None]
+    rows = np.where(np.take_along_axis(rows, lead, axis=2) < 0.0, -rows, rows)
+    order = np.argsort(vals, axis=1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=1)
+    rows = np.ascontiguousarray(np.take_along_axis(rows, order[:, :, None], axis=1))
+    for b in np.flatnonzero((vals[:, 1:] == vals[:, :-1]).any(axis=1)):
+        val, vec = vals[b], rows[b]
+        i = 0
+        while i < m:
+            j = i + 1
+            while j < m and val[j] == val[i]:
+                j += 1
+            if j - i > 1:
+                vec[i:j] = vec[sorted(range(i, j), key=lambda r: tuple(vec[r]))]
+            i = j
+    return vals, rows
 
 
 def eig_sym(matrix: np.ndarray,
             max_sweeps: int = QL_MAX_SWEEPS) -> GraphSpectrum:
     """Deterministic symmetric eigendecomposition (ascending eigenvalues).
 
-    The matrix is prescaled by an exact power of two so its largest entry
-    magnitude lands in [0.5, 1), which makes the solve's bits independent
-    of the input's overall magnitude; the eigenvalues are rescaled back
-    exactly.  The solve is Householder tridiagonalization followed by
-    implicit QL (see `_tridiagonalize`, `_tql_rotations`).  Eigenvalues
-    in (-1e-10, 0) are treated as rounding slop of a PSD matrix and
-    clamped to zero; more negative values raise, as does failure to
-    converge within `max_sweeps` QL sweeps for any eigenvalue.
+    `matrix` is (m, m), or a stack (B, m, m) of matrices solved together;
+    a stack's spectrum keeps the leading axis (eigenvalues (B, m), basis
+    (B, m, m)), and every matrix comes out bit-identical to its own
+    solve.  Each matrix is prescaled by an exact power of two so its
+    largest entry magnitude lands in [0.5, 1), which makes the solve's
+    bits independent of the input's overall magnitude; the eigenvalues
+    are rescaled back exactly.  The solve is Householder
+    tridiagonalization followed by implicit QL (see `_tridiagonalize`,
+    `_tql_rotations`); a zero matrix gets the identity basis.
+    Eigenvalues in (-1e-10, 0) are treated as rounding slop of a PSD
+    matrix and clamped to zero; more negative values raise, as does
+    failure to converge within `max_sweeps` QL sweeps for any
+    eigenvalue.
     """
     a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    m = a.shape[0]
+    stack = a if a.ndim == 3 else a[None]
+    nb, m, _ = stack.shape
     if m < 1:
         raise ValueError("matrix must be at least 1x1")
-    if not np.isfinite(a).all():
+    if not np.isfinite(stack).all():
         raise ValueError("matrix contains non-finite entries")
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(stack, stack.transpose(0, 2, 1)):
         raise ValueError("matrix must be exactly symmetric")
 
-    amax = float(np.abs(a).max())
-    if amax == 0.0:
-        vals = np.zeros(m)
-        vecs = np.eye(m)
-        return GraphSpectrum(eigenvalues=vals, basis=vecs)
-
-    # frexp gives amax = mant * 2**exp with mant in [0.5, 1); dividing by
-    # 2**exp is exact, so the scaled matrix carries the same mantissas.
-    _, exp = math.frexp(amax)
-    scale = math.ldexp(1.0, exp)
-    vals, vecs = _householder_ql(a / scale, max_sweeps)
-    vals = vals * scale
-
-    vals, vecs = _normalize_columns(vals, vecs)
+    vals = np.zeros((nb, m))
+    rows = np.tile(np.eye(m), (nb, 1, 1))
+    amax = np.abs(stack).max(axis=(1, 2))
+    live = np.flatnonzero(amax != 0.0)
+    if live.size:
+        # frexp gives amax = mant * 2**exp with mant in [0.5, 1); dividing
+        # by 2**exp is exact, so the scaled matrix carries the same
+        # mantissas.
+        scale = np.ldexp(1.0, np.frexp(amax[live])[1])
+        lv, lrows = _householder_ql(stack[live] / scale[:, None, None], max_sweeps)
+        vals[live], rows[live] = _normalize_rows(lv * scale[:, None], lrows)
     bad = vals < PSD_CLAMP
     if bad.any():
         raise ValueError(
             f"matrix is not positive semidefinite (eigenvalue {vals[bad][0]:g})"
         )
     vals[vals < 0.0] = 0.0
-    return GraphSpectrum(eigenvalues=vals, basis=vecs)
+    # The basis is the transpose of the row stack: column-major.  The
+    # transforms' BLAS products round differently per memory layout, and
+    # the streams were recorded with this one.
+    basis = rows.transpose(0, 2, 1)
+    if a.ndim == 2:
+        return GraphSpectrum(eigenvalues=vals[0], basis=basis[0])
+    return GraphSpectrum(eigenvalues=vals, basis=basis)
 
 
 def graph_spectrum(centers: np.ndarray, sigma: float) -> GraphSpectrum:
     """Spectrum of the Gaussian-affinity Laplacian of one leaf."""
     return eig_sym(laplacian(build_adjacency(centers, sigma)))
+
+
+def graph_spectra(centers: np.ndarray, leaves, sigmas,
+                  threads: int = 1) -> list[GraphSpectrum]:
+    """Spectra of many leaves, in leaf order.
+
+    `leaves` index rows of `centers`; `sigmas` holds one kernel bandwidth
+    per leaf.  Leaves of one size are solved together by `eig_sym`, in
+    chunks of at most `BATCH_ENTRIES` matrix entries, and `threads`
+    workers share the chunks.  Every spectrum is bit-identical to
+    `graph_spectrum(centers[leaf], sigma)`, whatever its batch, chunk or
+    thread count.
+    """
+    by_size: dict[int, list[int]] = {}
+    for j, leaf in enumerate(leaves):
+        by_size.setdefault(len(leaf), []).append(j)
+    chunks = []
+    for m, group in by_size.items():
+        per = max(1, BATCH_ENTRIES // (m * m))
+        chunks += [group[i:i + per] for i in range(0, len(group), per)]
+
+    def solve(chunk):
+        return eig_sym(np.stack([
+            laplacian(build_adjacency(centers[leaves[j]], sigmas[j])) for j in chunk
+        ]))
+
+    if threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            solved = list(pool.map(solve, chunks))
+    else:
+        solved = [solve(chunk) for chunk in chunks]
+    out: list[GraphSpectrum] = [None] * len(leaves)
+    for chunk, spec in zip(chunks, solved):
+        for b, j in enumerate(chunk):
+            out[j] = GraphSpectrum(eigenvalues=spec.eigenvalues[b].copy(),
+                                   basis=spec.basis[b].copy(order="F"))
+    return out
 
 
 def gft(spectrum: GraphSpectrum, signal: np.ndarray) -> np.ndarray:

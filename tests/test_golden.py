@@ -15,6 +15,7 @@ rewrites the streams and prints the digests to paste into `CASES`.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,7 +49,7 @@ def _isolated_cloud() -> GaussianCloud:
 @dataclass(frozen=True)
 class Case:
     name: str
-    cloud: object  # () -> GaussianCloud
+    cloud: Callable[[], GaussianCloud]
     params: CodecParams
     #: Leaf whose spectrum is pinned, by index in partition order.
     leaf: int

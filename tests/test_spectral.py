@@ -1,5 +1,5 @@
-"""Leaf graphs, deterministic Householder + QL eigensolver, graph Fourier
-transform."""
+"""Leaf graphs, deterministic Householder + QL eigensolver (one leaf or a
+batch of equal-size leaves), graph Fourier transform."""
 
 import math
 
@@ -14,12 +14,12 @@ from ggsc.spectral import (
     GraphSpectrum,
     _apply_rotations,
     _tql_rotations,
-    _tql_rotations_jit,
     _tridiagonalize,
     build_adjacency,
     clip_count,
     eig_sym,
     gft,
+    graph_spectra,
     graph_spectrum,
     igft,
     laplacian,
@@ -188,27 +188,15 @@ class TestEigSym:
         rng = np.random.default_rng(seed)
         lap = laplacian(build_adjacency(rng.normal(size=(m, 3)), 0.5))
         scale = math.ldexp(1.0, math.frexp(np.abs(lap).max())[1])
-        d, e, q = _tridiagonalize(lap / scale)
+        d, e, q = (x[0] for x in _tridiagonalize((lap / scale)[None]))
         cap = 2 * m * m
         work = [d, e, np.zeros(cap, dtype=np.int64), np.zeros(cap),
                 np.zeros(cap), np.zeros(cap, dtype=np.int64)]
         return work, q
 
-    def test_python_and_compiled_kernels_agree(self):
-        """The pure-Python QL recurrence and its compiled variant must
-        produce the same bits, or cached compilation would silently change
-        streams."""
-        w1, _ = self._ql_work(18, 11)
-        w2 = [w.copy() for w in w1]
-        n1 = _tql_rotations(*w1, 30)
-        n2 = _tql_rotations_jit(*w2, 30)
-        assert n1 == n2 > 0
-        for a1, a2 in zip(w1, w2):
-            assert np.array_equal(a1, a2)
-
     def test_tql_rotations_on_lists_match_arrays(self):
-        """Without a JIT the recurrence runs on Python lists; the logged
-        rotations and eigenvalues must equal those from numpy arrays."""
+        """The recurrence runs on Python lists; the logged rotations and
+        eigenvalues must equal those from numpy arrays."""
         arrays, _ = self._ql_work(23, 12)
         lists = [a.tolist() for a in arrays]
         n1 = _tql_rotations(*arrays, 30)
@@ -280,6 +268,104 @@ class TestEigSym:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             eig_sym(np.zeros((2, 3)))
+
+
+class TestGraphSpectra:
+    """Leaves solved together must come out bit-identical to one
+    `eig_sym` per leaf, in the same memory layout (the transforms' BLAS
+    products depend on it)."""
+
+    @staticmethod
+    def _assert_single(centers, leaves, sigmas, got):
+        assert len(got) == len(leaves)
+        for leaf, sigma, spec in zip(leaves, sigmas, got):
+            want = eig_sym(laplacian(build_adjacency(centers[leaf], sigma)))
+            assert spec.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert spec.basis.tobytes() == want.basis.tobytes()
+            assert spec.basis.strides == want.basis.strides
+
+    @staticmethod
+    def _leaves(sizes):
+        bounds = np.cumsum([0, *sizes])
+        return [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def test_mixed_sizes_match_single_solves(self):
+        sizes = [5, 1, 8, 2, 8, 13, 1, 5, 2, 8]
+        rng = np.random.default_rng(20)
+        pts = rng.normal(size=(sum(sizes), 3))
+        sigmas = rng.uniform(0.3, 1.2, size=len(sizes)).tolist()
+        leaves = self._leaves(sizes)
+        self._assert_single(pts, leaves, sigmas, graph_spectra(pts, leaves, sigmas))
+
+    def test_zero_matrix_leaf(self):
+        """Points 100 apart at sigma 1 have no nonzero weight: that leaf's
+        Laplacian is zero and gets the identity, next to solved leaves."""
+        rng = np.random.default_rng(21)
+        pts = rng.normal(size=(12, 3))
+        pts[4:8] = np.arange(4)[:, None] * 100.0
+        leaves = self._leaves([4, 4, 4])
+        got = graph_spectra(pts, leaves, [1.0] * 3)
+        np.testing.assert_array_equal(got[1].basis, np.eye(4))
+        np.testing.assert_array_equal(got[1].eigenvalues, np.zeros(4))
+        self._assert_single(pts, leaves, [1.0] * 3, got)
+
+    def test_partial_reflector_skip(self):
+        """Leaves whose first point is isolated skip the first Householder
+        step while the rest of the batch takes it."""
+        rng = np.random.default_rng(22)
+        m, count = 9, 6
+        pts = rng.normal(size=(m * count, 3))
+        pts[0:m * count:2 * m] += 50.0  # leaves 0, 2, 4
+        leaves = self._leaves([m] * count)
+        laps = np.stack([laplacian(build_adjacency(pts[leaf], 0.8)) for leaf in leaves])
+        skips = [not (lap[1:, 0] != 0.0).any() for lap in laps]
+        assert skips == [True, False] * 3
+        batched = _tridiagonalize(laps.copy())
+        for j in range(count):
+            alone = _tridiagonalize(laps[j:j + 1].copy())
+            for got, want in zip(batched, alone):
+                assert got[j].tobytes() == want[0].tobytes()
+        self._assert_single(pts, leaves, [0.8] * count,
+                            graph_spectra(pts, leaves, [0.8] * count))
+
+    def test_size_group_split_into_chunks(self, monkeypatch):
+        """With the chunk limit lowered to two 6x6 matrices, five leaves of
+        6 are solved as chunks of 2, 2 and 1 -- on one thread or three --
+        with the same bits."""
+        rng = np.random.default_rng(23)
+        pts = rng.normal(size=(33, 3))
+        leaves = self._leaves([6, 6, 3, 6, 6, 6])
+        sigmas = [0.7] * 6
+        want = graph_spectra(pts, leaves, sigmas)
+        shapes = []
+        solve = spectral.eig_sym
+
+        def spy(stack):
+            shapes.append(stack.shape)
+            return solve(stack)
+
+        monkeypatch.setattr(spectral, "BATCH_ENTRIES", 2 * 36 + 35)
+        monkeypatch.setattr(spectral, "eig_sym", spy)
+        for threads in (1, 3):
+            got = graph_spectra(pts, leaves, sigmas, threads=threads)
+            for g, w in zip(got, want):
+                assert g.eigenvalues.tobytes() == w.eigenvalues.tobytes()
+                assert g.basis.tobytes() == w.basis.tobytes()
+        assert sorted(shapes) == sorted([(2, 6, 6), (2, 6, 6), (1, 6, 6), (1, 3, 3)] * 2)
+        self._assert_single(pts, leaves, sigmas, want)
+
+    def test_stack_checks_every_matrix(self):
+        good = laplacian(build_adjacency(np.random.default_rng(24).normal(size=(4, 3)), 0.7))
+        cases = [
+            (np.where(np.eye(4, k=1) > 0, 2.0, good), ValueError, "symmetric"),
+            (np.where(np.eye(4) > 0, np.nan, good), ValueError, "non-finite"),
+            (good - 0.5 * np.eye(4) * np.abs(good).max(), ValueError, "semidefinite"),
+        ]
+        for bad, exc, match in cases:
+            with pytest.raises(exc, match=match):
+                eig_sym(np.stack([good, bad, good]))
+        with pytest.raises(RuntimeError, match="converge"):
+            eig_sym(np.stack([np.zeros((4, 4)), good]), max_sweeps=0)
 
 
 class TestTransform:
