@@ -1,12 +1,16 @@
-"""Geometry section: Morton-delta coding and the external-codec hook."""
+"""Geometry section: Morton-delta coding and the external-codec hook,
+with the exact bytes it writes (golden hashes and a reference packer)."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggsc import geom_codec
-from ggsc.entropy import CorruptPayloadError, aac_decode
+from ggsc.entropy import CorruptPayloadError, SymbolStream, aac_decode, aac_encode
 from ggsc.geom_codec import (
     BUCKET_ALPHABET,
     EXTERNAL_TAG,
@@ -25,6 +29,119 @@ from test_partition import interleave_oracle
 def sorted_geom(points, q):
     pts = np.asarray(points, dtype=np.int64)
     return QuantizedGeometry(q=q, points=pts[morton_order(pts, q)])
+
+
+def golden_geometry(q, n, seed):
+    """Seeded lattice points with repeated rows and, past one point, the
+    lattice corners, in Morton order."""
+    rng = np.random.default_rng(seed)
+    top = (1 << q) - 1
+    pts = rng.integers(0, 1 << q, size=(n, 3))
+    if n > 1:
+        pts[n // 2 :: 5] = pts[: len(pts[n // 2 :: 5])]  # duplicates
+        corners = np.array([[0, 0, 0], [top, top, top], [top, 0, 0],
+                            [0, top, top], [top, 0, top]])[: n // 2]
+        pts[: len(corners)] = corners
+    return sorted_geom(pts, q)
+
+
+def deinterleave_oracle(code, q):
+    """Bit-at-a-time inverse of `interleave_oracle`."""
+    return [sum(((code >> (3 * b + axis)) & 1) << b for b in range(q))
+            for axis in range(3)]
+
+
+def reference_section(codes, q):
+    """The section written out plainly from Python-int Morton codes: one
+    delta, bucket and remainder bit at a time, packed MSB-first."""
+    buckets, bits, prev = [], [], 0
+    for code in codes:
+        delta, prev = code - prev, code
+        buckets.append(delta.bit_length())
+        bits += [(delta >> k) & 1 for k in range(delta.bit_length() - 2, -1, -1)]
+    remainder = bytearray()
+    for start in range(0, len(bits), 8):
+        byte = bits[start : start + 8]
+        remainder.append(int("".join(map(str, byte)).ljust(8, "0"), 2))
+    payload = aac_encode(SymbolStream(BUCKET_ALPHABET, np.array(buckets)))
+    return b"".join([
+        struct.pack("<IB", len(codes), q),
+        struct.pack("<I", len(payload)),
+        payload,
+        struct.pack("<Q", len(bits)),
+        bytes(remainder),
+    ])
+
+
+class TestGoldenBytes:
+    """SHA-256 of sections written by the coder when these pins were
+    recorded.  A change to any of them is a stream format change: bump
+    `codec.VERSION` and record them again."""
+
+    @pytest.mark.parametrize(
+        "q, n, seed, size, digest",
+        [
+            (1, 40, 1, 32,
+             "8bf2a6f5e6ae47a4f8861f78f9c27129c1fdb95feb787ddce5970049a59f52db"),
+            (2, 60, 2, 46,
+             "f5f06e5e0a79883f437b63ce1a2bdea6ed6e328594a5e809817128431fb1efde"),
+            (14, 3000, 3, 11069,
+             "aa08c6265210847249d3296d31f840750f69bb4da59a8f170d1cb169101eb7e6"),
+            (16, 2000, 4, 8878,
+             "84319779adb57b1cb945a8c25edb5fa5f2cd3b245a7252481556d9a83ea67aa4"),
+            (21, 2000, 5, 12261,
+             "a35eaee5a0d055d93675edc46d96b2dae9d594a5b258f6a04eaed11b1ca3f693"),
+            (22, 2000, 6, 12936,
+             "de84b50a71799f7cc7a7384648391d9998bd839ed8196691df55ee012b80680d"),
+            (25, 1500, 7, 11314,
+             "c47e0929e8e68c8e707635f72693238b2481880a185b2f33d29eda7a33d026c3"),
+            (31, 1500, 8, 14357,
+             "6728fdbf899cf0fa7fb168ef193ae45c4280e74a13cb68a56c1198e0c2c30dd2"),
+            # One point: the whole section is the first code.
+            (31, 1, 9, 38,
+             "aa10f1a1dcaa0a2da8d0a8883202e95b21722628042868c7f1453bf843cfe33a"),
+            (1, 1, 10, 27,
+             "b7ee80c64964dd5cbd0e53d9367134ea2a4d71ce71be22e490b1671d15772a52"),
+        ],
+    )
+    def test_section_hash(self, q, n, seed, size, digest):
+        payload = encode_centers(golden_geometry(q, n, seed))
+        assert len(payload) == size
+        assert hashlib.sha256(payload).hexdigest() == digest
+
+
+@st.composite
+def morton_codes_near_limbs(draw):
+    """(q, sorted codes) whose values and deltas sit on or next to powers
+    of two, 24-bit limb and 48-bit key-split boundaries among them."""
+    q = draw(st.integers(1, 31))
+    width = 3 * q
+    near_pow2 = st.builds(
+        lambda k, e: max((1 << k) + e, 0),
+        st.sampled_from([k for k in (1, 8, 23, 24, 25, 47, 48, 49, 71, 72, 73)
+                         if k < width] or [0]),
+        st.integers(-2, 2),
+    )
+    value = st.one_of(st.integers(0, 3), near_pow2,
+                      st.integers(0, (1 << width) - 1))
+    codes = [draw(value) % (1 << width)]
+    for delta in draw(st.lists(value, max_size=40)):
+        if codes[-1] + delta >= 1 << width:
+            break
+        codes.append(codes[-1] + delta)
+    return q, codes
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=morton_codes_near_limbs())
+def test_matches_reference_packer(case):
+    """Bytes equal to the bit-at-a-time reference section, and lossless."""
+    q, codes = case
+    points = np.array([deinterleave_oracle(c, q) for c in codes], dtype=np.int64)
+    payload = encode_centers(QuantizedGeometry(q=q, points=points))
+    assert payload == reference_section(codes, q)
+    out = decode_centers(payload, q, len(codes))
+    np.testing.assert_array_equal(out.points, points)
 
 
 class TestQuantizedGeometry:
