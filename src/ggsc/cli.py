@@ -82,10 +82,13 @@ def _write(path: str, blob: bytes) -> None:
         fh.write(blob)
 
 
-def _encode_one(src: str, dst: str, params: CodecParams, threads: int) -> None:
+def _encode_one(
+    src: str, dst: str, params: CodecParams, args: argparse.Namespace
+) -> None:
     raw = _read(src)
     cloud = load_ply(raw)
-    stream = encode(cloud, params, threads=threads)
+    stream = encode(cloud, params, threads=args.threads,
+                    geometry_command=args.geometry_command)
     blob = stream.to_bytes()
     _write(dst, blob)
     report = bitrate_breakdown(stream)
@@ -106,9 +109,10 @@ def _encode_one(src: str, dst: str, params: CodecParams, threads: int) -> None:
     )
 
 
-def _decode_one(src: str, dst: str, threads: int) -> None:
+def _decode_one(src: str, dst: str, args: argparse.Namespace) -> None:
     stream = CodedStream.from_bytes(_read(src))
-    cloud = decode(stream, threads=threads)
+    cloud = decode(stream, threads=args.threads,
+                   geometry_command=args.geometry_command)
     _write(dst, save_ply(cloud))
     print(f"decoded {src} -> {dst} ({len(cloud)} primitives)")
 
@@ -122,10 +126,10 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         os.makedirs(args.output, exist_ok=True)
         for name in names:
             dst = os.path.join(args.output, os.path.splitext(name)[0] + ".ggsc")
-            _encode_one(os.path.join(args.input, name), dst, params, args.threads)
+            _encode_one(os.path.join(args.input, name), dst, params, args)
         print(f"encoded {len(names)} assets")
     else:
-        _encode_one(args.input, args.output, params, args.threads)
+        _encode_one(args.input, args.output, params, args)
     return 0
 
 
@@ -137,10 +141,10 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         os.makedirs(args.output, exist_ok=True)
         for name in names:
             dst = os.path.join(args.output, os.path.splitext(name)[0] + ".ply")
-            _decode_one(os.path.join(args.input, name), dst, args.threads)
+            _decode_one(os.path.join(args.input, name), dst, args)
         print(f"decoded {len(names)} assets")
     else:
-        _decode_one(args.input, args.output, args.threads)
+        _decode_one(args.input, args.output, args)
     return 0
 
 
@@ -245,6 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("input", help=".ply file or directory of .ply files")
     p_enc.add_argument("output", help=".ggsc file or output directory")
     p_enc.add_argument("--threads", type=int, default=1)
+    p_enc.add_argument("--geometry-command", metavar="TEMPLATE",
+                       help="code geometry with this external command; "
+                       "{in} and {out} stand for its file paths")
     _add_param_flags(p_enc)
     p_enc.set_defaults(func=_cmd_encode)
 
@@ -252,6 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("input", help=".ggsc file or directory")
     p_dec.add_argument("output", help=".ply file or output directory")
     p_dec.add_argument("--threads", type=int, default=1)
+    p_dec.add_argument("--geometry-command", metavar="TEMPLATE",
+                       help="external geometry decoder for streams coded "
+                       "with encode --geometry-command")
     p_dec.set_defaults(func=_cmd_decode)
 
     p_info = sub.add_parser("info", help="show stream header and sizes")

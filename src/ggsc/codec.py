@@ -22,7 +22,6 @@ table), geometry payload (size B1), six attribute payloads (sum B2).
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
@@ -352,8 +351,15 @@ def encode(
     *,
     threads: int = 1,
     collect_debug: bool = False,
+    geometry_command: str | None = None,
 ):
-    """Compress a cloud; returns the stream (plus `EncodeDebug` if asked)."""
+    """Compress a cloud; returns the stream (plus `EncodeDebug` if asked).
+
+    `geometry_command` hands the geometry section to an external lossless
+    point-cloud coder: a command template with `{in}` and `{out}`
+    placeholders, e.g. "tmc3 --mode=0 ... {in} {out}".  The stream records
+    that backend; decoding it needs the matching decode command.
+    """
     params.validate()
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -396,9 +402,10 @@ def encode(
         )
 
     geometry = geom_codec.QuantizedGeometry(q=params.q_geo, points=lattice)
-    encode_cmd = os.environ.get(geom_codec.ENCODE_CMD_VAR)
-    if encode_cmd:
-        geometry_payload = geom_codec.encode_centers_external(geometry, encode_cmd)
+    if geometry_command:
+        geometry_payload = geom_codec.encode_centers_external(
+            geometry, geometry_command
+        )
         backend = GEOM_EXTERNAL
     else:
         geometry_payload = geom_codec.encode_centers(geometry)
@@ -459,11 +466,14 @@ def decode(
     *,
     threads: int = 1,
     collect_debug: bool = False,
+    geometry_command: str | None = None,
 ):
     """Reconstruct a cloud from a coded stream.
 
-    Truncated or tampered payloads raise `CorruptPayloadError`; container
-    problems raise `CodecError`.
+    `geometry_command` is the external decoder's command template, needed
+    only for a stream whose geometry an external coder wrote (see
+    `encode`).  Truncated or tampered payloads raise `CorruptPayloadError`;
+    container problems raise `CodecError`.
     """
     params = stream.params
     params.validate()
@@ -471,14 +481,13 @@ def decode(
         raise ValueError("threads must be >= 1")
 
     if stream.geom_backend == GEOM_EXTERNAL:
-        decode_cmd = os.environ.get(geom_codec.DECODE_CMD_VAR)
-        if not decode_cmd:
+        if not geometry_command:
             raise CodecError(
                 "stream was coded with an external geometry backend; "
-                f"set {geom_codec.DECODE_CMD_VAR} to decode it"
+                "pass geometry_command (ggsc decode --geometry-command) to decode it"
             )
         geometry = geom_codec.decode_centers_external(
-            stream.geometry_payload, params.q_geo, decode_cmd, stream.gs_count
+            stream.geometry_payload, params.q_geo, geometry_command, stream.gs_count
         )
     else:
         geometry = geom_codec.decode_centers(

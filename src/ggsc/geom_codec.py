@@ -7,6 +7,11 @@ adaptive arithmetic coder over a 128-symbol alphabet) and, for buckets
 of two or more bits, the raw low `bucket - 1` bits (the leading 1 is
 implied by the bucket).  Raw bits are packed MSB-first.
 
+One numpy path serves every depth q in [1, 31].  Codes of up to 93 bits
+and their deltas are held as four 24-bit int64 limbs, with borrows and
+carries moved limb by limb; the raw bits are gathered and scattered one
+bucket at a time, so temporaries stay O(points + remainder bits).
+
 Section layout, all little-endian:
 
     [count: u32][q: u8][bucket payload length: u32][bucket payload]
@@ -29,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import jit
 from . import partition
 from .entropy import CorruptPayloadError, SymbolStream, aac_decode, aac_encode
 
@@ -37,10 +41,12 @@ from .entropy import CorruptPayloadError, SymbolStream, aac_decode, aac_encode
 BUCKET_ALPHABET = 128
 EXTERNAL_TAG = 1
 
-#: Environment variables holding external codec command templates with
-#: {in} and {out} placeholders, e.g. "tmc3 --mode=0 ... {in} {out}".
-ENCODE_CMD_VAR = "GGSC_EXTERNAL_GEOM_ENCODE_CMD"
-DECODE_CMD_VAR = "GGSC_EXTERNAL_GEOM_DECODE_CMD"
+#: Codes and deltas are held as LIMBS int64 limbs of LIMB_BITS bits: four
+#: cover the 93-bit code of q = 31, two make up each half of the Morton
+#: key pair, and a limb's cumsum over fewer than 2^32 points fits int64.
+LIMB_BITS = 24
+LIMBS = 4
+LIMB_MASK = (1 << LIMB_BITS) - 1
 
 
 @dataclass
@@ -72,99 +78,47 @@ class QuantizedGeometry:
         return self.points.shape[0]
 
 
-@jit
-def _pack_deltas(deltas, buckets, rembits):
-    """Bucketize deltas and pack their low bits; returns the bit count."""
-    pos = 0
-    for i in range(deltas.shape[0]):
-        d = deltas[i]
-        b = 0
-        t = d
-        while t > 0:
-            b += 1
-            t >>= 1
-        buckets[i] = b
-        if b >= 2:
-            rem = d - (1 << (b - 1))
-            for k in range(b - 2, -1, -1):
-                if (rem >> k) & 1:
-                    rembits[pos >> 3] |= 1 << (7 - (pos & 7))
-                pos += 1
-    return pos
+def _limbs(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """(n, LIMBS) int64 limbs, least significant first, of 48-bit split keys."""
+    mask, shift = np.uint64(LIMB_MASK), np.uint64(LIMB_BITS)
+    return np.stack([low & mask, low >> shift, high & mask, high >> shift],
+                    axis=1).astype(np.int64)
 
 
-@jit
-def _unpack_deltas(buckets, rembits, nbits, deltas):
-    """Rebuild deltas from buckets + packed bits; -1 on bit underrun."""
-    pos = 0
-    for i in range(buckets.shape[0]):
-        b = buckets[i]
-        if b == 0:
-            deltas[i] = 0
-        elif b == 1:
-            deltas[i] = 1
-        else:
-            rem = 0
-            for _ in range(b - 1):
-                if pos >= nbits:
-                    return -1
-                rem = (rem << 1) | ((rembits[pos >> 3] >> (7 - (pos & 7))) & 1)
-                pos += 1
-            deltas[i] = (1 << (b - 1)) + rem
-    return pos
-
-
-def _codes_of(geom: QuantizedGeometry):
-    """Morton codes as int64 array (q <= 21) or list of Python ints."""
-    high, low = partition.morton_key_pair(geom.points, geom.q)
-    if geom.q <= 21:
-        return low.astype(np.int64)
-    return [int(h) << 48 | int(lo) for h, lo in zip(high, low)]
+def _remainder_bits(buckets: np.ndarray):
+    """Per bucket b >= 2: its rows, the section bit positions of their
+    low b - 1 bits (one row each, MSB first) and those bits' significance."""
+    widths = np.maximum(buckets - 1, 0)
+    offsets = np.cumsum(widths) - widths
+    order = np.argsort(buckets, kind="stable")
+    counts = np.bincount(buckets, minlength=2)
+    groups = np.split(order, np.cumsum(counts)[:-1])
+    for b in np.flatnonzero(counts[2:]) + 2:
+        rows = groups[b]
+        yield rows, offsets[rows, None] + np.arange(b - 1), np.arange(b - 2, -1, -1)
 
 
 def encode_centers(geom: QuantizedGeometry) -> bytes:
     """Serialize Morton-ordered lattice centers; order violations raise."""
-    codes = _codes_of(geom)
     n = len(geom)
-    if geom.q <= 21:
-        if n > 1 and np.any(codes[1:] < codes[:-1]):
-            raise ValueError("points are not in Morton order")
-        deltas = np.empty(n, dtype=np.int64)
-        deltas[0] = codes[0]
-        if n > 1:
-            deltas[1:] = codes[1:] - codes[:-1]
-        buckets = np.empty(n, dtype=np.int64)
-        rembits = np.zeros(n * 8 + 16, dtype=np.uint8)
-        nbits = _pack_deltas(deltas, buckets, rembits)
-        remainder = rembits[: (nbits + 7) // 8].tobytes()
-    else:
-        prev = 0
-        buckets_list: list[int] = []
-        acc = bytearray()
-        nbits = 0
-        cur = 0
-        filled = 0
-        for code in codes:
-            d = code - prev
-            if d < 0:
-                raise ValueError("points are not in Morton order")
-            prev = code
-            b = d.bit_length()
-            buckets_list.append(b)
-            if b >= 2:
-                rem = d - (1 << (b - 1))
-                for k in range(b - 2, -1, -1):
-                    cur = (cur << 1) | ((rem >> k) & 1)
-                    filled += 1
-                    nbits += 1
-                    if filled == 8:
-                        acc.append(cur)
-                        cur = 0
-                        filled = 0
-        if filled:
-            acc.append(cur << (8 - filled))
-        buckets = np.asarray(buckets_list, dtype=np.int64)
-        remainder = bytes(acc)
+    codes = _limbs(*partition.morton_key_pair(geom.points, geom.q))
+    deltas = np.diff(codes, axis=0, prepend=np.zeros((1, LIMBS), np.int64))
+    for k in range(LIMBS - 1):
+        borrow = deltas[:, k] < 0
+        deltas[borrow, k] += 1 << LIMB_BITS
+        deltas[borrow, k + 1] -= 1
+    if np.any(deltas[:, -1] < 0):
+        raise ValueError("points are not in Morton order")
+    # Bit length per limb (exact: limbs are below 2^53), offset by the limb.
+    lengths = np.frexp(deltas.astype(np.float64))[1] + LIMB_BITS * np.arange(LIMBS)
+    buckets = np.where(deltas > 0, lengths, 0).max(axis=1).astype(np.int64)
+
+    nbits = int(np.maximum(buckets - 1, 0).sum())
+    bits = np.zeros(nbits, dtype=np.uint8)
+    for rows, positions, sig in _remainder_bits(buckets):
+        limb = deltas[rows][:, sig // LIMB_BITS]
+        bits[positions] = (limb >> (sig % LIMB_BITS)) & 1
+    remainder = np.packbits(bits).tobytes()
 
     bucket_payload = aac_encode(SymbolStream(BUCKET_ALPHABET, buckets))
     return b"".join(
@@ -219,59 +173,27 @@ def decode_centers(payload: bytes, q: int, count: int) -> QuantizedGeometry:
         if pad:
             raise CorruptPayloadError("nonzero padding in remainder section")
 
-    # int64, not uint8: the bit reader's accumulator must not stay uint8
-    # without a JIT (NEP 50 scalar promotion).
-    rembytes = np.frombuffer(remainder, dtype=np.uint8).astype(np.int64)
-    if q <= 21:
-        deltas = np.empty(n, dtype=np.int64)
-        used = _unpack_deltas(buckets, rembytes, nbits, deltas)
-        if used != nbits:
-            raise CorruptPayloadError("remainder bits exhausted early")
-        # Exact (arbitrary-precision) total guards the int64 cumsum below
-        # against wraparound on adversarial bucket streams.
-        if int(deltas.astype(object).sum()) >= 1 << (3 * q):
-            raise CorruptPayloadError("decoded code exceeds the lattice")
-        codes = np.cumsum(deltas)
-        u = codes.astype(np.uint64)
-        points = np.stack(
-            [
-                partition._compact3(u),
-                partition._compact3(u >> np.uint64(1)),
-                partition._compact3(u >> np.uint64(2)),
-            ],
-            axis=1,
-        ).astype(np.int64)
-    else:
-        pos = 0
-        prev = 0
-        codes_list: list[int] = []
-        for b in buckets:
-            b = int(b)
-            if b == 0:
-                d = 0
-            elif b == 1:
-                d = 1
-            else:
-                rem = 0
-                for _ in range(b - 1):
-                    rem = (rem << 1) | (
-                        (remainder[pos >> 3] >> (7 - (pos & 7))) & 1
-                    )
-                    pos += 1
-                d = (1 << (b - 1)) + rem
-            prev += d
-            codes_list.append(prev)
-        if codes_list[-1] >= 1 << (3 * q):
-            raise CorruptPayloadError("decoded code exceeds the lattice")
-        lows = np.array([c & 0xFFFFFFFFFFFF for c in codes_list], dtype=np.uint64)
-        highs = np.array([c >> 48 for c in codes_list], dtype=np.uint64)
-        points = np.empty((n, 3), dtype=np.int64)
-        for axis in range(3):
-            shift = np.uint64(axis)
-            lo16 = partition._compact3(lows >> shift)
-            hi = partition._compact3(highs >> shift)
-            points[:, axis] = ((hi << np.uint64(16)) | lo16).astype(np.int64)
-
+    bits = np.unpackbits(np.frombuffer(remainder, dtype=np.uint8))
+    deltas = np.zeros((n, LIMBS), dtype=np.int64)
+    for rows, positions, sig in _remainder_bits(buckets):
+        weights = bits[positions].astype(np.int64) << (sig % LIMB_BITS)
+        deltas[rows] = weights @ (sig[:, None] // LIMB_BITS == np.arange(LIMBS))
+    lead = np.flatnonzero(buckets)
+    top = buckets[lead] - 1  # the implied leading 1
+    deltas[lead, top // LIMB_BITS] += 1 << (top % LIMB_BITS)
+    # Each limb's cumsum stays below n * 2^24 < 2^56; carries then move up.
+    codes = np.cumsum(deltas, axis=0)
+    for k in range(LIMBS - 1):
+        codes[:, k + 1] += codes[:, k] >> LIMB_BITS
+        codes[:, k] &= LIMB_MASK
+    last = sum(int(limb) << (LIMB_BITS * k) for k, limb in enumerate(codes[-1]))
+    if last >= 1 << (3 * q):
+        raise CorruptPayloadError("decoded code exceeds the lattice")
+    codes = codes.astype(np.uint64)
+    shift = np.uint64(LIMB_BITS)
+    points = partition.points_of_key_pair(
+        codes[:, 2] | codes[:, 3] << shift, codes[:, 0] | codes[:, 1] << shift
+    )
     return QuantizedGeometry(q=q, points=points)
 
 

@@ -53,32 +53,38 @@ def _check_lattice(points: np.ndarray, q: int) -> np.ndarray:
     return pts.astype(np.int64, copy=False)
 
 
+def _interleave(u: np.ndarray) -> np.ndarray:
+    """Interleave the low 21 bits of each (x, y, z) row of uint64s."""
+    return _spread3(u[:, 0]) | (_spread3(u[:, 1]) << np.uint64(1)) | (
+        _spread3(u[:, 2]) << np.uint64(2)
+    )
+
+
 def morton_key_pair(points: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """(high, low) uint64 sort keys of the interleaved z/y/x bit codes.
 
     Bit 0 of the code is bit 0 of x, bit 1 is bit 0 of y, bit 2 is bit 0
-    of z, and so on.  For q <= 21 the whole code fits in `low` and `high`
-    is zero; wider lattices split each coordinate at bit 16, putting the
-    top interleave in `high`.
+    of z, and so on.  Each coordinate is split at bit 16: `low` holds the
+    low 48 bits of the code and `high` the rest, so the code is
+    `high << 48 | low` and `high` is zero for q <= 16.
     """
     pts = _check_lattice(points, q)
-    u = pts.astype(np.uint64)
-    if q <= _FAST_BITS:
-        low = _spread3(u[:, 0]) | (_spread3(u[:, 1]) << np.uint64(1)) | (
-            _spread3(u[:, 2]) << np.uint64(2)
-        )
-        return np.zeros_like(low), low
-    if q > 2 * _FAST_BITS - 5:  # split halves must each fit 21 bits
+    if q > 16 + _FAST_BITS:  # the high halves must fit 21 bits
         raise ValueError(f"q={q} exceeds the supported Morton depth")
-    lo_half = u & np.uint64(0xFFFF)
-    hi_half = u >> np.uint64(16)
-    low = _spread3(lo_half[:, 0]) | (_spread3(lo_half[:, 1]) << np.uint64(1)) | (
-        _spread3(lo_half[:, 2]) << np.uint64(2)
-    )
-    high = _spread3(hi_half[:, 0]) | (_spread3(hi_half[:, 1]) << np.uint64(1)) | (
-        _spread3(hi_half[:, 2]) << np.uint64(2)
-    )
-    return high, low
+    u = pts.astype(np.uint64)
+    return _interleave(u >> np.uint64(16)), _interleave(u & np.uint64(0xFFFF))
+
+
+def points_of_key_pair(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Inverse of `morton_key_pair`: (N, 3) int64 lattice points."""
+    return np.stack(
+        [
+            (_compact3(high >> np.uint64(axis)) << np.uint64(16))
+            | _compact3(low >> np.uint64(axis))
+            for axis in range(3)
+        ],
+        axis=1,
+    ).astype(np.int64)
 
 
 def morton_codes(points: np.ndarray, q: int) -> np.ndarray:
@@ -86,8 +92,8 @@ def morton_codes(points: np.ndarray, q: int) -> np.ndarray:
     if q > _FAST_BITS:
         raise ValueError("morton_codes only covers q <= 21; "
                          "use morton_key_pair for deeper lattices")
-    _, low = morton_key_pair(points, q)
-    return low
+    high, low = morton_key_pair(points, q)
+    return (high << np.uint64(48)) | low
 
 
 def morton_order(points: np.ndarray, q: int) -> np.ndarray:

@@ -63,14 +63,6 @@ def criterion(capsys):
     return run
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _warm_jit():
-    """One tiny solve so jit compilation never bills a timed budget."""
-    pts = np.random.default_rng(0).uniform(0.0, 1.0, (12, 3))
-    spectral.graph_spectrum(pts, 0.5)
-    aac_decode(aac_encode(SymbolStream(4, np.array([0, 1, 2, 3]))), 4, 4)
-
-
 def _half_step(stream, name: str) -> float:
     grid = stream.attr_grids[name]
     return 0.5 * float(np.max(grid.scales)) / (2**grid.q - 1) + 1e-12

@@ -98,6 +98,24 @@ class TestEncodeDecode:
         assert rc == 0
         assert out.read_bytes() == dst.read_bytes()
 
+    def test_geometry_command_round_trip(self, asset, tmp_path, capsys):
+        """--geometry-command hands the section to an external coder on
+        both sides; decoding without it is a runtime error."""
+        cloud, src, _ = asset
+        copy = tmp_path / "copy.py"
+        copy.write_text("import sys, shutil\nshutil.copy(sys.argv[1], sys.argv[2])\n")
+        cmd = f"python3 {copy} {{in}} {{out}}"
+        coded, back = tmp_path / "ext.ggsc", tmp_path / "ext.ply"
+        assert main(["encode", str(src), str(coded), "--max-leaf", "60",
+                     "--geometry-command", cmd]) == 0
+        stream = encode(cloud, CodecParams(max_leaf=60), geometry_command=cmd)
+        assert coded.read_bytes() == stream.to_bytes()
+        assert main(["decode", str(coded), str(back)]) == 1
+        assert "--geometry-command" in capsys.readouterr().err
+        assert main(["decode", str(coded), str(back),
+                     "--geometry-command", cmd]) == 0
+        assert back.read_bytes() == save_ply(decode(stream, geometry_command=cmd))
+
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
         rc = main(["encode", str(tmp_path / "nope.ply"), str(tmp_path / "o")])
         assert rc == 1

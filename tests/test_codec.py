@@ -374,37 +374,32 @@ class TestCorruptStreams:
 
 
 class TestExternalGeometryBackend:
-    def test_env_hook_round_trip(self, tmp_path, monkeypatch):
+    def test_command_round_trip(self, tmp_path):
         copy = tmp_path / "copy.py"
         copy.write_text(
             "import sys, shutil\nshutil.copy(sys.argv[1], sys.argv[2])\n"
         )
         cmd = f"python3 {copy} {{in}} {{out}}"
-        from ggsc.geom_codec import DECODE_CMD_VAR, ENCODE_CMD_VAR
-        monkeypatch.setenv(ENCODE_CMD_VAR, cmd)
-        monkeypatch.setenv(DECODE_CMD_VAR, cmd)
 
         cloud = make_cloud(80, seed=20)
-        stream = encode(cloud, SMALL)
+        stream = encode(cloud, SMALL, geometry_command=cmd)
         assert stream.geom_backend == C.GEOM_EXTERNAL
         back = CodedStream.from_bytes(stream.to_bytes())
-        out = decode(back)
+        out = decode(back, geometry_command=cmd)
         ref = canonical_order(cloud, SMALL)
         want = dequantize(quantize(ref.centers, stream.geom_grid),
                           stream.geom_grid)
         np.testing.assert_array_equal(out.centers, want)
 
-    def test_missing_decoder_command_reports_variable(self, tmp_path, monkeypatch):
+    def test_missing_decoder_command_is_reported(self, tmp_path):
         copy = tmp_path / "copy.py"
         copy.write_text(
             "import sys, shutil\nshutil.copy(sys.argv[1], sys.argv[2])\n"
         )
-        from ggsc.geom_codec import DECODE_CMD_VAR, ENCODE_CMD_VAR
-        monkeypatch.setenv(ENCODE_CMD_VAR, f"python3 {copy} {{in}} {{out}}")
-        monkeypatch.delenv(DECODE_CMD_VAR, raising=False)
+        cmd = f"python3 {copy} {{in}} {{out}}"
 
-        stream = encode(make_cloud(30, seed=21), SMALL)
-        with pytest.raises(CodecError, match=DECODE_CMD_VAR):
+        stream = encode(make_cloud(30, seed=21), SMALL, geometry_command=cmd)
+        with pytest.raises(CodecError, match="geometry_command"):
             decode(stream)
 
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggsc import geom_codec
 from ggsc.entropy import CorruptPayloadError, SymbolStream, aac_decode, aac_encode
 from ggsc.geom_codec import (
     BUCKET_ALPHABET,
@@ -200,8 +199,8 @@ class TestRoundTrip:
         np.testing.assert_array_equal(out.points, geom.points)
 
     def test_deep_lattice_round_trip(self):
-        """q = 25 exceeds the 21-bit vectorized key path and exercises the
-        big-integer fallback on both sides."""
+        """q = 25: codes wider than 64 bits, with both halves of the
+        Morton key pair and every limb in use."""
         rng = np.random.default_rng(1)
         pts = rng.integers(0, 2**25, size=(500, 3))
         geom = sorted_geom(pts, 25)
@@ -224,21 +223,16 @@ class TestRoundTrip:
 
 
 class TestPythonKernelWidth:
-    def test_decode_centers_through_python_body(self, monkeypatch):
-        """`_unpack_deltas` must rebuild multi-byte remainders from bytes
-        >= 0x80 in its plain-Python body: a uint8 remainder element would
-        keep the accumulator in uint8 under numpy 2 promotion, so
-        `decode_centers` widens the bytes first.  The Python body is
-        forced so this runs with numba installed too."""
+    def test_decode_centers_through_python_body(self):
+        """Multi-byte remainders made of bytes >= 0x80 must decode exactly:
+        a bit reader that kept a uint8 accumulator (numpy 2 promotion)
+        would lose their high bits."""
         # Sparse points on a 2^12 lattice: Morton deltas of 20+ bits, so
         # every remainder spans several bytes.
         rng = np.random.default_rng(21)
         geom = sorted_geom(rng.integers(0, 1 << 12, size=(40, 3)), 12)
         payload = encode_centers(geom)
         assert max(payload[-8:]) >= 0x80  # remainder bytes end the section
-        kernel = geom_codec._unpack_deltas
-        monkeypatch.setattr(geom_codec, "_unpack_deltas",
-                            getattr(kernel, "py_func", kernel))
         back = decode_centers(payload, geom.q, len(geom))
         np.testing.assert_array_equal(back.points, geom.points)
 

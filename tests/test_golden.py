@@ -25,7 +25,6 @@ import pytest
 from conftest import as_f32, make_cloud, make_realistic_cloud
 from ggsc import codec, spectral
 from ggsc.codec import CodecParams, CodedStream
-from ggsc.geom_codec import DECODE_CMD_VAR, ENCODE_CMD_VAR
 from ggsc.gs_core import GaussianCloud, save_ply
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -105,12 +104,6 @@ def _digests(blob: bytes, leaf: int) -> dict[str, str]:
         "eigenvalues_sha": _sha(spec.eigenvalues.tobytes()),
         "basis_sha": _sha(spec.basis.tobytes()),
     }
-
-
-@pytest.fixture(autouse=True)
-def _internal_geometry(monkeypatch):
-    monkeypatch.delenv(ENCODE_CMD_VAR, raising=False)
-    monkeypatch.delenv(DECODE_CMD_VAR, raising=False)
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
