@@ -10,7 +10,8 @@ implied by the bucket).  Raw bits are packed MSB-first.
 One numpy path serves every depth q in [1, 31].  Codes of up to 93 bits
 and their deltas are held as four 24-bit int64 limbs, with borrows and
 carries moved limb by limb; the raw bits are gathered and scattered one
-bucket at a time, so temporaries stay O(points + remainder bits).
+bucket, and at most CHUNK_BITS bits, at a time, so temporaries stay
+O(points + remainder bits).
 
 Section layout, all little-endian:
 
@@ -25,6 +26,7 @@ header records which backend produced the section.
 
 from __future__ import annotations
 
+import io
 import os
 import shlex
 import struct
@@ -47,6 +49,9 @@ EXTERNAL_TAG = 1
 LIMB_BITS = 24
 LIMBS = 4
 LIMB_MASK = (1 << LIMB_BITS) - 1
+#: Remainder bits packed or unpacked per step: bounds the int64
+#: (rows, bits) temporaries to 512 KiB each whatever the point count.
+CHUNK_BITS = 1 << 16
 
 
 @dataclass
@@ -86,23 +91,24 @@ def _limbs(high: np.ndarray, low: np.ndarray) -> np.ndarray:
 
 
 def _remainder_bits(buckets: np.ndarray):
-    """Per bucket b >= 2: its rows, the section bit positions of their
-    low b - 1 bits (one row each, MSB first) and those bits' significance."""
+    """Per bucket b >= 2, in chunks of at most CHUNK_BITS bits: the rows,
+    the section bit positions of their low b - 1 bits (one row each, MSB
+    first) and those bits' significance."""
     widths = np.maximum(buckets - 1, 0)
     offsets = np.cumsum(widths) - widths
-    order = np.argsort(buckets, kind="stable")
-    counts = np.bincount(buckets, minlength=2)
-    groups = np.split(order, np.cumsum(counts)[:-1])
-    for b in np.flatnonzero(counts[2:]) + 2:
-        rows = groups[b]
-        yield rows, offsets[rows, None] + np.arange(b - 1), np.arange(b - 2, -1, -1)
+    for b in np.unique(buckets[buckets >= 2]):
+        rows = np.flatnonzero(buckets == b)
+        step = max(CHUNK_BITS // (b - 1), 1)
+        sig = np.arange(b - 2, -1, -1)
+        for chunk in np.split(rows, np.arange(step, len(rows), step)):
+            yield chunk, offsets[chunk, None] + np.arange(b - 1), sig
 
 
-def encode_centers(geom: QuantizedGeometry) -> bytes:
-    """Serialize Morton-ordered lattice centers; order violations raise."""
-    n = len(geom)
-    codes = _limbs(*partition.morton_key_pair(geom.points, geom.q))
-    deltas = np.diff(codes, axis=0, prepend=np.zeros((1, LIMBS), np.int64))
+def _deltas(geom: QuantizedGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Consecutive Morton code differences (the first against 0) as
+    (n, LIMBS) limbs, and their bit lengths; order violations raise."""
+    keys = partition.morton_key_pair(geom.points, geom.q)
+    deltas = np.diff(_limbs(*keys), axis=0, prepend=0)
     for k in range(LIMBS - 1):
         borrow = deltas[:, k] < 0
         deltas[borrow, k] += 1 << LIMB_BITS
@@ -111,23 +117,26 @@ def encode_centers(geom: QuantizedGeometry) -> bytes:
         raise ValueError("points are not in Morton order")
     # Bit length per limb (exact: limbs are below 2^53), offset by the limb.
     lengths = np.frexp(deltas.astype(np.float64))[1] + LIMB_BITS * np.arange(LIMBS)
-    buckets = np.where(deltas > 0, lengths, 0).max(axis=1).astype(np.int64)
+    return deltas, np.where(deltas > 0, lengths, 0).max(axis=1).astype(np.int64)
+
+
+def encode_centers(geom: QuantizedGeometry) -> bytes:
+    """Serialize Morton-ordered lattice centers; order violations raise."""
+    deltas, buckets = _deltas(geom)
+    bucket_payload = aac_encode(SymbolStream(BUCKET_ALPHABET, buckets))
 
     nbits = int(np.maximum(buckets - 1, 0).sum())
     bits = np.zeros(nbits, dtype=np.uint8)
     for rows, positions, sig in _remainder_bits(buckets):
         limb = deltas[rows][:, sig // LIMB_BITS]
         bits[positions] = (limb >> (sig % LIMB_BITS)) & 1
-    remainder = np.packbits(bits).tobytes()
-
-    bucket_payload = aac_encode(SymbolStream(BUCKET_ALPHABET, buckets))
     return b"".join(
         [
-            struct.pack("<IB", n, geom.q),
+            struct.pack("<IB", len(geom), geom.q),
             struct.pack("<I", len(bucket_payload)),
             bucket_payload,
             struct.pack("<Q", nbits),
-            remainder,
+            np.packbits(bits).tobytes(),
         ]
     )
 
@@ -182,14 +191,14 @@ def decode_centers(payload: bytes, q: int, count: int) -> QuantizedGeometry:
     top = buckets[lead] - 1  # the implied leading 1
     deltas[lead, top // LIMB_BITS] += 1 << (top % LIMB_BITS)
     # Each limb's cumsum stays below n * 2^24 < 2^56; carries then move up.
-    codes = np.cumsum(deltas, axis=0)
+    codes = np.cumsum(deltas, axis=0, out=deltas)
     for k in range(LIMBS - 1):
         codes[:, k + 1] += codes[:, k] >> LIMB_BITS
         codes[:, k] &= LIMB_MASK
     last = sum(int(limb) << (LIMB_BITS * k) for k, limb in enumerate(codes[-1]))
     if last >= 1 << (3 * q):
         raise CorruptPayloadError("decoded code exceeds the lattice")
-    codes = codes.astype(np.uint64)
+    codes = codes.view(np.uint64)  # every limb is nonnegative
     shift = np.uint64(LIMB_BITS)
     points = partition.points_of_key_pair(
         codes[:, 2] | codes[:, 3] << shift, codes[:, 0] | codes[:, 1] << shift
@@ -218,27 +227,27 @@ def _run_external(command: str, src: bytes, suffix_in: str, suffix_out: str) -> 
 
 
 def _points_to_ascii_ply(points: np.ndarray) -> bytes:
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {points.shape[0]}",
-        "property int x",
-        "property int y",
-        "property int z",
-        "end_header",
-    ]
-    lines += [f"{int(x)} {int(y)} {int(z)}" for x, y, z in points]
-    return ("\n".join(lines) + "\n").encode("ascii")
+    header = (f"ply\nformat ascii 1.0\nelement vertex {len(points)}\n"
+              "property int x\nproperty int y\nproperty int z\nend_header")
+    out = io.BytesIO()
+    np.savetxt(out, points, fmt="%d", header=header, comments="")
+    return out.getvalue()
 
 
-def _ascii_ply_to_points(blob: bytes) -> np.ndarray:
-    text = blob.decode("ascii", errors="replace").splitlines()
+def _ascii_ply_to_points(blob: bytes, q: int) -> np.ndarray:
+    """(N >= 1, 3) lattice points from an ASCII PLY; anything else raises."""
+    _, end_header, body = blob.partition(b"end_header")
+    if not end_header or not body.strip():
+        raise CorruptPayloadError("external decoder emitted no PLY points")
     try:
-        start = next(i for i, line in enumerate(text) if line.strip() == "end_header")
-    except StopIteration:
-        raise CorruptPayloadError("external decoder emitted no PLY header") from None
-    rows = [line.split() for line in text[start + 1 :] if line.strip()]
-    return np.array([[int(float(v)) for v in row[:3]] for row in rows], dtype=np.int64)
+        coords = np.loadtxt(io.BytesIO(body), usecols=(0, 1, 2), ndmin=2,
+                            comments=None)
+    except ValueError as exc:
+        raise CorruptPayloadError(f"bad external decoder output: {exc}") from None
+    coords = np.trunc(coords)
+    if not np.all((coords >= 0) & (coords < 1 << q)):
+        raise CorruptPayloadError("external decoder emitted points off the lattice")
+    return coords.astype(np.int64)
 
 
 def encode_centers_external(geom: QuantizedGeometry, command: str) -> bytes:
@@ -263,9 +272,7 @@ def decode_centers_external(
     if tag != EXTERNAL_TAG or len(payload) != 5 + length:
         raise CorruptPayloadError("external geometry payload framing mismatch")
     blob = _run_external(command, payload[5:], ".bin", ".ply")
-    points = _ascii_ply_to_points(blob)
-    if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 1:
-        raise CorruptPayloadError("external decoder emitted no points")
+    points = _ascii_ply_to_points(blob, q)
     _check_count(points.shape[0], count)
     order = partition.morton_order(points, q)
     return QuantizedGeometry(q=q, points=points[order])

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Widest coordinate bit depth that still fits one interleaved Morton code
-#: into a uint64 (3 * 21 = 63 bits).
+#: Widest coordinate bit depth `_spread3` interleaves into a uint64
+#: (3 * 21 = 63 bits).
 _FAST_BITS = 21
 
 
@@ -85,15 +85,6 @@ def points_of_key_pair(high: np.ndarray, low: np.ndarray) -> np.ndarray:
         ],
         axis=1,
     ).astype(np.int64)
-
-
-def morton_codes(points: np.ndarray, q: int) -> np.ndarray:
-    """Full interleaved codes as uint64 (requires q <= 21)."""
-    if q > _FAST_BITS:
-        raise ValueError("morton_codes only covers q <= 21; "
-                         "use morton_key_pair for deeper lattices")
-    high, low = morton_key_pair(points, q)
-    return (high << np.uint64(48)) | low
 
 
 def morton_order(points: np.ndarray, q: int) -> np.ndarray:

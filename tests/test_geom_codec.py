@@ -422,6 +422,25 @@ class TestExternalHook:
         with pytest.raises(CorruptPayloadError):
             decode_centers_external(payload, 4, cmd, 1)
 
+    @pytest.mark.parametrize(
+        "body",
+        ["", "a b c\n", "1 2\n3 4 5\n", "# 1 2 3\n", "16 0 0\n",
+         "-1 0 0\n", "1e30 0 0\n", "nan 0 0\n"],
+        ids=["empty", "text", "short-row", "comment", "off-lattice",
+             "negative", "huge", "nan"],
+    )
+    def test_malformed_points_raise(self, tmp_path, body):
+        """Whatever the external decoder emits after its header, only
+        coordinates on the lattice decode; all else is corrupt."""
+        out = tmp_path / "points.ply"
+        out.write_text("ply\nformat ascii 1.0\nend_header\n" + body)
+        cmd = self._script(
+            tmp_path, f"import sys, shutil\nshutil.copy({str(out)!r}, sys.argv[2])\n"
+        )
+        payload = struct.pack("<BI", EXTERNAL_TAG, 1) + b"x"
+        with pytest.raises(CorruptPayloadError):
+            decode_centers_external(payload, 4, cmd, 1)
+
     def test_framing_validation(self):
         with pytest.raises(CorruptPayloadError):
             decode_centers_external(b"\x01", 4, "true", 1)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ggsc.partition import (
     Partition,
     kdtree_split,
-    morton_codes,
     morton_key_pair,
     morton_order,
 )
@@ -22,6 +21,12 @@ def interleave_oracle(x: int, y: int, z: int, bits: int) -> int:
         code |= ((y >> b) & 1) << (3 * b + 1)
         code |= ((z >> b) & 1) << (3 * b + 2)
     return code
+
+
+def morton_codes(points, q):
+    """Whole interleaved codes as Python ints, from the (high, low) pair."""
+    high, low = morton_key_pair(points, q)
+    return [int(h) << 48 | int(lo) for h, lo in zip(high, low)]
 
 
 class TestMortonCodes:
@@ -40,8 +45,8 @@ class TestMortonCodes:
         assert list(codes) == [0, 1, 2, 4, 7]
 
     def test_key_pair_matches_python_ints_at_high_precision(self):
-        """Above 21 bits/axis the code is held as a (hi, lo) pair; its
-        ordering must match exact big-int interleaving."""
+        """The code is held as a (hi, lo) pair split at bit 48; at 25
+        bits/axis its ordering must match exact big-int interleaving."""
         rng = np.random.default_rng(1)
         q = 25
         pts = rng.integers(0, 2**q, size=(200, 3), dtype=np.uint64)
