@@ -461,6 +461,12 @@ def _reconstruct_signals(
     return out
 
 
+def _check_finite(name: str, values: np.ndarray) -> None:
+    """Finite grid fields can still scale decoded levels past float64."""
+    if not np.isfinite(values).all():
+        raise CodecError(f"quantizer grid takes decoded {name} outside float64")
+
+
 def decode(
     stream: CodedStream,
     *,
@@ -495,6 +501,7 @@ def decode(
         )
 
     recon_centers = dequantize(geometry.points, stream.geom_grid)
+    _check_finite("centers", recon_centers)
     part = partition.kdtree_split(recon_centers, params.max_leaf)
     spectra = _leaf_spectra(recon_centers, part, params, threads)
 
@@ -523,9 +530,13 @@ def decode(
 
     yuv = np.stack([signals["sh_y"], signals["sh_u"], signals["sh_v"]], axis=2)
     rgb = colorspace.sh_yuv_to_rgb(colorspace.ShTriple(coeffs=yuv, space="yuv"))
+    sh = colorspace.sh_to_flat(rgb)
+    _check_finite("sh", sh)
+    for name in ("opacity", "scale", "rotation"):
+        _check_finite(name, signals[name])
     cloud = GaussianCloud(
         centers=recon_centers,
-        sh=colorspace.sh_to_flat(rgb),
+        sh=sh,
         opacity=signals["opacity"][:, 0],
         scale=signals["scale"],
         rotation=signals["rotation"],

@@ -249,6 +249,27 @@ def _fenwick(counts: np.ndarray) -> list[int]:
     return out
 
 
+def _uniform_fenwick(alphabet: int) -> list[int]:
+    """`_fenwick` of `alphabet` counts of COUNT_INIT, built without numpy.
+
+    Entry i covers as many counts as the lowest set bit of i, so entries
+    1 .. 2^(k+1) are two copies of entries 1 .. 2^k with the last one
+    doubled.  Repeating a list builds the tree in a fraction of what the
+    numpy build and its `tolist` cost per payload.
+    """
+    tree = [COUNT_INIT]
+    while 2 * len(tree) <= alphabet:
+        tree *= 2
+        tree[-1] = COUNT_INIT * len(tree)
+    top_bit = len(tree)
+    tree.insert(0, 0)
+    if alphabet != top_bit:
+        # Entry top_bit + i covers what entry i does.
+        tree += tree[1 : alphabet - top_bit + 1]
+        tree += [1 << 62] * (2 * top_bit - alphabet - 1)
+    return tree
+
+
 def _decode_symbols(data: bytes, alphabet: int, count: int) -> np.ndarray:
     """Decode `count` symbols from the coded bytes (MSB-first bits).
 
@@ -269,7 +290,7 @@ def _decode_symbols(data: bytes, alphabet: int, count: int) -> np.ndarray:
 
     top_bit = 1 << (alphabet.bit_length() - 1)
     counts = [COUNT_INIT] * alphabet
-    tree = _fenwick(np.full(alphabet, COUNT_INIT, dtype=np.int64))
+    tree = _uniform_fenwick(alphabet)
     total = alphabet * COUNT_INIT
     limit = RESCALE_LIMIT
 

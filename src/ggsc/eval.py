@@ -21,8 +21,6 @@ import io
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.spatial import cKDTree
 
 from . import codec as codec_mod
 from . import colorspace
@@ -93,6 +91,10 @@ def geometry_psnr_d1(ref: GaussianCloud, dist: GaussianCloud) -> PsnrStats:
     conservative symmetrization -- and the peak is the reference bbox
     diagonal.
     """
+    # scipy costs about half a second of start-up; only this metric and
+    # the logistic fit need it, so it loads on their first call.
+    from scipy.spatial import cKDTree
+
     d_ab, _ = cKDTree(ref.centers).query(dist.centers)
     d_ba, _ = cKDTree(dist.centers).query(ref.centers)
     mse = max(float(np.mean(d_ab**2)), float(np.mean(d_ba**2)))
@@ -172,6 +174,8 @@ def fit_logistic5(objective: np.ndarray, mos: np.ndarray) -> CorrelationReport:
         np.array([0.0, 1.0 / xspan, float(np.median(x)), slope,
                   float(y.mean() - slope * x.mean())]),
     ]
+    from scipy.optimize import least_squares
+
     best = None
     for p0 in starts:
         res = least_squares(

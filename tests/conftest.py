@@ -7,10 +7,13 @@ serializer is checked against a second, independent implementation.
 
 from __future__ import annotations
 
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
+import ggsc
 from ggsc.gs_core import GaussianCloud
 
 # Field order of the common splat exporter, spelled out independently of
@@ -132,3 +135,11 @@ def cloud_columns(cloud: GaussianCloud) -> dict[str, np.ndarray]:
     for i in range(4):
         cols[f"rot_{i}"] = cloud.rotation[:, i]
     return cols
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a child interpreter that imports this same ggsc."""
+    env = dict(os.environ)
+    paths = [str(Path(ggsc.__file__).parent.parent), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return env

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -364,6 +365,21 @@ class TestCorruptStreams:
         stream.attribute_payloads["sh_y"] = struct.pack("<I", 2**32 - 1) + payload[4:]
         with bounded_failure(seconds=1.0, bytes_=16 << 20):
             decode(stream)
+
+    @pytest.mark.parametrize("group", ["geometry", "sh_y", "scale"])
+    def test_grid_overflow_is_a_codec_error(self, group):
+        """Finite grid fields that scale decoded levels past float64 (as a
+        flipped exponent bit in the header can) are a container error."""
+        stream = self._stream()
+        grid = stream.geom_grid if group == "geometry" else stream.attr_grids[group]
+        huge = replace(grid, scales=np.full_like(grid.scales, 1e308))
+        if group == "geometry":
+            stream.geom_grid = huge
+        else:
+            stream.attr_grids[group] = huge
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(CodecError, match="outside float64"):
+                decode(stream)
 
     def test_geometry_count_disagrees_with_header(self):
         stream = self._stream()

@@ -157,6 +157,14 @@ class TestPythonKernelWidth:
         np.testing.assert_array_equal(out.symbols, symbols)
 
 
+@pytest.mark.parametrize("alphabet", [2, 3, 5, 128, 1000, 1024, 65535, 65536])
+def test_uniform_fenwick_matches_numpy_build(alphabet):
+    """The decoder's initial tree, sentinel entries included, is the one
+    `_fenwick` builds from uniform counts (and rebuilds after a rescale)."""
+    expected = entropy._fenwick(np.full(alphabet, entropy.COUNT_INIT, dtype=np.int64))
+    assert entropy._uniform_fenwick(alphabet) == expected
+
+
 class TestGoldenBytes:
     """SHA-256 of payloads written by the coder when these pins were
     recorded.  A change to any of them is a stream format change: bump
