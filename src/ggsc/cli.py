@@ -28,6 +28,7 @@ from .codec import (
     CodedStream,
     GEOM_EXTERNAL,
     GROUP_NAMES,
+    SIGMA_SCOPES,
     VERSION,
     bitrate_breakdown,
     canonical_order,
@@ -35,10 +36,7 @@ from .codec import (
     encode,
 )
 from .gs_core import load_ply, save_ply
-
-_INT_FIELDS = {"q_geo", "max_leaf"} | {f"q_{n}" for n in GROUP_NAMES}
-_FLOAT_FIELDS = {f"alpha_{n}" for n in GROUP_NAMES}
-_STR_FIELDS = {"sigma_scope", "scale_mode"}
+from .quantizer import SCALE_MODES
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -53,8 +51,8 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
         group.add_argument(f"--q-{flag}", type=int, default=None, metavar="BITS")
         group.add_argument(f"--alpha-{flag}", type=float, default=None, metavar="A")
     group.add_argument("--max-leaf", type=int, default=None, metavar="N")
-    group.add_argument("--sigma-scope", choices=("global", "leaf"), default=None)
-    group.add_argument("--scale-mode", choices=("group", "component"), default=None)
+    group.add_argument("--sigma-scope", choices=SIGMA_SCOPES, default=None)
+    group.add_argument("--scale-mode", choices=SCALE_MODES, default=None)
 
 
 def _params_from_args(args: argparse.Namespace) -> CodecParams:
@@ -117,35 +115,33 @@ def _decode_one(src: str, dst: str, args: argparse.Namespace) -> None:
     print(f"decoded {src} -> {dst} ({len(cloud)} primitives)")
 
 
-def _cmd_encode(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
+def _each_file(args: argparse.Namespace, src_ext: str, dst_ext: str,
+               verb: str, one) -> int:
+    """Run `one(src, dst)` on args.input -> args.output, or on every
+    `src_ext` file of an input directory into an output directory."""
     if os.path.isdir(args.input):
-        names = sorted(n for n in os.listdir(args.input) if n.endswith(".ply"))
+        names = sorted(n for n in os.listdir(args.input) if n.endswith(src_ext))
         if not names:
-            raise FileNotFoundError(f"no .ply files in {args.input}")
+            raise FileNotFoundError(f"no {src_ext} files in {args.input}")
         os.makedirs(args.output, exist_ok=True)
         for name in names:
-            dst = os.path.join(args.output, os.path.splitext(name)[0] + ".ggsc")
-            _encode_one(os.path.join(args.input, name), dst, params, args)
-        print(f"encoded {len(names)} assets")
+            dst = os.path.join(args.output, os.path.splitext(name)[0] + dst_ext)
+            one(os.path.join(args.input, name), dst)
+        print(f"{verb} {len(names)} assets")
     else:
-        _encode_one(args.input, args.output, params, args)
+        one(args.input, args.output)
     return 0
+
+
+def _cmd_encode(args: argparse.Namespace) -> int:
+    params = _params_from_args(args)
+    return _each_file(args, ".ply", ".ggsc", "encoded",
+                      lambda src, dst: _encode_one(src, dst, params, args))
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    if os.path.isdir(args.input):
-        names = sorted(n for n in os.listdir(args.input) if n.endswith(".ggsc"))
-        if not names:
-            raise FileNotFoundError(f"no .ggsc files in {args.input}")
-        os.makedirs(args.output, exist_ok=True)
-        for name in names:
-            dst = os.path.join(args.output, os.path.splitext(name)[0] + ".ply")
-            _decode_one(os.path.join(args.input, name), dst, args)
-        print(f"decoded {len(names)} assets")
-    else:
-        _decode_one(args.input, args.output, args)
-    return 0
+    return _each_file(args, ".ggsc", ".ply", "decoded",
+                      lambda src, dst: _decode_one(src, dst, args))
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -173,14 +169,9 @@ def _parse_axis(spec: str) -> tuple[str, list]:
         raise ValueError(f"--axis needs NAME=V1,V2,...; got {spec!r}")
     name, _, values = spec.partition("=")
     name = name.strip()
-    if name in _INT_FIELDS:
-        cast = int
-    elif name in _FLOAT_FIELDS:
-        cast = float
-    elif name in _STR_FIELDS:
-        cast = str
-    else:
+    if name not in {field.name for field in dc_fields(CodecParams)}:
         raise ValueError(f"unknown parameter {name!r} in --axis")
+    cast = type(getattr(CodecParams(), name))
     parsed = [cast(v.strip()) for v in values.split(",") if v.strip()]
     if not parsed:
         raise ValueError(f"--axis {name} lists no values")

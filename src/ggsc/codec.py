@@ -333,6 +333,15 @@ def _leaf_spectra(
     return spectral.graph_spectra(centers, part.leaves, sigmas, threads=threads)
 
 
+def _kept_counts(params: CodecParams, part: partition.Partition) -> dict[str, list[int]]:
+    """Group name -> coefficients kept per leaf, in leaf order."""
+    return {
+        name: [spectral.clip_count(params.alpha_for(name), len(leaf))
+               for leaf in part.leaves]
+        for name in GROUP_NAMES
+    }
+
+
 def _attribute_signals(cloud: GaussianCloud) -> dict[str, np.ndarray]:
     yuv = colorspace.sh_rgb_to_yuv(colorspace.sh_from_flat(cloud.sh)).coeffs
     return {
@@ -374,29 +383,30 @@ def encode(
     part = partition.kdtree_split(recon_centers, params.max_leaf)
     spectra = _leaf_spectra(recon_centers, part, params, threads)
     signals = _attribute_signals(ordered)
+    counts = _kept_counts(params, part)
 
     kept: dict[str, list[np.ndarray]] = {name: [] for name in GROUP_NAMES}
     coeffs_dbg: dict[str, list[np.ndarray]] = {name: [] for name in GROUP_NAMES}
-    for leaf, spec in zip(part.leaves, spectra):
+    for j, (leaf, spec) in enumerate(zip(part.leaves, spectra)):
         for name in GROUP_NAMES:
             coeffs = spectral.gft(spec, signals[name][leaf])
-            k = spectral.clip_count(params.alpha_for(name), len(leaf))
-            kept[name].append(coeffs[:k])
+            kept[name].append(coeffs[: counts[name][j]])
             if collect_debug:
                 coeffs_dbg[name].append(coeffs)
 
     attr_grids: dict[str, QuantGrid] = {}
     payloads: dict[str, bytes] = {}
-    levels_by_group: dict[str, list[np.ndarray]] = {}
+    levels_by_group: dict[str, np.ndarray] = {}
     for name, comps in ATTRIBUTE_GROUPS:
         blocks = np.concatenate(kept[name], axis=0)
         grid = fit_grid(blocks, params.q_for(name), params.scale_mode)
         attr_grids[name] = grid
         # quantize is elementwise: one call on all leaves, split per leaf.
-        cuts = np.cumsum([block.shape[0] for block in kept[name]])[:-1]
-        levels = np.split(quantize(blocks, grid), cuts)
+        levels = quantize(blocks, grid)
         levels_by_group[name] = levels
-        symbols = np.concatenate([lv.T.ravel() for lv in levels])
+        symbols = np.concatenate(
+            [lv.T.ravel() for lv in np.split(levels, np.cumsum(counts[name])[:-1])]
+        )
         payloads[name] = entropy.aac_encode(
             entropy.SymbolStream(1 << params.q_for(name), symbols)
         )
@@ -423,7 +433,7 @@ def encode(
     if not collect_debug:
         return stream
 
-    local = _reconstruct_signals(stream, part, spectra, levels_by_group)
+    local = _reconstruct_signals(stream, part, spectra, counts, levels_by_group)
     debug = EncodeDebug(
         permutation=perm,
         part=part,
@@ -439,23 +449,27 @@ def _reconstruct_signals(
     stream: CodedStream,
     part: partition.Partition,
     spectra: list[spectral.GraphSpectrum],
-    levels_by_group: dict[str, list[np.ndarray]],
+    counts: dict[str, list[int]],
+    levels_by_group: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """Shared inverse path: dequantize, zero-pad, inverse transform.
 
-    Used verbatim by the decoder and by the encoder's local decode, so
-    both sides produce bit-identical attribute signals by construction.
+    `levels_by_group` holds each group's kept levels of every leaf,
+    stacked in leaf order, `counts` their rows per leaf.  Used verbatim
+    by the decoder and by the encoder's local decode, so both sides
+    produce bit-identical attribute signals by construction.
     """
-    params = stream.params
     n = stream.gs_count
     out: dict[str, np.ndarray] = {}
     for name, comps in ATTRIBUTE_GROUPS:
-        grid = stream.attr_grids[name]
+        # dequantize is elementwise: one call on all leaves, split per leaf.
+        values = dequantize(levels_by_group[name], stream.attr_grids[name])
         sig = np.empty((n, comps))
-        for leaf, spec, levels in zip(part.leaves, spectra, levels_by_group[name]):
-            m = len(leaf)
-            padded = np.zeros((m, comps))
-            padded[: levels.shape[0]] = dequantize(levels, grid)
+        for leaf, spec, kept in zip(
+            part.leaves, spectra, np.split(values, np.cumsum(counts[name])[:-1])
+        ):
+            padded = np.zeros((len(leaf), comps))
+            padded[: kept.shape[0]] = kept
             sig[leaf] = spectral.igft(spec, padded)
         out[name] = sig
     return out
@@ -500,40 +514,39 @@ def decode(
             stream.geometry_payload, params.q_geo, stream.gs_count
         )
 
-    recon_centers = dequantize(geometry.points, stream.geom_grid)
-    _check_finite("centers", recon_centers)
-    part = partition.kdtree_split(recon_centers, params.max_leaf)
-    spectra = _leaf_spectra(recon_centers, part, params, threads)
+    # A hostile grid can scale finite levels past float64.  `_check_finite`
+    # turns that into a CodecError, so numpy's warnings on the way would
+    # only be noise ahead of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        recon_centers = dequantize(geometry.points, stream.geom_grid)
+        _check_finite("centers", recon_centers)
+        part = partition.kdtree_split(recon_centers, params.max_leaf)
+        spectra = _leaf_spectra(recon_centers, part, params, threads)
+        counts = _kept_counts(params, part)
 
-    levels_by_group: dict[str, list[np.ndarray]] = {}
-    for name, comps in ATTRIBUTE_GROUPS:
-        expected = sum(
-            comps * spectral.clip_count(params.alpha_for(name), len(leaf))
-            for leaf in part.leaves
-        )
-        try:
-            decoded = entropy.aac_decode(
-                stream.attribute_payloads[name], 1 << params.q_for(name), expected
+        levels_by_group: dict[str, np.ndarray] = {}
+        for name, comps in ATTRIBUTE_GROUPS:
+            ks = counts[name]
+            try:
+                decoded = entropy.aac_decode(
+                    stream.attribute_payloads[name], 1 << params.q_for(name),
+                    comps * sum(ks),
+                )
+            except CorruptPayloadError as exc:
+                raise CorruptPayloadError(f"{name}: {exc}") from exc
+            blocks = np.split(decoded.symbols, comps * np.cumsum(ks)[:-1])
+            levels_by_group[name] = np.concatenate(
+                [block.reshape(comps, k).T for block, k in zip(blocks, ks)]
             )
-        except CorruptPayloadError as exc:
-            raise CorruptPayloadError(f"{name}: {exc}") from exc
-        levels = []
-        cursor = 0
-        for leaf in part.leaves:
-            k = spectral.clip_count(params.alpha_for(name), len(leaf))
-            block = decoded.symbols[cursor : cursor + comps * k]
-            cursor += comps * k
-            levels.append(block.reshape(comps, k).T)
-        levels_by_group[name] = levels
 
-    signals = _reconstruct_signals(stream, part, spectra, levels_by_group)
+        signals = _reconstruct_signals(stream, part, spectra, counts, levels_by_group)
 
-    yuv = np.stack([signals["sh_y"], signals["sh_u"], signals["sh_v"]], axis=2)
-    rgb = colorspace.sh_yuv_to_rgb(colorspace.ShTriple(coeffs=yuv, space="yuv"))
-    sh = colorspace.sh_to_flat(rgb)
-    _check_finite("sh", sh)
-    for name in ("opacity", "scale", "rotation"):
-        _check_finite(name, signals[name])
+        yuv = np.stack([signals["sh_y"], signals["sh_u"], signals["sh_v"]], axis=2)
+        rgb = colorspace.sh_yuv_to_rgb(colorspace.ShTriple(coeffs=yuv, space="yuv"))
+        sh = colorspace.sh_to_flat(rgb)
+        _check_finite("sh", sh)
+        for name in ("opacity", "scale", "rotation"):
+            _check_finite(name, signals[name])
     cloud = GaussianCloud(
         centers=recon_centers,
         sh=sh,

@@ -13,9 +13,14 @@ coefficients a useful lossy step.
 
 The eigendecomposition is self-contained rather than a LAPACK call: the
 decoder must rebuild bit-identical bases from the same reconstructed
-centers on any platform, so the codec cannot depend on vendor-specific
-eigensolver or BLAS kernels.  Determinism is part of the format.  The
-solver is Householder tridiagonalization followed by implicit QL (tql2):
+centers, so the solver depends on no vendor eigensolver or BLAS kernel.
+Determinism is part of the format.  Two steps around the solver still
+depend on the machine, so bases and decoded values are bit-identical
+only between machines that agree on them: `build_adjacency`'s `np.exp`
+is a SIMD kernel numpy picks per CPU (on an AVX-512 host 46,150 of 10^6
+results differ from libm's exp), and `gft` / `igft` are BLAS products.
+The solver is Householder tridiagonalization followed by implicit QL
+(tql2):
 
 * the reduction and the accumulation of its reflectors use numpy
   elementwise ufuncs and row/column sums only (no `@`, no `np.dot`), whose
@@ -39,6 +44,7 @@ thread count it is solved in.
 from __future__ import annotations
 
 import math
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -53,9 +59,6 @@ QL_MAX_SWEEPS = 30
 PSD_CLAMP = -1e-10
 
 _SIGMA_FLOOR_SQ = 1e-12
-#: Initial rotation log length per m^2 (QL takes about m^2 rotations);
-#: a solve that needs more doubles the log and runs again.
-_LOG_CAP_PER_M2 = 2
 #: Matrix entries per batched solve in `graph_spectra`: 2^16 float64
 #: entries is 512 KiB per temporary.  Small leaves, whose solves are
 #: mostly fixed numpy call overhead, still fit hundreds to a chunk; at
@@ -179,31 +182,28 @@ def _tridiagonalize(a: np.ndarray):
     return d, e, q
 
 
-def _tql_rotations(d, e, rot_i, rot_c, rot_s, rot_t, max_sweeps):
-    """Implicit QL on a tridiagonal (d, e); returns the rotation count.
+def _tql_rotations(d, e, off, rot_i, rot_c, rot_s, rot_t) -> None:
+    """Implicit QL on a tridiagonal (d, e), appending its rotations to a log.
 
     The recurrence of EISPACK's tql2 (Bowdler, Martin, Reinsch and
     Wilkinson, Numer. Math. 11, 1968) with the eigenvector update taken
-    out: rotation k, acting on basis rows (i, i + 1), is logged as
-    rot_i[k] = i, rot_c[k] = c, rot_s[k] = s for `_apply_rotations`.
-    rot_t[k] = 2 * sweep + (m - 1 - i), counting sweeps over the whole
-    solve, is its wavefront step: a later rotation touching row i or
-    i + 1 always gets a larger step, and rotations sharing a step touch
-    disjoint rows.
+    out: each rotation, acting on basis rows (i, i + 1), is appended as
+    i + off to rot_i, c to rot_c and s to rot_s for `_apply_rotations`;
+    `off` places the matrix's rows in a stacked basis.  Its rot_t entry,
+    2 * sweep + (m - 1 - i) counting sweeps over the whole solve, is its
+    wavefront step: a later rotation touching row i or i + 1 always gets
+    a larger step, and rotations sharing a step touch disjoint rows.
 
     The input is prescaled into [0.5, 1) and every coupling used in a
     sweep exceeds eps * tst1 (~1e-16), so sqrt(p * p + e * e) can neither
     overflow nor underflow and needs no hypot-style scaling.
 
-    On return d holds the eigenvalues (unsorted) and e is destroyed.
-    Returns -1 if an eigenvalue needs more than `max_sweeps` QL sweeps
-    and -2 if the log arrays are too short.  Scalars only, no numpy
-    calls: it runs on lists of Python floats, about twice as fast as on
-    numpy scalars, with the same arithmetic on either.
+    `d` and `e` are lists of Python floats, about twice as fast here as
+    numpy scalars; on return d holds the eigenvalues (unsorted) and e is
+    destroyed.  Raises RuntimeError if an eigenvalue needs more than
+    `QL_MAX_SWEEPS` QL sweeps.
     """
     m = len(d)
-    cap = len(rot_i)
-    count = 0
     total_sweeps = 0
     eps = 2.0 ** -52
     shift = 0.0
@@ -222,10 +222,11 @@ def _tql_rotations(d, e, rot_i, rot_c, rot_s, rot_t, max_sweeps):
             if n == l:
                 break
             sweeps += 1
-            if sweeps > max_sweeps:
-                return -1
-            if count + n - l > cap:
-                return -2
+            if sweeps > QL_MAX_SWEEPS:
+                raise RuntimeError(
+                    f"QL iteration did not converge within {QL_MAX_SWEEPS} "
+                    "sweeps per eigenvalue"
+                )
             # Shift from the eigenvalue of the leading 2x2 block.
             g = d[l]
             p = (d[l + 1] - g) / (2.0 * e[l])
@@ -261,17 +262,15 @@ def _tql_rotations(d, e, rot_i, rot_c, rot_s, rot_t, max_sweeps):
                 c = p / r
                 p = c * d[i] - s * g
                 d[i + 1] = h + s * (c * g + s * d[i])
-                rot_i[count] = i
-                rot_c[count] = c
-                rot_s[count] = s
-                rot_t[count] = base - i
-                count += 1
+                rot_i.append(i + off)
+                rot_c.append(c)
+                rot_s.append(s)
+                rot_t.append(base - i)
             p = -s * s2 * c3 * el1 * e[l] / dl1
             e[l] = s * p
             d[l] = c * p
         d[l] = d[l] + shift
         e[l] = 0.0
-    return count
 
 
 def _apply_rotations(zt, rot_i, rot_c, rot_s, rot_t) -> None:
@@ -305,47 +304,28 @@ def _apply_rotations(zt, rot_i, rot_c, rot_s, rot_t) -> None:
         zt[i] = zi
 
 
-def _ql_log(d: np.ndarray, e: np.ndarray, max_sweeps: int):
-    """Run `_tql_rotations` on one tridiagonal, regrowing the rotation log
-    until it fits.  Returns (eigenvalues, rot_i, rot_c, rot_s, rot_t) as
-    arrays; raises RuntimeError if QL fails to converge."""
-    m = d.shape[0]
-    cap = _LOG_CAP_PER_M2 * m * m + 16
-    while True:
-        work = [d.tolist(), e.tolist(), *([0] * cap for _ in range(4))]
-        count = _tql_rotations(*work, max_sweeps)
-        if count != -2:
-            break
-        cap *= 2
-    if count < 0:
-        raise RuntimeError(
-            f"QL iteration did not converge within {max_sweeps} sweeps "
-            "per eigenvalue"
-        )
-    return (np.asarray(work[0], dtype=np.float64),
-            *(np.asarray(w[:count], dtype=dt) for w, dt in
-              zip(work[2:6], (np.int64, np.float64, np.float64, np.int64))))
-
-
-def _householder_ql(a: np.ndarray, max_sweeps: int):
+def _householder_ql(a: np.ndarray):
     """Eigenvalues (B, m) and eigenvectors, as the rows of a (B, m, m)
     stack, of a stack of symmetric matrices; `a` is destroyed.
 
-    The QL recurrence runs per matrix.  The bases of the whole stack are
-    rotated in one `_apply_rotations` pass over their stacked (B * m, m)
-    rows: matrix j's logged rows are offset by j * m, so rotations of
-    different matrices that share a wavefront step touch disjoint rows,
-    and the stable sort keeps each matrix's log order.
+    The QL recurrence runs per matrix, appending to one rotation log for
+    the stack.  The bases of the whole stack are rotated in one
+    `_apply_rotations` pass over their stacked (B * m, m) rows: matrix j's
+    logged rows are offset by j * m, so rotations of different matrices
+    that share a wavefront step touch disjoint rows, and the stable sort
+    keeps each matrix's log order.  The log is typed arrays, not lists:
+    a list would keep every logged value alive as a Python object.
     """
     nb, m, _ = a.shape
     d, e, q = _tridiagonalize(a)
     vals = np.empty((nb, m))
-    logs = []
+    log = (array("q"), array("d"), array("d"), array("q"))
     for j in range(nb):
-        vals[j], rot_i, *rest = _ql_log(d[j], e[j], max_sweeps)
-        logs.append((rot_i + j * m, *rest))
+        dj = d[j].tolist()
+        _tql_rotations(dj, e[j].tolist(), j * m, *log)
+        vals[j] = dj
     zt = np.ascontiguousarray(q.transpose(0, 2, 1)).reshape(nb * m, m)
-    _apply_rotations(zt, *(np.concatenate(col) for col in zip(*logs)))
+    _apply_rotations(zt, *(np.frombuffer(col, dtype=col.typecode) for col in log))
     return vals, zt.reshape(nb, m, m)
 
 
@@ -377,8 +357,7 @@ def _normalize_rows(vals: np.ndarray, rows: np.ndarray):
     return vals, rows
 
 
-def eig_sym(matrix: np.ndarray,
-            max_sweeps: int = QL_MAX_SWEEPS) -> GraphSpectrum:
+def eig_sym(matrix: np.ndarray) -> GraphSpectrum:
     """Deterministic symmetric eigendecomposition (ascending eigenvalues).
 
     `matrix` is (m, m), or a stack (B, m, m) of matrices solved together;
@@ -392,7 +371,7 @@ def eig_sym(matrix: np.ndarray,
     `_tql_rotations`); a zero matrix gets the identity basis.
     Eigenvalues in (-1e-10, 0) are treated as rounding slop of a PSD
     matrix and clamped to zero; more negative values raise, as does
-    failure to converge within `max_sweeps` QL sweeps for any
+    failure to converge within `QL_MAX_SWEEPS` QL sweeps for any
     eigenvalue.
     """
     a = np.asarray(matrix, dtype=np.float64)
@@ -416,7 +395,7 @@ def eig_sym(matrix: np.ndarray,
         # by 2**exp is exact, so the scaled matrix carries the same
         # mantissas.
         scale = np.ldexp(1.0, np.frexp(amax[live])[1])
-        lv, lrows = _householder_ql(stack[live] / scale[:, None, None], max_sweeps)
+        lv, lrows = _householder_ql(stack[live] / scale[:, None, None])
         vals[live], rows[live] = _normalize_rows(lv * scale[:, None], lrows)
     bad = vals < PSD_CLAMP
     if bad.any():

@@ -1,11 +1,11 @@
-"""What importing the package pulls in.
+"""What importing the package pulls in, and what the eigensolver calls.
 
 Each kernel has one implementation: no module of the package imports a
 JIT compiler, so the code that runs is the code that is tested.  And a
 codec run pays for no more than it uses: importing the package and the
 `encode`, `decode` and `info` commands load no scipy, which costs about
 half a second of start-up; the D1 metric and the logistic fit load it
-on first use."""
+on first use.  The eigensolver calls no BLAS or LAPACK kernel."""
 
 import ast
 import json
@@ -42,6 +42,37 @@ def test_modules_found():
 def test_no_numba_import(path):
     imported = _imported(ast.parse(path.read_text(), filename=str(path)))
     assert not {n for n in imported if n.split(".")[0] == "numba"}
+
+
+# The eigensolver's bits must not depend on the machine's BLAS or LAPACK,
+# so the functions that build and solve a Laplacian use only elementwise
+# ops and sums along fixed axes.
+SOLVER_FUNCTIONS = {"laplacian", "_tridiagonalize", "_tql_rotations",
+                    "_apply_rotations", "_householder_ql", "_normalize_rows",
+                    "eig_sym"}
+VENDOR_KERNELS = {"dot", "matmul", "einsum", "tensordot", "linalg"}
+
+
+def _vendor_calls(func: ast.FunctionDef) -> list[str]:
+    found = []
+    for node in ast.walk(func):
+        if isinstance(getattr(node, "op", None), ast.MatMult):
+            found.append(f"@ at line {node.lineno}")
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name in VENDOR_KERNELS:
+            found.append(f"{name} at line {node.lineno}")
+    return found
+
+
+def test_eigensolver_uses_no_blas():
+    path = Path(ggsc.__file__).parent / "spectral.py"
+    funcs = {node.name: node for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.FunctionDef)}
+    assert SOLVER_FUNCTIONS <= funcs.keys()
+    for name in sorted(SOLVER_FUNCTIONS):
+        assert _vendor_calls(funcs[name]) == [], name
+    probe = ast.parse("def f(a):\n    a @= a\n    return a @ np.dot(a, a)\n").body[0]
+    assert len(_vendor_calls(probe)) == 3
 
 
 # Runs in a fresh interpreter: argv[1] is a directory holding scene.ply

@@ -2,6 +2,7 @@
 batch of equal-size leaves), graph Fourier transform."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -183,34 +184,22 @@ class TestEigSym:
 
     @staticmethod
     def _ql_work(m, seed):
-        """Tridiagonal of a prescaled leaf Laplacian plus empty rotation
-        logs, in `_tql_rotations` argument order."""
+        """Tridiagonal of a prescaled leaf Laplacian as lists, plus its
+        tridiagonalizing basis."""
         rng = np.random.default_rng(seed)
         lap = laplacian(build_adjacency(rng.normal(size=(m, 3)), 0.5))
         scale = math.ldexp(1.0, math.frexp(np.abs(lap).max())[1])
         d, e, q = (x[0] for x in _tridiagonalize((lap / scale)[None]))
-        cap = 2 * m * m
-        work = [d, e, np.zeros(cap, dtype=np.int64), np.zeros(cap),
-                np.zeros(cap), np.zeros(cap, dtype=np.int64)]
-        return work, q
-
-    def test_tql_rotations_on_lists_match_arrays(self):
-        """The recurrence runs on Python lists; the logged rotations and
-        eigenvalues must equal those from numpy arrays."""
-        arrays, _ = self._ql_work(23, 12)
-        lists = [a.tolist() for a in arrays]
-        n1 = _tql_rotations(*arrays, 30)
-        n2 = _tql_rotations(*lists, 30)
-        assert n1 == n2 > 0
-        for a, b in zip(arrays, lists):
-            assert a.tolist() == b
+        return d.tolist(), e.tolist(), q
 
     def test_wavefront_matches_sequential_rotations(self):
         """Applying the log one wavefront step at a time gives the same
         bits as tql2's own update, one rotation at a time in log order."""
-        work, q = self._ql_work(29, 13)
-        count = _tql_rotations(*work, 30)
-        rot_i, rot_c, rot_s, rot_t = (w[:count] for w in work[2:])
+        d, e, q = self._ql_work(29, 13)
+        log = (array("q"), array("d"), array("d"), array("q"))
+        assert _tql_rotations(d, e, 0, *log) is None
+        rot_i, rot_c, rot_s, rot_t = (np.array(col) for col in log)
+        assert rot_i.size > 0
         ref = np.ascontiguousarray(q.T)
         for i, c, s in zip(rot_i, rot_c, rot_s):
             h = ref[i + 1].copy()
@@ -220,22 +209,12 @@ class TestEigSym:
         _apply_rotations(got, rot_i, rot_c, rot_s, rot_t)
         assert np.array_equal(got, ref)
 
-    def test_short_rotation_log_is_regrown(self, monkeypatch):
-        """A solve whose rotations overflow the initial log retries with
-        a longer one and gives the same bits."""
-        rng = np.random.default_rng(16)
-        lap = laplacian(build_adjacency(rng.normal(size=(20, 3)), 0.6))
-        want = eig_sym(lap)
-        monkeypatch.setattr(spectral, "_LOG_CAP_PER_M2", 0)
-        got = eig_sym(lap)
-        assert np.array_equal(got.eigenvalues, want.eigenvalues)
-        assert np.array_equal(got.basis, want.basis)
-
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
         rng = np.random.default_rng(14)
         lap = laplacian(build_adjacency(rng.normal(size=(10, 3)), 0.6))
+        monkeypatch.setattr(spectral, "QL_MAX_SWEEPS", 0)
         with pytest.raises(RuntimeError, match="converge"):
-            eig_sym(lap, max_sweeps=0)
+            eig_sym(lap)
 
     def test_tiny_negative_clamped_to_zero(self):
         spec = eig_sym(np.diag([-5e-11, 1.0]))
@@ -354,7 +333,7 @@ class TestGraphSpectra:
         assert sorted(shapes) == sorted([(2, 6, 6), (2, 6, 6), (1, 6, 6), (1, 3, 3)] * 2)
         self._assert_single(pts, leaves, sigmas, want)
 
-    def test_stack_checks_every_matrix(self):
+    def test_stack_checks_every_matrix(self, monkeypatch):
         good = laplacian(build_adjacency(np.random.default_rng(24).normal(size=(4, 3)), 0.7))
         cases = [
             (np.where(np.eye(4, k=1) > 0, 2.0, good), ValueError, "symmetric"),
@@ -364,8 +343,9 @@ class TestGraphSpectra:
         for bad, exc, match in cases:
             with pytest.raises(exc, match=match):
                 eig_sym(np.stack([good, bad, good]))
+        monkeypatch.setattr(spectral, "QL_MAX_SWEEPS", 0)
         with pytest.raises(RuntimeError, match="converge"):
-            eig_sym(np.stack([np.zeros((4, 4)), good]), max_sweeps=0)
+            eig_sym(np.stack([np.zeros((4, 4)), good]))
 
 
 class TestTransform:
