@@ -10,9 +10,14 @@ Encoding pipeline:
 5. per leaf, build the Gaussian-affinity graph and its Laplacian
    eigenbasis, transform each attribute group (SH color as Y/U/V
    channels, opacity, scale, rotation), and keep the lowest
-   ceil(alpha * m) coefficients,
+   ceil(alpha * m) coefficients; leaves of one size m go through these
+   steps together, as one stack,
 6. quantize kept coefficients on one global grid per group and entropy
    code them; geometry travels separately as Morton deltas.
+
+An attribute payload lists the leaf sizes in order of first appearance
+in the partition, each size's leaves in partition order, and each
+leaf's kept levels component-major.
 
 The decoder replays steps 3-5 from the decoded lattice alone, which
 reproduces partitions, graphs and bases bit-for-bit -- no basis data is
@@ -33,9 +38,10 @@ from .gs_core import Box3, GaussianCloud
 from .quantizer import SCALE_MODES, QuantGrid, dequantize, fit_grid, quantize
 
 MAGIC = b"GGSC"
-#: Stream format version.  2: leaf bases from the Householder + QL
-#: eigensolver (1: cyclic Jacobi, whose bases differ in the last bits).
-VERSION = 2
+#: Stream format version.  3: payloads group leaves by size, transforms
+#: sum in index order without BLAS (2: per-leaf order and BLAS products;
+#: 1: cyclic Jacobi bases).
+VERSION = 3
 
 SIGMA_SCOPES = ("global", "leaf")
 
@@ -270,7 +276,7 @@ class EncodeDebug:
     #: decoder must reproduce.
     local_signals: dict[str, np.ndarray]
     #: Group name -> per-leaf list of (m, C) transform coefficients
-    #: before clipping.
+    #: before clipping.  Spectra and coefficients are views of the stacks.
     coefficients: dict[str, list[np.ndarray]]
 
 
@@ -318,28 +324,26 @@ def _box_of(points: np.ndarray) -> Box3:
     return Box3(min=points.min(axis=0), max=points.max(axis=0))
 
 
-def _leaf_spectra(
-    centers: np.ndarray,
-    part: partition.Partition,
-    params: CodecParams,
-    threads: int,
-) -> list[spectral.GraphSpectrum]:
-    if params.sigma_scope == "global":
-        sigmas = [spectral.sigma_from_box(_box_of(centers))] * len(part.leaves)
-    else:
-        sigmas = [
-            spectral.sigma_from_box(_box_of(centers[leaf])) for leaf in part.leaves
-        ]
-    return spectral.graph_spectra(centers, part.leaves, sigmas, threads=threads)
+def _leaf_spectra(centers: np.ndarray, part: partition.Partition, params: CodecParams,
+                  threads: int) -> list[tuple[np.ndarray, spectral.GraphSpectrum]]:
+    shared = params.sigma_scope == "global"
+    sigma = spectral.sigma_from_box(_box_of(centers)) if shared else None
+    return spectral.graph_spectra(centers, part.leaves, sigma, threads=threads)
 
 
-def _kept_counts(params: CodecParams, part: partition.Partition) -> dict[str, list[int]]:
-    """Group name -> coefficients kept per leaf, in leaf order."""
-    return {
-        name: [spectral.clip_count(params.alpha_for(name), len(leaf))
-               for leaf in part.leaves]
-        for name in GROUP_NAMES
-    }
+def _leaf_rows(part: partition.Partition, chunks) -> list[tuple[int, int]]:
+    """(chunk, row) of every leaf in partition order, for the debug views.
+
+    Leaves are disjoint, so a leaf's row is found by its first point.
+    """
+    at = {int(rows[b, 0]): (i, b) for i, (rows, _) in enumerate(chunks)
+          for b in range(len(rows))}
+    return [at[int(leaf[0])] for leaf in part.leaves]
+
+
+def _spectrum_views(chunks, where) -> list[spectral.GraphSpectrum]:
+    return [spectral.GraphSpectrum(chunks[i][1].eigenvalues[b], chunks[i][1].basis[b])
+            for i, b in where]
 
 
 def _attribute_signals(cloud: GaussianCloud) -> dict[str, np.ndarray]:
@@ -381,35 +385,26 @@ def encode(
 
     recon_centers = dequantize(lattice, geom_grid)
     part = partition.kdtree_split(recon_centers, params.max_leaf)
-    spectra = _leaf_spectra(recon_centers, part, params, threads)
+    chunks = _leaf_spectra(recon_centers, part, params, threads)
     signals = _attribute_signals(ordered)
-    counts = _kept_counts(params, part)
-
-    kept: dict[str, list[np.ndarray]] = {name: [] for name in GROUP_NAMES}
-    coeffs_dbg: dict[str, list[np.ndarray]] = {name: [] for name in GROUP_NAMES}
-    for j, (leaf, spec) in enumerate(zip(part.leaves, spectra)):
-        for name in GROUP_NAMES:
-            coeffs = spectral.gft(spec, signals[name][leaf])
-            kept[name].append(coeffs[: counts[name][j]])
-            if collect_debug:
-                coeffs_dbg[name].append(coeffs)
 
     attr_grids: dict[str, QuantGrid] = {}
     payloads: dict[str, bytes] = {}
-    levels_by_group: dict[str, np.ndarray] = {}
+    symbols_by_group: dict[str, np.ndarray] = {}
+    coeffs_dbg: dict[str, list[np.ndarray]] = {}
+    where = _leaf_rows(part, chunks) if collect_debug else []
     for name, comps in ATTRIBUTE_GROUPS:
-        blocks = np.concatenate(kept[name], axis=0)
-        grid = fit_grid(blocks, params.q_for(name), params.scale_mode)
-        attr_grids[name] = grid
-        # quantize is elementwise: one call on all leaves, split per leaf.
-        levels = quantize(blocks, grid)
-        levels_by_group[name] = levels
-        symbols = np.concatenate(
-            [lv.T.ravel() for lv in np.split(levels, np.cumsum(counts[name])[:-1])]
-        )
+        coeffs = [spectral.gft(spec, signals[name][rows]) for rows, spec in chunks]
+        alpha = params.alpha_for(name)
+        kept = [c[:, : spectral.clip_count(alpha, c.shape[1])] for c in coeffs]
+        samples = np.concatenate([k.reshape(-1, comps) for k in kept])
+        grid = attr_grids[name] = fit_grid(samples, params.q_for(name), params.scale_mode)
+        symbols = symbols_by_group[name] = np.concatenate(
+            [quantize(k, grid).transpose(0, 2, 1).ravel() for k in kept])
         payloads[name] = entropy.aac_encode(
             entropy.SymbolStream(1 << params.q_for(name), symbols)
         )
+        coeffs_dbg[name] = [coeffs[i][b] for i, b in where]
 
     geometry = geom_codec.QuantizedGeometry(q=params.q_geo, points=lattice)
     if geometry_command:
@@ -433,11 +428,11 @@ def encode(
     if not collect_debug:
         return stream
 
-    local = _reconstruct_signals(stream, part, spectra, counts, levels_by_group)
+    local = _reconstruct_signals(stream, chunks, symbols_by_group)
     debug = EncodeDebug(
         permutation=perm,
         part=part,
-        spectra=spectra,
+        spectra=_spectrum_views(chunks, where),
         recon_centers=recon_centers,
         local_signals=local,
         coefficients=coeffs_dbg,
@@ -447,30 +442,27 @@ def encode(
 
 def _reconstruct_signals(
     stream: CodedStream,
-    part: partition.Partition,
-    spectra: list[spectral.GraphSpectrum],
-    counts: dict[str, list[int]],
-    levels_by_group: dict[str, np.ndarray],
+    chunks: list[tuple[np.ndarray, spectral.GraphSpectrum]],
+    symbols_by_group: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
-    """Shared inverse path: dequantize, zero-pad, inverse transform.
-
-    `levels_by_group` holds each group's kept levels of every leaf,
-    stacked in leaf order, `counts` their rows per leaf.  Used verbatim
-    by the decoder and by the encoder's local decode, so both sides
-    produce bit-identical attribute signals by construction.
+    """Shared inverse path from each group's payload symbols: dequantize,
+    zero-pad, inverse transform, one chunk at a time.  Used verbatim by the
+    decoder and by the encoder's local decode, so both sides produce
+    bit-identical attribute signals by construction.
     """
-    n = stream.gs_count
     out: dict[str, np.ndarray] = {}
     for name, comps in ATTRIBUTE_GROUPS:
-        # dequantize is elementwise: one call on all leaves, split per leaf.
-        values = dequantize(levels_by_group[name], stream.attr_grids[name])
-        sig = np.empty((n, comps))
-        for leaf, spec, kept in zip(
-            part.leaves, spectra, np.split(values, np.cumsum(counts[name])[:-1])
-        ):
-            padded = np.zeros((len(leaf), comps))
-            padded[: kept.shape[0]] = kept
-            sig[leaf] = spectral.igft(spec, padded)
+        symbols = symbols_by_group[name]
+        sig = np.empty((stream.gs_count, comps))
+        pos = 0
+        for rows, spec in chunks:
+            nb, m = rows.shape
+            k = spectral.clip_count(stream.params.alpha_for(name), m)
+            levels = symbols[pos : pos + nb * comps * k].reshape(nb, comps, k)
+            pos += levels.size
+            padded = np.zeros((nb, m, comps))
+            padded[:, :k] = dequantize(levels.transpose(0, 2, 1), stream.attr_grids[name])
+            sig[rows] = spectral.igft(spec, padded)
         out[name] = sig
     return out
 
@@ -521,25 +513,23 @@ def decode(
         recon_centers = dequantize(geometry.points, stream.geom_grid)
         _check_finite("centers", recon_centers)
         part = partition.kdtree_split(recon_centers, params.max_leaf)
-        spectra = _leaf_spectra(recon_centers, part, params, threads)
-        counts = _kept_counts(params, part)
+        chunks = _leaf_spectra(recon_centers, part, params, threads)
 
-        levels_by_group: dict[str, np.ndarray] = {}
+        symbols_by_group: dict[str, np.ndarray] = {}
         for name, comps in ATTRIBUTE_GROUPS:
-            ks = counts[name]
+            alpha = params.alpha_for(name)
+            count = comps * sum(
+                rows.shape[0] * spectral.clip_count(alpha, rows.shape[1])
+                for rows, _ in chunks
+            )
             try:
-                decoded = entropy.aac_decode(
-                    stream.attribute_payloads[name], 1 << params.q_for(name),
-                    comps * sum(ks),
-                )
+                symbols_by_group[name] = entropy.aac_decode(
+                    stream.attribute_payloads[name], 1 << params.q_for(name), count
+                ).symbols
             except CorruptPayloadError as exc:
                 raise CorruptPayloadError(f"{name}: {exc}") from exc
-            blocks = np.split(decoded.symbols, comps * np.cumsum(ks)[:-1])
-            levels_by_group[name] = np.concatenate(
-                [block.reshape(comps, k).T for block, k in zip(blocks, ks)]
-            )
 
-        signals = _reconstruct_signals(stream, part, spectra, counts, levels_by_group)
+        signals = _reconstruct_signals(stream, chunks, symbols_by_group)
 
         yuv = np.stack([signals["sh_y"], signals["sh_u"], signals["sh_v"]], axis=2)
         rgb = colorspace.sh_yuv_to_rgb(colorspace.ShTriple(coeffs=yuv, space="yuv"))
@@ -558,7 +548,7 @@ def decode(
         return cloud
     debug = DecodeDebug(
         part=part,
-        spectra=spectra,
+        spectra=_spectrum_views(chunks, _leaf_rows(part, chunks)),
         recon_centers=recon_centers,
         signals=signals,
     )

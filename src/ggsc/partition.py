@@ -103,10 +103,6 @@ class Partition:
     """KD-tree leaves, left to right; each leaf is an index array."""
 
     leaves: list[np.ndarray] = field(default_factory=list)
-    total: int = 0
-
-    def sizes(self) -> list[int]:
-        return [len(leaf) for leaf in self.leaves]
 
 
 def kdtree_split(centers: np.ndarray, max_leaf: int = 200) -> Partition:
@@ -151,4 +147,4 @@ def kdtree_split(centers: np.ndarray, max_leaf: int = 200) -> Partition:
         left[ties] = True
         stack.append(idx[~left])
         stack.append(idx[left])
-    return Partition(leaves=leaves, total=n)
+    return Partition(leaves=leaves)

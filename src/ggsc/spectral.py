@@ -11,14 +11,14 @@ eigenvalue, form the transform basis.  Low eigenvalues correspond to
 smooth signals over the leaf, which is what makes truncating the tail
 coefficients a useful lossy step.
 
-The eigendecomposition is self-contained rather than a LAPACK call: the
-decoder must rebuild bit-identical bases from the same reconstructed
-centers, so the solver depends on no vendor eigensolver or BLAS kernel.
-Determinism is part of the format.  Two steps around the solver still
-depend on the machine, so bases and decoded values are bit-identical
-only between machines that agree on them: `build_adjacency`'s `np.exp`
-is a SIMD kernel numpy picks per CPU (on an AVX-512 host 46,150 of 10^6
-results differ from libm's exp), and `gft` / `igft` are BLAS products.
+The eigendecomposition and the transforms are self-contained rather than
+LAPACK or BLAS calls: the decoder must rebuild bit-identical bases and
+signals from the same reconstructed centers, so neither depends on a
+vendor kernel.  Determinism is part of the format.  One step still
+depends on the machine, so bases and decoded values are bit-identical
+only between machines that agree on it: `build_adjacency`'s `np.exp` is
+a SIMD kernel numpy picks per CPU (on an AVX-512 host 46,150 of 10^6
+results differ from libm's exp).
 The solver is Householder tridiagonalization followed by implicit QL
 (tql2):
 
@@ -80,9 +80,6 @@ class GraphSpectrum:
 
     eigenvalues: np.ndarray
     basis: np.ndarray
-
-    def __len__(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def sigma_from_box(box: Box3) -> float:
@@ -403,9 +400,6 @@ def eig_sym(matrix: np.ndarray) -> GraphSpectrum:
             f"matrix is not positive semidefinite (eigenvalue {vals[bad][0]:g})"
         )
     vals[vals < 0.0] = 0.0
-    # The basis is the transpose of the row stack: column-major.  The
-    # transforms' BLAS products round differently per memory layout, and
-    # the streams were recorded with this one.
     basis = rows.transpose(0, 2, 1)
     if a.ndim == 2:
         return GraphSpectrum(eigenvalues=vals[0], basis=basis[0])
@@ -417,64 +411,82 @@ def graph_spectrum(centers: np.ndarray, sigma: float) -> GraphSpectrum:
     return eig_sym(laplacian(build_adjacency(centers, sigma)))
 
 
-def graph_spectra(centers: np.ndarray, leaves, sigmas,
-                  threads: int = 1) -> list[GraphSpectrum]:
-    """Spectra of many leaves, in leaf order.
+def graph_spectra(centers: np.ndarray, leaves, sigma: float | None,
+                  threads: int = 1) -> list[tuple[np.ndarray, GraphSpectrum]]:
+    """Spectra of many leaves, one (rows, spectrum) stack per chunk.
 
-    `leaves` index rows of `centers`; `sigmas` holds one kernel bandwidth
-    per leaf.  Leaves of one size are solved together by `eig_sym`, in
-    chunks of at most `BATCH_ENTRIES` matrix entries, and `threads`
-    workers share the chunks.  Every spectrum is bit-identical to
-    `graph_spectrum(centers[leaf], sigma)`, whatever its batch, chunk or
-    thread count.
+    `leaves` index rows of `centers`; `sigma` is every leaf's kernel
+    bandwidth, or None for each leaf's own `sigma_from_box`.  Leaves of
+    one size are solved together by `eig_sym`, in chunks of at most
+    `BATCH_ENTRIES` matrix entries shared by `threads` workers.  A chunk's
+    rows (B, m) are its leaves; sizes come in order of first appearance,
+    the leaves of one size in their order.  Every spectrum is
+    bit-identical to `graph_spectrum(centers[leaf], sigma)`, whatever its
+    batch, chunk or thread count.
     """
-    by_size: dict[int, list[int]] = {}
-    for j, leaf in enumerate(leaves):
-        by_size.setdefault(len(leaf), []).append(j)
+    by_size: dict[int, list[np.ndarray]] = {}
+    for leaf in leaves:
+        by_size.setdefault(len(leaf), []).append(leaf)
     chunks = []
     for m, group in by_size.items():
         per = max(1, BATCH_ENTRIES // (m * m))
-        chunks += [group[i:i + per] for i in range(0, len(group), per)]
+        chunks += [np.stack(group[i:i + per]) for i in range(0, len(group), per)]
 
-    def solve(chunk):
-        return eig_sym(np.stack([
-            laplacian(build_adjacency(centers[leaves[j]], sigmas[j])) for j in chunk
-        ]))
+    def leaf_laplacian(pts):
+        s = sigma if sigma is not None else sigma_from_box(
+            Box3(min=pts.min(axis=0), max=pts.max(axis=0)))
+        return laplacian(build_adjacency(pts, s))
+
+    def solve(rows):
+        return rows, eig_sym(np.stack([leaf_laplacian(pts) for pts in centers[rows]]))
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve, chunks))
-    else:
-        solved = [solve(chunk) for chunk in chunks]
-    out: list[GraphSpectrum] = [None] * len(leaves)
-    for chunk, spec in zip(chunks, solved):
-        for b, j in enumerate(chunk):
-            out[j] = GraphSpectrum(eigenvalues=spec.eigenvalues[b].copy(),
-                                   basis=spec.basis[b].copy(order="F"))
+            return list(pool.map(solve, chunks))
+    return [solve(rows) for rows in chunks]
+
+
+def _operands(spectrum: GraphSpectrum, values, what: str):
+    """(B, m, m) basis, (B, m, k) values and the result shape of a
+    transform of one spectrum, or of a stack of B, on `values` shaped
+    (m,) or (m, k), or (B, m) or (B, m, k)."""
+    basis = spectrum.basis
+    m = basis.shape[-1]
+    v = np.asarray(values, dtype=np.float64)
+    if v.shape[:basis.ndim - 1] != basis.shape[:-2] + (m,) or v.ndim > basis.ndim:
+        raise ValueError(f"{what} shape {v.shape} does not fit graph spectra {basis.shape}")
+    return basis.reshape(-1, m, m), v.reshape(basis.size // (m * m), m, -1), v.shape
+
+
+def _sum_products(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """out[b, j, c] = sum over i of a[b, i, j] * x[b, i, c], added in
+    order of i: each channel's products go to a C-ordered temporary whose
+    middle axis numpy sums one row at a time, so the rounding depends on
+    neither the layout of `a` nor B."""
+    nb, m, k = x.shape
+    out = np.empty((nb, m, k))
+    prod = np.empty((nb, m, m))
+    for c in range(k):
+        np.multiply(a, x[:, :, c, None], out=prod)
+        out[:, :, c] = prod.sum(axis=1)
     return out
 
 
 def gft(spectrum: GraphSpectrum, signal: np.ndarray) -> np.ndarray:
     """Forward transform: coefficients C = A^T f (A orthonormal columns).
 
-    `signal` is (m,) or (m, k) for k channels transformed together.
+    `signal` is (m,) or (m, k) for k channels transformed together; for a
+    stack of B spectra it is (B, m) or (B, m, k), and row b comes out
+    bit-identical to a transform by basis b alone.
     """
-    f = np.asarray(signal, dtype=np.float64)
-    if f.shape[0] != len(spectrum):
-        raise ValueError(
-            f"signal length {f.shape[0]} != graph size {len(spectrum)}"
-        )
-    return spectrum.basis.T @ f
+    basis, f, shape = _operands(spectrum, signal, "signal")
+    return _sum_products(basis, f).reshape(shape)
 
 
 def igft(spectrum: GraphSpectrum, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse transform: f = A C; accepts (m,) or (m, k) coefficients."""
-    c = np.asarray(coeffs, dtype=np.float64)
-    if c.shape[0] != len(spectrum):
-        raise ValueError(
-            f"coefficient length {c.shape[0]} != graph size {len(spectrum)}"
-        )
-    return spectrum.basis @ c
+    """Inverse transform: f = A C; takes the shapes `gft` takes."""
+    basis, c, shape = _operands(spectrum, coeffs, "coefficients")
+    return _sum_products(basis.transpose(0, 2, 1), c).reshape(shape)
 
 
 def clip_count(alpha: float, m: int) -> int:

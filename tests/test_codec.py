@@ -13,6 +13,7 @@ from ggsc.codec import (
     GROUP_NAMES,
     CodecError,
     CodecParams,
+    VERSION,
     CodedStream,
     bitrate_breakdown,
     canonical_order,
@@ -88,10 +89,12 @@ class TestContainer:
             CodedStream.from_bytes(bytes(blob))
 
     def test_version_enforced(self):
+        """Streams of another format, the previous one included, are refused."""
         blob = bytearray(self._stream().to_bytes())
-        blob[4:6] = (999).to_bytes(2, "little")
-        with pytest.raises(CodecError, match="version"):
-            CodedStream.from_bytes(bytes(blob))
+        for version in (999, VERSION - 1):
+            blob[4:6] = version.to_bytes(2, "little")
+            with pytest.raises(CodecError, match="version"):
+                CodedStream.from_bytes(bytes(blob))
 
     def test_truncations_raise(self):
         blob = self._stream().to_bytes()
@@ -280,17 +283,21 @@ class TestMirrorDeterminism:
 class TestSymbolLayout:
     def test_payload_symbols_are_leaf_major_component_major(self):
         """Rebuild one attribute payload's symbol stream by hand from the
-        debug internals: per leaf, quantized kept coefficients are emitted
-        column by column (component-major), leaves in partition order."""
+        debug internals: leaf sizes in order of first appearance, each
+        size's leaves in partition order, and per leaf its quantized kept
+        coefficients column by column (component-major)."""
         cloud = make_cloud(90, seed=14)
         params = CodecParams(max_leaf=16, alpha_scale=0.5)
         stream, edbg = encode(cloud, params, collect_debug=True)
+        sizes = [len(leaf) for leaf in edbg.part.leaves]
+        order = sorted(range(len(sizes)), key=lambda j: sizes.index(sizes[j]))
+        assert order != sorted(order)  # the sizes interleave
 
         expected = []
         grid = stream.attr_grids["scale"]
-        for leaf, coeffs in zip(edbg.part.leaves, edbg.coefficients["scale"]):
-            k = spectral.clip_count(params.alpha_scale, len(leaf))
-            levels = quantize(coeffs[:k], grid)
+        for j in order:
+            k = spectral.clip_count(params.alpha_scale, sizes[j])
+            levels = quantize(edbg.coefficients["scale"][j][:k], grid)
             expected.append(levels.T.ravel())
         expected = np.concatenate(expected)
         decoded = aac_decode(stream.attribute_payloads["scale"],

@@ -5,7 +5,8 @@ JIT compiler, so the code that runs is the code that is tested.  And a
 codec run pays for no more than it uses: importing the package and the
 `encode`, `decode` and `info` commands load no scipy, which costs about
 half a second of start-up; the D1 metric and the logistic fit load it
-on first use.  The eigensolver calls no BLAS or LAPACK kernel."""
+on first use.  The eigensolver and the graph Fourier transforms call no
+BLAS or LAPACK kernel."""
 
 import ast
 import json
@@ -44,12 +45,13 @@ def test_no_numba_import(path):
     assert not {n for n in imported if n.split(".")[0] == "numba"}
 
 
-# The eigensolver's bits must not depend on the machine's BLAS or LAPACK,
-# so the functions that build and solve a Laplacian use only elementwise
-# ops and sums along fixed axes.
+# The bases' and the transforms' bits must not depend on the machine's
+# BLAS or LAPACK, so the functions that build and solve a Laplacian and
+# that transform a signal use only elementwise ops and sums along fixed
+# axes.
 SOLVER_FUNCTIONS = {"laplacian", "_tridiagonalize", "_tql_rotations",
                     "_apply_rotations", "_householder_ql", "_normalize_rows",
-                    "eig_sym"}
+                    "eig_sym", "gft", "igft", "_operands", "_sum_products"}
 VENDOR_KERNELS = {"dot", "matmul", "einsum", "tensordot", "linalg"}
 
 

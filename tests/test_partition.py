@@ -116,11 +116,12 @@ class TestKdtreeSplit:
         pts = rng.normal(size=(1000, 3))
         part = kdtree_split(pts, 200)
         assert isinstance(part, Partition)
-        assert part.total == 1000
-        assert all(s <= 200 for s in part.sizes())
+        sizes = [len(leaf) for leaf in part.leaves]
+        assert sum(sizes) == 1000
+        assert all(s <= 200 for s in sizes)
         # lower-median splits keep sibling sizes within one of each other,
         # so every leaf of this tree has size 125
-        assert part.sizes() == [125] * 8
+        assert sizes == [125] * 8
 
     def test_all_indices_exactly_once(self):
         rng = np.random.default_rng(9)
@@ -215,10 +216,9 @@ def test_kdtree_invariants(seed, n, max_leaf):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, 3))
     part = kdtree_split(pts, max_leaf)
-    assert part.total == n
     assert all(1 <= len(leaf) <= max_leaf for leaf in part.leaves)
     assert sorted(np.concatenate(part.leaves)) == list(range(n))
     # sibling balance: no leaf smaller than half the cap unless the whole
     # tree is one leaf (lower-median splitting cannot produce one)
     if len(part.leaves) > 1:
-        assert min(part.sizes()) >= max(1, max_leaf // 2)
+        assert min(len(leaf) for leaf in part.leaves) >= max(1, max_leaf // 2)

@@ -251,17 +251,23 @@ class TestEigSym:
 
 class TestGraphSpectra:
     """Leaves solved together must come out bit-identical to one
-    `eig_sym` per leaf, in the same memory layout (the transforms' BLAS
-    products depend on it)."""
+    `eig_sym` per leaf, in stacks of equal-size leaves: sizes in order of
+    first appearance, each size's leaves in the given order."""
 
     @staticmethod
-    def _assert_single(centers, leaves, sigmas, got):
-        assert len(got) == len(leaves)
-        for leaf, sigma, spec in zip(leaves, sigmas, got):
-            want = eig_sym(laplacian(build_adjacency(centers[leaf], sigma)))
-            assert spec.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-            assert spec.basis.tobytes() == want.basis.tobytes()
-            assert spec.basis.strides == want.basis.strides
+    def _assert_single(centers, leaves, sigma, got):
+        sizes = [len(leaf) for leaf in leaves]
+        order = sorted(range(len(leaves)), key=lambda j: sizes.index(sizes[j]))
+        rows = [row for chunk_rows, _ in got for row in chunk_rows]
+        assert [row.tolist() for row in rows] == [leaves[j].tolist() for j in order]
+        for chunk_rows, spec in got:
+            assert spec.basis.shape == (len(chunk_rows), *chunk_rows.shape[1:] * 2)
+            for row, vals, basis in zip(chunk_rows, spec.eigenvalues, spec.basis):
+                pts = centers[row]
+                s = sigma or sigma_from_box(Box3(min=pts.min(axis=0), max=pts.max(axis=0)))
+                want = eig_sym(laplacian(build_adjacency(pts, s)))
+                assert vals.tobytes() == want.eigenvalues.tobytes()
+                assert basis.tobytes() == want.basis.tobytes()
 
     @staticmethod
     def _leaves(sizes):
@@ -269,12 +275,13 @@ class TestGraphSpectra:
         return [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def test_mixed_sizes_match_single_solves(self):
+        """One shared sigma, and each leaf's own bounding-box sigma."""
         sizes = [5, 1, 8, 2, 8, 13, 1, 5, 2, 8]
         rng = np.random.default_rng(20)
         pts = rng.normal(size=(sum(sizes), 3))
-        sigmas = rng.uniform(0.3, 1.2, size=len(sizes)).tolist()
         leaves = self._leaves(sizes)
-        self._assert_single(pts, leaves, sigmas, graph_spectra(pts, leaves, sigmas))
+        for sigma in (0.7, None):
+            self._assert_single(pts, leaves, sigma, graph_spectra(pts, leaves, sigma))
 
     def test_zero_matrix_leaf(self):
         """Points 100 apart at sigma 1 have no nonzero weight: that leaf's
@@ -283,10 +290,11 @@ class TestGraphSpectra:
         pts = rng.normal(size=(12, 3))
         pts[4:8] = np.arange(4)[:, None] * 100.0
         leaves = self._leaves([4, 4, 4])
-        got = graph_spectra(pts, leaves, [1.0] * 3)
-        np.testing.assert_array_equal(got[1].basis, np.eye(4))
-        np.testing.assert_array_equal(got[1].eigenvalues, np.zeros(4))
-        self._assert_single(pts, leaves, [1.0] * 3, got)
+        [(rows, spec)] = got = graph_spectra(pts, leaves, 1.0)
+        np.testing.assert_array_equal(rows[1], leaves[1])
+        np.testing.assert_array_equal(spec.basis[1], np.eye(4))
+        np.testing.assert_array_equal(spec.eigenvalues[1], np.zeros(4))
+        self._assert_single(pts, leaves, 1.0, got)
 
     def test_partial_reflector_skip(self):
         """Leaves whose first point is isolated skip the first Householder
@@ -304,8 +312,7 @@ class TestGraphSpectra:
             alone = _tridiagonalize(laps[j:j + 1].copy())
             for got, want in zip(batched, alone):
                 assert got[j].tobytes() == want[0].tobytes()
-        self._assert_single(pts, leaves, [0.8] * count,
-                            graph_spectra(pts, leaves, [0.8] * count))
+        self._assert_single(pts, leaves, 0.8, graph_spectra(pts, leaves, 0.8))
 
     def test_size_group_split_into_chunks(self, monkeypatch):
         """With the chunk limit lowered to two 6x6 matrices, five leaves of
@@ -314,8 +321,7 @@ class TestGraphSpectra:
         rng = np.random.default_rng(23)
         pts = rng.normal(size=(33, 3))
         leaves = self._leaves([6, 6, 3, 6, 6, 6])
-        sigmas = [0.7] * 6
-        want = graph_spectra(pts, leaves, sigmas)
+        want = graph_spectra(pts, leaves, 0.7)
         shapes = []
         solve = spectral.eig_sym
 
@@ -326,12 +332,11 @@ class TestGraphSpectra:
         monkeypatch.setattr(spectral, "BATCH_ENTRIES", 2 * 36 + 35)
         monkeypatch.setattr(spectral, "eig_sym", spy)
         for threads in (1, 3):
-            got = graph_spectra(pts, leaves, sigmas, threads=threads)
-            for g, w in zip(got, want):
-                assert g.eigenvalues.tobytes() == w.eigenvalues.tobytes()
-                assert g.basis.tobytes() == w.basis.tobytes()
+            got = graph_spectra(pts, leaves, 0.7, threads=threads)
+            assert [rows.shape for rows, _ in got] == [(2, 6), (2, 6), (1, 6), (1, 3)]
+            self._assert_single(pts, leaves, 0.7, got)
         assert sorted(shapes) == sorted([(2, 6, 6), (2, 6, 6), (1, 6, 6), (1, 3, 3)] * 2)
-        self._assert_single(pts, leaves, sigmas, want)
+        self._assert_single(pts, leaves, 0.7, want)
 
     def test_stack_checks_every_matrix(self, monkeypatch):
         good = laplacian(build_adjacency(np.random.default_rng(24).normal(size=(4, 3)), 0.7))
@@ -366,10 +371,52 @@ class TestTransform:
         assert back.shape == (16, 5)
         np.testing.assert_allclose(back, f, atol=1e-12)
 
-    def test_forward_matches_matmul_oracle(self):
+    def test_forward_matches_sequential_sum_reference(self):
+        """Coefficient j is the sum over p of A[p, j] * f[p], added in order
+        of p, on either memory layout of the basis; BLAS agrees to
+        rounding."""
         spec, rng = self._spectrum(20, 14)
         f = rng.normal(size=(20, 2))
-        np.testing.assert_array_equal(gft(spec, f), spec.basis.T @ f)
+        want = np.empty((20, 2))
+        a = spec.basis.tolist()
+        for j in range(20):
+            for c in range(2):
+                acc = a[0][j] * f[0, c]
+                for p in range(1, 20):
+                    acc += a[p][j] * f[p, c]
+                want[j, c] = acc
+        for basis in (spec.basis, np.ascontiguousarray(spec.basis)):
+            got = gft(GraphSpectrum(spec.eigenvalues, basis), f)
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(gft(spec, f), spec.basis.T @ f, rtol=0, atol=1e-13)
+
+    def test_inverse_matches_sequential_sum_reference(self):
+        spec, rng = self._spectrum(12, 18)
+        c = rng.normal(size=12)
+        a = spec.basis.tolist()
+        want = []
+        for p in range(12):
+            acc = a[p][0] * c[0]
+            for j in range(1, 12):
+                acc += a[p][j] * c[j]
+            want.append(acc)
+        assert igft(spec, c).tolist() == want
+        np.testing.assert_allclose(igft(spec, c), spec.basis @ c, rtol=0, atol=1e-13)
+
+    def test_stack_matches_per_leaf_calls(self):
+        """A stack's rows transform bit-identically to one call per leaf."""
+        rng = np.random.default_rng(19)
+        pts = rng.normal(size=(40, 3))
+        leaves = [np.arange(i, i + 10) for i in range(0, 40, 10)]
+        [(rows, spec)] = graph_spectra(pts, leaves, 0.7)
+        for shape in ((4, 10), (4, 10, 3)):
+            x = rng.normal(size=shape)
+            fwd, inv = gft(spec, x), igft(spec, x)
+            assert fwd.shape == inv.shape == shape
+            for b in range(4):
+                leaf = GraphSpectrum(spec.eigenvalues[b], spec.basis[b])
+                assert fwd[b].tobytes() == gft(leaf, x[b]).tobytes()
+                assert inv[b].tobytes() == igft(leaf, x[b]).tobytes()
 
     def test_energy_preserved(self):
         spec, rng = self._spectrum(32, 15)
@@ -391,6 +438,13 @@ class TestTransform:
             gft(spec, np.zeros(9))
         with pytest.raises(ValueError):
             igft(spec, np.zeros(7))
+        stack = GraphSpectrum(np.zeros((3, 8)), np.tile(spec.basis, (3, 1, 1)))
+        assert gft(stack, np.zeros((3, 8, 2))).shape == (3, 8, 2)
+        for bad in ((3, 9), (3, 7, 2), (2, 8), (4, 8, 2), (8,), (3, 8, 2, 1)):
+            with pytest.raises(ValueError):
+                gft(stack, np.zeros(bad))
+            with pytest.raises(ValueError):
+                igft(stack, np.zeros(bad))
 
 
 class TestClipCount:
@@ -443,7 +497,7 @@ def test_spectrum_property(seed, n):
     pts = rng.normal(size=(n, 3))
     spec = graph_spectrum(pts, 0.9)
     assert isinstance(spec, GraphSpectrum)
-    assert len(spec) == n
+    assert spec.eigenvalues.shape == (n,)
     assert (spec.eigenvalues >= 0.0).all()
     assert (np.diff(spec.eigenvalues) >= 0.0).all()
     gram = spec.basis.T @ spec.basis
