@@ -28,7 +28,6 @@ from .codec import (
     CodedStream,
     GEOM_EXTERNAL,
     GROUP_NAMES,
-    SIGMA_SCOPES,
     VERSION,
     bitrate_breakdown,
     canonical_order,
@@ -36,7 +35,6 @@ from .codec import (
     encode,
 )
 from .gs_core import load_ply, save_ply
-from .quantizer import SCALE_MODES
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -51,8 +49,6 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
         group.add_argument(f"--q-{flag}", type=int, default=None, metavar="BITS")
         group.add_argument(f"--alpha-{flag}", type=float, default=None, metavar="A")
     group.add_argument("--max-leaf", type=int, default=None, metavar="N")
-    group.add_argument("--sigma-scope", choices=SIGMA_SCOPES, default=None)
-    group.add_argument("--scale-mode", choices=SCALE_MODES, default=None)
 
 
 def _params_from_args(args: argparse.Namespace) -> CodecParams:

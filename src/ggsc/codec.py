@@ -35,15 +35,14 @@ import numpy as np
 from . import colorspace, entropy, geom_codec, partition, spectral
 from .entropy import CorruptPayloadError
 from .gs_core import Box3, GaussianCloud
-from .quantizer import SCALE_MODES, QuantGrid, dequantize, fit_grid, quantize
+from .quantizer import QuantGrid, dequantize, fit_grid, quantize
 
 MAGIC = b"GGSC"
-#: Stream format version.  3: payloads group leaves by size, transforms
-#: sum in index order without BLAS (2: per-leaf order and BLAS products;
-#: 1: cyclic Jacobi bases).
-VERSION = 3
-
-SIGMA_SCOPES = ("global", "leaf")
+#: Stream format version.  4: one flag byte, one scale per grid, colour
+#: conversions sum in index order (3: payloads group leaves by size,
+#: transforms sum in index order without BLAS; 2: per-leaf order and BLAS
+#: products; 1: cyclic Jacobi bases).
+VERSION = 4
 
 #: Attribute groups in payload order: (name, component count).  SH color
 #: is coded per YUV channel, 16 coefficient triples each.
@@ -65,6 +64,11 @@ GEOM_EXTERNAL = 1
 #: may go deeper.
 MAX_Q_ATTR = 16
 MAX_Q_GEO = 31
+#: Largest KD-tree leaf.  A leaf's eigensolve is O(m^3) in time and its
+#: affinity O(m^2) in memory; at m = 512 one solve took 2.7 s and 74 MiB
+#: peak RSS on one core of an Intel Xeon.  The bound keeps a hostile
+#: header from asking for one leaf over every point.
+MAX_LEAF = 512
 
 
 class CodecError(ValueError):
@@ -77,10 +81,7 @@ class CodecParams:
 
     Bit depths `q_*` count quantizer bits (attribute groups 1..16,
     geometry 1..31); `alpha_*` in (0, 1] is the kept fraction of graph
-    spectrum per group; `max_leaf` bounds KD-tree leaf size;
-    `sigma_scope` picks the graph kernel bandwidth source (whole-cloud
-    or per-leaf bounding box); `scale_mode` picks one shared or
-    per-component quantizer scale within a group.
+    spectrum per group; `max_leaf` (1..512) bounds KD-tree leaf size.
     """
 
     q_geo: int = 14
@@ -97,8 +98,6 @@ class CodecParams:
     alpha_scale: float = 1.0
     alpha_rotation: float = 1.0
     max_leaf: int = 200
-    sigma_scope: str = "global"
-    scale_mode: str = "group"
 
     def validate(self) -> None:
         if not isinstance(self.q_geo, int) or not 1 <= self.q_geo <= MAX_Q_GEO:
@@ -110,12 +109,8 @@ class CodecParams:
             alpha = self.alpha_for(name)
             if not 0.0 < alpha <= 1.0:
                 raise ValueError(f"alpha_{name} must lie in (0, 1]")
-        if not isinstance(self.max_leaf, int) or self.max_leaf < 1:
-            raise ValueError("max_leaf must be a positive int")
-        if self.sigma_scope not in SIGMA_SCOPES:
-            raise ValueError(f"sigma_scope must be one of {SIGMA_SCOPES}")
-        if self.scale_mode not in SCALE_MODES:
-            raise ValueError(f"scale_mode must be one of {SCALE_MODES}")
+        if not isinstance(self.max_leaf, int) or not 1 <= self.max_leaf <= MAX_LEAF:
+            raise ValueError(f"max_leaf must be an int in [1, {MAX_LEAF}]")
 
     def q_for(self, group: str) -> int:
         return getattr(self, f"q_{group}")
@@ -155,12 +150,7 @@ class CodedStream:
         out = bytearray()
         out += MAGIC
         out += struct.pack("<H", VERSION)
-        out += struct.pack(
-            "<BBB",
-            SIGMA_SCOPES.index(p.sigma_scope),
-            SCALE_MODES.index(p.scale_mode),
-            self.geom_backend,
-        )
+        out += struct.pack("<B", self.geom_backend)
         out += struct.pack("<IIB", self.gs_count, p.max_leaf, p.q_geo)
         for name in GROUP_NAMES:
             out += struct.pack("<B", p.q_for(name))
@@ -179,9 +169,7 @@ class CodedStream:
         (version,) = cur.unpack("<H")
         if version != VERSION:
             raise CodecError(f"unsupported stream version {version}")
-        scope_i, mode_i, backend = cur.unpack("<BBB")
-        if scope_i >= len(SIGMA_SCOPES) or mode_i >= len(SCALE_MODES):
-            raise CodecError("unknown sigma scope or scale mode flag")
+        (backend,) = cur.unpack("<B")
         if backend not in (GEOM_INTERNAL, GEOM_EXTERNAL):
             raise CodecError(f"unknown geometry backend {backend}")
         gs_count, max_leaf, q_geo = cur.unpack("<IIB")
@@ -191,16 +179,13 @@ class CodedStream:
             params = CodecParams(
                 q_geo=q_geo,
                 max_leaf=max_leaf,
-                sigma_scope=SIGMA_SCOPES[scope_i],
-                scale_mode=SCALE_MODES[mode_i],
                 **{f"q_{n}": qs[n] for n in GROUP_NAMES},
                 **{f"alpha_{n}": alphas[n] for n in GROUP_NAMES},
             )
             params.validate()
-            mode = params.scale_mode
-            geom_grid = _unpack_grid(cur, 3, q_geo, mode)
+            geom_grid = _unpack_grid(cur, 3, q_geo)
             attr_grids = {
-                name: _unpack_grid(cur, comps, qs[name], mode)
+                name: _unpack_grid(cur, comps, qs[name])
                 for name, comps in ATTRIBUTE_GROUPS
             }
         except ValueError as exc:
@@ -246,21 +231,12 @@ class _Cursor:
 
 
 def _pack_grid(grid: QuantGrid) -> bytes:
-    vals = list(grid.mins)
-    if grid.mode == "group":
-        vals.append(float(grid.scales[0]))
-    else:
-        vals.extend(grid.scales)
-    return struct.pack(f"<{len(vals)}d", *vals)
+    return struct.pack(f"<{grid.components + 1}d", *grid.mins, grid.scale)
 
 
-def _unpack_grid(cur: _Cursor, comps: int, q: int, mode: str) -> QuantGrid:
-    mins = np.array(cur.unpack(f"<{comps}d"))
-    if mode == "group":
-        scales = np.full(comps, cur.unpack("<d")[0])
-    else:
-        scales = np.array(cur.unpack(f"<{comps}d"))
-    return QuantGrid(mins=mins, scales=scales, q=q, mode=mode)
+def _unpack_grid(cur: _Cursor, comps: int, q: int) -> QuantGrid:
+    *mins, scale = cur.unpack(f"<{comps + 1}d")
+    return QuantGrid(mins=np.array(mins), scale=scale, q=q)
 
 
 @dataclass
@@ -324,10 +300,9 @@ def _box_of(points: np.ndarray) -> Box3:
     return Box3(min=points.min(axis=0), max=points.max(axis=0))
 
 
-def _leaf_spectra(centers: np.ndarray, part: partition.Partition, params: CodecParams,
+def _leaf_spectra(centers: np.ndarray, part: partition.Partition,
                   threads: int) -> list[tuple[np.ndarray, spectral.GraphSpectrum]]:
-    shared = params.sigma_scope == "global"
-    sigma = spectral.sigma_from_box(_box_of(centers)) if shared else None
+    sigma = spectral.sigma_from_box(_box_of(centers))
     return spectral.graph_spectra(centers, part.leaves, sigma, threads=threads)
 
 
@@ -377,7 +352,7 @@ def encode(
     if threads < 1:
         raise ValueError("threads must be >= 1")
 
-    geom_grid = fit_grid(cloud.centers, params.q_geo, params.scale_mode)
+    geom_grid = fit_grid(cloud.centers, params.q_geo)
     lattice = quantize(cloud.centers, geom_grid)
     perm = partition.morton_order(lattice, params.q_geo)
     lattice = lattice[perm]
@@ -385,7 +360,7 @@ def encode(
 
     recon_centers = dequantize(lattice, geom_grid)
     part = partition.kdtree_split(recon_centers, params.max_leaf)
-    chunks = _leaf_spectra(recon_centers, part, params, threads)
+    chunks = _leaf_spectra(recon_centers, part, threads)
     signals = _attribute_signals(ordered)
 
     attr_grids: dict[str, QuantGrid] = {}
@@ -398,7 +373,7 @@ def encode(
         alpha = params.alpha_for(name)
         kept = [c[:, : spectral.clip_count(alpha, c.shape[1])] for c in coeffs]
         samples = np.concatenate([k.reshape(-1, comps) for k in kept])
-        grid = attr_grids[name] = fit_grid(samples, params.q_for(name), params.scale_mode)
+        grid = attr_grids[name] = fit_grid(samples, params.q_for(name))
         symbols = symbols_by_group[name] = np.concatenate(
             [quantize(k, grid).transpose(0, 2, 1).ravel() for k in kept])
         payloads[name] = entropy.aac_encode(
@@ -513,7 +488,7 @@ def decode(
         recon_centers = dequantize(geometry.points, stream.geom_grid)
         _check_finite("centers", recon_centers)
         part = partition.kdtree_split(recon_centers, params.max_leaf)
-        chunks = _leaf_spectra(recon_centers, part, params, threads)
+        chunks = _leaf_spectra(recon_centers, part, threads)
 
         symbols_by_group: dict[str, np.ndarray] = {}
         for name, comps in ATTRIBUTE_GROUPS:
@@ -562,6 +537,6 @@ def canonical_order(cloud: GaussianCloud, params: CodecParams) -> GaussianCloud:
     metrics compare the decoded cloud against `canonical_order(cloud,
     params)` row by row.
     """
-    grid = fit_grid(cloud.centers, params.q_geo, params.scale_mode)
+    grid = fit_grid(cloud.centers, params.q_geo)
     perm = partition.morton_order(quantize(cloud.centers, grid), params.q_geo)
     return cloud.take(perm)

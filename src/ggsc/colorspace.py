@@ -7,7 +7,10 @@ luma/chroma weights.  The luma channel then concentrates most of the
 signal energy, letting the chroma channels survive coarser quantization.
 
 The conversion is linear and is applied per primitive per coefficient,
-so it commutes with any per-channel linear transform downstream.
+so it commutes with any per-channel linear transform downstream.  It is
+three elementwise products summed in channel order rather than a matrix
+product, which numpy would hand to a BLAS kernel chosen per CPU: the
+decoder's SH must not depend on the machine.
 """
 
 from __future__ import annotations
@@ -92,13 +95,20 @@ def sh_to_flat(triple: ShTriple) -> np.ndarray:
     return flat
 
 
+def _mix(coeffs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """out[..., i] = x0 * M[i, 0] + x1 * M[i, 1] + x2 * M[i, 2], added
+    left to right."""
+    x, m = coeffs, matrix
+    return x[..., 0:1] * m[:, 0] + x[..., 1:2] * m[:, 1] + x[..., 2:3] * m[:, 2]
+
+
 def sh_rgb_to_yuv(triple: ShTriple) -> ShTriple:
     if triple.space != "rgb":
         raise ValueError(f"expected rgb input, got {triple.space!r}")
-    return ShTriple(coeffs=triple.coeffs @ RGB_TO_YUV.T, space="yuv")
+    return ShTriple(coeffs=_mix(triple.coeffs, RGB_TO_YUV), space="yuv")
 
 
 def sh_yuv_to_rgb(triple: ShTriple) -> ShTriple:
     if triple.space != "yuv":
         raise ValueError(f"expected yuv input, got {triple.space!r}")
-    return ShTriple(coeffs=triple.coeffs @ YUV_TO_RGB.T, space="rgb")
+    return ShTriple(coeffs=_mix(triple.coeffs, YUV_TO_RGB), space="rgb")

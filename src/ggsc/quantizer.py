@@ -5,12 +5,11 @@ per-component minimum:
 
     b = floor((a - a_min) * (2^q - 1) / s + 1/2)
 
-The scale `s` is shared by every component of a group ("group" mode, the
-default -- it keeps one grid per attribute and makes the index stream
-friendlier to the entropy coder) or chosen per component ("component"
-mode).  A grid is fitted once over all values an attribute contributes
-across every leaf, travels in the stream header, and is the only thing
-the decoder needs to invert the mapping:
+The scale `s` is the widest component range, shared by every component
+of a group: one step per attribute keeps the index stream friendlier to
+the entropy coder.  A grid is fitted once over all values an attribute
+contributes across every leaf, travels in the stream header, and is the
+only thing the decoder needs to invert the mapping:
 
     a_hat = a_min + b * s / (2^q - 1)
 
@@ -19,42 +18,36 @@ so the round-trip error is bounded by half a step, 0.5 * s / (2^q - 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-SCALE_MODES = ("group", "component")
 
 
 @dataclass(frozen=True)
 class QuantGrid:
     """Fitted quantization grid for one attribute group.
 
-    mins:   (C,) per-component minima.
-    scales: (C,) per-component scale; in "group" mode all entries equal
-            the widest component range.
-    q:      bit depth, 1..31.
-    mode:   "group" or "component".
+    mins:  (C,) per-component minima.
+    scale: the widest component range, shared by every component.
+    q:     bit depth, 1..31.
     """
 
     mins: np.ndarray
-    scales: np.ndarray
+    scale: float
     q: int
-    mode: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mins", np.asarray(self.mins, dtype=np.float64))
-        object.__setattr__(self, "scales", np.asarray(self.scales, dtype=np.float64))
-        if self.mins.ndim != 1 or self.mins.shape != self.scales.shape:
-            raise ValueError("mins and scales must be matching 1-D arrays")
-        if not (np.isfinite(self.mins).all() and np.isfinite(self.scales).all()):
+        object.__setattr__(self, "scale", float(self.scale))
+        if self.mins.ndim != 1:
+            raise ValueError("mins must be a 1-D array")
+        if not (np.isfinite(self.mins).all() and math.isfinite(self.scale)):
             raise ValueError("grid parameters must be finite")
-        if np.any(self.scales < 0.0):
-            raise ValueError("scales must be non-negative")
+        if self.scale < 0.0:
+            raise ValueError("scale must be non-negative")
         if not 1 <= self.q <= 31:
             raise ValueError(f"q must be in [1, 31], got {self.q}")
-        if self.mode not in SCALE_MODES:
-            raise ValueError(f"mode must be one of {SCALE_MODES}, got {self.mode!r}")
 
     @property
     def components(self) -> int:
@@ -65,12 +58,12 @@ class QuantGrid:
         return (1 << self.q) - 1
 
     @property
-    def step(self) -> np.ndarray:
-        """Reconstruction spacing per component, s / (2^q - 1)."""
-        return self.scales / self.levels
+    def step(self) -> float:
+        """Reconstruction spacing, s / (2^q - 1)."""
+        return self.scale / self.levels
 
 
-def fit_grid(values: np.ndarray, q: int, mode: str = "group") -> QuantGrid:
+def fit_grid(values: np.ndarray, q: int) -> QuantGrid:
     """Fit a grid over samples shaped (S, C) (or (S,) for C = 1)."""
     vals = _as_samples(values)
     if vals.shape[0] < 1:
@@ -78,30 +71,23 @@ def fit_grid(values: np.ndarray, q: int, mode: str = "group") -> QuantGrid:
     if not np.isfinite(vals).all():
         raise ValueError("samples must be finite")
     mins = vals.min(axis=0)
-    ranges = vals.max(axis=0) - mins
-    if mode == "group":
-        scales = np.full_like(ranges, ranges.max())
-    elif mode == "component":
-        scales = ranges
-    else:
-        raise ValueError(f"mode must be one of {SCALE_MODES}, got {mode!r}")
-    return QuantGrid(mins=mins, scales=scales, q=q, mode=mode)
+    return QuantGrid(mins=mins, scale=(vals.max(axis=0) - mins).max(), q=q)
 
 
 def quantize(values: np.ndarray, grid: QuantGrid) -> np.ndarray:
     """Map values (..., C) to integer levels (int64, same leading shape).
 
-    Constant components (scale 0) map to level 0.  Inputs are expected to
+    A constant group (scale 0) maps to level 0.  Inputs are expected to
     lie inside the fitted range; a half-ulp excursion past either end is
     clamped rather than wrapped.
     """
     vals, squeeze = _align(values, grid)
-    out = np.zeros(vals.shape, dtype=np.int64)
-    live = grid.scales > 0.0
-    if live.any():
-        scaled = (vals[..., live] - grid.mins[live]) * grid.levels
-        out[..., live] = np.floor(scaled / grid.scales[live] + 0.5).astype(np.int64)
-    np.clip(out, 0, grid.levels, out=out)
+    if grid.scale > 0.0:
+        scaled = (vals - grid.mins) * grid.levels
+        out = np.floor(scaled / grid.scale + 0.5).astype(np.int64)
+        np.clip(out, 0, grid.levels, out=out)
+    else:
+        out = np.zeros(vals.shape, dtype=np.int64)
     return out[..., 0] if squeeze else out
 
 
@@ -114,7 +100,7 @@ def dequantize(levels: np.ndarray, grid: QuantGrid) -> np.ndarray:
         lev = lev.astype(np.int64)
     if lev.size and (lev.min() < 0 or lev.max() > grid.levels):
         raise ValueError(f"levels must lie in [0, {grid.levels}]")
-    return grid.mins + lev * grid.scales / grid.levels
+    return grid.mins + lev * grid.scale / grid.levels
 
 
 def _as_samples(values) -> np.ndarray:

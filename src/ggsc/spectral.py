@@ -14,11 +14,13 @@ coefficients a useful lossy step.
 The eigendecomposition and the transforms are self-contained rather than
 LAPACK or BLAS calls: the decoder must rebuild bit-identical bases and
 signals from the same reconstructed centers, so neither depends on a
-vendor kernel.  Determinism is part of the format.  One step still
-depends on the machine, so bases and decoded values are bit-identical
-only between machines that agree on it: `build_adjacency`'s `np.exp` is
+vendor kernel.  Determinism is part of the format.  Two steps of
+`build_adjacency` are still numpy's choice, so bases and decoded values
+are bit-identical only between machines that agree on them: `np.exp` is
 a SIMD kernel numpy picks per CPU (on an AVX-512 host 46,150 of 10^6
-results differ from libm's exp).
+results differ from libm's exp), and `np.einsum` picks its own order for
+the squared distances (whether that varies between machines is
+unverified).
 The solver is Householder tridiagonalization followed by implicit QL
 (tql2):
 
@@ -411,18 +413,17 @@ def graph_spectrum(centers: np.ndarray, sigma: float) -> GraphSpectrum:
     return eig_sym(laplacian(build_adjacency(centers, sigma)))
 
 
-def graph_spectra(centers: np.ndarray, leaves, sigma: float | None,
+def graph_spectra(centers: np.ndarray, leaves, sigma: float,
                   threads: int = 1) -> list[tuple[np.ndarray, GraphSpectrum]]:
     """Spectra of many leaves, one (rows, spectrum) stack per chunk.
 
     `leaves` index rows of `centers`; `sigma` is every leaf's kernel
-    bandwidth, or None for each leaf's own `sigma_from_box`.  Leaves of
-    one size are solved together by `eig_sym`, in chunks of at most
-    `BATCH_ENTRIES` matrix entries shared by `threads` workers.  A chunk's
-    rows (B, m) are its leaves; sizes come in order of first appearance,
-    the leaves of one size in their order.  Every spectrum is
-    bit-identical to `graph_spectrum(centers[leaf], sigma)`, whatever its
-    batch, chunk or thread count.
+    bandwidth.  Leaves of one size are solved together by `eig_sym`, in
+    chunks of at most `BATCH_ENTRIES` matrix entries shared by `threads`
+    workers.  A chunk's rows (B, m) are its leaves; sizes come in order of
+    first appearance, the leaves of one size in their order.  Every
+    spectrum is bit-identical to `graph_spectrum(centers[leaf], sigma)`,
+    whatever its batch, chunk or thread count.
     """
     by_size: dict[int, list[np.ndarray]] = {}
     for leaf in leaves:
@@ -432,13 +433,9 @@ def graph_spectra(centers: np.ndarray, leaves, sigma: float | None,
         per = max(1, BATCH_ENTRIES // (m * m))
         chunks += [np.stack(group[i:i + per]) for i in range(0, len(group), per)]
 
-    def leaf_laplacian(pts):
-        s = sigma if sigma is not None else sigma_from_box(
-            Box3(min=pts.min(axis=0), max=pts.max(axis=0)))
-        return laplacian(build_adjacency(pts, s))
-
     def solve(rows):
-        return rows, eig_sym(np.stack([leaf_laplacian(pts) for pts in centers[rows]]))
+        return rows, eig_sym(np.stack([laplacian(build_adjacency(pts, sigma))
+                                       for pts in centers[rows]]))
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -65,7 +65,7 @@ def criterion(capsys):
 
 def _half_step(stream, name: str) -> float:
     grid = stream.attr_grids[name]
-    return 0.5 * float(np.max(grid.scales)) / (2**grid.q - 1) + 1e-12
+    return 0.5 * grid.scale / (2**grid.q - 1) + 1e-12
 
 
 _FULL_RATE_CLOUD = dict(n=10_000, seed=1)

@@ -61,11 +61,6 @@ class TestUsage:
             main(["encode", "in.ply", "out.ggsc", "--q-geo", "abc"])
         assert ex.value.code == 2
 
-    def test_invalid_sigma_scope_choice(self):
-        with pytest.raises(SystemExit) as ex:
-            main(["encode", "a", "b", "--sigma-scope", "everywhere"])
-        assert ex.value.code == 2
-
 
 class TestEncodeDecode:
     def test_encode_matches_library(self, asset):
@@ -224,11 +219,8 @@ class TestParseAxis:
         assert name == "alpha_scale"
         assert vals == [0.25, 0.5]
 
-    def test_str_axis(self):
-        assert _parse_axis("sigma_scope=global,leaf") == (
-            "sigma_scope", ["global", "leaf"])
-
-    @pytest.mark.parametrize("spec", ["q_geo", "bogus=1", "q_geo=", "=1,2"])
+    @pytest.mark.parametrize("spec", ["q_geo", "bogus=1", "q_geo=", "=1,2",
+                                      "sigma_scope=global"])
     def test_bad_specs(self, spec):
         with pytest.raises(ValueError):
             _parse_axis(spec)

@@ -11,6 +11,7 @@ from ggsc import codec as C
 from ggsc.codec import (
     ATTRIBUTE_GROUPS,
     GROUP_NAMES,
+    MAX_LEAF,
     CodecError,
     CodecParams,
     VERSION,
@@ -41,8 +42,6 @@ class TestCodecParams:
         assert all(p.q_for(n) == 10 for n in GROUP_NAMES)
         assert all(p.alpha_for(n) == 1.0 for n in GROUP_NAMES)
         assert p.max_leaf == 200
-        assert p.sigma_scope == "global"
-        assert p.scale_mode == "group"
 
     @pytest.mark.parametrize("kwargs", [
         dict(q_geo=0), dict(q_geo=32),
@@ -50,7 +49,7 @@ class TestCodecParams:
         dict(q_rotation=17),
         dict(alpha_opacity=0.0), dict(alpha_scale=1.2),
         dict(max_leaf=0),
-        dict(sigma_scope="local"), dict(scale_mode="shared"),
+        dict(max_leaf=MAX_LEAF + 1), dict(max_leaf=2**32 - 1),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -67,7 +66,7 @@ class TestContainer:
         return encode(cloud, CodecParams(max_leaf=40, **kw))
 
     def test_bytes_round_trip(self):
-        stream = self._stream(q_sh_u=7, alpha_scale=0.4, sigma_scope="leaf")
+        stream = self._stream(q_sh_u=7, alpha_scale=0.4)
         blob = stream.to_bytes()
         back = CodedStream.from_bytes(blob)
         assert back.params == stream.params
@@ -78,8 +77,7 @@ class TestContainer:
             assert back.attribute_payloads[name] == stream.attribute_payloads[name]
             got, want = back.attr_grids[name], stream.attr_grids[name]
             np.testing.assert_array_equal(got.mins, want.mins)
-            np.testing.assert_array_equal(got.scales, want.scales)
-            assert (got.q, got.mode) == (want.q, want.mode)
+            assert (got.scale, got.q) == (want.scale, want.q)
         assert back.to_bytes() == blob
 
     def test_magic_enforced(self):
@@ -89,9 +87,9 @@ class TestContainer:
             CodedStream.from_bytes(bytes(blob))
 
     def test_version_enforced(self):
-        """Streams of another format, the previous one included, are refused."""
+        """Streams of another format, every earlier one included, are refused."""
         blob = bytearray(self._stream().to_bytes())
-        for version in (999, VERSION - 1):
+        for version in (*range(1, VERSION), 999):
             blob[4:6] = version.to_bytes(2, "little")
             with pytest.raises(CodecError, match="version"):
                 CodedStream.from_bytes(bytes(blob))
@@ -109,17 +107,22 @@ class TestContainer:
 
     def test_bad_flags_raise(self):
         blob = bytearray(self._stream().to_bytes())
-        blob[6] = 9  # sigma scope selector
-        with pytest.raises(CodecError):
+        blob[6] = 7  # geometry backend tag
+        with pytest.raises(CodecError, match="backend"):
             CodedStream.from_bytes(bytes(blob))
-        blob = bytearray(self._stream().to_bytes())
-        blob[8] = 7  # geometry backend tag
-        with pytest.raises(CodecError):
-            CodedStream.from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("max_leaf", [MAX_LEAF + 1, 2**32 - 1])
+    def test_oversized_leaf_bound_rejected(self, max_leaf):
+        """A header may not ask for leaves past `MAX_LEAF`: one leaf over
+        every point would need an (N, N, 3) affinity temporary."""
+        stream = self._stream()
+        stream.params = replace(stream.params, max_leaf=max_leaf)
+        with pytest.raises(CodecError, match="max_leaf"):
+            CodedStream.from_bytes(stream.to_bytes())
 
     def test_zero_primitive_count_rejected(self):
         blob = bytearray(self._stream().to_bytes())
-        blob[9:13] = (0).to_bytes(4, "little")  # gs_count field
+        blob[7:11] = (0).to_bytes(4, "little")  # gs_count field
         with pytest.raises(CodecError, match="zero"):
             CodedStream.from_bytes(bytes(blob))
 
@@ -137,7 +140,7 @@ class TestContainer:
 
 def _geom_bound(stream):
     grid = stream.geom_grid
-    return 0.5 * grid.scales / grid.levels + 1e-12
+    return 0.5 * grid.scale / grid.levels + 1e-12
 
 
 def _attr_bound(stream, max_leaf_size):
@@ -147,7 +150,7 @@ def _attr_bound(stream, max_leaf_size):
     out = {}
     for name in GROUP_NAMES:
         grid = stream.attr_grids[name]
-        half = 0.5 * float(grid.scales.max()) / grid.levels
+        half = 0.5 * grid.scale / grid.levels
         out[name] = math.sqrt(max_leaf_size) * half + 1e-9
     return out
 
@@ -229,20 +232,6 @@ class TestRoundTrip:
         threaded = encode(cloud, SMALL, threads=4)
         assert serial.to_bytes() == threaded.to_bytes()
         assert decode(serial, threads=4) == decode(serial, threads=1)
-
-    def test_leaf_sigma_scope_round_trips(self):
-        cloud = make_cloud(150, seed=9)
-        params = CodecParams(max_leaf=30, sigma_scope="leaf")
-        out = decode(encode(cloud, params))
-        assert len(out) == 150
-
-    def test_component_scale_mode_round_trips(self):
-        cloud = make_cloud(150, seed=10)
-        params = CodecParams(max_leaf=30, scale_mode="component")
-        stream = encode(cloud, params)
-        back = CodedStream.from_bytes(stream.to_bytes())
-        out = decode(back)
-        assert len(out) == 150
 
     def test_invalid_thread_count(self):
         cloud = make_cloud(5, seed=11)
@@ -381,7 +370,7 @@ class TestCorruptStreams:
         raised without numpy warnings on the way."""
         stream = self._stream()
         grid = stream.geom_grid if group == "geometry" else stream.attr_grids[group]
-        huge = replace(grid, scales=np.full_like(grid.scales, 1e308))
+        huge = replace(grid, scale=1e308)
         if group == "geometry":
             stream.geom_grid = huge
         else:

@@ -108,6 +108,22 @@ class TestConversion:
                     atol=1e-14,
                 )
 
+    @pytest.mark.parametrize("convert, space, matrix", [
+        (sh_rgb_to_yuv, "rgb", RGB_TO_YUV),
+        (sh_yuv_to_rgb, "yuv", YUV_TO_RGB),
+    ], ids=["to_yuv", "to_rgb"])
+    def test_bits_match_sequential_sum(self, convert, space, matrix):
+        """Channel i is x0 * M[i, 0] + x1 * M[i, 1] + x2 * M[i, 2] added
+        left to right, as Python floats add it, so no BLAS kernel picked
+        per CPU decides the decoded colours' last bits."""
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(40, SH_TRIPLES, 3))
+        m = matrix.tolist()
+        want = [[[p[0] * m[i][0] + p[1] * m[i][1] + p[2] * m[i][2] for i in range(3)]
+                 for p in prim] for prim in x.tolist()]
+        got = convert(ShTriple(x, space)).coeffs
+        assert got.tobytes() == np.array(want).tobytes()
+
     def test_space_tags_enforced(self):
         rgb = ShTriple(np.zeros((2, 16, 3)), "rgb")
         yuv = ShTriple(np.zeros((2, 16, 3)), "yuv")

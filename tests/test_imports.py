@@ -5,8 +5,8 @@ JIT compiler, so the code that runs is the code that is tested.  And a
 codec run pays for no more than it uses: importing the package and the
 `encode`, `decode` and `info` commands load no scipy, which costs about
 half a second of start-up; the D1 metric and the logistic fit load it
-on first use.  The eigensolver and the graph Fourier transforms call no
-BLAS or LAPACK kernel."""
+on first use.  The eigensolver, the graph Fourier transforms and the
+colour conversions call no BLAS or LAPACK kernel."""
 
 import ast
 import json
@@ -45,13 +45,16 @@ def test_no_numba_import(path):
     assert not {n for n in imported if n.split(".")[0] == "numba"}
 
 
-# The bases' and the transforms' bits must not depend on the machine's
-# BLAS or LAPACK, so the functions that build and solve a Laplacian and
-# that transform a signal use only elementwise ops and sums along fixed
-# axes.
-SOLVER_FUNCTIONS = {"laplacian", "_tridiagonalize", "_tql_rotations",
+# The bases', the transforms' and the decoded colours' bits must not
+# depend on the machine's BLAS or LAPACK, so the functions that build and
+# solve a Laplacian, that transform a signal and that convert colours use
+# only elementwise ops and sums along fixed axes.  Module -> functions.
+SOLVER_FUNCTIONS = {
+    "spectral.py": {"laplacian", "_tridiagonalize", "_tql_rotations",
                     "_apply_rotations", "_householder_ql", "_normalize_rows",
-                    "eig_sym", "gft", "igft", "_operands", "_sum_products"}
+                    "eig_sym", "gft", "igft", "_operands", "_sum_products"},
+    "colorspace.py": {"sh_rgb_to_yuv", "sh_yuv_to_rgb", "_mix"},
+}
 VENDOR_KERNELS = {"dot", "matmul", "einsum", "tensordot", "linalg"}
 
 
@@ -67,12 +70,13 @@ def _vendor_calls(func: ast.FunctionDef) -> list[str]:
 
 
 def test_eigensolver_uses_no_blas():
-    path = Path(ggsc.__file__).parent / "spectral.py"
-    funcs = {node.name: node for node in ast.parse(path.read_text()).body
-             if isinstance(node, ast.FunctionDef)}
-    assert SOLVER_FUNCTIONS <= funcs.keys()
-    for name in sorted(SOLVER_FUNCTIONS):
-        assert _vendor_calls(funcs[name]) == [], name
+    for module, names in SOLVER_FUNCTIONS.items():
+        path = Path(ggsc.__file__).parent / module
+        funcs = {node.name: node for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+        assert names <= funcs.keys(), module
+        for name in sorted(names):
+            assert _vendor_calls(funcs[name]) == [], (module, name)
     probe = ast.parse("def f(a):\n    a @= a\n    return a @ np.dot(a, a)\n").body[0]
     assert len(_vendor_calls(probe)) == 3
 

@@ -14,31 +14,25 @@ class TestFitGrid:
             [0.0, 0.0, 0.25],
             [1.0, 2.0, 0.75],
         ])
-        grid = fit_grid(vals, q=8, mode="group")
+        grid = fit_grid(vals, q=8)
         np.testing.assert_array_equal(grid.mins, [0.0, 0.0, 0.25])
-        np.testing.assert_array_equal(grid.scales, [2.0, 2.0, 2.0])
-
-    def test_component_mode_keeps_per_component_range(self):
-        vals = np.array([
-            [0.0, 0.0, 0.25],
-            [1.0, 2.0, 0.75],
-        ])
-        grid = fit_grid(vals, q=8, mode="component")
-        np.testing.assert_array_equal(grid.scales, [1.0, 2.0, 0.5])
+        assert grid.scale == 2.0
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(0)
         vals = rng.normal(size=(500, 4))
-        grid = fit_grid(vals, q=10, mode="component")
+        grid = fit_grid(vals, q=10)
+        ranges = []
         for c in range(4):
             lo = min(float(v) for v in vals[:, c])
             hi = max(float(v) for v in vals[:, c])
             assert grid.mins[c] == lo
-            assert grid.scales[c] == hi - lo
+            ranges.append(hi - lo)
+        assert grid.scale == max(ranges)
 
     def test_all_equal_degenerates_to_zero_scale(self):
         grid = fit_grid(np.full((10, 2), 3.5), q=8)
-        np.testing.assert_array_equal(grid.scales, [0.0, 0.0])
+        assert grid.scale == 0.0
         levels = quantize(np.full((10, 2), 3.5), grid)
         assert (levels == 0).all()
 
@@ -46,55 +40,50 @@ class TestFitGrid:
         grid = fit_grid(np.array([1.0, 3.0, 2.0]), q=4)
         assert grid.components == 1
         assert grid.mins[0] == 1.0
-        assert grid.scales[0] == 2.0
+        assert grid.scale == 2.0
 
     def test_bad_input_rejected(self):
         with pytest.raises(ValueError):
             fit_grid(np.zeros((0, 3)), q=8)
         with pytest.raises(ValueError):
             fit_grid(np.array([[np.nan, 0.0]]), q=8)
-        with pytest.raises(ValueError):
-            fit_grid(np.zeros((4, 3)), q=8, mode="global")
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            QuantGrid(mins=np.zeros(3), scales=np.zeros(3), q=0, mode="group")
+            QuantGrid(mins=np.zeros(3), scale=0.0, q=0)
         with pytest.raises(ValueError):
-            QuantGrid(mins=np.zeros(3), scales=np.zeros(3), q=32, mode="group")
+            QuantGrid(mins=np.zeros(3), scale=0.0, q=32)
         with pytest.raises(ValueError):
-            QuantGrid(mins=np.zeros(3), scales=-np.ones(3), q=8, mode="group")
+            QuantGrid(mins=np.zeros(3), scale=-1.0, q=8)
         with pytest.raises(ValueError):
-            QuantGrid(mins=np.zeros(3), scales=np.zeros(2), q=8, mode="group")
+            QuantGrid(mins=np.zeros((3, 1)), scale=0.0, q=8)
+        with pytest.raises(ValueError):
+            QuantGrid(mins=np.zeros(3), scale=np.inf, q=8)
 
     def test_levels_and_step(self):
-        grid = QuantGrid(mins=np.zeros(1), scales=np.array([2.0]), q=3,
-                         mode="group")
+        grid = QuantGrid(mins=np.zeros(1), scale=2.0, q=3)
         assert grid.levels == 7
-        np.testing.assert_allclose(grid.step, [2.0 / 7.0])
+        assert grid.step == 2.0 / 7.0
 
 
 class TestQuantize:
     def test_formula_pins(self):
         """Direct evaluations of b = floor((a-min)*(2^q-1)/s + 1/2)."""
-        grid = QuantGrid(mins=np.array([0.0]), scales=np.array([1.0]), q=2,
-                         mode="group")
+        grid = QuantGrid(mins=np.array([0.0]), scale=1.0, q=2)
         assert quantize(np.array([0.5]), grid)[0] == 2  # floor(1.5 + 0.5)
         assert quantize(np.array([0.0]), grid)[0] == 0  # at the minimum
 
-        grid8 = QuantGrid(mins=np.array([-1.0]), scales=np.array([2.0]), q=8,
-                          mode="group")
+        grid8 = QuantGrid(mins=np.array([-1.0]), scale=2.0, q=8)
         assert quantize(np.array([1.0]), grid8)[0] == 255  # at min + s
 
     def test_rounds_to_nearest(self):
-        grid = QuantGrid(mins=np.array([0.0]), scales=np.array([10.0]), q=4,
-                         mode="group")
+        grid = QuantGrid(mins=np.array([0.0]), scale=10.0, q=4)
         step = 10.0 / 15.0
         vals = np.array([0.49 * step, 0.51 * step, 7 * step + 0.2 * step])
         np.testing.assert_array_equal(quantize(vals, grid), [0, 1, 7])
 
     def test_clamps_half_ulp_excursions(self):
-        grid = QuantGrid(mins=np.array([0.0]), scales=np.array([1.0]), q=8,
-                         mode="group")
+        grid = QuantGrid(mins=np.array([0.0]), scale=1.0, q=8)
         assert quantize(np.array([1.0 + 1e-12]), grid)[0] == 255
         assert quantize(np.array([-1e-12]), grid)[0] == 0
         # values clearly past the fitted range clamp instead of wrapping
@@ -124,25 +113,23 @@ class TestQuantize:
 
 class TestDequantize:
     def test_endpoints(self):
-        grid = QuantGrid(mins=np.array([2.0]), scales=np.array([4.0]), q=1,
-                         mode="group")
+        grid = QuantGrid(mins=np.array([2.0]), scale=4.0, q=1)
         assert dequantize(np.array([0]), grid)[0] == 2.0
         assert dequantize(np.array([1]), grid)[0] == 6.0  # min + s at q=1
 
     def test_zero_scale_returns_min(self):
-        grid = QuantGrid(mins=np.array([1.5]), scales=np.array([0.0]), q=8,
-                         mode="group")
+        grid = QuantGrid(mins=np.array([1.5]), scale=0.0, q=8)
         assert dequantize(np.array([0]), grid)[0] == 1.5
 
     def test_out_of_range_levels_rejected(self):
-        grid = QuantGrid(mins=np.zeros(1), scales=np.ones(1), q=3, mode="group")
+        grid = QuantGrid(mins=np.zeros(1), scale=1.0, q=3)
         with pytest.raises(ValueError):
             dequantize(np.array([8]), grid)
         with pytest.raises(ValueError):
             dequantize(np.array([-1]), grid)
 
     def test_non_integer_levels_rejected(self):
-        grid = QuantGrid(mins=np.zeros(1), scales=np.ones(1), q=3, mode="group")
+        grid = QuantGrid(mins=np.zeros(1), scale=1.0, q=3)
         with pytest.raises(ValueError):
             dequantize(np.array([1.5]), grid)
         # float-typed but integral values are accepted
@@ -154,17 +141,15 @@ class TestRoundTrip:
         rng = np.random.default_rng(3)
         vals = rng.uniform(-5.0, 7.0, size=(2000, 3))
         for q in (1, 4, 8, 12, 16):
-            for mode in ("group", "component"):
-                grid = fit_grid(vals, q=q, mode=mode)
-                back = dequantize(quantize(vals, grid), grid)
-                bound = 0.5 * grid.scales / grid.levels + 1e-12
-                err = np.abs(back - vals)
-                assert (err <= bound).all(), (q, mode, err.max(), bound)
+            grid = fit_grid(vals, q=q)
+            back = dequantize(quantize(vals, grid), grid)
+            bound = 0.5 * grid.scale / grid.levels + 1e-12
+            err = np.abs(back - vals)
+            assert (err <= bound).all(), (q, err.max(), bound)
 
     def test_fixed_point_on_grid_levels(self):
         """quantize(dequantize(b)) == b for every representable level."""
-        grid = QuantGrid(mins=np.array([-2.0, 0.5]),
-                         scales=np.array([3.0, 3.0]), q=6, mode="group")
+        grid = QuantGrid(mins=np.array([-2.0, 0.5]), scale=3.0, q=6)
         levels = np.stack(
             np.meshgrid(np.arange(64), np.arange(64), indexing="ij"), axis=-1
         )
@@ -172,14 +157,14 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back, levels)
 
     def test_group_mode_bound_uses_shared_scale(self):
-        """A narrow component in group mode sees the wide component's
-        scale, so its absolute error bound is the shared one."""
+        """A narrow component sees the wide component's scale, so its
+        absolute error bound is the shared one."""
         rng = np.random.default_rng(4)
         vals = np.stack([
             rng.uniform(0.0, 10.0, 500),
             rng.uniform(0.0, 0.1, 500),
         ], axis=1)
-        grid = fit_grid(vals, q=8, mode="group")
+        grid = fit_grid(vals, q=8)
         back = dequantize(quantize(vals, grid), grid)
         shared = 0.5 * 10.0 / 255.0
         assert np.abs(back - vals).max() <= shared * 1.02
@@ -191,16 +176,15 @@ class TestRoundTrip:
     n=st.integers(min_value=1, max_value=200),
     c=st.integers(min_value=1, max_value=4),
     q=st.integers(min_value=1, max_value=16),
-    mode=st.sampled_from(["group", "component"]),
 )
-def test_quantizer_bound_property(seed, n, c, q, mode):
+def test_quantizer_bound_property(seed, n, c, q):
     rng = np.random.default_rng(seed)
     vals = rng.uniform(-100.0, 100.0, size=(n, c)) * rng.uniform(0.01, 1.0, c)
-    grid = fit_grid(vals, q=q, mode=mode)
+    grid = fit_grid(vals, q=q)
     levels = quantize(vals, grid)
     assert levels.min() >= 0 and levels.max() <= grid.levels
     back = dequantize(levels, grid)
-    bound = 0.5 * grid.scales / grid.levels + 1e-12
+    bound = 0.5 * grid.scale / grid.levels + 1e-12
     assert (np.abs(back - vals) <= bound).all()
     # fixed point
     np.testing.assert_array_equal(quantize(back, grid), levels)

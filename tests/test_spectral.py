@@ -263,9 +263,7 @@ class TestGraphSpectra:
         for chunk_rows, spec in got:
             assert spec.basis.shape == (len(chunk_rows), *chunk_rows.shape[1:] * 2)
             for row, vals, basis in zip(chunk_rows, spec.eigenvalues, spec.basis):
-                pts = centers[row]
-                s = sigma or sigma_from_box(Box3(min=pts.min(axis=0), max=pts.max(axis=0)))
-                want = eig_sym(laplacian(build_adjacency(pts, s)))
+                want = eig_sym(laplacian(build_adjacency(centers[row], sigma)))
                 assert vals.tobytes() == want.eigenvalues.tobytes()
                 assert basis.tobytes() == want.basis.tobytes()
 
@@ -275,13 +273,11 @@ class TestGraphSpectra:
         return [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def test_mixed_sizes_match_single_solves(self):
-        """One shared sigma, and each leaf's own bounding-box sigma."""
         sizes = [5, 1, 8, 2, 8, 13, 1, 5, 2, 8]
         rng = np.random.default_rng(20)
         pts = rng.normal(size=(sum(sizes), 3))
         leaves = self._leaves(sizes)
-        for sigma in (0.7, None):
-            self._assert_single(pts, leaves, sigma, graph_spectra(pts, leaves, sigma))
+        self._assert_single(pts, leaves, 0.7, graph_spectra(pts, leaves, 0.7))
 
     def test_zero_matrix_leaf(self):
         """Points 100 apart at sigma 1 have no nonzero weight: that leaf's
