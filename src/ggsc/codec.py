@@ -240,29 +240,21 @@ def _unpack_grid(cur: _Cursor, comps: int, q: int) -> QuantGrid:
 
 
 @dataclass
-class EncodeDebug:
-    """Encoder internals for mirror-determinism checks and analysis."""
+class Internals:
+    """The codec's intermediate state, for mirror checks and analysis.
 
-    permutation: np.ndarray
-    part: partition.Partition
-    spectra: list[spectral.GraphSpectrum]
-    recon_centers: np.ndarray
-    #: Group name -> (N, C) attribute signals after local decode
-    #: (dequantize + zero-pad + inverse transform), i.e. exactly what a
-    #: decoder must reproduce.
-    local_signals: dict[str, np.ndarray]
-    #: Group name -> per-leaf list of (m, C) transform coefficients
-    #: before clipping.  Spectra and coefficients are views of the stacks.
-    coefficients: dict[str, list[np.ndarray]]
-
-
-@dataclass
-class DecodeDebug:
-    """Decoder internals, mirroring `EncodeDebug` fields."""
+    `encode(..., collect_debug=True)` and `decode(..., collect_debug=True)`
+    each return one; the decoder's equals the encoder's field by field.
+    """
 
     part: partition.Partition
-    spectra: list[spectral.GraphSpectrum]
+    #: One (rows, spectrum) pair per chunk of equal-size leaves, as
+    #: `spectral.graph_spectra` returns them: rows (B, m) index the
+    #: primitives in canonical order, the spectrum stacks B leaves.
+    chunks: list[tuple[np.ndarray, spectral.GraphSpectrum]]
     recon_centers: np.ndarray
+    #: Group name -> (N, C) decoded attribute signals (dequantize,
+    #: zero-pad, inverse transform); on the encoder, its local decode.
     signals: dict[str, np.ndarray]
 
 
@@ -306,21 +298,6 @@ def _leaf_spectra(centers: np.ndarray, part: partition.Partition,
     return spectral.graph_spectra(centers, part.leaves, sigma, threads=threads)
 
 
-def _leaf_rows(part: partition.Partition, chunks) -> list[tuple[int, int]]:
-    """(chunk, row) of every leaf in partition order, for the debug views.
-
-    Leaves are disjoint, so a leaf's row is found by its first point.
-    """
-    at = {int(rows[b, 0]): (i, b) for i, (rows, _) in enumerate(chunks)
-          for b in range(len(rows))}
-    return [at[int(leaf[0])] for leaf in part.leaves]
-
-
-def _spectrum_views(chunks, where) -> list[spectral.GraphSpectrum]:
-    return [spectral.GraphSpectrum(chunks[i][1].eigenvalues[b], chunks[i][1].basis[b])
-            for i, b in where]
-
-
 def _attribute_signals(cloud: GaussianCloud) -> dict[str, np.ndarray]:
     yuv = colorspace.sh_rgb_to_yuv(colorspace.sh_from_flat(cloud.sh)).coeffs
     return {
@@ -341,7 +318,10 @@ def encode(
     collect_debug: bool = False,
     geometry_command: str | None = None,
 ):
-    """Compress a cloud; returns the stream (plus `EncodeDebug` if asked).
+    """Compress a cloud; returns the stream.
+
+    With `collect_debug` it returns `(stream, Internals)`, whose signals
+    are the encoder's local decode: exactly what `decode` reproduces.
 
     `geometry_command` hands the geometry section to an external lossless
     point-cloud coder: a command template with `{in}` and `{out}`
@@ -366,8 +346,6 @@ def encode(
     attr_grids: dict[str, QuantGrid] = {}
     payloads: dict[str, bytes] = {}
     symbols_by_group: dict[str, np.ndarray] = {}
-    coeffs_dbg: dict[str, list[np.ndarray]] = {}
-    where = _leaf_rows(part, chunks) if collect_debug else []
     for name, comps in ATTRIBUTE_GROUPS:
         coeffs = [spectral.gft(spec, signals[name][rows]) for rows, spec in chunks]
         alpha = params.alpha_for(name)
@@ -379,7 +357,6 @@ def encode(
         payloads[name] = entropy.aac_encode(
             entropy.SymbolStream(1 << params.q_for(name), symbols)
         )
-        coeffs_dbg[name] = [coeffs[i][b] for i, b in where]
 
     geometry = geom_codec.QuantizedGeometry(q=params.q_geo, points=lattice)
     if geometry_command:
@@ -404,15 +381,7 @@ def encode(
         return stream
 
     local = _reconstruct_signals(stream, chunks, symbols_by_group)
-    debug = EncodeDebug(
-        permutation=perm,
-        part=part,
-        spectra=_spectrum_views(chunks, where),
-        recon_centers=recon_centers,
-        local_signals=local,
-        coefficients=coeffs_dbg,
-    )
-    return stream, debug
+    return stream, Internals(part, chunks, recon_centers, local)
 
 
 def _reconstruct_signals(
@@ -456,6 +425,9 @@ def decode(
     geometry_command: str | None = None,
 ):
     """Reconstruct a cloud from a coded stream.
+
+    With `collect_debug` it returns `(cloud, Internals)`, whose signals
+    are the decoded attribute signals before the colour conversion.
 
     `geometry_command` is the external decoder's command template, needed
     only for a stream whose geometry an external coder wrote (see
@@ -521,13 +493,7 @@ def decode(
     )
     if not collect_debug:
         return cloud
-    debug = DecodeDebug(
-        part=part,
-        spectra=_spectrum_views(chunks, _leaf_rows(part, chunks)),
-        recon_centers=recon_centers,
-        signals=signals,
-    )
-    return cloud, debug
+    return cloud, Internals(part, chunks, recon_centers, signals)
 
 
 def canonical_order(cloud: GaussianCloud, params: CodecParams) -> GaussianCloud:

@@ -244,8 +244,8 @@ def _ascii_ply_to_points(blob: bytes, q: int) -> np.ndarray:
                             comments=None)
     except ValueError as exc:
         raise CorruptPayloadError(f"bad external decoder output: {exc}") from None
-    coords = np.trunc(coords)
-    if not np.all((coords >= 0) & (coords < 1 << q)):
+    on_lattice = (coords >= 0) & (coords < 1 << q) & (np.trunc(coords) == coords)
+    if not on_lattice.all():
         raise CorruptPayloadError("external decoder emitted points off the lattice")
     return coords.astype(np.int64)
 

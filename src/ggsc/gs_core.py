@@ -173,15 +173,17 @@ def _parse_header(data: bytes):
             continue
         tok = line.split()
         if tok[0] == "format":
+            if len(tok) != 3:
+                raise PlyFormatError(f"malformed format line: {line!r}")
             fmt = tok[1]
         elif tok[0] == "element":
-            if len(tok) != 3:
+            if len(tok) != 3 or not tok[2].isdigit():
                 raise PlyFormatError(f"malformed element line: {line!r}")
             elements.append((tok[1], int(tok[2]), []))
         elif tok[0] == "property":
             if not elements:
                 raise PlyFormatError("property before any element")
-            if tok[1] == "list":
+            if tok[1:2] == ["list"]:
                 raise PlyFormatError("list properties are not supported")
             if len(tok) != 3 or tok[1] not in _PLY_DTYPES:
                 raise PlyFormatError(f"malformed property line: {line!r}")

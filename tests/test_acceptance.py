@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import make_cloud, make_realistic_cloud
-from ggsc import colorspace, eval as eval_mod, spectral
+from ggsc import codec, colorspace, eval as eval_mod, spectral
 from ggsc.codec import (
     CodecParams,
     CodedStream,
@@ -124,18 +124,18 @@ def test_full_rate_guarantees():
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
 
-    ordered = cloud.take(edbg.permutation)
+    ordered = canonical_order(cloud, params)
     lattice = quantize(ordered.centers, stream.geom_grid)
     assert np.array_equal(decoded.centers, dequantize(lattice, stream.geom_grid))
 
     # transform domain: decoded coefficients sit within half a step of
     # the originals (alpha=1 keeps every coefficient)
+    source = codec._attribute_signals(ordered)
     for name in GROUP_NAMES:
         tol = _half_step(stream, name) + 1e-9
-        for leaf, spec, coeffs in zip(
-            edbg.part.leaves, edbg.spectra, edbg.coefficients[name]
-        ):
-            back = spectral.gft(spec, ddbg.signals[name][leaf])
+        for rows, spec in edbg.chunks:
+            back = spectral.gft(spec, ddbg.signals[name][rows])
+            coeffs = spectral.gft(spec, source[name][rows])
             assert np.max(np.abs(back - coeffs)) <= tol
 
     # attribute domain: l2 of the error is preserved, so l-inf grows by
@@ -290,11 +290,13 @@ def test_criterion_6_mirror_determinism(criterion):
             first, ddbg = decode(parsed, threads=THREADS, collect_debug=True)
             second = decode(parsed, threads=1)
             assert first == second
-            assert len(edbg.spectra) == len(ddbg.spectra)
             assert np.array_equal(edbg.recon_centers, ddbg.recon_centers)
+            assert len(edbg.part.leaves) == len(ddbg.part.leaves)
             for eleaf, dleaf in zip(edbg.part.leaves, ddbg.part.leaves):
                 assert np.array_equal(eleaf, dleaf)
-            for espec, dspec in zip(edbg.spectra, ddbg.spectra):
+            assert len(edbg.chunks) == len(ddbg.chunks)
+            for (erows, espec), (drows, dspec) in zip(edbg.chunks, ddbg.chunks):
+                assert np.array_equal(erows, drows)
                 assert np.array_equal(espec.eigenvalues, dspec.eigenvalues)
                 assert np.array_equal(espec.basis, dspec.basis)
 

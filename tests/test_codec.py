@@ -253,40 +253,47 @@ class TestMirrorDeterminism:
         assert len(edbg.part.leaves) == len(ddbg.part.leaves)
         for a, b in zip(edbg.part.leaves, ddbg.part.leaves):
             np.testing.assert_array_equal(a, b)
-        for sa, sb in zip(edbg.spectra, ddbg.spectra):
+        assert len(edbg.chunks) == len(ddbg.chunks)
+        for (ra, sa), (rb, sb) in zip(edbg.chunks, ddbg.chunks):
+            assert np.array_equal(ra, rb)
             assert np.array_equal(sa.eigenvalues, sb.eigenvalues)
             assert np.array_equal(sa.basis, sb.basis)
         for name in GROUP_NAMES:
-            assert np.array_equal(edbg.local_signals[name], ddbg.signals[name])
+            assert np.array_equal(edbg.signals[name], ddbg.signals[name])
 
     def test_local_decode_matches_decoded_cloud(self):
         """The encoder's own reconstruction is exactly what decode emits."""
         cloud = make_cloud(220, seed=13)
         stream, edbg = encode(cloud, SMALL, collect_debug=True)
         out = decode(stream)
-        np.testing.assert_array_equal(out.opacity, edbg.local_signals["opacity"][:, 0])
-        np.testing.assert_array_equal(out.scale, edbg.local_signals["scale"])
-        np.testing.assert_array_equal(out.rotation, edbg.local_signals["rotation"])
+        np.testing.assert_array_equal(out.opacity, edbg.signals["opacity"][:, 0])
+        np.testing.assert_array_equal(out.scale, edbg.signals["scale"])
+        np.testing.assert_array_equal(out.rotation, edbg.signals["rotation"])
 
 
 class TestSymbolLayout:
     def test_payload_symbols_are_leaf_major_component_major(self):
-        """Rebuild one attribute payload's symbol stream by hand from the
-        debug internals: leaf sizes in order of first appearance, each
+        """Rebuild one attribute payload's symbol stream by hand, one leaf
+        spectrum at a time: leaf sizes in order of first appearance, each
         size's leaves in partition order, and per leaf its quantized kept
         coefficients column by column (component-major)."""
         cloud = make_cloud(90, seed=14)
         params = CodecParams(max_leaf=16, alpha_scale=0.5)
         stream, edbg = encode(cloud, params, collect_debug=True)
-        sizes = [len(leaf) for leaf in edbg.part.leaves]
+        leaves = edbg.part.leaves
+        sizes = [len(leaf) for leaf in leaves]
         order = sorted(range(len(sizes)), key=lambda j: sizes.index(sizes[j]))
         assert order != sorted(order)  # the sizes interleave
 
+        centers = edbg.recon_centers
+        sigma = spectral.sigma_from_box(C._box_of(centers))
+        scale = canonical_order(cloud, params).scale
         expected = []
         grid = stream.attr_grids["scale"]
         for j in order:
+            spec = spectral.graph_spectrum(centers[leaves[j]], sigma)
             k = spectral.clip_count(params.alpha_scale, sizes[j])
-            levels = quantize(edbg.coefficients["scale"][j][:k], grid)
+            levels = quantize(spectral.gft(spec, scale[leaves[j]])[:k], grid)
             expected.append(levels.T.ravel())
         expected = np.concatenate(expected)
         decoded = aac_decode(stream.attribute_payloads["scale"],
@@ -312,8 +319,7 @@ class TestRateBehavior:
 
     def test_alpha_one_keeps_every_coefficient(self):
         cloud = make_cloud(64, seed=17)
-        stream, edbg = encode(cloud, CodecParams(max_leaf=16),
-                              collect_debug=True)
+        stream = encode(cloud, CodecParams(max_leaf=16))
         # one coefficient per primitive, C=1; any other count raises
         decoded = aac_decode(stream.attribute_payloads["opacity"], 1 << 10, 64)
         assert len(decoded) == 64

@@ -132,21 +132,6 @@ class TestConversion:
         with pytest.raises(ValueError):
             sh_yuv_to_rgb(rgb)
 
-    def test_commutes_with_graph_transform(self):
-        """Color rotation acts on the channel axis, the graph transform on
-        the primitive axis; order must not matter."""
-        rng = np.random.default_rng(4)
-        m = 20
-        spec = graph_spectrum(rng.normal(size=(m, 3)), 0.7)
-        coeffs = rng.normal(size=(m, 16, 3))
-
-        yuv_then_gft = np.einsum(
-            "pm,mjc->pjc", spec.basis.T,
-            ShTriple(coeffs, "rgb").coeffs @ RGB_TO_YUV.T,
-        )
-        gft_then_yuv = np.einsum("pm,mjc->pjc", spec.basis.T, coeffs) @ RGB_TO_YUV.T
-        assert np.abs(yuv_then_gft - gft_then_yuv).max() < 1e-9
-
     def test_gft_helper_agrees_with_einsum(self):
         rng = np.random.default_rng(5)
         m = 12

@@ -425,9 +425,9 @@ class TestExternalHook:
     @pytest.mark.parametrize(
         "body",
         ["", "a b c\n", "1 2\n3 4 5\n", "# 1 2 3\n", "16 0 0\n",
-         "-1 0 0\n", "1e30 0 0\n", "nan 0 0\n"],
+         "-1 0 0\n", "1e30 0 0\n", "nan 0 0\n", "1.5 0 0\n"],
         ids=["empty", "text", "short-row", "comment", "off-lattice",
-             "negative", "huge", "nan"],
+             "negative", "huge", "nan", "fractional"],
     )
     def test_malformed_points_raise(self, tmp_path, body):
         """Whatever the external decoder emits after its header, only

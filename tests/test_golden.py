@@ -97,12 +97,15 @@ def _sha(data: bytes) -> str:
 
 def _digests(blob: bytes, leaf: int) -> dict[str, str]:
     cloud, debug = codec.decode(CodedStream.from_bytes(blob), collect_debug=True)
-    spec = debug.spectra[leaf]
+    # leaves are disjoint, so the leaf's row in its chunk holds its first point
+    first = debug.part.leaves[leaf][0]
+    [(spec, b)] = [(spec, b) for rows, spec in debug.chunks
+                   for b in np.flatnonzero(rows[:, 0] == first)]
     return {
         "stream_sha": _sha(blob),
         "ply_sha": _sha(save_ply(cloud)),
-        "eigenvalues_sha": _sha(spec.eigenvalues.tobytes()),
-        "basis_sha": _sha(spec.basis.tobytes()),
+        "eigenvalues_sha": _sha(spec.eigenvalues[b].tobytes()),
+        "basis_sha": _sha(spec.basis[b].tobytes()),
     }
 
 

@@ -1,6 +1,7 @@
 """Cloud container and PLY I/O."""
 
 import io
+import re
 import struct
 
 import numpy as np
@@ -192,6 +193,18 @@ class TestLoadPly:
         cols["opacity"] = vals
         with pytest.raises(PlyFormatError, match=r"opacity.*3"):
             load_ply(write_ply(cols))
+
+    @pytest.mark.parametrize("line", [
+        "format",
+        "element vertex abc",
+        "element vertex 1_0",
+        "property",
+    ], ids=["bare-format", "word-count", "underscore-count", "bare-property"])
+    def test_malformed_header_line_names_it(self, line):
+        head = ["ply", "format binary_little_endian 1.0", "element vertex 1"]
+        raw = "\n".join(head + [line, "property float x", "end_header", ""])
+        with pytest.raises(PlyFormatError, match=re.escape(repr(line))):
+            load_ply(raw.encode("ascii"))
 
     def test_comment_lines_ignored(self):
         cloud = make_cloud(3, seed=23)
