@@ -81,8 +81,7 @@ def _encode_one(
 ) -> None:
     raw = _read(src)
     cloud = load_ply(raw)
-    stream = encode(cloud, params, threads=args.threads,
-                    geometry_command=args.geometry_command)
+    stream = encode(cloud, params, geometry_command=args.geometry_command)
     blob = stream.to_bytes()
     _write(dst, blob)
     report = bitrate_breakdown(stream)
@@ -105,8 +104,7 @@ def _encode_one(
 
 def _decode_one(src: str, dst: str, args: argparse.Namespace) -> None:
     stream = CodedStream.from_bytes(_read(src))
-    cloud = decode(stream, threads=args.threads,
-                   geometry_command=args.geometry_command)
+    cloud = decode(stream, geometry_command=args.geometry_command)
     _write(dst, save_ply(cloud))
     print(f"decoded {src} -> {dst} ({len(cloud)} primitives)")
 
@@ -186,7 +184,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             for combo in itertools.product(*(vals for _, vals in axes))
         ]
     cloud = load_ply(_read(args.input))
-    points = eval_mod.rd_sweep(cloud, grid, threads=args.threads)
+    points = eval_mod.rd_sweep(cloud, grid)
     with open(args.output, "w", newline="") as fh:
         eval_mod.write_sweep_csv(points, fh)
     failed = sum(1 for pt in points if pt.status != "ok")
@@ -215,7 +213,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 def _cmd_psnr(args: argparse.Namespace) -> int:
     ref = load_ply(_read(args.reference))
     stream = CodedStream.from_bytes(_read(args.stream))
-    dist = decode(stream, threads=args.threads)
+    dist = decode(stream)
     aligned = canonical_order(ref, stream.params)
     for axis, stats in eval_mod.attribute_psnr(aligned, dist).items():
         print(f"psnr_{axis}: {stats.psnr_db:.4f}")
@@ -235,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc = sub.add_parser("encode", help="compress .ply to .ggsc")
     p_enc.add_argument("input", help=".ply file or directory of .ply files")
     p_enc.add_argument("output", help=".ggsc file or output directory")
-    p_enc.add_argument("--threads", type=int, default=1)
     p_enc.add_argument("--geometry-command", metavar="TEMPLATE",
                        help="code geometry with this external command; "
                        "{in} and {out} stand for its file paths")
@@ -245,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decode", help="reconstruct .ply from .ggsc")
     p_dec.add_argument("input", help=".ggsc file or directory")
     p_dec.add_argument("output", help=".ply file or output directory")
-    p_dec.add_argument("--threads", type=int, default=1)
     p_dec.add_argument("--geometry-command", metavar="TEMPLATE",
                        help="external geometry decoder for streams coded "
                        "with encode --geometry-command")
@@ -265,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="parameter axis; repeat for a cartesian grid "
         "(later axes vary fastest)",
     )
-    p_sweep.add_argument("--threads", type=int, default=1)
     _add_param_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -280,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_psnr.add_argument("reference", help="original .ply")
     p_psnr.add_argument("stream", help=".ggsc file")
-    p_psnr.add_argument("--threads", type=int, default=1)
     p_psnr.set_defaults(func=_cmd_psnr)
 
     return parser

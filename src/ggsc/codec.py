@@ -13,7 +13,10 @@ Encoding pipeline:
    ceil(alpha * m) coefficients; leaves of one size m go through these
    steps together, as one stack,
 6. quantize kept coefficients on one global grid per group and entropy
-   code them; geometry travels separately as Morton deltas.
+   code them; geometry travels separately as Morton deltas.  The seven
+   payloads are independent, so above `FORK_MIN_SYMBOLS` coded symbols
+   they are coded on forked processes, one per further usable CPU
+   (`_fork_join`); every byte is the same whatever the worker count.
 
 An attribute payload lists the leaf sizes in order of first appearance
 in the partition, each size's leaves in partition order, and each
@@ -21,13 +24,20 @@ leaf's kept levels component-major.
 
 The decoder replays steps 3-5 from the decoded lattice alone, which
 reproduces partitions, graphs and bases bit-for-bit -- no basis data is
-transmitted.  Bitstream sections: header (parameters + grids + section
-table), geometry payload (size B1), six attribute payloads (sum B2).
+transmitted.  The partition alone fixes each payload's symbol count, so
+the six attribute payloads are decoded, forked the same way, before the
+graph spectra are built.  Bitstream sections: header (parameters +
+grids + section table), geometry payload (size B1), six attribute
+payloads (sum B2).
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import struct
+import threading
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +79,13 @@ MAX_Q_GEO = 31
 #: peak RSS on one core of an Intel Xeon.  The bound keeps a hostile
 #: header from asking for one leaf over every point.
 MAX_LEAF = 512
+#: Coded symbols below which `_fork_join` codes every payload in this
+#: process.  On a 2-core x86-64 VM a fork plus join costs about 5 ms and
+#: a coded symbol about 2 us, but two busy processes there each run about
+#: 1.6x slower than one alone.  Forking the encodes of 7,296 and 10,752
+#: symbols (the `spectral-m64` and `lossy-rd` benchmark workloads) gained
+#: nothing measurable; one of 58,368 (`entropy-q16`) gained 40%.
+FORK_MIN_SYMBOLS = 1 << 15
 
 
 class CodecError(ValueError):
@@ -288,14 +305,124 @@ def bitrate_breakdown(stream: CodedStream) -> BitrateReport:
     )
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shares(weights: list[int], workers: int) -> list[list[int]]:
+    """Job indices per worker: heaviest job first onto the lightest load.
+    Each share is in job order; empty shares are dropped."""
+    loads = [0] * workers
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += weights[i]
+    return [sorted(share) for share in shares if share]
+
+
+def _run_share(jobs, share: list[int]) -> dict[int, tuple[bool, object]]:
+    """Run the share's jobs in order up to the first that raises: a later
+    job of the share cannot hold the first error."""
+    out = {}
+    for i in share:
+        _, fn, args = jobs[i]
+        try:
+            out[i] = (True, fn(*args))
+        except Exception as exc:  # noqa: BLE001 - returned to `_fork_join`
+            out[i] = (False, exc)
+            break
+    return out
+
+
+def _serve(jobs, share: list[int], r: int, w: int) -> None:
+    """A forked worker: run its share, pickle the outcomes to `w`, exit."""
+    code = 1
+    try:
+        os.close(r)
+        data = pickle.dumps(_run_share(jobs, share), pickle.HIGHEST_PROTOCOL)
+        with open(w, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_join(jobs: list[tuple[int, object, tuple]]) -> list:
+    """Results of independent jobs `(symbols, fn, args)`, in job order.
+
+    The jobs are shared out by symbol count between this process and one
+    forked child per further usable CPU; each child sends its outcomes
+    back over a pipe.  The jobs run here, one after another, when they
+    hold fewer than `FORK_MIN_SYMBOLS` symbols in all, when only one CPU
+    is usable, without `os.fork`, or when this process has other threads
+    (a fork copies only the calling one).  Either way the exception
+    raised is that of the first job in list order that raised.  Every
+    child is reaped before this returns or raises.
+    """
+    workers = min(_usable_cpus(), len(jobs))
+    if (workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1
+            or sum(n for n, _, _ in jobs) < FORK_MIN_SYMBOLS):
+        return [fn(*args) for _, fn, args in jobs]
+
+    shares = _shares([n for n, _, _ in jobs], workers)
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _serve(jobs, share, r, w)
+            os.close(w)
+            children.append((pid, r))
+        outcomes = _run_share(jobs, shares[0])
+        while children:
+            pid, r = children[0]
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            os.close(r)
+            if status != 0:
+                raise RuntimeError(f"payload worker {pid} exited with status {status}")
+            outcomes.update(pickle.loads(data))
+    finally:
+        if children:
+            import signal
+
+            for pid, r in children:
+                os.close(r)
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):  # already reaped
+                    pass
+
+    results = []
+    for i in range(len(jobs)):
+        ok, value = outcomes[i]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
 def _box_of(points: np.ndarray) -> Box3:
     return Box3(min=points.min(axis=0), max=points.max(axis=0))
 
 
-def _leaf_spectra(centers: np.ndarray, part: partition.Partition,
-                  threads: int) -> list[tuple[np.ndarray, spectral.GraphSpectrum]]:
+def _leaf_spectra(centers: np.ndarray, part: partition.Partition
+                  ) -> list[tuple[np.ndarray, spectral.GraphSpectrum]]:
     sigma = spectral.sigma_from_box(_box_of(centers))
-    return spectral.graph_spectra(centers, part.leaves, sigma, threads=threads)
+    return spectral.graph_spectra(centers, part.leaves, sigma)
 
 
 def _attribute_signals(cloud: GaussianCloud) -> dict[str, np.ndarray]:
@@ -327,6 +454,9 @@ def encode(
     point-cloud coder: a command template with `{in}` and `{out}`
     placeholders, e.g. "tmc3 --mode=0 ... {in} {out}".  The stream records
     that backend; decoding it needs the matching decode command.
+
+    `threads` (>= 1) has no effect: payloads are coded on forked processes
+    when that pays (see `_fork_join`), and the spectra in this one.
     """
     params.validate()
     if threads < 1:
@@ -340,32 +470,36 @@ def encode(
 
     recon_centers = dequantize(lattice, geom_grid)
     part = partition.kdtree_split(recon_centers, params.max_leaf)
-    chunks = _leaf_spectra(recon_centers, part, threads)
+    chunks = _leaf_spectra(recon_centers, part)
     signals = _attribute_signals(ordered)
 
     attr_grids: dict[str, QuantGrid] = {}
-    payloads: dict[str, bytes] = {}
     symbols_by_group: dict[str, np.ndarray] = {}
+    jobs = []
     for name, comps in ATTRIBUTE_GROUPS:
-        coeffs = [spectral.gft(spec, signals[name][rows]) for rows, spec in chunks]
         alpha = params.alpha_for(name)
-        kept = [c[:, : spectral.clip_count(alpha, c.shape[1])] for c in coeffs]
+        kept = [spectral.gft(spec, signals[name][rows],
+                             spectral.clip_count(alpha, rows.shape[1]))
+                for rows, spec in chunks]
         samples = np.concatenate([k.reshape(-1, comps) for k in kept])
         grid = attr_grids[name] = fit_grid(samples, params.q_for(name))
         symbols = symbols_by_group[name] = np.concatenate(
             [quantize(k, grid).transpose(0, 2, 1).ravel() for k in kept])
-        payloads[name] = entropy.aac_encode(
-            entropy.SymbolStream(1 << params.q_for(name), symbols)
-        )
+        jobs.append((symbols.size, entropy.aac_encode,
+                     (entropy.SymbolStream(1 << params.q_for(name), symbols),)))
 
     geometry = geom_codec.QuantizedGeometry(q=params.q_geo, points=lattice)
+    if not geometry_command:
+        jobs.append((len(geometry), geom_codec.encode_centers, (geometry,)))
+    coded = _fork_join(jobs)
+    payloads = dict(zip(GROUP_NAMES, coded))
     if geometry_command:
         geometry_payload = geom_codec.encode_centers_external(
             geometry, geometry_command
         )
         backend = GEOM_EXTERNAL
     else:
-        geometry_payload = geom_codec.encode_centers(geometry)
+        geometry_payload = coded[-1]
         backend = GEOM_INTERNAL
 
     stream = CodedStream(
@@ -411,6 +545,13 @@ def _reconstruct_signals(
     return out
 
 
+def _decode_payload(name: str, payload: bytes, alphabet: int, count: int) -> np.ndarray:
+    try:
+        return entropy.aac_decode(payload, alphabet, count).symbols
+    except CorruptPayloadError as exc:
+        raise CorruptPayloadError(f"{name}: {exc}") from exc
+
+
 def _check_finite(name: str, values: np.ndarray) -> None:
     """Finite grid fields can still scale decoded levels past float64."""
     if not np.isfinite(values).all():
@@ -432,7 +573,8 @@ def decode(
     `geometry_command` is the external decoder's command template, needed
     only for a stream whose geometry an external coder wrote (see
     `encode`).  Truncated or tampered payloads raise `CorruptPayloadError`;
-    container problems raise `CodecError`.
+    container problems raise `CodecError`.  `threads` (>= 1) has no
+    effect, as in `encode`.
     """
     params = stream.params
     params.validate()
@@ -460,21 +602,15 @@ def decode(
         recon_centers = dequantize(geometry.points, stream.geom_grid)
         _check_finite("centers", recon_centers)
         part = partition.kdtree_split(recon_centers, params.max_leaf)
-        chunks = _leaf_spectra(recon_centers, part, threads)
-
-        symbols_by_group: dict[str, np.ndarray] = {}
+        sizes = Counter(len(leaf) for leaf in part.leaves)
+        jobs = []
         for name, comps in ATTRIBUTE_GROUPS:
             alpha = params.alpha_for(name)
-            count = comps * sum(
-                rows.shape[0] * spectral.clip_count(alpha, rows.shape[1])
-                for rows, _ in chunks
-            )
-            try:
-                symbols_by_group[name] = entropy.aac_decode(
-                    stream.attribute_payloads[name], 1 << params.q_for(name), count
-                ).symbols
-            except CorruptPayloadError as exc:
-                raise CorruptPayloadError(f"{name}: {exc}") from exc
+            count = comps * sum(n * spectral.clip_count(alpha, m) for m, n in sizes.items())
+            jobs.append((count, _decode_payload, (
+                name, stream.attribute_payloads[name], 1 << params.q_for(name), count)))
+        symbols_by_group = dict(zip(GROUP_NAMES, _fork_join(jobs)))
+        chunks = _leaf_spectra(recon_centers, part)
 
         signals = _reconstruct_signals(stream, chunks, symbols_by_group)
 

@@ -244,8 +244,6 @@ SWEEP_COLUMNS = (
 def rd_sweep(
     cloud: GaussianCloud,
     grid: list[CodecParams],
-    *,
-    threads: int = 1,
 ) -> list[RdPoint]:
     """Encode/decode/measure the cloud at every parameter point.
 
@@ -255,8 +253,8 @@ def rd_sweep(
     points: list[RdPoint] = []
     for params in grid:
         try:
-            stream = codec_mod.encode(cloud, params, threads=threads)
-            decoded = codec_mod.decode(stream, threads=threads)
+            stream = codec_mod.encode(cloud, params)
+            decoded = codec_mod.decode(stream)
             ref = codec_mod.canonical_order(cloud, params)
             report = bitrate_breakdown(stream)
             points.append(

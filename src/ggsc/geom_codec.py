@@ -28,9 +28,7 @@ from __future__ import annotations
 
 import io
 import os
-import shlex
 import struct
-import subprocess
 import tempfile
 from dataclasses import dataclass
 
@@ -207,6 +205,9 @@ def decode_centers(payload: bytes, q: int, count: int) -> QuantizedGeometry:
 
 
 def _run_external(command: str, src: bytes, suffix_in: str, suffix_out: str) -> bytes:
+    import shlex  # loaded only by the external backend
+    import subprocess
+
     with tempfile.TemporaryDirectory(prefix="ggsc_geom_") as tmp:
         path_in = os.path.join(tmp, "points_in" + suffix_in)
         path_out = os.path.join(tmp, "points_out" + suffix_out)

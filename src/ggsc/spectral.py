@@ -39,15 +39,14 @@ overhead, so `graph_spectra` solves all leaves of one size together:
 the sign/order normalization each run once over the stack, and only the
 scalar QL recurrence runs per leaf.  Every per-matrix operation is the
 same elementwise op or the same sum along the same axis as for one
-matrix, so a leaf's bits do not depend on the batch, the chunk or the
-thread count it is solved in.
+matrix, so a leaf's bits do not depend on the batch or the chunk it is
+solved in.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -413,17 +412,16 @@ def graph_spectrum(centers: np.ndarray, sigma: float) -> GraphSpectrum:
     return eig_sym(laplacian(build_adjacency(centers, sigma)))
 
 
-def graph_spectra(centers: np.ndarray, leaves, sigma: float,
-                  threads: int = 1) -> list[tuple[np.ndarray, GraphSpectrum]]:
+def graph_spectra(centers: np.ndarray, leaves,
+                  sigma: float) -> list[tuple[np.ndarray, GraphSpectrum]]:
     """Spectra of many leaves, one (rows, spectrum) stack per chunk.
 
     `leaves` index rows of `centers`; `sigma` is every leaf's kernel
     bandwidth.  Leaves of one size are solved together by `eig_sym`, in
-    chunks of at most `BATCH_ENTRIES` matrix entries shared by `threads`
-    workers.  A chunk's rows (B, m) are its leaves; sizes come in order of
-    first appearance, the leaves of one size in their order.  Every
-    spectrum is bit-identical to `graph_spectrum(centers[leaf], sigma)`,
-    whatever its batch, chunk or thread count.
+    chunks of at most `BATCH_ENTRIES` matrix entries.  A chunk's rows
+    (B, m) are its leaves; sizes come in order of first appearance, the
+    leaves of one size in their order.  Every spectrum is bit-identical to
+    `graph_spectrum(centers[leaf], sigma)`, whatever its batch or chunk.
     """
     by_size: dict[int, list[np.ndarray]] = {}
     for leaf in leaves:
@@ -433,14 +431,9 @@ def graph_spectra(centers: np.ndarray, leaves, sigma: float,
         per = max(1, BATCH_ENTRIES // (m * m))
         chunks += [np.stack(group[i:i + per]) for i in range(0, len(group), per)]
 
-    def solve(rows):
-        return rows, eig_sym(np.stack([laplacian(build_adjacency(pts, sigma))
-                                       for pts in centers[rows]]))
-
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(solve, chunks))
-    return [solve(rows) for rows in chunks]
+    return [(rows, eig_sym(np.stack([laplacian(build_adjacency(pts, sigma))
+                                     for pts in centers[rows]])))
+            for rows in chunks]
 
 
 def _operands(spectrum: GraphSpectrum, values, what: str):
@@ -459,25 +452,37 @@ def _sum_products(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """out[b, j, c] = sum over i of a[b, i, j] * x[b, i, c], added in
     order of i: each channel's products go to a C-ordered temporary whose
     middle axis numpy sums one row at a time, so the rounding depends on
-    neither the layout of `a` nor B."""
+    neither the layout of `a` nor B.  `a` is (B, m, n) with n >= 2 when
+    m >= 2: numpy sums a single column pairwise, not in order of i."""
     nb, m, k = x.shape
-    out = np.empty((nb, m, k))
-    prod = np.empty((nb, m, m))
+    n = a.shape[2]
+    out = np.empty((nb, n, k))
+    prod = np.empty((nb, m, n))
     for c in range(k):
         np.multiply(a, x[:, :, c, None], out=prod)
         out[:, :, c] = prod.sum(axis=1)
     return out
 
 
-def gft(spectrum: GraphSpectrum, signal: np.ndarray) -> np.ndarray:
+def gft(spectrum: GraphSpectrum, signal: np.ndarray,
+        count: int | None = None) -> np.ndarray:
     """Forward transform: coefficients C = A^T f (A orthonormal columns).
 
     `signal` is (m,) or (m, k) for k channels transformed together; for a
     stack of B spectra it is (B, m) or (B, m, k), and row b comes out
-    bit-identical to a transform by basis b alone.
+    bit-identical to a transform by basis b alone.  With `count` only the
+    first `count` coefficients are computed, bit-identical to the first
+    `count` of the full transform; the m axis of the result has that size.
     """
     basis, f, shape = _operands(spectrum, signal, "signal")
-    return _sum_products(basis, f).reshape(shape)
+    m = basis.shape[-1]
+    k = m if count is None else count
+    if not 1 <= k <= m:
+        raise ValueError(f"coefficient count {k} outside [1, {m}]")
+    axis = spectrum.basis.ndim - 2
+    cols = min(m, max(k, 2))
+    out = _sum_products(basis[:, :, :cols], f)[:, :k]
+    return out.reshape(shape[:axis] + (k,) + shape[axis + 1:])
 
 
 def igft(spectrum: GraphSpectrum, coeffs: np.ndarray) -> np.ndarray:

@@ -39,8 +39,6 @@ from ggsc.gs_core import Box3, load_ply, save_ply
 from ggsc.quantizer import dequantize, quantize
 from test_eval import rank_oracle
 
-THREADS = min(4, os.cpu_count() or 1)
-
 
 @pytest.fixture
 def criterion(capsys):
@@ -86,8 +84,8 @@ def test_criterion_1_full_rate_half_step_bound(criterion):
         cloud = make_cloud(**_FULL_RATE_CLOUD)
         params = CodecParams()
         t0 = time.perf_counter()
-        stream = encode(cloud, params, threads=THREADS)
-        decoded = decode(stream, threads=THREADS)
+        stream = encode(cloud, params)
+        decoded = decode(stream)
         elapsed = time.perf_counter() - t0
 
         ordered = canonical_order(cloud, params)
@@ -119,8 +117,8 @@ def test_full_rate_guarantees():
     cloud = make_cloud(**_FULL_RATE_CLOUD)
     params = CodecParams()
     t0 = time.perf_counter()
-    stream, edbg = encode(cloud, params, threads=THREADS, collect_debug=True)
-    decoded, ddbg = decode(stream, threads=THREADS, collect_debug=True)
+    stream, edbg = encode(cloud, params, collect_debug=True)
+    decoded, ddbg = decode(stream, collect_debug=True)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
 
@@ -191,7 +189,7 @@ def test_criterion_3_clipping_monotonic_fidelity(criterion):
         prev = dict.fromkeys(axes, -np.inf)
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
             params = CodecParams(**{f"alpha_{g}": alpha for g in GROUP_NAMES})
-            decoded = decode(encode(cloud, params, threads=THREADS), threads=THREADS)
+            decoded = decode(encode(cloud, params))
             stats = eval_mod.attribute_psnr(ref, decoded)
             for axis in axes:
                 assert stats[axis].psnr_db >= prev[axis], (axis, alpha)
@@ -207,8 +205,8 @@ def test_criterion_4_rotation_depth_trend(criterion):
         mse = {}
         for q in (8, 4):
             params = CodecParams(q_rotation=q)
-            stream = encode(cloud, params, threads=THREADS)
-            decoded = decode(stream, threads=THREADS)
+            stream = encode(cloud, params)
+            decoded = decode(stream)
             stats = eval_mod.attribute_psnr(canonical_order(cloud, params), decoded)
             size[q] = len(stream.to_bytes())
             mse[q] = stats["rotation"].mse
@@ -287,8 +285,8 @@ def test_criterion_6_mirror_determinism(criterion):
             )
             stream, edbg = encode(cloud, params, collect_debug=True)
             parsed = CodedStream.from_bytes(stream.to_bytes())
-            first, ddbg = decode(parsed, threads=THREADS, collect_debug=True)
-            second = decode(parsed, threads=1)
+            first, ddbg = decode(parsed, collect_debug=True)
+            second = decode(parsed)
             assert first == second
             assert np.array_equal(edbg.recon_centers, ddbg.recon_centers)
             assert len(edbg.part.leaves) == len(ddbg.part.leaves)
@@ -375,7 +373,7 @@ def test_criterion_9_end_to_end_ratio(criterion):
             cloud = make_realistic_cloud(12_000, seed=9)
             raw = save_ply(cloud)
 
-        stream = encode(cloud, CodecParams(), threads=THREADS)
+        stream = encode(cloud, CodecParams())
         blob = stream.to_bytes()
         assert len(blob) <= 0.6 * len(raw)
 
@@ -383,7 +381,7 @@ def test_criterion_9_end_to_end_ratio(criterion):
         assert report.total_bytes == len(blob)
         assert report.header_bytes + report.b1 + report.b2 == len(blob)
 
-        decoded = decode(stream, threads=THREADS)
+        decoded = decode(stream)
         stats = eval_mod.attribute_psnr(canonical_order(cloud, stream.params), decoded)
         for axis in PSNR_AXES:
             assert np.isfinite(stats[axis].psnr_db), axis

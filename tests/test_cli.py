@@ -65,7 +65,7 @@ class TestUsage:
 class TestEncodeDecode:
     def test_encode_matches_library(self, asset):
         cloud, _, dst = asset
-        stream = encode(cloud, CodecParams(max_leaf=60), threads=1)
+        stream = encode(cloud, CodecParams(max_leaf=60))
         assert dst.read_bytes() == stream.to_bytes()
 
     def test_encode_report(self, asset, capsys, tmp_path):
@@ -82,16 +82,8 @@ class TestEncodeDecode:
         out = tmp_path / "back.ply"
         assert main(["decode", str(dst), str(out)]) == 0
         assert "150 primitives" in capsys.readouterr().out
-        expect = decode(CodedStream.from_bytes(dst.read_bytes()), threads=1)
+        expect = decode(CodedStream.from_bytes(dst.read_bytes()))
         assert out.read_bytes() == save_ply(expect)
-
-    def test_threads_flag_does_not_change_bytes(self, asset, tmp_path):
-        _, src, dst = asset
-        out = tmp_path / "mt.ggsc"
-        rc = main(["encode", str(src), str(out), "--max-leaf", "60",
-                   "--threads", "3"])
-        assert rc == 0
-        assert out.read_bytes() == dst.read_bytes()
 
     def test_geometry_command_round_trip(self, asset, tmp_path, capsys):
         """--geometry-command hands the section to an external coder on

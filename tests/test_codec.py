@@ -1,7 +1,11 @@
 """Container format and end-to-end encode/decode behavior."""
 
+import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -25,8 +29,11 @@ from ggsc.entropy import CorruptPayloadError, aac_decode
 from ggsc.quantizer import dequantize, quantize
 from ggsc import spectral
 
-from conftest import make_cloud
+from conftest import child_env, make_cloud, make_realistic_cloud
+from ggsc.gs_core import save_ply
 from test_entropy import bounded_failure
+import test_fuzz
+from test_golden import CASES as GOLDEN_CASES
 
 
 SMALL = CodecParams(max_leaf=50)
@@ -441,3 +448,160 @@ class TestCanonicalOrder:
         got = sorted(map(tuple, ref.centers))
         want = sorted(map(tuple, cloud.centers))
         assert got == want
+
+
+def _force_fork(monkeypatch) -> list[int]:
+    """Make `_fork_join` fork for any job list, as on 3 usable CPUs; the
+    returned list collects the pid of every child forked."""
+    monkeypatch.setattr(C, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(C, "FORK_MIN_SYMBOLS", 0)
+    forks = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.fixture
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_child(parent: int, i: int) -> int:
+    if os.getpid() != parent:
+        raise ValueError(f"job {i} raised in a child")
+    return i
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestForkJoin:
+    """Payload coding on forked workers gives the serial path's bytes and
+    errors, and reaps every child."""
+
+    CASES = [(c.name, c.cloud, c.params) for c in GOLDEN_CASES] + [
+        ("realistic-2000", lambda: make_realistic_cloud(2_000, seed=40),
+         CodecParams(max_leaf=32))]
+
+    @pytest.mark.parametrize("name,cloud,params", CASES, ids=[c[0] for c in CASES])
+    def test_bytes_match_serial(self, monkeypatch, name, cloud, params):
+        cloud = cloud()
+        blob = encode(cloud, params).to_bytes()
+        ply = save_ply(decode(CodedStream.from_bytes(blob)))
+        forks = _force_fork(monkeypatch)
+        assert encode(cloud, params).to_bytes() == blob
+        assert len(forks) == 2
+        assert save_ply(decode(CodedStream.from_bytes(blob))) == ply
+        assert len(forks) == 4
+
+    def test_results_in_job_order(self, monkeypatch):
+        forks = _force_fork(monkeypatch)
+        jobs = [(n, lambda i: (i, os.getpid()), (i,)) for i, n in enumerate([5, 1, 9, 2, 7])]
+        got = C._fork_join(jobs)
+        assert [i for i, _ in got] == [0, 1, 2, 3, 4]
+        assert {pid for _, pid in got} == {os.getpid(), *forks}
+        assert len(forks) == 2
+
+    def test_first_corrupt_group_is_reported(self, monkeypatch):
+        """sh_u goes to a child and rotation stays in this process; the
+        error names sh_u, as on the serial path."""
+        stream = encode(make_cloud(150, seed=18), SMALL)
+        for group in ("sh_u", "rotation"):
+            payload = stream.attribute_payloads[group]
+            stream.attribute_payloads[group] = payload[: len(payload) // 2]
+        with pytest.raises(CorruptPayloadError) as serial:
+            decode(stream)
+        assert str(serial.value).startswith("sh_u: ")
+        forks = _force_fork(monkeypatch)
+        with pytest.raises(CorruptPayloadError) as forked:
+            decode(stream)
+        assert len(forks) == 2
+        assert str(forked.value) == str(serial.value)
+
+    def test_child_exception_surfaces(self, monkeypatch):
+        forks = _force_fork(monkeypatch)
+        parent = os.getpid()
+        jobs = [(1, _in_child, (parent, i)) for i in range(3)]
+        with pytest.raises(ValueError, match="^job 1 raised in a child$"):
+            C._fork_join(jobs)
+        assert len(forks) == 2
+
+    def test_dead_child_names_exit_status(self, monkeypatch):
+        cloud = make_cloud(150, seed=18)
+        forks = _force_fork(monkeypatch)
+        parent = os.getpid()
+        real = C.entropy.aac_encode
+
+        def dying(stream):
+            if os.getpid() != parent:
+                os._exit(7)
+            return real(stream)
+
+        monkeypatch.setattr(C.entropy, "aac_encode", dying)
+        with pytest.raises(RuntimeError, match="exited with status 7"):
+            encode(cloud, SMALL)
+        assert len(forks) == 2
+
+
+# argv[1] is the mutation seed.  Replays test_fuzz's corpus on the serial
+# and on the forced three-worker path; prints one JSON summary line.
+_PARALLEL_FUZZ = test_fuzz._CHILD.split("\ncounts = ")[0] + """
+import hashlib, os
+from ggsc import gs_core
+
+def outcome(blob):
+    try:
+        ply = gs_core.save_ply(codec.decode(CodedStream.from_bytes(blob)))
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    return ["decoded", hashlib.sha256(ply).hexdigest()]
+
+corpus = list(mutants())
+serial = [outcome(blob) for _, blob in corpus]
+codec._usable_cpus = lambda: 3
+codec.FORK_MIN_SYMBOLS = 0
+forks = 0
+fork = os.fork
+def counted():
+    global forks
+    pid = fork()
+    forks += pid != 0
+    return pid
+os.fork = counted
+forked = [outcome(blob) for _, blob in corpus]
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(json.dumps({
+    "mutants": len(corpus),
+    "forks": forks,
+    "left": left,
+    "kinds": sorted({s[0] for s in serial}),
+    "differ": [[what, s, f] for (what, _), s, f in zip(corpus, serial, forked) if s != f],
+}))
+"""
+
+
+def test_mutants_decode_alike_on_forked_workers():
+    """Every mutant of the fuzz corpus gives the forked decode the serial
+    decode's outcome: the same exception type and message, or the same
+    PLY bytes."""
+    assert "\ncounts = " in test_fuzz._CHILD and "def mutants():" in _PARALLEL_FUZZ
+    proc = subprocess.run([sys.executable, "-c", _PARALLEL_FUZZ, str(test_fuzz.GOLDEN),
+                           str(test_fuzz.SEED)],
+                          env=child_env(), timeout=300, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["differ"] == []
+    assert result["mutants"] == 3 * (30 + 50) + 40
+    assert result["forks"] > 0 and not result["left"]
+    assert {"decoded", "CorruptPayloadError"} <= set(result["kinds"])

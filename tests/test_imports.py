@@ -5,7 +5,7 @@ JIT compiler, so the code that runs is the code that is tested.  And a
 codec run pays for no more than it uses: importing the package and the
 `encode`, `decode` and `info` commands load no scipy, which costs about
 half a second of start-up; the D1 metric and the logistic fit load it
-on first use.  The eigensolver, the graph Fourier transforms and the
+on first use.  Nor do they load `concurrent.futures` or `subprocess`.  The eigensolver, the graph Fourier transforms and the
 colour conversions call no BLAS or LAPACK kernel."""
 
 import ast
@@ -98,11 +98,13 @@ codes = [
     ggsc.cli.main(["info", str(coded)]),
 ]
 before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+unused = sorted(m for m in ("concurrent.futures", "subprocess") if m in sys.modules)
 d1 = ggsc.eval.geometry_psnr_d1(load_ply(ply.read_bytes()), load_ply(out.read_bytes()))
 fit = ggsc.eval.fit_logistic5(*ggsc.eval.read_pairs_csv((root / "pairs.csv").read_text()))
 (root / "result.json").write_text(json.dumps({
     "codes": codes,
     "scipy_before": before,
+    "unused_before": unused,
     "scipy_after": "scipy.spatial" in sys.modules and "scipy.optimize" in sys.modules,
     "d1": [d1.mse, d1.peak, d1.psnr_db],
     "fit": [fit.plcc, fit.srcc, fit.rmse, *fit.logistic_params],
@@ -112,8 +114,10 @@ fit = ggsc.eval.fit_logistic5(*ggsc.eval.read_pairs_csv((root / "pairs.csv").rea
 
 def test_codec_commands_load_no_scipy(tmp_path):
     """`import ggsc, ggsc.eval, ggsc.cli` and `ggsc encode|decode|info`
-    leave scipy unloaded; the two functions that need it still load it and
-    return what they return in this process."""
+    leave scipy unloaded, and `concurrent.futures` and `subprocess` (about
+    16 ms of start-up; only the external geometry backend runs a
+    command); the two functions that need scipy still load it and return
+    what they return in this process."""
     (tmp_path / "scene.ply").write_bytes(write_ply(cloud_columns(make_cloud(80, seed=5))))
     rng = np.random.default_rng(6)
     objective = rng.uniform(20.0, 45.0, 24)
@@ -127,6 +131,7 @@ def test_codec_commands_load_no_scipy(tmp_path):
 
     assert child["codes"] == [0, 0, 0]
     assert child["scipy_before"] == []
+    assert child["unused_before"] == []
     assert child["scipy_after"]
     d1 = eval_mod.geometry_psnr_d1(load_ply((tmp_path / "scene.ply").read_bytes()),
                                    load_ply((tmp_path / "out.ply").read_bytes()))

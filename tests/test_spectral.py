@@ -312,8 +312,7 @@ class TestGraphSpectra:
 
     def test_size_group_split_into_chunks(self, monkeypatch):
         """With the chunk limit lowered to two 6x6 matrices, five leaves of
-        6 are solved as chunks of 2, 2 and 1 -- on one thread or three --
-        with the same bits."""
+        6 are solved as chunks of 2, 2 and 1 with the same bits."""
         rng = np.random.default_rng(23)
         pts = rng.normal(size=(33, 3))
         leaves = self._leaves([6, 6, 3, 6, 6, 6])
@@ -327,11 +326,10 @@ class TestGraphSpectra:
 
         monkeypatch.setattr(spectral, "BATCH_ENTRIES", 2 * 36 + 35)
         monkeypatch.setattr(spectral, "eig_sym", spy)
-        for threads in (1, 3):
-            got = graph_spectra(pts, leaves, 0.7, threads=threads)
-            assert [rows.shape for rows, _ in got] == [(2, 6), (2, 6), (1, 6), (1, 3)]
-            self._assert_single(pts, leaves, 0.7, got)
-        assert sorted(shapes) == sorted([(2, 6, 6), (2, 6, 6), (1, 6, 6), (1, 3, 3)] * 2)
+        got = graph_spectra(pts, leaves, 0.7)
+        assert [rows.shape for rows, _ in got] == [(2, 6), (2, 6), (1, 6), (1, 3)]
+        self._assert_single(pts, leaves, 0.7, got)
+        assert sorted(shapes) == sorted([(2, 6, 6), (2, 6, 6), (1, 6, 6), (1, 3, 3)])
         self._assert_single(pts, leaves, 0.7, want)
 
     def test_stack_checks_every_matrix(self, monkeypatch):
@@ -413,6 +411,28 @@ class TestTransform:
                 leaf = GraphSpectrum(spec.eigenvalues[b], spec.basis[b])
                 assert fwd[b].tobytes() == gft(leaf, x[b]).tobytes()
                 assert inv[b].tobytes() == igft(leaf, x[b]).tobytes()
+
+    def test_truncated_transform_is_leading_columns(self):
+        """`gft(..., count=k)` of a stack, on either basis layout, is the
+        first k coefficients of the full transform bit for bit; k = 1 too,
+        where numpy would sum a lone column pairwise."""
+        rng = np.random.default_rng(25)
+        pts = rng.normal(size=(60, 3))
+        leaves = [np.arange(i, i + 20) for i in range(0, 60, 20)]
+        [(rows, spec)] = graph_spectra(pts, leaves, 0.7)
+        x = rng.normal(size=(3, 20, 4)) * 100.0
+        for basis in (spec.basis, np.ascontiguousarray(spec.basis)):
+            stack = GraphSpectrum(spec.eigenvalues, basis)
+            full = gft(stack, x)
+            for k in range(1, 21):
+                got = gft(stack, x, k)
+                assert got.shape == (3, k, 4)
+                assert got.tobytes() == np.ascontiguousarray(full[:, :k]).tobytes()
+        leaf = GraphSpectrum(spec.eigenvalues[0], spec.basis[0])
+        assert gft(leaf, x[0, :, 0], 1).tolist() == gft(leaf, x[0, :, 0])[:1].tolist()
+        for bad in (0, 21):
+            with pytest.raises(ValueError):
+                gft(stack, x, bad)
 
     def test_energy_preserved(self):
         spec, rng = self._spectrum(32, 15)
