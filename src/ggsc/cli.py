@@ -5,6 +5,7 @@ Subcommands:
 * ``encode IN OUT``     compress a .ply (or every .ply in a directory),
 * ``decode IN OUT``     reconstruct .ply from .ggsc (file or directory),
 * ``info STREAM``       print header fields and exact byte accounting,
+  attribute payloads split into class and raw bytes,
 * ``sweep IN OUT.csv``  rate-distortion sweep over a parameter grid,
 * ``correlate CSV``     logistic fit + PLCC/SRCC/RMSE for (objective,
   MOS) pairs.
@@ -33,6 +34,7 @@ from .codec import (
     canonical_order,
     decode,
     encode,
+    level_payload_sections,
 )
 from .gs_core import load_ply, save_ply
 
@@ -151,6 +153,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"b1_bytes: {report.b1}")
     for name in GROUP_NAMES:
         print(f"b2_{name}_bytes: {report.attribute_bytes[name]}")
+        class_bytes, raw_bytes = level_payload_sections(stream.attribute_payloads[name])
+        print(f"b2_{name}_class_bytes: {class_bytes}")
+        print(f"b2_{name}_raw_bytes: {raw_bytes}")
     print(f"b2_bytes: {report.b2}")
     print(f"total_bytes: {report.total_bytes}")
     for field in dc_fields(CodecParams):

@@ -14,13 +14,24 @@ Encoding pipeline:
    steps together, as one stack,
 6. quantize kept coefficients on one global grid per group and entropy
    code them; geometry travels separately as Morton deltas.  The seven
-   payloads are independent, so above `FORK_MIN_SYMBOLS` coded symbols
-   they are coded on forked processes, one per further usable CPU
-   (`_fork_join`); every byte is the same whatever the worker count.
+   payloads are independent, so from `FORK_MIN_SYMBOLS` coded symbols
+   (a decoded one weighing `DECODE_WEIGHT`) they are coded on forked
+   processes, one per further usable CPU (`_fork_join`); every byte is
+   the same whatever the worker count.
 
 An attribute payload lists the leaf sizes in order of first appearance
 in the partition, each size's leaves in partition order, and each
-leaf's kept levels component-major.
+leaf's kept levels component-major.  A level is coded as its offset d
+from its component's zero level, `quantize(0)` on the header grid,
+zigzagged to u (2d for d >= 0, -2d - 1 below): the *class* of u, its
+bit length in [0, q + 1], is arithmetic coded with one adaptive model
+per band of the coefficient index (0 | 1 | 2-3 | 4-7 | 8-15 | 16+), and
+u's low `class - 1` bits follow raw (`encode_levels`).  The payload is
+
+    [count u32 LE][class-bytes length u32 LE][class bytes]
+    [raw bits, MSB-first, zero padded to a byte]
+
+where the class bytes are the coder's output after its count header.
 
 The decoder replays steps 3-5 from the decoded lattice alone, which
 reproduces partitions, graphs and bases bit-for-bit -- no basis data is
@@ -48,11 +59,13 @@ from .gs_core import Box3, GaussianCloud
 from .quantizer import QuantGrid, dequantize, fit_grid, quantize
 
 MAGIC = b"GGSC"
-#: Stream format version.  4: one flag byte, one scale per grid, colour
-#: conversions sum in index order (3: payloads group leaves by size,
-#: transforms sum in index order without BLAS; 2: per-leaf order and BLAS
-#: products; 1: cyclic Jacobi bases).
-VERSION = 4
+#: Stream format version.  5: attribute levels coded as band-context
+#: magnitude classes plus raw bits (4: one adaptive model over all 2^q
+#: levels, one flag byte, one scale per grid, colour conversions sum in
+#: index order; 3: payloads group leaves by size, transforms sum in index
+#: order without BLAS; 2: per-leaf order and BLAS products; 1: cyclic
+#: Jacobi bases).
+VERSION = 5
 
 #: Attribute groups in payload order: (name, component count).  SH color
 #: is coded per YUV channel, 16 coefficient triples each.
@@ -65,6 +78,9 @@ ATTRIBUTE_GROUPS = (
     ("rotation", 4),
 )
 GROUP_NAMES = tuple(name for name, _ in ATTRIBUTE_GROUPS)
+#: Contexts of an attribute payload's class stream: coefficient index
+#: bands 0 | 1 | 2-3 | 4-7 | 8-15 | 16+, one adaptive model each.
+BANDS = 6
 
 GEOM_INTERNAL = 0
 GEOM_EXTERNAL = 1
@@ -79,13 +95,19 @@ MAX_Q_GEO = 31
 #: peak RSS on one core of an Intel Xeon.  The bound keeps a hostile
 #: header from asking for one leaf over every point.
 MAX_LEAF = 512
-#: Coded symbols below which `_fork_join` codes every payload in this
-#: process.  On a 2-core x86-64 VM a fork plus join costs about 5 ms and
-#: a coded symbol about 2 us, but two busy processes there each run about
-#: 1.6x slower than one alone.  Forking the encodes of 7,296 and 10,752
-#: symbols (the `spectral-m64` and `lossy-rd` benchmark workloads) gained
-#: nothing measurable; one of 58,368 (`entropy-q16`) gained 40%.
-FORK_MIN_SYMBOLS = 1 << 15
+#: Job weight below which `_fork_join` codes every payload in this
+#: process, counted in encoded symbols.  On a 2-core x86-64 VM a fork plus
+#: join costs about 5 ms and an encoded symbol about 1.5 us, but two busy
+#: processes there each run about 1.6x slower than one alone.  Forking the
+#: encodes of 7,296 and 10,752 symbols (the `spectral-m64` and `lossy-rd`
+#: benchmark workloads) gained nothing measurable, one of 58,368
+#: (`entropy-q16`) 40%; forking the decode of `lossy-rd` gained 11%.
+FORK_MIN_SYMBOLS = 1 << 14
+#: A decoded attribute level weighs this many encoded symbols: the
+#: decoder's per-symbol Fenwick search, plus its canonical re-encode, cost
+#: 2.7-3.5 times an encode of the same payloads on the benchmark
+#: workloads.
+DECODE_WEIGHT = 3
 
 
 class CodecError(ValueError):
@@ -352,12 +374,13 @@ def _serve(jobs, share: list[int], r: int, w: int) -> None:
 
 
 def _fork_join(jobs: list[tuple[int, object, tuple]]) -> list:
-    """Results of independent jobs `(symbols, fn, args)`, in job order.
+    """Results of independent jobs `(weight, fn, args)`, in job order.
 
-    The jobs are shared out by symbol count between this process and one
-    forked child per further usable CPU; each child sends its outcomes
-    back over a pipe.  The jobs run here, one after another, when they
-    hold fewer than `FORK_MIN_SYMBOLS` symbols in all, when only one CPU
+    A job's weight is its expected cost in encoded symbols.  The jobs are
+    shared out by weight between this process and one forked child per
+    further usable CPU; each child sends its outcomes back over a pipe.
+    The jobs run here, one after another, when they weigh less than
+    `FORK_MIN_SYMBOLS` in all, when only one CPU
     is usable, without `os.fork`, or when this process has other threads
     (a fork copies only the calling one).  Either way the exception
     raised is that of the first job in list order that raised.  Every
@@ -415,6 +438,90 @@ def _fork_join(jobs: list[tuple[int, object, tuple]]) -> list:
     return results
 
 
+def _level_count(comps: int, alpha: float, sizes: dict[int, int]) -> int:
+    return comps * sum(n * spectral.clip_count(alpha, m) for m, n in sizes.items())
+
+
+def _level_layout(grid: QuantGrid, alpha: float,
+                  sizes: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each payload level's context and zero level, in payload order, for
+    `sizes` (leaf size -> leaf count, in payload order).
+
+    The context is the band of the level's coefficient index, 0 | 1 |
+    2-3 | 4-7 | 8-15 | 16+; the zero level is `quantize(0)` on its
+    component's grid.
+    """
+    zero = quantize(np.zeros(grid.components), grid)
+    bands, zeros = [], []
+    for m, n in sizes.items():
+        k = spectral.clip_count(alpha, m)
+        # frexp's exponent is the bit length of a nonnegative integer
+        band = np.minimum(np.frexp(np.arange(k))[1], BANDS - 1)
+        bands.append(np.broadcast_to(band, (n, grid.components, k)).ravel())
+        zeros.append(np.broadcast_to(zero[:, None], (n, grid.components, k)).ravel())
+    return np.concatenate(bands), np.concatenate(zeros)
+
+
+def encode_levels(levels: np.ndarray, grid: QuantGrid, alpha: float,
+                  sizes: dict[int, int]) -> bytes:
+    """One attribute payload from its levels in payload order.
+
+    Each level's offset from its zero level is zigzagged to u >= 0; its
+    magnitude class, the bit length of u, is arithmetic coded with one
+    adaptive model per coefficient band, and the low `class - 1` bits of
+    u follow raw.  `sizes` maps leaf size to leaf count in payload order.
+    """
+    bands, zeros = _level_layout(grid, alpha, sizes)
+    d = levels - zeros
+    u = np.where(d < 0, -2 * d - 1, 2 * d)
+    classes = np.frexp(u.astype(np.float64))[1].astype(np.int64)
+    coded = entropy.aac_encode(entropy.SymbolStream(grid.q + 2, classes), bands)
+    bits = np.zeros(int(np.maximum(classes - 1, 0).sum()), dtype=np.uint8)
+    for rows, positions, sig in entropy.raw_bit_chunks(classes):
+        bits[positions] = (u[rows, None] >> sig) & 1
+    return b"".join([coded[:4], struct.pack("<I", len(coded) - 4), coded[4:],
+                     np.packbits(bits).tobytes()])
+
+
+def decode_levels(payload: bytes, grid: QuantGrid, alpha: float,
+                  sizes: dict[int, int]) -> np.ndarray:
+    """Invert `encode_levels`; any inconsistency raises `CorruptPayloadError`.
+
+    The count the header claims must be the one `sizes` implies, and is
+    checked before anything is decoded or allocated.
+    """
+    count = _level_count(grid.components, alpha, sizes)
+    class_len, _ = level_payload_sections(payload)
+    (claimed,) = struct.unpack_from("<I", payload, 0)
+    if claimed != count:
+        raise CorruptPayloadError(f"payload holds {claimed} symbols, expected {count}")
+    bands, zeros = _level_layout(grid, alpha, sizes)
+    classes = entropy.aac_decode(payload[:4] + payload[8 : 8 + class_len],
+                                 grid.q + 2, count, bands).symbols
+    nbits = int(np.maximum(classes - 1, 0).sum())
+    bits = entropy.unpack_raw_bits(payload[8 + class_len :], nbits, "raw section")
+    u = np.where(classes > 0, 1 << np.maximum(classes - 1, 0), 0)
+    for rows, positions, sig in entropy.raw_bit_chunks(classes):
+        u[rows] |= (bits[positions].astype(np.int64) << sig).sum(axis=1)
+    levels = zeros + np.where(u & 1, -(u + 1) // 2, u // 2)
+    if count and (levels.min() < 0 or levels.max() > grid.levels):
+        raise CorruptPayloadError(f"raw bits decode to a level outside [0, {grid.levels}]")
+    return levels
+
+
+def level_payload_sections(payload: bytes) -> tuple[int, int]:
+    """(class bytes, raw bytes) of an attribute payload, read from its
+    framing without decoding; a framing they do not fit raises
+    `CorruptPayloadError`."""
+    if len(payload) < 8:
+        raise CorruptPayloadError("payload shorter than its header")
+    (class_len,) = struct.unpack_from("<I", payload, 4)
+    if 8 + class_len > len(payload):
+        raise CorruptPayloadError(
+            f"class bytes ({class_len}) run past the payload end ({len(payload)})")
+    return class_len, len(payload) - 8 - class_len
+
+
 def _box_of(points: np.ndarray) -> Box3:
     return Box3(min=points.min(axis=0), max=points.max(axis=0))
 
@@ -470,6 +577,7 @@ def encode(
 
     recon_centers = dequantize(lattice, geom_grid)
     part = partition.kdtree_split(recon_centers, params.max_leaf)
+    sizes = Counter(len(leaf) for leaf in part.leaves)
     chunks = _leaf_spectra(recon_centers, part)
     signals = _attribute_signals(ordered)
 
@@ -485,8 +593,7 @@ def encode(
         grid = attr_grids[name] = fit_grid(samples, params.q_for(name))
         symbols = symbols_by_group[name] = np.concatenate(
             [quantize(k, grid).transpose(0, 2, 1).ravel() for k in kept])
-        jobs.append((symbols.size, entropy.aac_encode,
-                     (entropy.SymbolStream(1 << params.q_for(name), symbols),)))
+        jobs.append((symbols.size, encode_levels, (symbols, grid, alpha, sizes)))
 
     geometry = geom_codec.QuantizedGeometry(q=params.q_geo, points=lattice)
     if not geometry_command:
@@ -545,9 +652,10 @@ def _reconstruct_signals(
     return out
 
 
-def _decode_payload(name: str, payload: bytes, alphabet: int, count: int) -> np.ndarray:
+def _decode_payload(name: str, payload: bytes, grid: QuantGrid, alpha: float,
+                    sizes: dict[int, int]) -> np.ndarray:
     try:
-        return entropy.aac_decode(payload, alphabet, count).symbols
+        return decode_levels(payload, grid, alpha, sizes)
     except CorruptPayloadError as exc:
         raise CorruptPayloadError(f"{name}: {exc}") from exc
 
@@ -606,9 +714,9 @@ def decode(
         jobs = []
         for name, comps in ATTRIBUTE_GROUPS:
             alpha = params.alpha_for(name)
-            count = comps * sum(n * spectral.clip_count(alpha, m) for m, n in sizes.items())
-            jobs.append((count, _decode_payload, (
-                name, stream.attribute_payloads[name], 1 << params.q_for(name), count)))
+            jobs.append((DECODE_WEIGHT * _level_count(comps, alpha, sizes), _decode_payload, (
+                name, stream.attribute_payloads[name], stream.attr_grids[name], alpha,
+                sizes)))
         symbols_by_group = dict(zip(GROUP_NAMES, _fork_join(jobs)))
         chunks = _leaf_spectra(recon_centers, part)
 

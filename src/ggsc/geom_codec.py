@@ -10,8 +10,9 @@ implied by the bucket).  Raw bits are packed MSB-first.
 One numpy path serves every depth q in [1, 31].  Codes of up to 93 bits
 and their deltas are held as four 24-bit int64 limbs, with borrows and
 carries moved limb by limb; the raw bits are gathered and scattered one
-bucket, and at most CHUNK_BITS bits, at a time, so temporaries stay
-O(points + remainder bits).
+bucket, and at most `entropy.CHUNK_BITS` bits, at a time
+(`entropy.raw_bit_chunks`), so temporaries stay O(points + remainder
+bits).
 
 Section layout, all little-endian:
 
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import partition
-from .entropy import CorruptPayloadError, SymbolStream, aac_decode, aac_encode
+from .entropy import (CorruptPayloadError, SymbolStream, aac_decode, aac_encode,
+                      raw_bit_chunks, unpack_raw_bits)
 
 #: Bit-length alphabet for the bucket stream (covers codes up to 127 bits).
 BUCKET_ALPHABET = 128
@@ -47,9 +49,6 @@ EXTERNAL_TAG = 1
 LIMB_BITS = 24
 LIMBS = 4
 LIMB_MASK = (1 << LIMB_BITS) - 1
-#: Remainder bits packed or unpacked per step: bounds the int64
-#: (rows, bits) temporaries to 512 KiB each whatever the point count.
-CHUNK_BITS = 1 << 16
 
 
 @dataclass
@@ -88,20 +87,6 @@ def _limbs(high: np.ndarray, low: np.ndarray) -> np.ndarray:
                     axis=1).astype(np.int64)
 
 
-def _remainder_bits(buckets: np.ndarray):
-    """Per bucket b >= 2, in chunks of at most CHUNK_BITS bits: the rows,
-    the section bit positions of their low b - 1 bits (one row each, MSB
-    first) and those bits' significance."""
-    widths = np.maximum(buckets - 1, 0)
-    offsets = np.cumsum(widths) - widths
-    for b in np.unique(buckets[buckets >= 2]):
-        rows = np.flatnonzero(buckets == b)
-        step = max(CHUNK_BITS // (b - 1), 1)
-        sig = np.arange(b - 2, -1, -1)
-        for chunk in np.split(rows, np.arange(step, len(rows), step)):
-            yield chunk, offsets[chunk, None] + np.arange(b - 1), sig
-
-
 def _deltas(geom: QuantizedGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Consecutive Morton code differences (the first against 0) as
     (n, LIMBS) limbs, and their bit lengths; order violations raise."""
@@ -125,7 +110,7 @@ def encode_centers(geom: QuantizedGeometry) -> bytes:
 
     nbits = int(np.maximum(buckets - 1, 0).sum())
     bits = np.zeros(nbits, dtype=np.uint8)
-    for rows, positions, sig in _remainder_bits(buckets):
+    for rows, positions, sig in raw_bit_chunks(buckets):
         limb = deltas[rows][:, sig // LIMB_BITS]
         bits[positions] = (limb >> (sig % LIMB_BITS)) & 1
     return b"".join(
@@ -169,20 +154,12 @@ def decode_centers(payload: bytes, q: int, count: int) -> QuantizedGeometry:
         raise CorruptPayloadError("bucket exceeds the lattice code width")
 
     (nbits,) = struct.unpack_from("<Q", payload, 9 + blen)
-    remainder = payload[9 + blen + 8 :]
-    if len(remainder) != (nbits + 7) // 8:
-        raise CorruptPayloadError("remainder byte count disagrees with bit count")
     expected_bits = int((np.maximum(buckets - 1, 0)).sum())
     if expected_bits != nbits:
         raise CorruptPayloadError("remainder bit count disagrees with buckets")
-    if nbits % 8:
-        pad = remainder[-1] & ((1 << (8 - nbits % 8)) - 1)
-        if pad:
-            raise CorruptPayloadError("nonzero padding in remainder section")
-
-    bits = np.unpackbits(np.frombuffer(remainder, dtype=np.uint8))
+    bits = unpack_raw_bits(payload[9 + blen + 8 :], nbits, "remainder section")
     deltas = np.zeros((n, LIMBS), dtype=np.int64)
-    for rows, positions, sig in _remainder_bits(buckets):
+    for rows, positions, sig in raw_bit_chunks(buckets):
         weights = bits[positions].astype(np.int64) << (sig % LIMB_BITS)
         deltas[rows] = weights @ (sig[:, None] // LIMB_BITS == np.arange(LIMBS))
     lead = np.flatnonzero(buckets)

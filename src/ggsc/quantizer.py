@@ -84,8 +84,9 @@ def quantize(values: np.ndarray, grid: QuantGrid) -> np.ndarray:
     vals, squeeze = _align(values, grid)
     if grid.scale > 0.0:
         scaled = (vals - grid.mins) * grid.levels
-        out = np.floor(scaled / grid.scale + 0.5).astype(np.int64)
-        np.clip(out, 0, grid.levels, out=out)
+        # Clipped before the cast: an overflow to +-inf has no int64 value.
+        out = np.clip(np.floor(scaled / grid.scale + 0.5), 0, grid.levels)
+        out = out.astype(np.int64)
     else:
         out = np.zeros(vals.shape, dtype=np.int64)
     return out[..., 0] if squeeze else out

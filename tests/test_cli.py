@@ -13,7 +13,7 @@ import pytest
 
 from conftest import cloud_columns, make_cloud, write_ply
 from ggsc.cli import _parse_axis, main
-from ggsc.codec import VERSION, CodecParams, CodedStream, decode, encode
+from ggsc.codec import GROUP_NAMES, VERSION, CodecParams, CodedStream, decode, encode
 from ggsc.eval import PSNR_AXES, SWEEP_COLUMNS
 from ggsc.gs_core import load_ply, save_ply
 
@@ -195,6 +195,32 @@ class TestInfo:
         parts = (int(info["header_bytes"]) + int(info["b1_bytes"])
                  + int(info["b2_bytes"]))
         assert parts == int(info["total_bytes"]) == int(info["file_bytes"])
+
+    def test_attribute_class_and_raw_bytes(self, asset, capsys):
+        """Each attribute payload's bytes split into its framing, its
+        class bytes and its raw bits, as the stream's framing states."""
+        _, _, dst = asset
+        assert main(["info", str(dst)]) == 0
+        info = _kv(capsys.readouterr().out)
+        stream = CodedStream.from_bytes(dst.read_bytes())
+        for name in GROUP_NAMES:
+            payload = stream.attribute_payloads[name]
+            class_bytes = int(info[f"b2_{name}_class_bytes"])
+            raw_bytes = int(info[f"b2_{name}_raw_bytes"])
+            assert class_bytes == int.from_bytes(payload[4:8], "little") > 0
+            assert raw_bytes > 0
+            assert 8 + class_bytes + raw_bytes == int(info[f"b2_{name}_bytes"])
+
+    def test_info_on_bad_payload_framing_fails(self, asset, tmp_path, capsys):
+        _, _, dst = asset
+        stream = CodedStream.from_bytes(dst.read_bytes())
+        payload = stream.attribute_payloads["scale"]
+        stream.attribute_payloads["scale"] = payload[:4] + (len(payload)).to_bytes(
+            4, "little") + payload[8:]
+        bad = tmp_path / "bad.ggsc"
+        bad.write_bytes(stream.to_bytes())
+        assert main(["info", str(bad)]) == 1
+        assert "past the payload end" in capsys.readouterr().err
 
     def test_info_on_ply_fails(self, asset, capsys):
         _, src, _ = asset

@@ -1,11 +1,13 @@
 """Container format and end-to-end encode/decode behavior."""
 
+import hashlib
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -25,8 +27,8 @@ from ggsc.codec import (
     decode,
     encode,
 )
-from ggsc.entropy import CorruptPayloadError, aac_decode
-from ggsc.quantizer import dequantize, quantize
+from ggsc.entropy import CorruptPayloadError, SymbolStream, aac_encode
+from ggsc.quantizer import QuantGrid, dequantize, quantize
 from ggsc import spectral
 
 from conftest import child_env, make_cloud, make_realistic_cloud
@@ -303,9 +305,9 @@ class TestSymbolLayout:
             levels = quantize(spectral.gft(spec, scale[leaves[j]])[:k], grid)
             expected.append(levels.T.ravel())
         expected = np.concatenate(expected)
-        decoded = aac_decode(stream.attribute_payloads["scale"],
-                             1 << params.q_scale, expected.size)
-        np.testing.assert_array_equal(decoded.symbols, expected)
+        decoded = C.decode_levels(stream.attribute_payloads["scale"], grid,
+                                  params.alpha_scale, Counter(sizes))
+        np.testing.assert_array_equal(decoded, expected)
 
 
 class TestRateBehavior:
@@ -328,7 +330,8 @@ class TestRateBehavior:
         cloud = make_cloud(64, seed=17)
         stream = encode(cloud, CodecParams(max_leaf=16))
         # one coefficient per primitive, C=1; any other count raises
-        decoded = aac_decode(stream.attribute_payloads["opacity"], 1 << 10, 64)
+        decoded = C.decode_levels(stream.attribute_payloads["opacity"],
+                                  stream.attr_grids["opacity"], 1.0, {16: 4})
         assert len(decoded) == 64
 
 
@@ -357,10 +360,8 @@ class TestCorruptStreams:
         """A valid payload with the wrong symbol count is caught by the
         expected-count cross-check even though it is canonically coded."""
         stream = self._stream()
-        from ggsc.entropy import SymbolStream, aac_encode
-        forged = aac_encode(
-            SymbolStream(1 << 10, np.zeros(17, dtype=np.int64))
-        )
+        grid = stream.attr_grids["opacity"]
+        forged = C.encode_levels(np.zeros(17, dtype=np.int64), grid, 1.0, {17: 1})
         stream.attribute_payloads["opacity"] = forged
         with pytest.raises(CorruptPayloadError,
                            match="opacity: payload holds 17 symbols, expected"):
@@ -384,6 +385,15 @@ class TestCorruptStreams:
         stream = self._stream()
         grid = stream.geom_grid if group == "geometry" else stream.attr_grids[group]
         huge = replace(grid, scale=1e308)
+        if group != "geometry":
+            # Levels are coded as offsets from the grid's zero level,
+            # quantize(0), so the old payload need not fit the tampered
+            # grid: code every level at the top of its range on it instead.
+            _, debug = encode(make_cloud(150, seed=18), SMALL, collect_debug=True)
+            sizes = Counter(len(leaf) for leaf in debug.part.leaves)
+            count = C._level_count(grid.components, 1.0, sizes)
+            stream.attribute_payloads[group] = C.encode_levels(
+                np.full(count, huge.levels), huge, 1.0, sizes)
         if group == "geometry":
             stream.geom_grid = huge
         else:
@@ -397,6 +407,116 @@ class TestCorruptStreams:
         stream.geometry_payload = small.geometry_payload
         with pytest.raises(CorruptPayloadError, match="header says"):
             decode(stream)
+
+
+def _spectrum_levels(grid, alpha, sizes, seed):
+    """Levels in payload order of Laplace-shaped coefficients that shrink
+    with their index, quantized on `grid`."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for m, n in sizes.items():
+        k = spectral.clip_count(alpha, m)
+        values = rng.laplace(size=(n, k, grid.components)) / (1.0 + np.arange(k))[:, None]
+        parts.append(quantize(values, grid).transpose(0, 2, 1).ravel())
+    return np.concatenate(parts)
+
+
+class TestLevelPayloadBytes:
+    """SHA-256 of attribute payloads written by `encode_levels` when these
+    pins were recorded.  The leaves reach coefficient 16 and past, so
+    every band is pinned.  A change to any of them is a stream format
+    change: bump `codec.VERSION` and record them again."""
+
+    @pytest.mark.parametrize("q, comps, alpha, sizes, size, digest", [
+        (8, 3, 1.0, {40: 2, 37: 1}, 218,
+         "b9b3b182b0bdc3d5c872186c2ffae03a15785b00a4d719fc80380e810fcdf9d4"),
+        (16, 1, 0.5, {64: 3}, 177,
+         "96976c7a9952809296cc442b245cccf5841edb5f30584a3fad824595ab3c57ad"),
+        (1, 4, 1.0, {20: 2}, 21,
+         "eea53d8bb727f5d808aa31ffb1ad080dc8090f7886f4054b626439895c8ad6e6"),
+    ])
+    def test_payload_hash(self, q, comps, alpha, sizes, size, digest):
+        grid = QuantGrid(mins=np.full(comps, -2.0), scale=4.5, q=q)
+        levels = _spectrum_levels(grid, alpha, sizes, seed=q)
+        payload = C.encode_levels(levels, grid, alpha, sizes)
+        np.testing.assert_array_equal(C.decode_levels(payload, grid, alpha, sizes), levels)
+        assert len(payload) == size
+        assert hashlib.sha256(payload).hexdigest() == digest
+
+
+class TestHostileLevelPayloads:
+    """Attribute payloads forged in the class-plus-raw-bits layout
+    [count u32][class-bytes length u32][class bytes][raw bits] raise
+    `CorruptPayloadError` within bounded time and memory."""
+
+    def _stream(self):
+        """The stream and its partition's leaf sizes, in payload order."""
+        stream, debug = encode(make_cloud(150, seed=18), SMALL, collect_debug=True)
+        return stream, Counter(len(leaf) for leaf in debug.part.leaves)
+
+    def _rejected(self, stream, sizes, group, payload, match):
+        """`decode` names the group and the fault; the group's payload
+        decoder fails within bounded time and memory."""
+        stream.attribute_payloads[group] = payload
+        with pytest.raises(CorruptPayloadError, match=f"^{group}: .*{match}"):
+            decode(stream)
+        with bounded_failure(seconds=0.5, bytes_=1 << 20):
+            C.decode_levels(payload, stream.attr_grids[group], 1.0, sizes)
+
+    @staticmethod
+    def _sections(payload):
+        count, class_len = struct.unpack_from("<II", payload)
+        return count, payload[8 : 8 + class_len], payload[8 + class_len :]
+
+    @staticmethod
+    def _raw_bit_count(stream, group, sizes):
+        grid = stream.attr_grids[group]
+        d = (C.decode_levels(stream.attribute_payloads[group], grid, 1.0, sizes)
+             - C._level_layout(grid, 1.0, sizes)[1])
+        u = np.abs(2 * d + (d < 0))  # the zigzag map
+        return int(np.maximum(np.frexp(u)[1] - 1, 0).sum())
+
+    def test_class_length_past_payload_end(self):
+        stream, sizes = self._stream()
+        payload = stream.attribute_payloads["scale"]
+        count, classes, raw = self._sections(payload)
+        forged = struct.pack("<II", count, len(payload)) + classes + raw
+        self._rejected(stream, sizes, "scale", forged, "past the payload end")
+
+    @pytest.mark.parametrize("change", ["short", "long"])
+    def test_raw_section_one_byte_off(self, change):
+        stream, sizes = self._stream()
+        payload = stream.attribute_payloads["rotation"]
+        assert len(self._sections(payload)[2]) > 0
+        forged = payload[:-1] if change == "short" else payload + b"\x00"
+        self._rejected(stream, sizes, "rotation", forged, "raw section holds")
+
+    def test_nonzero_padding(self):
+        stream, sizes = self._stream()
+        group = "opacity"
+        assert self._raw_bit_count(stream, group, sizes) % 8
+        payload = bytearray(stream.attribute_payloads[group])
+        payload[-1] |= 1
+        self._rejected(stream, sizes, group, bytes(payload), "nonzero padding")
+
+    def test_raw_bits_past_the_level_range(self):
+        """Every level in the top class with all raw bits set: u = 2^(q+1) - 1
+        lies 2^q below the zero level, under level 0."""
+        stream, sizes = self._stream()
+        grid = stream.attr_grids["opacity"]
+        count = 150
+        classes = np.full(count, grid.q + 1)
+        bands, _ = C._level_layout(grid, 1.0, sizes)
+        coded = aac_encode(SymbolStream(grid.q + 2, classes), bands)
+        raw = np.packbits(np.ones(count * grid.q, dtype=np.uint8)).tobytes()
+        forged = coded[:4] + struct.pack("<I", len(coded) - 4) + coded[4:] + raw
+        self._rejected(stream, sizes, "opacity", forged, r"outside \[0, 1023\]")
+
+    def test_count_of_two_to_the_32_minus_one(self):
+        stream, sizes = self._stream()
+        payload = stream.attribute_payloads["sh_v"]
+        forged = struct.pack("<I", 2**32 - 1) + payload[4:]
+        self._rejected(stream, sizes, "sh_v", forged, "payload holds 4294967295 symbols")
 
 
 class TestExternalGeometryBackend:
@@ -453,8 +573,14 @@ class TestCanonicalOrder:
 def _force_fork(monkeypatch) -> list[int]:
     """Make `_fork_join` fork for any job list, as on 3 usable CPUs; the
     returned list collects the pid of every child forked."""
-    monkeypatch.setattr(C, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(C, "FORK_MIN_SYMBOLS", 0)
+    return _count_forks(monkeypatch, cpus=3)
+
+
+def _count_forks(monkeypatch, cpus: int) -> list[int]:
+    """Make `_fork_join` see `cpus` usable CPUs; the returned list
+    collects the pid of every child forked."""
+    monkeypatch.setattr(C, "_usable_cpus", lambda: cpus)
     forks = []
     real = os.fork
 
@@ -501,6 +627,17 @@ class TestForkJoin:
         assert save_ply(decode(CodedStream.from_bytes(blob))) == ply
         assert len(forks) == 4
 
+    def test_decode_weighs_a_symbol_above_encode(self, monkeypatch):
+        """At the lossy operating point of 512 primitives (10,240 attribute
+        levels plus 512 points) on two CPUs the encode stays in this
+        process; the decode, whose levels weigh `DECODE_WEIGHT` each,
+        forks one worker."""
+        forks = _count_forks(monkeypatch, cpus=2)
+        stream = encode(make_realistic_cloud(512, seed=41), GOLDEN_CASES[1].params)
+        assert forks == []
+        decode(stream)
+        assert len(forks) == 1
+
     def test_results_in_job_order(self, monkeypatch):
         forks = _force_fork(monkeypatch)
         jobs = [(n, lambda i: (i, os.getpid()), (i,)) for i, n in enumerate([5, 1, 9, 2, 7])]
@@ -539,10 +676,10 @@ class TestForkJoin:
         parent = os.getpid()
         real = C.entropy.aac_encode
 
-        def dying(stream):
+        def dying(*args):
             if os.getpid() != parent:
                 os._exit(7)
-            return real(stream)
+            return real(*args)
 
         monkeypatch.setattr(C.entropy, "aac_encode", dying)
         with pytest.raises(RuntimeError, match="exited with status 7"):

@@ -50,13 +50,16 @@ def golden_symbols(alphabet, n, seed):
     return (rng.zipf(1.3, size=n) - 1) % alphabet
 
 
-def reference_encode(symbols, alphabet):
+def reference_encode(symbols, alphabet, contexts=None):
     """The coder written out plainly: counts in a list whose sums are taken
-    per symbol (O(alphabet)), one renormalization bit at a time, the whole
-    low register flushed at the end.  Reads `entropy.RESCALE_LIMIT` at call
-    time, like the coder, so both can be run with a lowered limit."""
+    per symbol (O(alphabet)), one list per context, one renormalization
+    bit at a time, the whole low register flushed at the end.  Reads
+    `entropy.RESCALE_LIMIT` at call time, like the coder, so both can be
+    run with a lowered limit."""
     half, quarter, mask = 1 << 31, 1 << 30, (1 << 32) - 1
-    counts = [entropy.COUNT_INIT] * alphabet
+    if contexts is None:
+        contexts = [0] * len(symbols)
+    models = {}
     low, high, pending, bits = 0, mask, 0, []
 
     def emit(bit):
@@ -65,8 +68,9 @@ def reference_encode(symbols, alphabet):
         bits.extend([1 - bit] * pending)
         pending = 0
 
-    for s in symbols:
+    for s, ctx in zip(symbols, contexts):
         s = int(s)
+        counts = models.setdefault(int(ctx), [entropy.COUNT_INIT] * alphabet)
         total = sum(counts)
         cumlow = sum(counts[:s])
         rng = high - low + 1
@@ -88,7 +92,7 @@ def reference_encode(symbols, alphabet):
             low, high = 2 * low, 2 * high + 1
         counts[s] += entropy.COUNT_INCREMENT
         if total + entropy.COUNT_INCREMENT > entropy.RESCALE_LIMIT:
-            counts = [(c + 1) >> 1 for c in counts]
+            counts[:] = [(c + 1) >> 1 for c in counts]
     if len(symbols):
         for k in range(31, -1, -1):
             emit((low >> k) & 1)
@@ -425,4 +429,98 @@ def test_matches_reference_model(seed, n, alphabet, rescale_limit):
         payload = aac_encode(stream(syms, alphabet))
         assert payload == reference_encode(syms, alphabet)
         out = aac_decode(payload, alphabet, n)
+    np.testing.assert_array_equal(out.symbols, syms)
+
+
+def band_contexts(n):
+    """Contexts cycling through the codec's coefficient bands
+    0 | 1 | 2-3 | 4-7 | 8-15 | 16+ over leaves of 24 coefficients."""
+    index = np.arange(n) % 24
+    return np.minimum(np.frexp(index)[1], 5)
+
+
+class TestContexts:
+    """Per-symbol contexts: one adaptive model per context, the coder and
+    its framing otherwise unchanged."""
+
+    def test_one_context_is_the_plain_coder(self):
+        syms = golden_symbols(300, 2000, 11)
+        plain = aac_encode(stream(syms, 300))
+        assert aac_encode(stream(syms, 300), np.zeros(2000, dtype=np.int64)) == plain
+        assert aac_encode(stream(syms, 300), np.full(2000, 4)) == plain
+
+    def test_round_trip_and_reference(self):
+        syms = golden_symbols(18, 5000, 12)
+        ctx = band_contexts(5000)
+        payload = aac_encode(stream(syms, 18), ctx)
+        assert payload == reference_encode(syms, 18, ctx)
+        np.testing.assert_array_equal(aac_decode(payload, 18, 5000, ctx).symbols, syms)
+
+    def test_wrong_contexts_do_not_decode(self):
+        syms = golden_symbols(18, 3000, 13)
+        ctx = band_contexts(3000)
+        payload = aac_encode(stream(syms, 18), ctx)
+        with pytest.raises(CorruptPayloadError):
+            aac_decode(payload, 18, 3000, np.roll(ctx, 1))
+
+    @pytest.mark.parametrize("contexts", [
+        np.zeros(9, dtype=np.int64),            # one short
+        np.zeros(11, dtype=np.int64),           # one long
+        np.full(10, -1),                        # negative
+        np.zeros(10, dtype=np.float64),         # not integers
+        np.zeros((2, 5), dtype=np.int64),       # not one per symbol
+    ])
+    def test_malformed_contexts_rejected(self, contexts):
+        s = stream(np.arange(10) % 4, 4)
+        with pytest.raises(ValueError, match="context"):
+            aac_encode(s, contexts)
+        payload = aac_encode(s)
+        with pytest.raises(ValueError, match="context"):
+            aac_decode(payload, 4, 10, contexts)
+
+    @pytest.mark.parametrize(
+        "alphabet, n, seed, contexts, size, digest",
+        [
+            (10, 3000, 21, band_contexts, 1192,
+             "b7094ed93eefa79e12af667f2dfc172f08526f5e332a93d6e2d958de44c27764"),
+            (18, 3000, 22, band_contexts, 1435,
+             "a2d45a4345795fda6f19c4a1db27b79f4792977030e052af8425c36c846f3958"),
+            (256, 3000, 23, band_contexts, 2358,
+             "d58e4d11e68a30f2c5fad993ee68830db1b5998066cfd2e34d770402a42a2545"),
+            # Context and symbol together take more than 16 bits.
+            (65536, 3000, 25, band_contexts, 3787,
+             "4caef5e4c2038911736ed2e012fd14be377df98a88668b0d76e3944b320c0953"),
+            # Two interleaved contexts of 550k symbols each: both push
+            # their model total past RESCALE_LIMIT once.
+            (18, 1_100_000, 24, lambda n: np.arange(n) % 2, 502261,
+             "e475d9a6fd0b8adf8744443a13c8d5a4ededf9d3a68e67d1554fceb75dc61b7c"),
+        ],
+    )
+    def test_payload_hash(self, alphabet, n, seed, contexts, size, digest):
+        """SHA-256 of context payloads, pinned like `TestGoldenBytes`."""
+        payload = aac_encode(stream(golden_symbols(alphabet, n, seed), alphabet),
+                             contexts(n))
+        assert len(payload) == size
+        assert hashlib.sha256(payload).hexdigest() == digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(min_value=0, max_value=400),
+    alphabet=st.integers(min_value=2, max_value=18),
+    n_contexts=st.integers(min_value=1, max_value=6),
+    rescale_limit=st.sampled_from([1 << 10, 1 << 12]),
+)
+def test_contexts_match_reference_model(seed, n, alphabet, n_contexts, rescale_limit):
+    """Context payloads are byte for byte the plain reference coder's with
+    one count list per context, and decode exactly.  The lowered rescale
+    limits make every busy context halve its model."""
+    syms = golden_symbols(alphabet, n, seed)
+    ctx = np.random.default_rng(seed + 1).integers(0, n_contexts, size=n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "RESCALE_LIMIT", rescale_limit)
+        payload = aac_encode(stream(syms, alphabet), ctx)
+        assert payload == reference_encode(syms, alphabet, ctx)
+        out = aac_decode(payload, alphabet, n, ctx)
     np.testing.assert_array_equal(out.symbols, syms)
