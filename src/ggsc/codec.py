@@ -59,13 +59,14 @@ from .gs_core import Box3, GaussianCloud
 from .quantizer import QuantGrid, dequantize, fit_grid, quantize
 
 MAGIC = b"GGSC"
-#: Stream format version.  5: attribute levels coded as band-context
-#: magnitude classes plus raw bits (4: one adaptive model over all 2^q
-#: levels, one flag byte, one scale per grid, colour conversions sum in
-#: index order; 3: payloads group leaves by size, transforms sum in index
-#: order without BLAS; 2: per-leaf order and BLAS products; 1: cyclic
-#: Jacobi bases).
-VERSION = 5
+#: Stream format version.  6: every payload range coded, bytes at a time
+#: (5: attribute levels coded as band-context magnitude classes plus raw
+#: bits, through a bit-wise arithmetic coder; 4: one adaptive model over
+#: all 2^q levels, one flag byte, one scale per grid, colour conversions
+#: sum in index order; 3: payloads group leaves by size, transforms sum in
+#: index order without BLAS; 2: per-leaf order and BLAS products; 1:
+#: cyclic Jacobi bases).
+VERSION = 6
 
 #: Attribute groups in payload order: (name, component count).  SH color
 #: is coded per YUV channel, 16 coefficient triples each.
@@ -97,16 +98,18 @@ MAX_Q_GEO = 31
 MAX_LEAF = 512
 #: Job weight below which `_fork_join` codes every payload in this
 #: process, counted in encoded symbols.  On a 2-core x86-64 VM a fork plus
-#: join costs about 5 ms and an encoded symbol about 1.5 us, but two busy
-#: processes there each run about 1.6x slower than one alone.  Forking the
-#: encodes of 7,296 and 10,752 symbols (the `spectral-m64` and `lossy-rd`
-#: benchmark workloads) gained nothing measurable, one of 58,368
-#: (`entropy-q16`) 40%; forking the decode of `lossy-rd` gained 11%.
-FORK_MIN_SYMBOLS = 1 << 14
+#: join costs about 5 ms and an encoded symbol 0.5-0.8 us, and two busy
+#: processes there each run about 1.6x slower than one alone.  Forced
+#: fork against serial, medians of alternating ops over 15 s at three
+#: seeds: `entropy-q16` (58,368 encoded symbols, 172,032 weighted decoded
+#: ones) encode 1.24-1.31x, decode 1.25-1.37x; `lossy-rd` (10,752 and
+#: 30,720) encode 0.98-1.00x, decode 0.91-1.03x; `spectral-m64` (7,296
+#: and 21,504) encode 0.88-0.90x, decode 0.92-0.96x.  So only the
+#: `entropy-q16` payloads fork.
+FORK_MIN_SYMBOLS = 1 << 15
 #: A decoded attribute level weighs this many encoded symbols: the
-#: decoder's per-symbol Fenwick search, plus its canonical re-encode, cost
-#: 2.7-3.5 times an encode of the same payloads on the benchmark
-#: workloads.
+#: decoder's per-symbol Fenwick search costs 2.5-3.5 times an encode of
+#: the same class streams (1.2-2.2 against 0.5-0.8 us per symbol).
 DECODE_WEIGHT = 3
 
 

@@ -1,11 +1,20 @@
-"""Adaptive binary arithmetic coding of bounded integer symbol streams.
+"""Adaptive range coding of bounded integer symbol streams.
 
-This is the classic 32-bit integer arithmetic coder (Witten/Neal/Cleary
-lineage): `low`/`high` straddle a shrinking interval, equal top bits are
-shifted out as coded bits, and near-convergence states around the
-midpoint are counted as underflow bits emitted with the next resolved
-bit.  Probabilities come from an order-0 adaptive model shared by
-encoder and decoder:
+The coder is a byte-wise range coder (Martin, "Range encoding", 1979)
+on a 64-bit window.  Its state is `low`, the bottom of the current
+interval, and `rng`, the interval's width, starting at 0 and 2^64.  A
+symbol with cumulative count `cumlow`, count `freq` and model total
+`total` narrows the interval to
+
+    r = rng // total;  low += r * cumlow;  rng = r * freq
+
+and while `rng` is below 2^56 the top byte of `low` leaves: `low` keeps
+its low 56 bits and both shift left by 8.  Renormalized, `rng` is at
+least 2^56 and a total at most 2^24, so r >= 2^32 and no symbol's width
+rounds to zero.  An addition can carry `low` past 2^64; the carry goes
+back into the bytes already written, turning trailing 0xFF bytes into
+0x00 and adding one to the byte before them.  Probabilities come from
+an order-0 adaptive model shared by encoder and decoder:
 
 * every symbol starts with count 1 (no zero-probability symbols),
 * a coded symbol's count grows by 32,
@@ -20,46 +29,50 @@ symbol shares one model, and the bytes are those of a single context.
 
 A model depends only on the symbols already coded, and `total` grows
 by a fixed step, so the points where it halves are known in advance.
-The encoder therefore computes every symbol's (cumlow, cumhigh, total)
+The encoder therefore computes every symbol's (cumlow, freq, total)
 with numpy before coding starts: inside one rescale segment a symbol's
 cumulative count is the segment's base prefix plus the increment times
 the number of earlier, smaller symbols in the segment (per context,
 scattered back to symbol order).  The decoder learns each symbol only
 as it decodes it, so each of its models is a Fenwick tree (a Python
 list built with numpy, rebuilt at each rescale) with O(log alphabet)
-queries and updates.  Both sides do a renormalization
-as one step: the k equal top bits of low and high (k = 32 minus the bit
-length of low ^ high) and then the run of underflow positions (low =
-01..., high = 10...).  The encoder gathers its bits in an int flushed to
-a bytearray; the decoder reads them through 64-bit windows precomputed
-for every byte offset.  The interval arithmetic, the model and the flush
-are those of the bit-at-a-time coder, so the bytes are too.
+queries and updates.
 
 A payload is framed as
 
-    [symbol count: u32 LE][coded bytes, MSB-first within each byte]
+    [symbol count: u32 LE][coded bytes]
 
-(contexts are not stored: the decoder is given the same ones), and the
-encoder flushes the entire 32-bit low register after the last
-symbol before padding to a byte.  The full flush costs a few bytes over
-the minimal two-bit variant but buys a sharp property: the decoder
-consumes exactly the bits the encoder wrote (32 for priming plus one
-per renormalization on both sides), so it never has to invent bits past
-the payload end, and running out of bits is always truncation.
+(contexts are not stored: the decoder is given the same ones).  After
+the last symbol the encoder flushes one byte: the top byte of the
+smallest multiple of 2^56 at or above `low`, which lies inside the final
+interval because its width is at least 2^56.
 
-Encoding is also canonical -- one byte string per symbol sequence --
-and the decoder exploits that for corruption detection: after decoding
-`count` symbols it re-encodes them and requires the result to match the
-received bytes exactly.  Every payload that is not the canonical
-encoding of some stream therefore raises `CorruptPayloadError`: framing
-violations, trailing garbage, truncation anywhere, and the vast
-majority of bit flips.  The unavoidable residue is corruption that
-happens to transform one canonical payload into another, which is
-indistinguishable from a legitimate encoding of a different stream
-without out-of-band redundancy.  The caller passes the symbol count it
-expects; a header that claims any other count is rejected before
-decoding, which narrows the window further and bounds the decoder's
-memory and time by that count.
+Encoding is canonical -- one byte string per symbol sequence -- and
+the decoder checks that in its loop.  It tracks diff = code - low, where
+the code is the payload read as a big-endian number with zero bytes
+after its end: 8 bytes to prime, one per renormalization.  A symbol
+whose value diff // r is `total` or more lies in the dead zone left by
+the rounding of r, which no encoding reaches.  At the end the decoder
+requires that it consumed exactly len + 7 bytes and that diff < 2^56.
+The decoded symbols drive an encoder through the same intervals and
+renormalizations, so that encoder writes len bytes too (one per
+renormalization and the flush byte, against the decoder's priming 8);
+and of the multiples of 2^56 at or above `low`, diff < 2^56 leaves only
+the smallest, which is what that encoder flushes.  So a payload decodes
+only if it is the canonical encoding of the symbols it decodes to, and
+everything else raises `CorruptPayloadError`: framing violations,
+trailing garbage, truncation anywhere and the vast majority of bit
+flips, without re-encoding anything.  The unavoidable residue is
+corruption that happens to transform one canonical payload into another,
+which is indistinguishable from a legitimate encoding of a different
+stream without out-of-band redundancy.
+
+The caller passes the symbol count it expects; a header that claims
+any other count is rejected before decoding, which bounds the decoder's
+memory and time by that count.  A symbol's count is at most its model's
+total minus one, and the total at most 2^24, so each symbol costs more
+than 2^-24 bits: a body of n bytes holds fewer than n * 2^27 symbols,
+and a count that large is refused before decoding too.
 
 Values too wide to model symbol by symbol are split the same way by
 the codec's attribute payloads and the geometry section: the coder
@@ -78,15 +91,14 @@ from itertools import repeat
 
 import numpy as np
 
-_MASK = (1 << 32) - 1
-_LOW31 = _MASK >> 1
-_TOP = 1 << 31
-_SECOND = 1 << 30
+#: The coder's window: `low` has 64 bits, and a byte leaves it whenever
+#: the range falls below 2^56.
+_TOP = 1 << 64
+_BOT = 1 << 56
+_LOW56 = _BOT - 1
 
-# Symbols whose model values are converted to Python ints at a time, and
-# the coded bits gathered in an int before they go to the output buffer.
+# Symbols whose model values are converted to Python ints at a time.
 _CHUNK = 1 << 12
-_FLUSH_BITS = 256
 #: Raw bits packed or unpacked per `raw_bit_chunks` step: bounds the int64
 #: (rows, bits) temporaries to 512 KiB each whatever the value count.
 CHUNK_BITS = 1 << 16
@@ -181,7 +193,7 @@ def _earlier_counts(seg: np.ndarray, alphabet: int, groups: np.ndarray | None = 
 
 
 def _segments(symbols: np.ndarray, alphabet: int):
-    """Yield one adaptive model's (cumlow, cumhigh, total) for every symbol,
+    """Yield one adaptive model's (cumlow, freq, total) for every symbol,
     as int64 arrays, one rescale segment at a time.
 
     `total` grows by COUNT_INCREMENT per symbol, so where the model halves
@@ -199,13 +211,13 @@ def _segments(symbols: np.ndarray, alphabet: int):
         less, equal = _earlier_counts(seg, alphabet)
         if base is None:
             cumlow = COUNT_INIT * seg + COUNT_INCREMENT * less
-            cumhigh = cumlow + COUNT_INIT + COUNT_INCREMENT * equal
+            freq = COUNT_INIT + COUNT_INCREMENT * equal
         else:
             cum = np.cumsum(base)
             cum -= base
             cumlow = cum[seg] + COUNT_INCREMENT * less
-            cumhigh = cumlow + base[seg] + COUNT_INCREMENT * equal
-        yield cumlow, cumhigh, total + COUNT_INCREMENT * np.arange(stop - start)
+            freq = base[seg] + COUNT_INCREMENT * equal
+        yield cumlow, freq, total + COUNT_INCREMENT * np.arange(stop - start)
         if stop < n:
             counts = COUNT_INCREMENT * np.bincount(seg, minlength=alphabet)
             counts += COUNT_INIT if base is None else base
@@ -215,7 +227,7 @@ def _segments(symbols: np.ndarray, alphabet: int):
 
 
 def _model(symbols: np.ndarray, alphabet: int, contexts: np.ndarray | None = None):
-    """Yield the model's (cumlow, cumhigh, total) for every symbol, as
+    """Yield the model's (cumlow, freq, total) for every symbol, as
     int64 arrays in symbol order.
 
     Without contexts there is one adaptive model, and the arrays come one
@@ -232,7 +244,7 @@ def _model(symbols: np.ndarray, alphabet: int, contexts: np.ndarray | None = Non
     rank = _equal_before(contexts.astype(np.uint16))  # earlier symbols of the context
     less, equal = _earlier_counts(symbols, alphabet, contexts, rank)
     cumlow = COUNT_INIT * symbols + COUNT_INCREMENT * less
-    cumhigh = cumlow + COUNT_INIT + COUNT_INCREMENT * equal
+    freq = COUNT_INIT + COUNT_INCREMENT * equal
     total = alphabet * COUNT_INIT + COUNT_INCREMENT * rank
     first = max(1, (RESCALE_LIMIT - alphabet * COUNT_INIT) // COUNT_INCREMENT + 1)
     for ctx in np.unique(contexts[rank >= first]):
@@ -240,10 +252,19 @@ def _model(symbols: np.ndarray, alphabet: int, contexts: np.ndarray | None = Non
         pos = 0
         for arrays in _segments(symbols[rows], alphabet):
             stop = pos + arrays[0].shape[0]
-            for out, values in zip((cumlow, cumhigh, total), arrays):
+            for out, values in zip((cumlow, freq, total), arrays):
                 out[rows[pos:stop]] = values
             pos = stop
-    yield cumlow, cumhigh, total
+    yield cumlow, freq, total
+
+
+def _carry(out: bytearray) -> None:
+    """Add one to the bytes written so far, as a big-endian number."""
+    i = len(out) - 1
+    while out[i] == 0xFF:
+        out[i] = 0
+        i -= 1
+    out[i] += 1
 
 
 def _encode_bytes(symbols: np.ndarray, alphabet: int,
@@ -253,48 +274,30 @@ def _encode_bytes(symbols: np.ndarray, alphabet: int,
     if symbols.min() < 0 or symbols.max() >= alphabet:
         raise ValueError("symbols out of range for the declared alphabet")
     out = bytearray()
-    acc = nacc = 0  # output bits not yet in `out`, MSB first, and their count
-    low, high, pending = 0, _MASK, 0
+    low, rng = 0, _TOP
     for arrays in _model(symbols, alphabet, contexts):
         for a in range(0, arrays[0].shape[0], _CHUNK):
             chunk = [arr[a : a + _CHUNK].tolist() for arr in arrays]
-            for cumlow, cumhigh, total in zip(*chunk):
-                rng = high - low + 1
-                high = low + cumhigh * rng // total - 1
-                low += cumlow * rng // total
-                x = low ^ high
-                if x < _TOP:
-                    # k equal top bits leave; the first is followed by
-                    # the pending underflow bits, each its complement.
-                    k = 32 - x.bit_length()
-                    acc = (acc << (k + pending)) | (
-                        (low >> (32 - k)) + (((1 << pending) - 1) << (k - 1))
-                    )
-                    nacc += k + pending
-                    pending = 0
-                    low = (low << k) & _MASK
-                    high = ((high << k) & _MASK) | ((1 << k) - 1)
-                    if nacc >= _FLUSH_BITS:
-                        r = nacc & 7
-                        out += (acc >> r).to_bytes(nacc >> 3, "big")
-                        acc &= (1 << r) - 1
-                        nacc = r
-                if low & ~high & _SECOND:
-                    # low = 01.., high = 10..: u underflow shifts, one per
-                    # position where low has a 1 and high a 0.
-                    u = 31 - ((low & ~high & _LOW31) ^ _LOW31).bit_length()
-                    pending += u
-                    low = (low << u) & _LOW31
-                    high = ((high << u) & _LOW31) | _TOP | ((1 << u) - 1)
-    # Flush the whole low register (pending underflow bits trail the
-    # first one, as in renormalization).  The stream value is then low
-    # itself, and the decoder consumes exactly this many bits: priming
-    # plus one per renormalization adds up to the same total, so a
-    # canonical payload never makes the decoder read past its end.
-    acc = (acc << (32 + pending)) | (low + (((1 << pending) - 1) << 31))
-    nacc += 32 + pending
-    pad = -nacc % 8
-    out += (acc << pad).to_bytes((nacc + pad) >> 3, "big")
+            for cumlow, freq, total in zip(*chunk):
+                r = rng // total
+                low += r * cumlow
+                rng = r * freq
+                if rng < _BOT:
+                    # low + rng never grows between renormalizations and
+                    # is below 2^65 after one: at most one carry pends.
+                    if low >= _TOP:
+                        _carry(out)
+                        low -= _TOP
+                    while rng < _BOT:
+                        out.append(low >> 56)
+                        low = (low & _LOW56) << 8
+                        rng <<= 8
+    # Flush the top byte of the smallest multiple of 2^56 at or above low;
+    # a pending carry, or the rounding up, carries into the bytes written.
+    top = (low + _LOW56) >> 56
+    if top > 0xFF:
+        _carry(out)
+    out.append(top & 0xFF)
     return bytes(out)
 
 
@@ -345,23 +348,21 @@ def _uniform_fenwick(alphabet: int) -> list[int]:
 
 def _decode_symbols(data: bytes, alphabet: int, count: int,
                     contexts: np.ndarray | None = None) -> np.ndarray:
-    """Decode `count` symbols from the coded bytes (MSB-first bits), with
-    one model per context when `contexts` gives each symbol's.
+    """Decode `count` symbols from the coded bytes, with one model per
+    context when `contexts` gives each symbol's.
 
-    Raises `CorruptPayloadError` if the bytes run out first: the canonical
-    encoder writes exactly the bits consumed here, so that is truncation.
+    Raises `CorruptPayloadError` unless the bytes are the canonical
+    encoding of the symbols they decode to (see the module docstring).
     """
-    nbits = 8 * len(data)
-    if nbits < 32:
-        raise CorruptPayloadError("payload ends before its symbol count is met")
-    # window[p]: the 64 bits starting at byte p (big-endian words read at
-    # every byte offset).  One renormalization reads at most 25 bits (an
-    # interval of width >= 2^30 / 2^24 doubles until it exceeds 2^30),
-    # which fit after any bit offset in the byte.
-    words = np.ndarray(
-        (len(data),), dtype=">u8", buffer=data + bytes(7), strides=(1,)
-    )
-    window = array("Q", words.astype(np.uint64).tobytes())
+    if count >= len(data) << 27:
+        raise CorruptPayloadError(
+            f"{len(data)} coded bytes cannot hold {count} symbols"
+        )
+    buf = data + bytes(7)  # bytes past the end read as zero
+    end = len(buf)
+    diff = int.from_bytes(buf[:8], "big")  # code - low
+    pos = 8
+    rng = _TOP
 
     top_bit = 1 << (alphabet.bit_length() - 1)
     limit = RESCALE_LIMIT
@@ -373,9 +374,6 @@ def _decode_symbols(data: bytes, alphabet: int, count: int,
     counts = tree = model = None
     total = 0
 
-    low, high = 0, _MASK
-    code = window[0] >> 32
-    bitpos = 32
     out = array("q")
     for c_next in repeat(0, count) if contexts is None else contexts.tolist():
         if c_next != ctx:
@@ -388,8 +386,10 @@ def _decode_symbols(data: bytes, alphabet: int, count: int,
                                        _uniform_fenwick(alphabet),
                                        alphabet * COUNT_INIT]
             counts, tree, total = model
-        rng = high - low + 1
-        value = ((code - low + 1) * total - 1) // rng
+        r = rng // total
+        value = diff // r
+        if value >= total:
+            raise CorruptPayloadError("code lies in the coder's dead zone")
         sym = 0
         rem = value
         bit = top_bit
@@ -400,35 +400,16 @@ def _decode_symbols(data: bytes, alphabet: int, count: int,
                 rem -= t
             bit >>= 1
         c = counts[sym]
-        cumlow = value - rem
-        high = low + (cumlow + c) * rng // total - 1
-        low += cumlow * rng // total
-        k = 32 - (low ^ high).bit_length()
-        if k:
-            low = (low << k) & _MASK
-            high = ((high << k) & _MASK) | ((1 << k) - 1)
-        u = 0
-        if low & ~high & _SECOND:
-            u = 31 - ((low & ~high & _LOW31) ^ _LOW31).bit_length()
-            low = (low << u) & _LOW31
-            high = ((high << u) & _LOW31) | _TOP | ((1 << u) - 1)
-        need = k + u
-        if need:
-            if bitpos + need > nbits:
+        diff -= r * (value - rem)
+        rng = r * c
+        while rng < _BOT:
+            if pos == end:
                 raise CorruptPayloadError(
                     "payload ends before its symbol count is met"
                 )
-            bits = (window[bitpos >> 3] >> (64 - (bitpos & 7) - need)) & (
-                (1 << need) - 1
-            )
-            bitpos += need
-            if u:
-                # Underflow shifts keep the code's top bit.
-                code = (((code << k) | (bits >> u)) & _TOP) | (
-                    ((code << need) | bits) & _LOW31
-                )
-            else:
-                code = ((code << k) | bits) & _MASK
+            diff = (diff << 8) | buf[pos]
+            pos += 1
+            rng <<= 8
         out.append(sym)
         counts[sym] = c + COUNT_INCREMENT
         j = sym + 1
@@ -441,6 +422,10 @@ def _decode_symbols(data: bytes, alphabet: int, count: int,
             counts = model[0] = halved.tolist()
             tree = model[1] = _fenwick(halved)
             total = int(halved.sum())
+    if pos != end:
+        raise CorruptPayloadError("payload carries bytes past its last symbol")
+    if diff >= _BOT:
+        raise CorruptPayloadError("payload's last byte is not the encoder's flush")
     return np.frombuffer(out, dtype=np.int64)
 
 
@@ -493,12 +478,7 @@ def aac_decode(payload: bytes, alphabet_size: int, count: int,
         if len(payload) != 4:
             raise CorruptPayloadError("empty stream carries trailing bytes")
         return SymbolStream(alphabet_size, np.empty(0, dtype=np.int64))
-    body = bytes(payload[4:])
-    symbols = _decode_symbols(body, alphabet_size, claimed, ctx)
-    if _encode_bytes(symbols, alphabet_size, ctx) != body:
-        raise CorruptPayloadError(
-            "payload fails canonical re-encoding (truncated or corrupt)"
-        )
+    symbols = _decode_symbols(bytes(payload[4:]), alphabet_size, claimed, ctx)
     return SymbolStream(alphabet_size, symbols)
 
 

@@ -425,15 +425,20 @@ class TestLevelPayloadBytes:
     """SHA-256 of attribute payloads written by `encode_levels` when these
     pins were recorded.  The leaves reach coefficient 16 and past, so
     every band is pinned.  A change to any of them is a stream format
-    change: bump `codec.VERSION` and record them again."""
+    change: bump `codec.VERSION` and record them again.  Each case keeps
+    the id it was first recorded under, which ends in that recording's
+    size and digest, so a new recording renames no case."""
 
     @pytest.mark.parametrize("q, comps, alpha, sizes, size, digest", [
-        (8, 3, 1.0, {40: 2, 37: 1}, 218,
-         "b9b3b182b0bdc3d5c872186c2ffae03a15785b00a4d719fc80380e810fcdf9d4"),
-        (16, 1, 0.5, {64: 3}, 177,
-         "96976c7a9952809296cc442b245cccf5841edb5f30584a3fad824595ab3c57ad"),
-        (1, 4, 1.0, {20: 2}, 21,
-         "eea53d8bb727f5d808aa31ffb1ad080dc8090f7886f4054b626439895c8ad6e6"),
+        pytest.param(8, 3, 1.0, {40: 2, 37: 1}, 214,
+            "f0f7e6ca442dc0dabb05b79138dbedef89e8253d6fee70599deeda6887fb6c90",
+            id="8-3-1.0-sizes0-218-b9b3b182b0bdc3d5c872186c2ffae03a15785b00a4d719fc80380e810fcdf9d4"),
+        pytest.param(16, 1, 0.5, {64: 3}, 173,
+            "7a196060eaa4f344f2f156898912dbf86e4da30e582860e4a9354df76f401819",
+            id="16-1-0.5-sizes1-177-96976c7a9952809296cc442b245cccf5841edb5f30584a3fad824595ab3c57ad"),
+        pytest.param(1, 4, 1.0, {20: 2}, 18,
+            "59336d48d987455a699e23fb067eedcf76a16fdad767cd7a2d28ebf205123145",
+            id="1-4-1.0-sizes2-21-eea53d8bb727f5d808aa31ffb1ad080dc8090f7886f4054b626439895c8ad6e6"),
     ])
     def test_payload_hash(self, q, comps, alpha, sizes, size, digest):
         grid = QuantGrid(mins=np.full(comps, -2.0), scale=4.5, q=q)
@@ -628,12 +633,12 @@ class TestForkJoin:
         assert len(forks) == 4
 
     def test_decode_weighs_a_symbol_above_encode(self, monkeypatch):
-        """At the lossy operating point of 512 primitives (10,240 attribute
-        levels plus 512 points) on two CPUs the encode stays in this
+        """At the lossy operating point of 576 primitives (12,032 attribute
+        levels plus 576 points) on two CPUs the encode stays in this
         process; the decode, whose levels weigh `DECODE_WEIGHT` each,
         forks one worker."""
         forks = _count_forks(monkeypatch, cpus=2)
-        stream = encode(make_realistic_cloud(512, seed=41), GOLDEN_CASES[1].params)
+        stream = encode(make_realistic_cloud(576, seed=41), GOLDEN_CASES[1].params)
         assert forks == []
         decode(stream)
         assert len(forks) == 1

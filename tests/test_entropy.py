@@ -1,4 +1,4 @@
-"""Adaptive arithmetic coder: losslessness, framing, corruption behavior,
+"""Adaptive range coder: losslessness, framing, corruption behavior,
 and the exact bytes it writes (golden hashes and a reference model)."""
 
 import contextlib
@@ -52,55 +52,80 @@ def golden_symbols(alphabet, n, seed):
 
 def reference_encode(symbols, alphabet, contexts=None):
     """The coder written out plainly: counts in a list whose sums are taken
-    per symbol (O(alphabet)), one list per context, one renormalization
-    bit at a time, the whole low register flushed at the end.  Reads
-    `entropy.RESCALE_LIMIT` at call time, like the coder, so both can be
-    run with a lowered limit."""
-    half, quarter, mask = 1 << 31, 1 << 30, (1 << 32) - 1
+    per symbol (O(alphabet)), one list per context, and `low` an unbounded
+    int that only ever shifts, so a carry needs no code; the bytes are
+    taken once, at the end.  Reads `entropy.RESCALE_LIMIT` at call time,
+    like the coder, so both can be run with a lowered limit."""
     if contexts is None:
         contexts = [0] * len(symbols)
     models = {}
-    low, high, pending, bits = 0, mask, 0, []
-
-    def emit(bit):
-        nonlocal pending
-        bits.append(bit)
-        bits.extend([1 - bit] * pending)
-        pending = 0
-
+    low, rng, shifts = 0, 1 << 64, 0
     for s, ctx in zip(symbols, contexts):
         s = int(s)
         counts = models.setdefault(int(ctx), [entropy.COUNT_INIT] * alphabet)
         total = sum(counts)
-        cumlow = sum(counts[:s])
-        rng = high - low + 1
-        high = low + (cumlow + counts[s]) * rng // total - 1
-        low = low + cumlow * rng // total
-        while True:
-            if high < half:
-                emit(0)
-            elif low >= half:
-                emit(1)
-                low -= half
-                high -= half
-            elif low >= quarter and high < half + quarter:
-                pending += 1
-                low -= quarter
-                high -= quarter
-            else:
-                break
-            low, high = 2 * low, 2 * high + 1
+        r = rng // total
+        low += r * sum(counts[:s])
+        rng = r * counts[s]
+        while rng < 1 << 56:
+            low <<= 8
+            rng <<= 8
+            shifts += 1
         counts[s] += entropy.COUNT_INCREMENT
         if total + entropy.COUNT_INCREMENT > entropy.RESCALE_LIMIT:
             counts[:] = [(c + 1) >> 1 for c in counts]
+    body = b""
     if len(symbols):
-        for k in range(31, -1, -1):
-            emit((low >> k) & 1)
-    bits += [0] * (-len(bits) % 8)
-    body = bytes(
-        int("".join(map(str, bits[i : i + 8])), 2) for i in range(0, len(bits), 8)
-    )
+        # The smallest multiple of 2^56 at or above low, less its 7 zero
+        # bytes: one byte per shift plus one.
+        body = (-(-low >> 56)).to_bytes(shifts + 1, "big")
     return struct.pack("<I", len(symbols)) + body
+
+
+def plain_decode(body, alphabet, count, contexts=None):
+    """The decoder written out plainly and without any check: `code` and
+    `low` unbounded ints, bytes past the end read as zero, and a value past
+    the last symbol's interval taken as the last symbol.  Whatever bytes
+    it is given, it returns `count` symbols."""
+    if contexts is None:
+        contexts = [0] * count
+    models = {}
+    code = int.from_bytes(body[:8].ljust(8, b"\0"), "big")
+    low, rng, pos = 0, 1 << 64, 8
+    out = []
+    for ctx in contexts:
+        counts = models.setdefault(int(ctx), [entropy.COUNT_INIT] * alphabet)
+        total = sum(counts)
+        r = rng // total
+        value = min((code - low) // r, total - 1)
+        s, cumlow = 0, 0
+        while cumlow + counts[s] <= value:
+            cumlow += counts[s]
+            s += 1
+        low += r * cumlow
+        rng = r * counts[s]
+        while rng < 1 << 56:
+            code = (code << 8) | (body[pos] if pos < len(body) else 0)
+            low <<= 8
+            rng <<= 8
+            pos += 1
+        out.append(s)
+        counts[s] += entropy.COUNT_INCREMENT
+        if total + entropy.COUNT_INCREMENT > entropy.RESCALE_LIMIT:
+            counts[:] = [(c + 1) >> 1 for c in counts]
+    return np.array(out, dtype=np.int64)
+
+
+def reencode_oracle(payload, alphabet, count, contexts=None):
+    """The symbols of `payload` if it is the canonical encoding of what
+    `plain_decode` makes of it, else None: decode, then re-encode and
+    compare bytes, the check the decoder's loop replaces."""
+    if len(payload) < 4 or struct.unpack_from("<I", payload)[0] != count:
+        return None
+    symbols = plain_decode(payload[4:], alphabet, count, contexts)
+    if aac_encode(stream(symbols, alphabet), contexts) != payload:
+        return None
+    return symbols
 
 
 class TestSymbolStream:
@@ -151,9 +176,9 @@ class TestFraming:
 
 class TestPythonKernelWidth:
     def test_aac_decode_through_python_body(self):
-        """Payload bytes >= 0x80 decode exactly: the bit reader must not
+        """Payload bytes >= 0x80 decode exactly: the byte reader must not
         keep any register in a narrow integer type (a uint8 byte would keep
-        the 32-bit code register in uint8 under numpy 2 scalar promotion)."""
+        the 64-bit code window in uint8 under numpy 2 scalar promotion)."""
         symbols = np.arange(64, dtype=np.int64) % 7 + 1
         payload = aac_encode(stream(symbols, 8))
         assert max(payload[4:]) >= 0x80
@@ -172,34 +197,63 @@ def test_uniform_fenwick_matches_numpy_build(alphabet):
 class TestGoldenBytes:
     """SHA-256 of payloads written by the coder when these pins were
     recorded.  A change to any of them is a stream format change: bump
-    `codec.VERSION` and record them again."""
+    `codec.VERSION` and record them again.  Each case keeps the id it
+    was first recorded under, which ends in that recording's size and
+    digest, so a new recording renames no case."""
 
     @pytest.mark.parametrize(
         "alphabet, n, seed, size, digest",
         [
-            (2, 3000, 1, 375,
-             "2b34eaa1beac62cbb4bb36320d4e53033b78ee05d132ba4b4ecdb37415f84fb2"),
-            (128, 3000, 2, 2048,
-             "d8de3daab6c26696cb916d0a528b4949859c13cd1edb3f1c2bf7670d73b6864a"),
-            (1024, 3000, 3, 2491,
-             "29c1718daf676de4dd90700fdc0118dd9f6eb8e26363001ed99bf959e2e95eec"),
-            (65536, 3000, 4, 3198,
-             "ff27edf1f88db94f7f7ba540f0b93ee294065d0a2a22cee1853348b10288682c"),
+            pytest.param(2, 3000, 1, 372,
+                "e27a6a91e75be3b4080b9be5d0c1df0199e9ef332c428f02cfad111e7421df5b",
+                id="2-3000-1-375-2b34eaa1beac62cbb4bb36320d4e53033b78ee05d132ba4b4ecdb37415f84fb2"),
+            pytest.param(128, 3000, 2, 2044,
+                "6420939d7b01d9558b72053d93ce75c55f6c7bb4714620ecbc4e3e2dc59a20ee",
+                id="128-3000-2-2048-d8de3daab6c26696cb916d0a528b4949859c13cd1edb3f1c2bf7670d73b6864a"),
+            pytest.param(1024, 3000, 3, 2487,
+                "918a9cf833671e6f53e21fdf17da7b78cde8c123c7e14b52ccfb76bd42f503f1",
+                id="1024-3000-3-2491-29c1718daf676de4dd90700fdc0118dd9f6eb8e26363001ed99bf959e2e95eec"),
+            pytest.param(65536, 3000, 4, 3194,
+                "6ac9de7a8e74d6cb958b34101e4b863d0243053da0c0b8851ea9c91959603fcd",
+                id="65536-3000-4-3198-ff27edf1f88db94f7f7ba540f0b93ee294065d0a2a22cee1853348b10288682c"),
             # 700k symbols push the model total past RESCALE_LIMIT once.
-            (64, 700_000, 5, 415766,
-             "899d5b9c029fb379b5f447966fa7539b5bc72b48d9c52cace8cfe79008c055c0"),
-            (256, 0, 6, 4,
-             "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"),
-            (2, 1, 7, 9,
-             "a536aa3cede6ea3c1f3e0357c3c60e0f216a8c89b853df13b29daa8f85065dfb"),
-            (65536, 1, 8, 10,
-             "fffd3f15e69c9398987984c963f7a1f829c63ee921707bae7a56514dff3a35a5"),
+            pytest.param(64, 700_000, 5, 415762,
+                "47faaa4bdf2544c35a89898f08f3d295d259180699be6427a8ad7c6dfec86918",
+                id="64-700000-5-415766-899d5b9c029fb379b5f447966fa7539b5bc72b48d9c52cace8cfe79008c055c0"),
+            pytest.param(256, 0, 6, 4,
+                "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
+                id="256-0-6-4-df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"),
+            pytest.param(2, 1, 7, 5,
+                "957b88b12730e646e0f33d3618b77dfa579e8231e3c59c7104be7165611c8027",
+                id="2-1-7-9-a536aa3cede6ea3c1f3e0357c3c60e0f216a8c89b853df13b29daa8f85065dfb"),
+            pytest.param(65536, 1, 8, 6,
+                "9dc38f619e3cdfc8ff8670ee0820cb5639b06e627d24718fcb0a51877b558775",
+                id="65536-1-8-10-fffd3f15e69c9398987984c963f7a1f829c63ee921707bae7a56514dff3a35a5"),
         ],
     )
     def test_payload_hash(self, alphabet, n, seed, size, digest):
         payload = aac_encode(stream(golden_symbols(alphabet, n, seed), alphabet))
         assert len(payload) == size
         assert hashlib.sha256(payload).hexdigest() == digest
+
+
+    def test_carry_through_two_ff_bytes(self, monkeypatch):
+        """r = 2^64 // 100 rounds down, so symbol 50 of 100 starts just
+        below one half: the zeros that follow keep the interval across
+        2^63 while 0x7F and two 0xFF bytes leave, and the final 1 lifts
+        `low` over it, carrying through both 0xFF bytes."""
+        trailing = []  # 0xFF bytes at the end of the output, per carry
+        carry = entropy._carry
+        def spy(out):
+            trailing.append(len(out) - len(bytes(out).rstrip(b"\xff")))
+            carry(out)
+        monkeypatch.setattr(entropy, "_carry", spy)
+        syms = [50] + [0] * 14 + [1]
+        payload = aac_encode(stream(syms, 100))
+        assert trailing == [2]
+        assert payload == struct.pack("<I", 16) + bytes.fromhex("80000062b8")
+        assert payload == reference_encode(syms, 100)
+        np.testing.assert_array_equal(aac_decode(payload, 100, 16).symbols, syms)
 
 
 class TestRoundTrip:
@@ -388,6 +442,52 @@ class TestCorruption:
         with bounded_failure(seconds=0.5, bytes_=1 << 20):
             aac_decode(forged, 256, 300)
 
+    @pytest.mark.parametrize("alphabet", [3, 1000])
+    def test_dead_zone_code_refused(self, alphabet):
+        """r = 2^64 // total leaves codes from r * total up to 2^64 to no
+        symbol; a body of 0xFF bytes starts in that zone."""
+        assert (1 << 64) % alphabet  # the zone is not empty
+        with pytest.raises(CorruptPayloadError, match="dead zone"):
+            aac_decode(struct.pack("<I", 1) + b"\xff" * 8, alphabet, 1)
+
+    def test_larger_flush_byte_refused(self):
+        """A last byte raised by one keeps the code inside the final
+        interval whenever that is wide enough: the same symbols decode,
+        but the payload is not canonical."""
+        rng = np.random.default_rng(10)
+        same = 0
+        for _ in range(40):
+            n, a = int(rng.integers(1, 300)), int(rng.integers(2, 300))
+            syms = rng.integers(0, a, size=n)
+            payload = aac_encode(stream(syms, a))
+            if payload[-1] == 0xFF:
+                continue
+            bumped = payload[:-1] + bytes([payload[-1] + 1])
+            if np.array_equal(plain_decode(bumped[4:], a, n), syms):
+                same += 1
+                with pytest.raises(CorruptPayloadError, match="flush"):
+                    aac_decode(bumped, a, n)
+        assert same >= 20, same
+
+    def test_empty_body_with_symbols_promised(self):
+        with bounded_failure(seconds=0.5, bytes_=1 << 20):
+            aac_decode(struct.pack("<I", 5), 256, 5)
+
+    @pytest.mark.parametrize("alphabet", [2, 3, 256, 4096])
+    @pytest.mark.parametrize("length", [1, 8, 1000])
+    def test_all_ff_body(self, alphabet, length):
+        with bounded_failure(seconds=0.5, bytes_=1 << 20):
+            aac_decode(struct.pack("<I", 100) + b"\xff" * length, alphabet, 100)
+
+    @pytest.mark.parametrize("body", [b"\x00", b"\x80", b"\xff"], ids=bytes.hex)
+    def test_huge_count_with_one_byte_body(self, body):
+        """Each symbol costs more than 2^-24 bits, so one byte cannot hold
+        2^32 - 1 of them: refused before decoding, though the caller
+        expects that count."""
+        count = 2**32 - 1
+        with bounded_failure(seconds=0.5, bytes_=1 << 20):
+            aac_decode(struct.pack("<I", count) + body, 2, count)
+
     def test_decode_alphabet_validation(self):
         payload, _ = self._payload()
         with pytest.raises(ValueError):
@@ -481,19 +581,24 @@ class TestContexts:
     @pytest.mark.parametrize(
         "alphabet, n, seed, contexts, size, digest",
         [
-            (10, 3000, 21, band_contexts, 1192,
-             "b7094ed93eefa79e12af667f2dfc172f08526f5e332a93d6e2d958de44c27764"),
-            (18, 3000, 22, band_contexts, 1435,
-             "a2d45a4345795fda6f19c4a1db27b79f4792977030e052af8425c36c846f3958"),
-            (256, 3000, 23, band_contexts, 2358,
-             "d58e4d11e68a30f2c5fad993ee68830db1b5998066cfd2e34d770402a42a2545"),
+            pytest.param(10, 3000, 21, band_contexts, 1188,
+                "cb0a63c72b438b515b1b057645bcc2fba8d85c9f1b4370db4dd5c45aa643d83f",
+                id="10-3000-21-band_contexts-1192-b7094ed93eefa79e12af667f2dfc172f08526f5e332a93d6e2d958de44c27764"),
+            pytest.param(18, 3000, 22, band_contexts, 1432,
+                "786012bc57182abe96341c04f43557b5d974f49170278833400f584f70e829f5",
+                id="18-3000-22-band_contexts-1435-a2d45a4345795fda6f19c4a1db27b79f4792977030e052af8425c36c846f3958"),
+            pytest.param(256, 3000, 23, band_contexts, 2355,
+                "4ffdd20f750f167a3d0f8cb0dca2c87d949e5bc5cfd4a952881a55e2ab6f94c3",
+                id="256-3000-23-band_contexts-2358-d58e4d11e68a30f2c5fad993ee68830db1b5998066cfd2e34d770402a42a2545"),
             # Context and symbol together take more than 16 bits.
-            (65536, 3000, 25, band_contexts, 3787,
-             "4caef5e4c2038911736ed2e012fd14be377df98a88668b0d76e3944b320c0953"),
+            pytest.param(65536, 3000, 25, band_contexts, 3783,
+                "f83195ce308360f8e3a5ce0d592517b58caca0d5aca05ffbf6aee16ef464733b",
+                id="65536-3000-25-band_contexts-3787-4caef5e4c2038911736ed2e012fd14be377df98a88668b0d76e3944b320c0953"),
             # Two interleaved contexts of 550k symbols each: both push
             # their model total past RESCALE_LIMIT once.
-            (18, 1_100_000, 24, lambda n: np.arange(n) % 2, 502261,
-             "e475d9a6fd0b8adf8744443a13c8d5a4ededf9d3a68e67d1554fceb75dc61b7c"),
+            pytest.param(18, 1_100_000, 24, lambda n: np.arange(n) % 2, 502257,
+                "240f41ba2e86f4f0c42417673651282386d2d1c89849da4df837ead2cb11c9d9",
+                id="18-1100000-24-<lambda>-502261-e475d9a6fd0b8adf8744443a13c8d5a4ededf9d3a68e67d1554fceb75dc61b7c"),
         ],
     )
     def test_payload_hash(self, alphabet, n, seed, contexts, size, digest):
@@ -508,19 +613,63 @@ class TestContexts:
 @given(
     seed=st.integers(0, 2**16),
     n=st.integers(min_value=0, max_value=400),
-    alphabet=st.integers(min_value=2, max_value=18),
+    bits=st.integers(min_value=1, max_value=16),
     n_contexts=st.integers(min_value=1, max_value=6),
-    rescale_limit=st.sampled_from([1 << 10, 1 << 12]),
+    steps=st.integers(min_value=1, max_value=40),
 )
-def test_contexts_match_reference_model(seed, n, alphabet, n_contexts, rescale_limit):
+def test_contexts_match_reference_model(seed, n, bits, n_contexts, steps):
     """Context payloads are byte for byte the plain reference coder's with
-    one count list per context, and decode exactly.  The lowered rescale
-    limits make every busy context halve its model."""
+    one count list per context, and decode exactly, for alphabets from 2
+    to 2^16.  The lowered rescale limit makes a context halve its model
+    after `steps` symbols, and again as it stays busy."""
+    rng = np.random.default_rng(seed)
+    alphabet = int(rng.integers((1 << bits) // 2 + 1, (1 << bits) + 1))
     syms = golden_symbols(alphabet, n, seed)
-    ctx = np.random.default_rng(seed + 1).integers(0, n_contexts, size=n)
+    ctx = rng.integers(0, n_contexts, size=n)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(entropy, "RESCALE_LIMIT", rescale_limit)
+        mp.setattr(entropy, "RESCALE_LIMIT",
+                   alphabet * entropy.COUNT_INIT + steps * entropy.COUNT_INCREMENT)
         payload = aac_encode(stream(syms, alphabet), ctx)
         assert payload == reference_encode(syms, alphabet, ctx)
         out = aac_decode(payload, alphabet, n, ctx)
     np.testing.assert_array_equal(out.symbols, syms)
+
+
+def _mutate(body, kind, rng):
+    if kind == "truncate":
+        return body[: int(rng.integers(0, len(body)))]
+    if kind == "append":
+        return body + bytes(rng.integers(0, 256, size=int(rng.integers(1, 3))).tolist())
+    if kind == "last byte":
+        return body[:-1] + bytes([(body[-1] + int(rng.choice([-1, 1]))) % 256])
+    out = bytearray(body)
+    for _ in range(1 if kind == "one flip" else 2):
+        bit = int(rng.integers(0, 8 * len(out)))
+        out[bit // 8] ^= 0x80 >> (bit % 8)
+    return bytes(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(min_value=1, max_value=200),
+    alphabet=st.one_of(st.integers(2, 20), st.integers(2, 4096)),
+    n_contexts=st.integers(min_value=1, max_value=3),
+    kind=st.sampled_from(["truncate", "append", "last byte", "one flip", "two flips"]),
+)
+def test_in_loop_check_matches_reencode_oracle(seed, n, alphabet, n_contexts, kind):
+    """On mutated payloads the decoder accepts exactly what the decode and
+    re-encode oracle accepts, and returns the same symbols."""
+    rng = np.random.default_rng(seed)
+    syms = golden_symbols(alphabet, n, seed)
+    ctx = rng.integers(0, n_contexts, size=n)
+    payload = aac_encode(stream(syms, alphabet), ctx)
+    forged = payload[:4] + _mutate(payload[4:], kind, rng)
+    want = reencode_oracle(forged, alphabet, n, ctx)
+    try:
+        got = aac_decode(forged, alphabet, n, ctx).symbols
+    except CorruptPayloadError:
+        got = None
+    assert (got is None) == (want is None)
+    if got is not None:
+        np.testing.assert_array_equal(got, want)

@@ -75,32 +75,44 @@ def reference_section(codes, q):
 class TestGoldenBytes:
     """SHA-256 of sections written by the coder when these pins were
     recorded.  A change to any of them is a stream format change: bump
-    `codec.VERSION` and record them again."""
+    `codec.VERSION` and record them again.  Each case keeps the id it
+    was first recorded under, which ends in that recording's size and
+    digest, so a new recording renames no case."""
 
     @pytest.mark.parametrize(
         "q, n, seed, size, digest",
         [
-            (1, 40, 1, 32,
-             "8bf2a6f5e6ae47a4f8861f78f9c27129c1fdb95feb787ddce5970049a59f52db"),
-            (2, 60, 2, 46,
-             "f5f06e5e0a79883f437b63ce1a2bdea6ed6e328594a5e809817128431fb1efde"),
-            (14, 3000, 3, 11069,
-             "aa08c6265210847249d3296d31f840750f69bb4da59a8f170d1cb169101eb7e6"),
-            (16, 2000, 4, 8878,
-             "84319779adb57b1cb945a8c25edb5fa5f2cd3b245a7252481556d9a83ea67aa4"),
-            (21, 2000, 5, 12261,
-             "a35eaee5a0d055d93675edc46d96b2dae9d594a5b258f6a04eaed11b1ca3f693"),
-            (22, 2000, 6, 12936,
-             "de84b50a71799f7cc7a7384648391d9998bd839ed8196691df55ee012b80680d"),
-            (25, 1500, 7, 11314,
-             "c47e0929e8e68c8e707635f72693238b2481880a185b2f33d29eda7a33d026c3"),
-            (31, 1500, 8, 14357,
-             "6728fdbf899cf0fa7fb168ef193ae45c4280e74a13cb68a56c1198e0c2c30dd2"),
+            pytest.param(1, 40, 1, 28,
+                "e3f7b4b73e1796b6a86244a6b22df2319afda3d250737ef1f4b254f05dc62c8e",
+                id="1-40-1-32-8bf2a6f5e6ae47a4f8861f78f9c27129c1fdb95feb787ddce5970049a59f52db"),
+            pytest.param(2, 60, 2, 42,
+                "50001411268f684dcd1d8afeb34661891c5f0be96fe0acb2799bc976d301cbce",
+                id="2-60-2-46-f5f06e5e0a79883f437b63ce1a2bdea6ed6e328594a5e809817128431fb1efde"),
+            pytest.param(14, 3000, 3, 11065,
+                "f6ab0384d55b92e658bea6847f48f9f8c215c6dd2f7f4a7be4f46f1107497cf7",
+                id="14-3000-3-11069-aa08c6265210847249d3296d31f840750f69bb4da59a8f170d1cb169101eb7e6"),
+            pytest.param(16, 2000, 4, 8874,
+                "71bc2e42ce50f2869480671aba4e57d4388b5e2e6bcf170bd016296b624b85e6",
+                id="16-2000-4-8878-84319779adb57b1cb945a8c25edb5fa5f2cd3b245a7252481556d9a83ea67aa4"),
+            pytest.param(21, 2000, 5, 12257,
+                "073fc762308977ffb4c3c7a36d73b0527fb211d8ddca98fd884ea136979d5198",
+                id="21-2000-5-12261-a35eaee5a0d055d93675edc46d96b2dae9d594a5b258f6a04eaed11b1ca3f693"),
+            pytest.param(22, 2000, 6, 12932,
+                "867cf8fb96b6c0030fa8579c34c10267bf61ca558d458c06db9b403cd4ab3b44",
+                id="22-2000-6-12936-de84b50a71799f7cc7a7384648391d9998bd839ed8196691df55ee012b80680d"),
+            pytest.param(25, 1500, 7, 11310,
+                "8526389373ca039b30defd469f98041a43de7b6c9e5fc6a9a73618a9458bc901",
+                id="25-1500-7-11314-c47e0929e8e68c8e707635f72693238b2481880a185b2f33d29eda7a33d026c3"),
+            pytest.param(31, 1500, 8, 14354,
+                "d97ee966631f91840a363c61d76da87168d4fa874043939da05c0db50447733f",
+                id="31-1500-8-14357-6728fdbf899cf0fa7fb168ef193ae45c4280e74a13cb68a56c1198e0c2c30dd2"),
             # One point: the whole section is the first code.
-            (31, 1, 9, 38,
-             "aa10f1a1dcaa0a2da8d0a8883202e95b21722628042868c7f1453bf843cfe33a"),
-            (1, 1, 10, 27,
-             "b7ee80c64964dd5cbd0e53d9367134ea2a4d71ce71be22e490b1671d15772a52"),
+            pytest.param(31, 1, 9, 34,
+                "b566697adc6b70dd8bde43733e48aa8d668ad67225cdb78b11f1837e0dbb0e3d",
+                id="31-1-9-38-aa10f1a1dcaa0a2da8d0a8883202e95b21722628042868c7f1453bf843cfe33a"),
+            pytest.param(1, 1, 10, 23,
+                "317d5e95bc5f930aab81426032c1d0cbfee54143ffb6f6f886b2664dd9e1bd4e",
+                id="1-1-10-27-b7ee80c64964dd5cbd0e53d9367134ea2a4d71ce71be22e490b1671d15772a52"),
         ],
     )
     def test_section_hash(self, q, n, seed, size, digest):

@@ -68,7 +68,7 @@ CASES = [
     # 100 primitives split into leaves of 12 and 13.
     Case("mixed", lambda: make_cloud(100, seed=31, smooth=True),
          CodecParams(max_leaf=16, **_SMALL_Q), leaf=0,
-         stream_sha="73707779e4e85a22d877301a018c924128667b664e8efb57770fdbf3aa17f941",
+         stream_sha="fb7126dd4523c9540f388900048512c8ea543536ee5f519e14db8ed63447230c",
          ply_sha="ae2ce7144ab3d817fd7f9b5ce19d4a501dc515729627346a3f3d0a74be734ff6",
          eigenvalues_sha="e67488e309293140dc75e2a7a2f8261030cd0615d88bf5cf811ccef5e22667e2",
          basis_sha="ca8b3dfe30c1c19961e309afd0beb3a17488ebc58488e1cc764c69a4693475da"),
@@ -77,14 +77,14 @@ CASES = [
          CodecParams(max_leaf=32, q_geo=16, alpha_sh_y=0.5, alpha_sh_u=0.25,
                      alpha_sh_v=0.25, alpha_opacity=0.5, alpha_scale=0.5,
                      alpha_rotation=0.5, **_SMALL_Q), leaf=1,
-         stream_sha="d1c790a42b65c3f55f7b4e76d5912e3001430df24ddf86e4a1f9c3753cb1d867",
+         stream_sha="d1b3d2e400503069659abff2ed5b72b8981e46e82142d47a7bab5635d1e5a583",
          ply_sha="df7578bcf0443e0443fd0c7bd3c01281c8ebc828c601db4d9f064e8e73e79e82",
          eigenvalues_sha="c1e1318bc6e4b65d18e1bea7ce22ee0058a0ab3e3fa0b30e66e96fd0776aa219",
          basis_sha="605642bbc4fb39c06fa91099c3813bc66579f396a38558d119e25cea2e84a3af"),
     # Isolated points: the pinned leaf holds all three far points.
     Case("isolated", _isolated_cloud,
          CodecParams(max_leaf=16, **_SMALL_Q), leaf=3,
-         stream_sha="dd4b94bd0323ef30e629a114739b3881d7f8e51a8b74f14840cd30398e8d7713",
+         stream_sha="8ee40cace38c6483d712b3452a04fadeaa58be59b79b49ef61d0ac2495594976",
          ply_sha="6545d0b1aa1c2d2eea8ac4a530c39fcf9cba4b4250ad03e41b3efbd138d6aeab",
          eigenvalues_sha="65ea6dfb949fd7cab6b07246f0900d76482731ebbee8383d98a62fa19614c192",
          basis_sha="af699c78e00ddcca51b75c6ac947e90ffe79e337d00012907d1afe5e41f79c4a"),
