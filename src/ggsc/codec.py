@@ -25,8 +25,10 @@ leaf's kept levels component-major.  A level is coded as its offset d
 from its component's zero level, `quantize(0)` on the header grid,
 zigzagged to u (2d for d >= 0, -2d - 1 below): the *class* of u, its
 bit length in [0, q + 1], is arithmetic coded with one adaptive model
-per band of the coefficient index (0 | 1 | 2-3 | 4-7 | 8-15 | 16+), and
-u's low `class - 1` bits follow raw (`encode_levels`).  The payload is
+per band of the coefficient index (0 | 1 | 2-3 | 4-7 | 8-15 | 16+) and
+SH degree of the component (0-3 for colour, 0 for every other group),
+and u's low `class - 1` bits follow raw (`encode_levels`).  The payload
+is
 
     [count u32 LE][class-bytes length u32 LE][class bytes]
     [raw bits, MSB-first, zero padded to a byte]
@@ -39,7 +41,9 @@ transmitted.  The partition alone fixes each payload's symbol count, so
 the six attribute payloads are decoded, forked the same way, before the
 graph spectra are built.  Bitstream sections: header (parameters +
 grids + section table), geometry payload (size B1), six attribute
-payloads (sum B2).
+payloads (sum B2).  The geometry grid travels as float64, since every
+basis depends on it; the attribute grids are fitted on float32 values
+and travel as float32.
 """
 
 from __future__ import annotations
@@ -59,14 +63,15 @@ from .gs_core import Box3, GaussianCloud
 from .quantizer import QuantGrid, dequantize, fit_grid, quantize
 
 MAGIC = b"GGSC"
-#: Stream format version.  6: every payload range coded, bytes at a time
-#: (5: attribute levels coded as band-context magnitude classes plus raw
-#: bits, through a bit-wise arithmetic coder; 4: one adaptive model over
-#: all 2^q levels, one flag byte, one scale per grid, colour conversions
-#: sum in index order; 3: payloads group leaves by size, transforms sum in
-#: index order without BLAS; 2: per-leaf order and BLAS products; 1:
-#: cyclic Jacobi bases).
-VERSION = 6
+#: Stream format version.  7: class contexts by band and SH degree,
+#: attribute grids in float32 (6: every payload range coded, bytes at a
+#: time; 5: attribute levels coded as band-context magnitude classes plus
+#: raw bits, through a bit-wise arithmetic coder; 4: one adaptive model
+#: over all 2^q levels, one flag byte, one scale per grid, colour
+#: conversions sum in index order; 3: payloads group leaves by size,
+#: transforms sum in index order without BLAS; 2: per-leaf order and BLAS
+#: products; 1: cyclic Jacobi bases).
+VERSION = 7
 
 #: Attribute groups in payload order: (name, component count).  SH color
 #: is coded per YUV channel, 16 coefficient triples each.
@@ -80,8 +85,13 @@ ATTRIBUTE_GROUPS = (
 )
 GROUP_NAMES = tuple(name for name, _ in ATTRIBUTE_GROUPS)
 #: Contexts of an attribute payload's class stream: coefficient index
-#: bands 0 | 1 | 2-3 | 4-7 | 8-15 | 16+, one adaptive model each.
+#: bands 0 | 1 | 2-3 | 4-7 | 8-15 | 16+, each split by the SH degree of
+#: the level's component, one adaptive model per (band, degree) pair.
 BANDS = 6
+DEGREES = 4
+#: SH degree of each of a colour channel's 16 coefficients: 0 | 1-3 | 4-8
+#: | 9-15.  Every other group's components count as degree 0.
+SH_DEGREES = np.repeat(np.arange(DEGREES), 2 * np.arange(DEGREES) + 1)
 
 GEOM_INTERNAL = 0
 GEOM_EXTERNAL = 1
@@ -198,9 +208,9 @@ class CodedStream:
             out += struct.pack("<B", p.q_for(name))
         for name in GROUP_NAMES:
             out += struct.pack("<d", p.alpha_for(name))
-        out += _pack_grid(self.geom_grid)
+        out += _pack_grid(self.geom_grid, "d")
         for name in GROUP_NAMES:
-            out += _pack_grid(self.attr_grids[name])
+            out += _pack_grid(self.attr_grids[name], "f")
         return bytes(out)
 
     @classmethod
@@ -225,9 +235,9 @@ class CodedStream:
                 **{f"alpha_{n}": alphas[n] for n in GROUP_NAMES},
             )
             params.validate()
-            geom_grid = _unpack_grid(cur, 3, q_geo)
+            geom_grid = _unpack_grid(cur, 3, q_geo, "d")
             attr_grids = {
-                name: _unpack_grid(cur, comps, qs[name])
+                name: _unpack_grid(cur, comps, qs[name], "f")
                 for name, comps in ATTRIBUTE_GROUPS
             }
         except ValueError as exc:
@@ -272,12 +282,20 @@ class _Cursor:
         return len(self.data) - self.pos
 
 
-def _pack_grid(grid: QuantGrid) -> bytes:
-    return struct.pack(f"<{grid.components + 1}d", *grid.mins, grid.scale)
+def _pack_grid(grid: QuantGrid, fmt: str) -> bytes:
+    """A grid's mins then scale, each packed as `fmt` ("d" or "f").  A
+    value "f" cannot hold exactly raises `ValueError` instead of being
+    rounded; `fit_grid(..., np.float32)` fits grids that "f" holds."""
+    fields = np.append(grid.mins, grid.scale)
+    with np.errstate(over="ignore"):
+        exact = fmt == "d" or np.array_equal(fields.astype(np.float32), fields)
+    if not exact:
+        raise ValueError("attribute grid holds a value float32 cannot represent")
+    return struct.pack(f"<{fields.size}{fmt}", *fields)
 
 
-def _unpack_grid(cur: _Cursor, comps: int, q: int) -> QuantGrid:
-    *mins, scale = cur.unpack(f"<{comps + 1}d")
+def _unpack_grid(cur: _Cursor, comps: int, q: int, fmt: str) -> QuantGrid:
+    *mins, scale = cur.unpack(f"<{comps + 1}{fmt}")
     return QuantGrid(mins=np.array(mins), scale=scale, q=q)
 
 
@@ -450,19 +468,24 @@ def _level_layout(grid: QuantGrid, alpha: float,
     """Each payload level's context and zero level, in payload order, for
     `sizes` (leaf size -> leaf count, in payload order).
 
-    The context is the band of the level's coefficient index, 0 | 1 |
-    2-3 | 4-7 | 8-15 | 16+; the zero level is `quantize(0)` on its
+    The context is `band * DEGREES + degree`: the band of the level's
+    coefficient index, 0 | 1 | 2-3 | 4-7 | 8-15 | 16+, and the SH degree
+    of its component (`SH_DEGREES` for a 16-component colour channel, 0
+    for every other group).  The zero level is `quantize(0)` on its
     component's grid.
     """
-    zero = quantize(np.zeros(grid.components), grid)
-    bands, zeros = [], []
+    comps = grid.components
+    zero = quantize(np.zeros(comps), grid)
+    degree = SH_DEGREES if comps == len(SH_DEGREES) else np.zeros(comps, dtype=np.int64)
+    contexts, zeros = [], []
     for m, n in sizes.items():
         k = spectral.clip_count(alpha, m)
         # frexp's exponent is the bit length of a nonnegative integer
         band = np.minimum(np.frexp(np.arange(k))[1], BANDS - 1)
-        bands.append(np.broadcast_to(band, (n, grid.components, k)).ravel())
-        zeros.append(np.broadcast_to(zero[:, None], (n, grid.components, k)).ravel())
-    return np.concatenate(bands), np.concatenate(zeros)
+        ctx = band * DEGREES + degree[:, None]
+        contexts.append(np.broadcast_to(ctx, (n, comps, k)).ravel())
+        zeros.append(np.broadcast_to(zero[:, None], (n, comps, k)).ravel())
+    return np.concatenate(contexts), np.concatenate(zeros)
 
 
 def encode_levels(levels: np.ndarray, grid: QuantGrid, alpha: float,
@@ -471,14 +494,15 @@ def encode_levels(levels: np.ndarray, grid: QuantGrid, alpha: float,
 
     Each level's offset from its zero level is zigzagged to u >= 0; its
     magnitude class, the bit length of u, is arithmetic coded with one
-    adaptive model per coefficient band, and the low `class - 1` bits of
-    u follow raw.  `sizes` maps leaf size to leaf count in payload order.
+    adaptive model per coefficient band and SH degree, and the low
+    `class - 1` bits of u follow raw.  `sizes` maps leaf size to leaf
+    count in payload order.
     """
-    bands, zeros = _level_layout(grid, alpha, sizes)
+    contexts, zeros = _level_layout(grid, alpha, sizes)
     d = levels - zeros
     u = np.where(d < 0, -2 * d - 1, 2 * d)
     classes = np.frexp(u.astype(np.float64))[1].astype(np.int64)
-    coded = entropy.aac_encode(entropy.SymbolStream(grid.q + 2, classes), bands)
+    coded = entropy.aac_encode(entropy.SymbolStream(grid.q + 2, classes), contexts)
     bits = np.zeros(int(np.maximum(classes - 1, 0).sum()), dtype=np.uint8)
     for rows, positions, sig in entropy.raw_bit_chunks(classes):
         bits[positions] = (u[rows, None] >> sig) & 1
@@ -498,9 +522,9 @@ def decode_levels(payload: bytes, grid: QuantGrid, alpha: float,
     (claimed,) = struct.unpack_from("<I", payload, 0)
     if claimed != count:
         raise CorruptPayloadError(f"payload holds {claimed} symbols, expected {count}")
-    bands, zeros = _level_layout(grid, alpha, sizes)
+    contexts, zeros = _level_layout(grid, alpha, sizes)
     classes = entropy.aac_decode(payload[:4] + payload[8 : 8 + class_len],
-                                 grid.q + 2, count, bands).symbols
+                                 grid.q + 2, count, contexts).symbols
     nbits = int(np.maximum(classes - 1, 0).sum())
     bits = entropy.unpack_raw_bits(payload[8 + class_len :], nbits, "raw section")
     u = np.where(classes > 0, 1 << np.maximum(classes - 1, 0), 0)
@@ -593,7 +617,7 @@ def encode(
                              spectral.clip_count(alpha, rows.shape[1]))
                 for rows, spec in chunks]
         samples = np.concatenate([k.reshape(-1, comps) for k in kept])
-        grid = attr_grids[name] = fit_grid(samples, params.q_for(name))
+        grid = attr_grids[name] = fit_grid(samples, params.q_for(name), np.float32)
         symbols = symbols_by_group[name] = np.concatenate(
             [quantize(k, grid).transpose(0, 2, 1).ravel() for k in kept])
         jobs.append((symbols.size, encode_levels, (symbols, grid, alpha, sizes)))

@@ -63,15 +63,45 @@ class QuantGrid:
         return self.scale / self.levels
 
 
-def fit_grid(values: np.ndarray, q: int) -> QuantGrid:
-    """Fit a grid over samples shaped (S, C) (or (S,) for C = 1)."""
+def fit_grid(values: np.ndarray, q: int, dtype=np.float64) -> QuantGrid:
+    """Fit a grid over samples shaped (S, C) (or (S,) for C = 1).
+
+    With `dtype=np.float32` every grid field is a float32 value, so the
+    grid can travel in single precision: each minimum is rounded down and
+    the shared scale up, far enough that every sample v still satisfies
+    mins <= v <= mins + scale and v - mins <= scale in float64, so
+    `quantize` clips none.  Samples beyond float32's range raise.
+    """
     vals = _as_samples(values)
     if vals.shape[0] < 1:
         raise ValueError("cannot fit a grid on zero samples")
     if not np.isfinite(vals).all():
         raise ValueError("samples must be finite")
-    mins = vals.min(axis=0)
-    return QuantGrid(mins=mins, scale=(vals.max(axis=0) - mins).max(), q=q)
+    mins, maxs = vals.min(axis=0), vals.max(axis=0)
+    dtype = np.dtype(dtype)
+    if dtype == np.float64:
+        return QuantGrid(mins=mins, scale=(maxs - mins).max(), q=q)
+    if dtype != np.float32:
+        raise ValueError(f"grids are float64 or float32, not {dtype}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mins = _round_f32(mins, -np.inf)
+        scale = _round_f32((maxs - mins).max(), np.inf)
+        # mins + scale rounds in float64; one float32 step past it is far
+        # more than that rounding can take away.
+        if (mins + scale < maxs).any():
+            scale = _round_f32(np.nextafter(scale, np.inf), np.inf)
+    if not (np.isfinite(mins).all() and np.isfinite(scale)):
+        raise ValueError("samples lie outside float32's range")
+    return QuantGrid(mins=mins, scale=scale, q=q)
+
+
+def _round_f32(x, toward: float) -> np.ndarray:
+    """The float32 value nearest `x` on the side of `toward` (-inf or
+    +inf), as float64."""
+    x = np.asarray(x, dtype=np.float64)
+    out = x.astype(np.float32)
+    past = out > x if toward < 0 else out < x
+    return np.where(past, np.nextafter(out, np.float32(toward)), out).astype(np.float64)
 
 
 def quantize(values: np.ndarray, grid: QuantGrid) -> np.ndarray:

@@ -135,6 +135,42 @@ class TestContainer:
         with pytest.raises(CodecError, match="zero"):
             CodedStream.from_bytes(bytes(blob))
 
+    def test_grids_round_trip_bit_for_bit(self):
+        stream = self._stream(q_sh_u=7, alpha_scale=0.4)
+        back = CodedStream.from_bytes(stream.to_bytes())
+        pairs = [(back.geom_grid, stream.geom_grid)] + [
+            (back.attr_grids[n], stream.attr_grids[n]) for n in GROUP_NAMES]
+        for got, want in pairs:
+            assert got.mins.tobytes() == want.mins.tobytes()
+            assert struct.pack("<d", got.scale) == struct.pack("<d", want.scale)
+            assert got.q == want.q
+
+    def test_header_is_248_bytes_below_version_6(self):
+        """`VERSION` 6 stored the six attribute grids' 56 minima and 6
+        scales as float64; they are float32 now, 4 bytes less each."""
+        stream = self._stream()
+        version_6 = (4 + 2 + 1 + 4 + 4 + 1  # magic .. q_geo
+                     + 6 + 6 * 8  # attribute bit depths and alphas
+                     + 4 * 8  # geometry grid
+                     + (56 + 6) * 8  # attribute grids
+                     + 4 * 7)  # section table
+        assert version_6 == 626
+        assert stream.header_size() == version_6 - 248
+        assert len(stream.to_bytes()) == stream.header_size() + sum(
+            map(len, [stream.geometry_payload, *stream.attribute_payloads.values()]))
+
+    @pytest.mark.parametrize("field, value", [("mins", 0.1), ("scale", 0.1),
+                                              ("scale", 1e308)])
+    def test_to_bytes_refuses_to_round_a_grid(self, field, value):
+        """An attribute grid travels as float32; a value it cannot hold
+        exactly is an error, not a silently different stream."""
+        stream = self._stream()
+        grid = stream.attr_grids["sh_u"]
+        stream.attr_grids["sh_u"] = replace(grid, **{
+            field: np.full(grid.components, value) if field == "mins" else value})
+        with pytest.raises(ValueError, match="float32"):
+            stream.to_bytes()
+
     def test_header_size_accounts_for_everything(self):
         stream = self._stream()
         report = bitrate_breakdown(stream)
@@ -409,6 +445,53 @@ class TestCorruptStreams:
             decode(stream)
 
 
+class TestClassContexts:
+    """An attribute level's class is coded in context band * 4 + degree:
+    the band of its coefficient index and its component's SH degree."""
+
+    @staticmethod
+    def _expected(comps, k, degree):
+        band = np.minimum([i.bit_length() for i in range(k)], C.BANDS - 1)
+        return band[None, :] * 4 + np.array([degree(c) for c in range(comps)])[:, None]
+
+    def test_sh_channel_contexts(self):
+        grid = QuantGrid(mins=np.zeros(16), scale=1.0, q=8)
+        contexts, _ = C._level_layout(grid, 0.5, {40: 2, 24: 1})
+        # degree l holds components l^2 .. l^2 + 2l
+        sh = lambda c: math.isqrt(c)
+        want = [np.broadcast_to(self._expected(16, 20, sh), (2, 16, 20)).ravel(),
+                self._expected(16, 12, sh).ravel()]
+        np.testing.assert_array_equal(contexts, np.concatenate(want))
+
+    @pytest.mark.parametrize("comps", [1, 3, 4])
+    def test_other_groups_are_degree_0(self, comps):
+        grid = QuantGrid(mins=np.zeros(comps), scale=1.0, q=8)
+        contexts, _ = C._level_layout(grid, 1.0, {20: 3})
+        want = np.broadcast_to(self._expected(comps, 20, lambda c: 0), (3, comps, 20))
+        np.testing.assert_array_equal(contexts, want.ravel())
+
+    def test_round_trip_reaches_all_24_contexts(self, monkeypatch):
+        """At q = 16 and alpha = 1 with leaves past 16 primitives the SH
+        channels reach every band at every degree; the decoder mirrors
+        the encoder's local decode."""
+        seen = set()
+        aac_encode = C.entropy.aac_encode
+
+        def spy(stream, contexts=None):
+            if contexts is not None:
+                seen.update(np.unique(contexts).tolist())
+            return aac_encode(stream, contexts)
+
+        monkeypatch.setattr(C.entropy, "aac_encode", spy)
+        params = CodecParams(max_leaf=40, **{f"q_{n}": 16 for n in GROUP_NAMES})
+        stream, enc = encode(make_cloud(120, seed=5), params, collect_debug=True)
+        assert min(len(leaf) for leaf in enc.part.leaves) > 16
+        assert seen == set(range(24))
+        _, dec = decode(CodedStream.from_bytes(stream.to_bytes()), collect_debug=True)
+        for name in GROUP_NAMES:
+            np.testing.assert_array_equal(dec.signals[name], enc.signals[name])
+
+
 def _spectrum_levels(grid, alpha, sizes, seed):
     """Levels in payload order of Laplace-shaped coefficients that shrink
     with their index, quantized on `grid`."""
@@ -424,7 +507,8 @@ def _spectrum_levels(grid, alpha, sizes, seed):
 class TestLevelPayloadBytes:
     """SHA-256 of attribute payloads written by `encode_levels` when these
     pins were recorded.  The leaves reach coefficient 16 and past, so
-    every band is pinned.  A change to any of them is a stream format
+    every band is pinned, and the 16-component case pins every SH
+    degree.  A change to any of them is a stream format
     change: bump `codec.VERSION` and record them again.  Each case keeps
     the id it was first recorded under, which ends in that recording's
     size and digest, so a new recording renames no case."""
@@ -439,6 +523,10 @@ class TestLevelPayloadBytes:
         pytest.param(1, 4, 1.0, {20: 2}, 18,
             "59336d48d987455a699e23fb067eedcf76a16fdad767cd7a2d28ebf205123145",
             id="1-4-1.0-sizes2-21-eea53d8bb727f5d808aa31ffb1ad080dc8090f7886f4054b626439895c8ad6e6"),
+        # 16 components: an SH colour channel, every degree context
+        pytest.param(10, 16, 1.0, {20: 2}, 650,
+            "5f89dced7229efab6a9d9f842c8d07ead22a79050dad0dfbd8983ea689fea884",
+            id="10-16-1.0-sizes3-650-5f89dced7229efab6a9d9f842c8d07ead22a79050dad0dfbd8983ea689fea884"),
     ])
     def test_payload_hash(self, q, comps, alpha, sizes, size, digest):
         grid = QuantGrid(mins=np.full(comps, -2.0), scale=4.5, q=q)

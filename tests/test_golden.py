@@ -68,8 +68,8 @@ CASES = [
     # 100 primitives split into leaves of 12 and 13.
     Case("mixed", lambda: make_cloud(100, seed=31, smooth=True),
          CodecParams(max_leaf=16, **_SMALL_Q), leaf=0,
-         stream_sha="fb7126dd4523c9540f388900048512c8ea543536ee5f519e14db8ed63447230c",
-         ply_sha="ae2ce7144ab3d817fd7f9b5ce19d4a501dc515729627346a3f3d0a74be734ff6",
+         stream_sha="73394d0c84f2a54daed1fa0cf08e6427d878b1987a8093fec781d93c8e87d38d",
+         ply_sha="e9ed83fb1d8945dcf755f97fb3992291b88c0b3360bf93a16e5931f79dad020e",
          eigenvalues_sha="e67488e309293140dc75e2a7a2f8261030cd0615d88bf5cf811ccef5e22667e2",
          basis_sha="ca8b3dfe30c1c19961e309afd0beb3a17488ebc58488e1cc764c69a4693475da"),
     # A clipped lossy point: most high-frequency coefficients dropped.
@@ -77,15 +77,15 @@ CASES = [
          CodecParams(max_leaf=32, q_geo=16, alpha_sh_y=0.5, alpha_sh_u=0.25,
                      alpha_sh_v=0.25, alpha_opacity=0.5, alpha_scale=0.5,
                      alpha_rotation=0.5, **_SMALL_Q), leaf=1,
-         stream_sha="d1b3d2e400503069659abff2ed5b72b8981e46e82142d47a7bab5635d1e5a583",
-         ply_sha="df7578bcf0443e0443fd0c7bd3c01281c8ebc828c601db4d9f064e8e73e79e82",
+         stream_sha="1e2f4673734d05d02d8926932d4ed6b1a5f9865612e9fffcd91c6f23e3fd01bc",
+         ply_sha="ca7c6ed8a0a8f55f5f9843dfb62f9462d9e594ce99c69111479b83f99fafc063",
          eigenvalues_sha="c1e1318bc6e4b65d18e1bea7ce22ee0058a0ab3e3fa0b30e66e96fd0776aa219",
          basis_sha="605642bbc4fb39c06fa91099c3813bc66579f396a38558d119e25cea2e84a3af"),
     # Isolated points: the pinned leaf holds all three far points.
     Case("isolated", _isolated_cloud,
          CodecParams(max_leaf=16, **_SMALL_Q), leaf=3,
-         stream_sha="8ee40cace38c6483d712b3452a04fadeaa58be59b79b49ef61d0ac2495594976",
-         ply_sha="6545d0b1aa1c2d2eea8ac4a530c39fcf9cba4b4250ad03e41b3efbd138d6aeab",
+         stream_sha="258992e7517f7d8b246592160a660c0a4f65608e584019e97ae1de28e0fd7b5e",
+         ply_sha="0afb608044a534b184f00a603d75b16eb8703ab56d904edd76665ad85cf11d31",
          eigenvalues_sha="65ea6dfb949fd7cab6b07246f0900d76482731ebbee8383d98a62fa19614c192",
          basis_sha="af699c78e00ddcca51b75c6ac947e90ffe79e337d00012907d1afe5e41f79c4a"),
 ]

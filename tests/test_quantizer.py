@@ -48,6 +48,19 @@ class TestFitGrid:
         with pytest.raises(ValueError):
             fit_grid(np.array([[np.nan, 0.0]]), q=8)
 
+    def test_float32_grid_of_float32_samples(self):
+        """Float32 minima stay put; only the scale rounds up."""
+        vals = np.array([[0.5, -2.0], [0.1, 1.0]], dtype=np.float32)
+        grid = fit_grid(vals, q=8, dtype=np.float32)
+        np.testing.assert_array_equal(grid.mins, vals.min(axis=0))
+        assert grid.scale == 3.0
+
+    def test_float32_grid_outside_float32_range_rejected(self):
+        with pytest.raises(ValueError, match="float32"):
+            fit_grid(np.array([0.0, 1e39]), q=8, dtype=np.float32)
+        with pytest.raises(ValueError, match="float64 or float32"):
+            fit_grid(np.array([0.0, 1.0]), q=8, dtype=np.float16)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             QuantGrid(mins=np.zeros(3), scale=0.0, q=0)
@@ -188,3 +201,29 @@ def test_quantizer_bound_property(seed, n, c, q):
     assert (np.abs(back - vals) <= bound).all()
     # fixed point
     np.testing.assert_array_equal(quantize(back, grid), levels)
+
+
+_SAMPLE = st.one_of(st.floats(-1e30, 1e30), st.floats(-1e-300, 1e-300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30), c=st.integers(1, 4),
+       q=st.integers(1, 16))
+def test_float32_grid_property(data, n, c, q):
+    """A float32 grid holds only float32 values and still covers every
+    float64 sample: negative, tiny, up to 1e30, constant columns."""
+    cols = []
+    for _ in range(c):
+        if data.draw(st.booleans(), label="constant"):
+            cols.append(np.full(n, data.draw(_SAMPLE)))
+        else:
+            cols.append(np.array(data.draw(st.lists(_SAMPLE, min_size=n, max_size=n))))
+    vals = np.stack(cols, axis=1)
+    grid = fit_grid(vals, q=q, dtype=np.float32)
+    fields = np.append(grid.mins, grid.scale)
+    np.testing.assert_array_equal(fields.astype(np.float32), fields)
+    assert (grid.mins <= vals).all() and (vals <= grid.mins + grid.scale).all()
+    if grid.scale > 0.0:
+        # `quantize`'s level before its clip
+        unclipped = np.floor((vals - grid.mins) * grid.levels / grid.scale + 0.5)
+        assert unclipped.min() >= 0 and unclipped.max() <= grid.levels
