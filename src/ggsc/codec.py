@@ -63,15 +63,16 @@ from .gs_core import Box3, GaussianCloud
 from .quantizer import QuantGrid, dequantize, fit_grid, quantize
 
 MAGIC = b"GGSC"
-#: Stream format version.  7: class contexts by band and SH degree,
-#: attribute grids in float32 (6: every payload range coded, bytes at a
-#: time; 5: attribute levels coded as band-context magnitude classes plus
-#: raw bits, through a bit-wise arithmetic coder; 4: one adaptive model
+#: Stream format version.  8: symbols range coded two per interval step,
+#: on an 88-bit window (7: class contexts by band and SH degree, attribute
+#: grids in float32; 6: every payload range coded, bytes at a time; 5:
+#: attribute levels coded as band-context magnitude classes plus raw
+#: bits, through a bit-wise arithmetic coder; 4: one adaptive model
 #: over all 2^q levels, one flag byte, one scale per grid, colour
 #: conversions sum in index order; 3: payloads group leaves by size,
 #: transforms sum in index order without BLAS; 2: per-leaf order and BLAS
 #: products; 1: cyclic Jacobi bases).
-VERSION = 7
+VERSION = 8
 
 #: Attribute groups in payload order: (name, component count).  SH color
 #: is coded per YUV channel, 16 coefficient triples each.
@@ -108,18 +109,21 @@ MAX_Q_GEO = 31
 MAX_LEAF = 512
 #: Job weight below which `_fork_join` codes every payload in this
 #: process, counted in encoded symbols.  On a 2-core x86-64 VM a fork plus
-#: join costs about 5 ms and an encoded symbol 0.5-0.8 us, and two busy
-#: processes there each run about 1.6x slower than one alone.  Forced
-#: fork against serial, medians of alternating ops over 15 s at three
-#: seeds: `entropy-q16` (58,368 encoded symbols, 172,032 weighted decoded
-#: ones) encode 1.24-1.31x, decode 1.25-1.37x; `lossy-rd` (10,752 and
-#: 30,720) encode 0.98-1.00x, decode 0.91-1.03x; `spectral-m64` (7,296
-#: and 21,504) encode 0.88-0.90x, decode 0.92-0.96x.  So only the
+#: join costs about 5 ms and an encoded symbol 0.6-0.7 us (class streams,
+#: symbols coded two per interval step), and two busy processes there
+#: each run about 1.6x slower than one alone.  Forced fork against
+#: serial, medians of alternating ops over 15 s at three seeds:
+#: `entropy-q16` (58,368 encoded symbols, 172,032 weighted decoded ones)
+#: encode 1.10-1.27x, decode 1.24-1.45x; `lossy-rd` (10,752 and 30,720)
+#: encode 0.97-1.01x, decode 0.94-1.04x; `spectral-m64` (7,296 and
+#: 21,504) encode 0.89-0.92x, decode 1.00-1.04x.  So only the
 #: `entropy-q16` payloads fork.
 FORK_MIN_SYMBOLS = 1 << 15
 #: A decoded attribute level weighs this many encoded symbols: the
-#: decoder's per-symbol Fenwick search costs 2.5-3.5 times an encode of
-#: the same class streams (1.2-2.2 against 0.5-0.8 us per symbol).
+#: decoder's per-symbol Fenwick search costs 3.3-4 times an encode of the
+#: same class streams (2.1-2.8 against 0.6-0.7 us per symbol).  A weight
+#: of 4 would fork `lossy-rd`'s decode, which forced forking does not
+#: speed up (above), so the weight stays below the cost ratio.
 DECODE_WEIGHT = 3
 
 
@@ -488,6 +492,11 @@ def _level_layout(grid: QuantGrid, alpha: float,
     return np.concatenate(contexts), np.concatenate(zeros)
 
 
+#: Bytes of the big-endian field that holds a zigzagged level's raw bits:
+#: a level has at most MAX_Q_ATTR + 1 bits.
+_RAW_BYTES = 3
+
+
 def encode_levels(levels: np.ndarray, grid: QuantGrid, alpha: float,
                   sizes: dict[int, int]) -> bytes:
     """One attribute payload from its levels in payload order.
@@ -503,11 +512,8 @@ def encode_levels(levels: np.ndarray, grid: QuantGrid, alpha: float,
     u = np.where(d < 0, -2 * d - 1, 2 * d)
     classes = np.frexp(u.astype(np.float64))[1].astype(np.int64)
     coded = entropy.aac_encode(entropy.SymbolStream(grid.q + 2, classes), contexts)
-    bits = np.zeros(int(np.maximum(classes - 1, 0).sum()), dtype=np.uint8)
-    for rows, positions, sig in entropy.raw_bit_chunks(classes):
-        bits[positions] = (u[rows, None] >> sig) & 1
-    return b"".join([coded[:4], struct.pack("<I", len(coded) - 4), coded[4:],
-                     np.packbits(bits).tobytes()])
+    raw = entropy.pack_raw_bits(entropy.be_fields(u, _RAW_BYTES), np.maximum(classes - 1, 0))
+    return b"".join([coded[:4], struct.pack("<I", len(coded) - 4), coded[4:], raw])
 
 
 def decode_levels(payload: bytes, grid: QuantGrid, alpha: float,
@@ -525,11 +531,10 @@ def decode_levels(payload: bytes, grid: QuantGrid, alpha: float,
     contexts, zeros = _level_layout(grid, alpha, sizes)
     classes = entropy.aac_decode(payload[:4] + payload[8 : 8 + class_len],
                                  grid.q + 2, count, contexts).symbols
-    nbits = int(np.maximum(classes - 1, 0).sum())
-    bits = entropy.unpack_raw_bits(payload[8 + class_len :], nbits, "raw section")
-    u = np.where(classes > 0, 1 << np.maximum(classes - 1, 0), 0)
-    for rows, positions, sig in entropy.raw_bit_chunks(classes):
-        u[rows] |= (bits[positions].astype(np.int64) << sig).sum(axis=1)
+    widths = np.maximum(classes - 1, 0)
+    u = entropy.be_values(entropy.unpack_raw_bits(payload[8 + class_len :], widths,
+                                                  _RAW_BYTES, "raw section"))
+    u |= np.where(classes > 0, 1 << widths, 0)
     levels = zeros + np.where(u & 1, -(u + 1) // 2, u // 2)
     if count and (levels.min() < 0 or levels.max() > grid.levels):
         raise CorruptPayloadError(f"raw bits decode to a level outside [0, {grid.levels}]")

@@ -1,31 +1,46 @@
 """Adaptive range coding of bounded integer symbol streams.
 
 The coder is a byte-wise range coder (Martin, "Range encoding", 1979)
-on a 64-bit window.  Its state is `low`, the bottom of the current
-interval, and `rng`, the interval's width, starting at 0 and 2^64.  A
-symbol with cumulative count `cumlow`, count `freq` and model total
-`total` narrows the interval to
+on an 88-bit window.  Its state is `low`, the bottom of the current
+interval, and `rng`, the interval's width, starting at 0 and 2^88.
+Symbols are coded two at a time, the alphabet extension of Witten, Neal
+and Cleary (1987): symbols 2k and 2k + 1 narrow the interval in one
+step, by their joint probability, and an odd last symbol takes a step
+alone.  A pair whose first symbol has cumulative count C1, count F1 and
+model total T1, and whose second symbol has C2, F2 and T2 (counted after
+the first symbol's update), takes the part
+
+    [C1 T2 + C2 F1, C1 T2 + C2 F1 + F1 F2)  of  [0, T1 T2),
+
+the second symbol's slice of the first symbol's part.  A step with
+joint values (cumlow, freq, total) narrows the interval to
 
     r = rng // total;  low += r * cumlow;  rng = r * freq
 
-and while `rng` is below 2^56 the top byte of `low` leaves: `low` keeps
-its low 56 bits and both shift left by 8.  Renormalized, `rng` is at
-least 2^56 and a total at most 2^24, so r >= 2^32 and no symbol's width
-rounds to zero.  An addition can carry `low` past 2^64; the carry goes
-back into the bytes already written, turning trailing 0xFF bytes into
-0x00 and adding one to the byte before them.  Probabilities come from
-an order-0 adaptive model shared by encoder and decoder:
+and while `rng` is below 2^80 the top byte of `low` leaves: `low` keeps
+its low 80 bits and both shift left by 8.  Renormalized, `rng` is at
+least 2^80 and a joint total below 2^49, so r >= 2^31 and no step's
+width rounds to zero; `low` and `rng` stay within the three 30-bit
+digits of a Python int.  An addition can carry `low` past 2^88; the
+carry goes back into the bytes already written, turning trailing 0xFF
+bytes into 0x00 and adding one to the byte before them.  Probabilities
+come from an order-0 adaptive model shared by encoder and decoder:
 
 * every symbol starts with count 1 (no zero-probability symbols),
 * a coded symbol's count grows by 32,
-* when the total exceeds 2^24 all counts are halved, rounding up.
+* after a step that takes the total past 2^24 all counts are halved,
+  rounding up.  A step halves a model once, and never between the two
+  symbols of a pair, so a total is at most 2^24 + 32 and the decoder
+  knows T2 before it decodes the first symbol.
 
 A caller may give each symbol a context, a small non-negative integer
 that both sides know before the symbol is coded (the codec uses the
 frequency band of an attribute coefficient).  Each context then has a
 model of its own under the same rules, which sees only that context's
-symbols; the interval arithmetic is shared.  Without contexts every
-symbol shares one model, and the bytes are those of a single context.
+symbols; the interval arithmetic is shared, and a pair may span two
+contexts (then T2 is the second context's total).  Without contexts
+every symbol shares one model, and the bytes are those of a single
+context.
 
 A model depends only on the symbols already coded, and `total` grows
 by a fixed step, so the points where it halves are known in advance.
@@ -33,31 +48,33 @@ The encoder therefore computes every symbol's (cumlow, freq, total)
 with numpy before coding starts: inside one rescale segment a symbol's
 cumulative count is the segment's base prefix plus the increment times
 the number of earlier, smaller symbols in the segment (per context,
-scattered back to symbol order).  The decoder learns each symbol only
+scattered back to symbol order).  The pairs' joint values are three
+int64 products of those arrays.  The decoder learns each symbol only
 as it decodes it, so each of its models is a Fenwick tree (a Python
 list built with numpy, rebuilt at each rescale) with O(log alphabet)
-queries and updates.
+queries and updates.  From a pair's value v in [0, T1 T2) it reads the
+first symbol at v // T2 and the second at (v - C1 T2) // F1.
 
 A payload is framed as
 
     [symbol count: u32 LE][coded bytes]
 
 (contexts are not stored: the decoder is given the same ones).  After
-the last symbol the encoder flushes one byte: the top byte of the
-smallest multiple of 2^56 at or above `low`, which lies inside the final
-interval because its width is at least 2^56.
+the last step the encoder flushes one byte: the top byte of the
+smallest multiple of 2^80 at or above `low`, which lies inside the final
+interval because its width is at least 2^80.
 
 Encoding is canonical -- one byte string per symbol sequence -- and
 the decoder checks that in its loop.  It tracks diff = code - low, where
 the code is the payload read as a big-endian number with zero bytes
-after its end: 8 bytes to prime, one per renormalization.  A symbol
-whose value diff // r is `total` or more lies in the dead zone left by
-the rounding of r, which no encoding reaches.  At the end the decoder
-requires that it consumed exactly len + 7 bytes and that diff < 2^56.
+after its end: 11 bytes to prime, one per renormalization.  A step whose
+value diff // r is its joint total or more lies in the dead zone left
+by the rounding of r, which no encoding reaches.  At the end the decoder
+requires that it consumed exactly len + 10 bytes and that diff < 2^80.
 The decoded symbols drive an encoder through the same intervals and
 renormalizations, so that encoder writes len bytes too (one per
-renormalization and the flush byte, against the decoder's priming 8);
-and of the multiples of 2^56 at or above `low`, diff < 2^56 leaves only
+renormalization and the flush byte, against the decoder's priming 11);
+and of the multiples of 2^80 at or above `low`, diff < 2^80 leaves only
 the smallest, which is what that encoder flushes.  So a payload decodes
 only if it is the canonical encoding of the symbols it decodes to, and
 everything else raises `CorruptPayloadError`: framing violations,
@@ -70,16 +87,17 @@ stream without out-of-band redundancy.
 The caller passes the symbol count it expects; a header that claims
 any other count is rejected before decoding, which bounds the decoder's
 memory and time by that count.  A symbol's count is at most its model's
-total minus one, and the total at most 2^24, so each symbol costs more
-than 2^-24 bits: a body of n bytes holds fewer than n * 2^27 symbols,
-and a count that large is refused before decoding too.
+total minus one, and the total at most 2^24 + 32, so each symbol costs
+more than 2^-24 bits: a body of n bytes holds fewer than n * 2^27
+symbols, and a count that large is refused before decoding too.
 
 Values too wide to model symbol by symbol are split the same way by
 the codec's attribute payloads and the geometry section: the coder
 takes each value's bit length (its *class*), and the low `class - 1`
-bits follow raw, MSB-first, their leading 1 implied.  `raw_bit_chunks`
-lays those bits out in bounded chunks and `unpack_raw_bits` checks a
-raw section's length and zero padding.
+bits follow raw, MSB-first, their leading 1 implied.  `pack_raw_bits`
+lays those bits out from big-endian byte fields (`be_fields`) and
+`unpack_raw_bits` checks a raw section's length and zero padding and
+puts them back.
 """
 
 from __future__ import annotations
@@ -91,16 +109,19 @@ from itertools import repeat
 
 import numpy as np
 
-#: The coder's window: `low` has 64 bits, and a byte leaves it whenever
-#: the range falls below 2^56.
-_TOP = 1 << 64
-_BOT = 1 << 56
-_LOW56 = _BOT - 1
+#: The coder's window: `low` has 88 bits, and a byte leaves it whenever
+#: the range falls below 2^80.  Python ints hold both in three 30-bit
+#: digits.
+_TOP = 1 << 88
+_BOT = 1 << 80
+_LOW80 = _BOT - 1
+#: Bytes the decoder primes its window with.
+_PRIME = 11
 
-# Symbols whose model values are converted to Python ints at a time.
+# Coding steps whose values are converted to Python ints at a time.
 _CHUNK = 1 << 12
-#: Raw bits packed or unpacked per `raw_bit_chunks` step: bounds the int64
-#: (rows, bits) temporaries to 512 KiB each whatever the value count.
+#: Bit-matrix entries per `pack_raw_bits` / `unpack_raw_bits` chunk: bounds
+#: their (rows, bits) temporaries to 64 KiB each whatever the value count.
 CHUNK_BITS = 1 << 16
 
 COUNT_INIT = 1
@@ -192,55 +213,67 @@ def _earlier_counts(seg: np.ndarray, alphabet: int, groups: np.ndarray | None = 
     return less, above
 
 
-def _segments(symbols: np.ndarray, alphabet: int):
-    """Yield one adaptive model's (cumlow, freq, total) for every symbol,
-    as int64 arrays, one rescale segment at a time.
+def _segments(symbols: np.ndarray, alphabet: int, paired: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One adaptive model's (cumlow, freq, total) for every symbol, as
+    int64 arrays.  `paired[i]` says that symbols i and i + 1 are coded in
+    one step.
 
     `total` grows by COUNT_INCREMENT per symbol, so where the model halves
-    is known in advance; inside a segment the counts are the segment's base
-    counts plus COUNT_INCREMENT per earlier occurrence.  Until the first
-    rescale every base count is COUNT_INIT, which needs no table.
+    is known in advance: after the symbol that takes the total past
+    RESCALE_LIMIT, or after its partner when that symbol opens a pair.
+    Inside a segment the counts are the segment's base counts plus
+    COUNT_INCREMENT per earlier occurrence.  Until the first rescale every
+    base count is COUNT_INIT, which needs no table.
     """
     n = symbols.shape[0]
+    cumlow = np.empty(n, dtype=np.int64)
+    freq = np.empty(n, dtype=np.int64)
+    total = np.empty(n, dtype=np.int64)
     base = None
-    total = alphabet * COUNT_INIT
+    t = alphabet * COUNT_INIT
     start = 0
     while start < n:
-        stop = min(n, start + max(1, (RESCALE_LIMIT - total) // COUNT_INCREMENT + 1))
+        stop = min(n, start + max(1, (RESCALE_LIMIT - t) // COUNT_INCREMENT + 1))
+        stop += int(paired[stop - 1])
         seg = symbols[start:stop]
         less, equal = _earlier_counts(seg, alphabet)
         if base is None:
-            cumlow = COUNT_INIT * seg + COUNT_INCREMENT * less
-            freq = COUNT_INIT + COUNT_INCREMENT * equal
+            cumlow[start:stop] = COUNT_INIT * seg + COUNT_INCREMENT * less
+            freq[start:stop] = COUNT_INIT + COUNT_INCREMENT * equal
         else:
             cum = np.cumsum(base)
             cum -= base
-            cumlow = cum[seg] + COUNT_INCREMENT * less
-            freq = base[seg] + COUNT_INCREMENT * equal
-        yield cumlow, freq, total + COUNT_INCREMENT * np.arange(stop - start)
+            cumlow[start:stop] = cum[seg] + COUNT_INCREMENT * less
+            freq[start:stop] = base[seg] + COUNT_INCREMENT * equal
+        total[start:stop] = t + COUNT_INCREMENT * np.arange(stop - start)
         if stop < n:
             counts = COUNT_INCREMENT * np.bincount(seg, minlength=alphabet)
             counts += COUNT_INIT if base is None else base
             base = (counts + 1) >> 1
-            total = int(base.sum())
+            t = int(base.sum())
         start = stop
+    return cumlow, freq, total
 
 
-def _model(symbols: np.ndarray, alphabet: int, contexts: np.ndarray | None = None):
-    """Yield the model's (cumlow, freq, total) for every symbol, as
-    int64 arrays in symbol order.
+def _model(symbols: np.ndarray, alphabet: int, contexts: np.ndarray | None = None
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The model's (cumlow, freq, total) for every symbol, as int64 arrays
+    in symbol order.
 
-    Without contexts there is one adaptive model, and the arrays come one
-    rescale segment at a time.  With them each context has a model of its
-    own, which sees only that context's symbols, and the arrays come in
-    one piece.  Until a context's first rescale its base counts are all
-    COUNT_INIT, so one pass that counts only the earlier symbols of each
-    symbol's context gives every context's values; a context busy enough
-    to rescale is then redone alone through `_segments`.
+    Without contexts there is one adaptive model.  With them each context
+    has a model of its own, which sees only that context's symbols.  Until
+    a context's first rescale its base counts are all COUNT_INIT, so one
+    pass that counts only the earlier symbols of each symbol's context
+    gives every context's values; a context busy enough to rescale is then
+    redone alone through `_segments`.
     """
+    n = symbols.shape[0]
+    paired = np.zeros(n, dtype=bool)  # opens a step whose partner shares its model
+    paired[0 : n - 1 : 2] = True
     if contexts is None:
-        yield from _segments(symbols, alphabet)
-        return
+        return _segments(symbols, alphabet, paired)
+    paired[:-1] &= contexts[1:] == contexts[:-1]
     rank = _equal_before(contexts.astype(np.uint16))  # earlier symbols of the context
     less, equal = _earlier_counts(symbols, alphabet, contexts, rank)
     cumlow = COUNT_INIT * symbols + COUNT_INCREMENT * less
@@ -249,13 +282,30 @@ def _model(symbols: np.ndarray, alphabet: int, contexts: np.ndarray | None = Non
     first = max(1, (RESCALE_LIMIT - alphabet * COUNT_INIT) // COUNT_INCREMENT + 1)
     for ctx in np.unique(contexts[rank >= first]):
         rows = np.flatnonzero(contexts == ctx)
-        pos = 0
-        for arrays in _segments(symbols[rows], alphabet):
-            stop = pos + arrays[0].shape[0]
-            for out, values in zip((cumlow, freq, total), arrays):
-                out[rows[pos:stop]] = values
-            pos = stop
-    yield cumlow, freq, total
+        for out, values in zip((cumlow, freq, total),
+                               _segments(symbols[rows], alphabet, paired[rows])):
+            out[rows] = values
+    return cumlow, freq, total
+
+
+def _steps(cumlow: np.ndarray, freq: np.ndarray, total: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each coding step's joint (cumlow, freq, total): symbols 2k and
+    2k + 1 as one, then an odd last symbol alone.
+
+    The first symbol takes [C1 T2, (C1 + F1) T2) of [0, T1 T2) and the
+    second the part [C2 F1, (C2 + F2) F1) of that; the second symbol's
+    values already count the first's update.  Every total is at most
+    RESCALE_LIMIT + COUNT_INCREMENT, so the products stay below 2^49.
+    """
+    if cumlow.shape[0] % 2:
+        # Alone, a symbol is a pair whose second symbol is certain:
+        # C2 = 0 and F2 = T2 = 1.
+        cumlow, freq, total = (np.append(a, v) for a, v in ((cumlow, 0), (freq, 1), (total, 1)))
+    c1, c2 = cumlow[0::2], cumlow[1::2]
+    f1, f2 = freq[0::2], freq[1::2]
+    t1, t2 = total[0::2], total[1::2]
+    return c1 * t2 + c2 * f1, f1 * f2, t1 * t2
 
 
 def _carry(out: bytearray) -> None:
@@ -274,27 +324,29 @@ def _encode_bytes(symbols: np.ndarray, alphabet: int,
     if symbols.min() < 0 or symbols.max() >= alphabet:
         raise ValueError("symbols out of range for the declared alphabet")
     out = bytearray()
-    low, rng = 0, _TOP
-    for arrays in _model(symbols, alphabet, contexts):
-        for a in range(0, arrays[0].shape[0], _CHUNK):
-            chunk = [arr[a : a + _CHUNK].tolist() for arr in arrays]
-            for cumlow, freq, total in zip(*chunk):
-                r = rng // total
-                low += r * cumlow
-                rng = r * freq
-                if rng < _BOT:
-                    # low + rng never grows between renormalizations and
-                    # is below 2^65 after one: at most one carry pends.
-                    if low >= _TOP:
-                        _carry(out)
-                        low -= _TOP
-                    while rng < _BOT:
-                        out.append(low >> 56)
-                        low = (low & _LOW56) << 8
-                        rng <<= 8
-    # Flush the top byte of the smallest multiple of 2^56 at or above low;
+    put = out.append
+    top, bot, low80 = _TOP, _BOT, _LOW80
+    low, rng = 0, top
+    steps = _steps(*_model(symbols, alphabet, contexts))
+    for a in range(0, steps[0].shape[0], _CHUNK):
+        chunk = [arr[a : a + _CHUNK].tolist() for arr in steps]
+        for cumlow, freq, total in zip(*chunk):
+            r = rng // total
+            low += r * cumlow
+            rng = r * freq
+            if rng < bot:
+                # low + rng never grows between renormalizations and is
+                # below 2^89 after one: at most one carry pends.
+                if low >= top:
+                    _carry(out)
+                    low -= top
+                while rng < bot:
+                    put(low >> 80)
+                    low = (low & low80) << 8
+                    rng <<= 8
+    # Flush the top byte of the smallest multiple of 2^80 at or above low;
     # a pending carry, or the rounding up, carries into the bytes written.
-    top = (low + _LOW56) >> 56
+    top = (low + _LOW80) >> 80
     if top > 0xFF:
         _carry(out)
     out.append(top & 0xFF)
@@ -346,6 +398,20 @@ def _uniform_fenwick(alphabet: int) -> list[int]:
     return tree
 
 
+def _find(tree: list[int], value: int, top_bit: int) -> tuple[int, int]:
+    """The symbol whose cumulative interval holds `value`, and `value`
+    less the symbol's cumulative count, by a Fenwick tree search."""
+    sym = 0
+    bit = top_bit
+    while bit:
+        t = tree[sym + bit]
+        if t <= value:
+            sym += bit
+            value -= t
+        bit >>= 1
+    return sym, value
+
+
 def _decode_symbols(data: bytes, alphabet: int, count: int,
                     contexts: np.ndarray | None = None) -> np.ndarray:
     """Decode `count` symbols from the coded bytes, with one model per
@@ -358,50 +424,77 @@ def _decode_symbols(data: bytes, alphabet: int, count: int,
         raise CorruptPayloadError(
             f"{len(data)} coded bytes cannot hold {count} symbols"
         )
-    buf = data + bytes(7)  # bytes past the end read as zero
+    buf = data + bytes(_PRIME - 1)  # bytes past the end read as zero
     end = len(buf)
-    diff = int.from_bytes(buf[:8], "big")  # code - low
-    pos = 8
+    diff = int.from_bytes(buf[:_PRIME], "big")  # code - low
+    pos = _PRIME
     rng = _TOP
 
     top_bit = 1 << (alphabet.bit_length() - 1)
     limit = RESCALE_LIMIT
-    # One [counts, Fenwick tree, total] per context, made on first use;
-    # the current context's are held in locals and `total` is written
-    # back when the context changes.
-    models: dict[int, list] = {}
-    ctx = None
-    counts = tree = model = None
-    total = 0
+    inc = COUNT_INCREMENT
+    # Each context's counts, Fenwick tree and total, indexed by context.
+    counts_of: list = [None] * MAX_CONTEXTS
+    trees: list = [None] * MAX_CONTEXTS
+    totals = [0] * MAX_CONTEXTS
+    if contexts is None:
+        ctx = [0]
+        pairs = repeat((0, 0), count >> 1)
+    else:
+        ctx = contexts.tolist()
+        pairs = zip(ctx[0::2], ctx[1::2])
+    for c in set(ctx):
+        counts_of[c] = [COUNT_INIT] * alphabet
+        trees[c] = _uniform_fenwick(alphabet)
+        totals[c] = alphabet * COUNT_INIT
 
     out = array("q")
-    for c_next in repeat(0, count) if contexts is None else contexts.tolist():
-        if c_next != ctx:
-            if model is not None:
-                model[2] = total
-            ctx = c_next
-            model = models.get(ctx)
-            if model is None:
-                model = models[ctx] = [[COUNT_INIT] * alphabet,
-                                       _uniform_fenwick(alphabet),
-                                       alphabet * COUNT_INIT]
-            counts, tree, total = model
-        r = rng // total
+    for c1, c2 in pairs:
+        t1 = totals[c1]
+        t2 = t1 + inc if c2 == c1 else totals[c2]  # no rescale inside a pair
+        joint = t1 * t2
+        r = rng // joint
         value = diff // r
-        if value >= total:
+        if value >= joint:
             raise CorruptPayloadError("code lies in the coder's dead zone")
-        sym = 0
-        rem = value
+        # The first symbol from value // T2, then the second from what is
+        # left inside the first's part, in steps of F1.  (The Fenwick
+        # search is written out twice: a call would cost a tenth of the
+        # step.)
+        counts = counts_of[c1]
+        tree = trees[c1]
+        v1 = rem = value // t2
+        s1 = 0
         bit = top_bit
         while bit:
-            t = tree[sym + bit]
+            t = tree[s1 + bit]
             if t <= rem:
-                sym += bit
+                s1 += bit
                 rem -= t
             bit >>= 1
-        c = counts[sym]
-        diff -= r * (value - rem)
-        rng = r * c
+        f1 = counts[s1]
+        cum = (v1 - rem) * t2
+        counts[s1] = f1 + inc
+        j = s1 + 1
+        while j <= alphabet:
+            tree[j] += inc
+            j += j & -j
+        totals[c1] = t1 + inc
+        if c2 != c1:
+            counts = counts_of[c2]
+            tree = trees[c2]
+        v2 = rem = (value - cum) // f1
+        s2 = 0
+        bit = top_bit
+        while bit:
+            t = tree[s2 + bit]
+            if t <= rem:
+                s2 += bit
+                rem -= t
+            bit >>= 1
+        f2 = counts[s2]
+        diff -= r * (cum + (v2 - rem) * f1)
+        rng = r * (f1 * f2)
         while rng < _BOT:
             if pos == end:
                 raise CorruptPayloadError(
@@ -410,18 +503,40 @@ def _decode_symbols(data: bytes, alphabet: int, count: int,
             diff = (diff << 8) | buf[pos]
             pos += 1
             rng <<= 8
-        out.append(sym)
-        counts[sym] = c + COUNT_INCREMENT
-        j = sym + 1
+        out.append(s1)
+        out.append(s2)
+        counts[s2] = f2 + inc
+        j = s2 + 1
         while j <= alphabet:
-            tree[j] += COUNT_INCREMENT
+            tree[j] += inc
             j += j & -j
-        total += COUNT_INCREMENT
-        if total > limit:
-            halved = (np.array(counts, dtype=np.int64) + 1) >> 1
-            counts = model[0] = halved.tolist()
-            tree = model[1] = _fenwick(halved)
-            total = int(halved.sum())
+        totals[c2] += inc
+        if t1 + inc > limit or t2 + inc > limit:
+            for c in {c1, c2}:
+                if totals[c] > limit:
+                    halved = (np.array(counts_of[c], dtype=np.int64) + 1) >> 1
+                    counts_of[c] = halved.tolist()
+                    trees[c] = _fenwick(halved)
+                    totals[c] = int(halved.sum())
+    if count & 1:  # the odd last symbol, coded alone
+        c1 = ctx[-1]
+        t1 = totals[c1]
+        r = rng // t1
+        value = diff // r
+        if value >= t1:
+            raise CorruptPayloadError("code lies in the coder's dead zone")
+        s1, rem = _find(trees[c1], value, top_bit)
+        diff -= r * (value - rem)
+        rng = r * counts_of[c1][s1]
+        while rng < _BOT:
+            if pos == end:
+                raise CorruptPayloadError(
+                    "payload ends before its symbol count is met"
+                )
+            diff = (diff << 8) | buf[pos]
+            pos += 1
+            rng <<= 8
+        out.append(s1)
     if pos != end:
         raise CorruptPayloadError("payload carries bytes past its last symbol")
     if diff >= _BOT:
@@ -482,38 +597,77 @@ def aac_decode(payload: bytes, alphabet_size: int, count: int,
     return SymbolStream(alphabet_size, symbols)
 
 
-def raw_bit_chunks(classes: np.ndarray):
-    """Per class b >= 2, in chunks of at most CHUNK_BITS bits: the rows,
-    the section bit positions of their low b - 1 bits (one row each, MSB
-    first) and those bits' significance.
+def pack_raw_bits(fields: np.ndarray, widths: np.ndarray) -> bytes:
+    """The low `widths[i]` bits of each row of `fields`, MSB-first and in
+    row order, zero padded to a byte.
 
-    A class is a value's bit length.  Its leading 1 is implied, so a raw
-    section holds the low `class - 1` bits of each value of class 2 or
-    more, in row order.
+    `fields` is (rows, B) uint8, each row a B-byte big-endian number, and
+    a width is at most 8 * B.  Rows are unpacked to bit matrices a chunk
+    at a time, keeping the columns of each row's low bits, so the
+    temporaries stay below CHUNK_BITS entries whatever the row count.
     """
-    widths = np.maximum(classes - 1, 0)
-    offsets = np.cumsum(widths) - widths
-    order = np.argsort(classes, kind="stable")  # each class's rows, ascending
-    ends = np.cumsum(np.bincount(classes)).tolist()
-    for b in range(2, len(ends)):
-        rows = order[ends[b - 1] : ends[b]]
-        step = max(CHUNK_BITS // (b - 1), 1)
-        sig = np.arange(b - 2, -1, -1)
-        for a in range(0, rows.shape[0], step):
-            chunk = rows[a : a + step]
-            yield chunk, offsets[chunk, None] + np.arange(b - 1), sig
+    nbits = int(widths.sum())
+    if nbits == 0:
+        return b""
+    bits = np.empty(nbits, dtype=np.uint8)
+    pos = 0
+    for rows, keep in _raw_chunks(widths):
+        chunk = np.unpackbits(fields[rows, fields.shape[1] - keep.shape[1] // 8 :],
+                              axis=1)[keep]
+        bits[pos : pos + chunk.shape[0]] = chunk
+        pos += chunk.shape[0]
+    return np.packbits(bits).tobytes()
 
 
-def unpack_raw_bits(data: bytes, nbits: int, what: str) -> np.ndarray:
-    """The `nbits` bits of a raw section zero padded to a byte, as uint8;
-    any other length or nonzero padding raises `CorruptPayloadError`."""
+def unpack_raw_bits(data: bytes, widths: np.ndarray, nbytes: int,
+                    what: str) -> np.ndarray:
+    """Invert `pack_raw_bits`: (rows, nbytes) uint8 big-endian fields that
+    hold each row's raw bits, zero above them.  A section of any other
+    length, or with nonzero padding, raises `CorruptPayloadError`."""
+    nbits = int(widths.sum())
     if len(data) != (nbits + 7) // 8:
         raise CorruptPayloadError(
             f"{what} holds {len(data)} bytes, {nbits} bits need {(nbits + 7) // 8}"
         )
     if nbits % 8 and data[-1] & ((1 << (8 - nbits % 8)) - 1):
         raise CorruptPayloadError(f"nonzero padding in {what}")
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    fields = np.zeros((widths.shape[0], nbytes), dtype=np.uint8)
+    if nbits == 0:
+        return fields
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    pos = 0
+    for rows, keep in _raw_chunks(widths):
+        mat = np.zeros(keep.shape, dtype=np.uint8)
+        end = pos + int(widths[rows].sum())
+        mat[keep] = bits[pos:end]
+        pos = end
+        fields[rows, nbytes - keep.shape[1] // 8 :] = np.packbits(mat, axis=1)
+    return fields
+
+
+def _raw_chunks(widths: np.ndarray):
+    """(row slice, keep mask) per chunk of rows: the mask marks, in each
+    row's fields narrowed to the widest width's bytes and unpacked, the
+    columns of its low bits."""
+    cols = 8 * ((int(widths.max()) + 7) // 8)
+    step = max(CHUNK_BITS // cols, 1)
+    for a in range(0, widths.shape[0], step):
+        rows = slice(a, a + step)
+        yield rows, np.arange(cols - 1, -1, -1) < widths[rows, None]
+
+
+def be_fields(values: np.ndarray, nbytes: int) -> np.ndarray:
+    """The low `nbytes` bytes of nonnegative int64 values, big-endian:
+    shape (*values.shape, nbytes) uint8."""
+    full = values.astype(">u8").view(np.uint8).reshape(*values.shape, 8)
+    return full[..., 8 - nbytes :]
+
+
+def be_values(fields: np.ndarray) -> np.ndarray:
+    """Inverse of `be_fields`: int64 values of big-endian byte rows."""
+    full = np.zeros((*fields.shape[:-1], 8), dtype=np.uint8)
+    full[..., 8 - fields.shape[-1] :] = fields
+    return full.view(">u8")[..., 0].astype(np.int64)
 
 
 def empirical_entropy_bits(symbols: np.ndarray, alphabet_size: int) -> float:

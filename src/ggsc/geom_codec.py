@@ -9,10 +9,10 @@ implied by the bucket).  Raw bits are packed MSB-first.
 
 One numpy path serves every depth q in [1, 31].  Codes of up to 93 bits
 and their deltas are held as four 24-bit int64 limbs, with borrows and
-carries moved limb by limb; the raw bits are gathered and scattered one
-bucket, and at most `entropy.CHUNK_BITS` bits, at a time
-(`entropy.raw_bit_chunks`), so temporaries stay O(points + remainder
-bits).
+carries moved limb by limb; the raw bits are packed and unpacked from
+the limbs as 12-byte big-endian fields, at most `entropy.CHUNK_BITS`
+bits at a time (`entropy.pack_raw_bits`), so temporaries stay
+O(points + remainder bits).
 
 Section layout, all little-endian:
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import partition
 from .entropy import (CorruptPayloadError, SymbolStream, aac_decode, aac_encode,
-                      raw_bit_chunks, unpack_raw_bits)
+                      be_fields, be_values, pack_raw_bits, unpack_raw_bits)
 
 #: Bit-length alphabet for the bucket stream (covers codes up to 127 bits).
 BUCKET_ALPHABET = 128
@@ -108,18 +108,15 @@ def encode_centers(geom: QuantizedGeometry) -> bytes:
     deltas, buckets = _deltas(geom)
     bucket_payload = aac_encode(SymbolStream(BUCKET_ALPHABET, buckets))
 
-    nbits = int(np.maximum(buckets - 1, 0).sum())
-    bits = np.zeros(nbits, dtype=np.uint8)
-    for rows, positions, sig in raw_bit_chunks(buckets):
-        limb = deltas[rows][:, sig // LIMB_BITS]
-        bits[positions] = (limb >> (sig % LIMB_BITS)) & 1
+    widths = np.maximum(buckets - 1, 0)
+    fields = be_fields(deltas[:, ::-1], LIMB_BITS // 8).reshape(len(geom), -1)
     return b"".join(
         [
             struct.pack("<IB", len(geom), geom.q),
             struct.pack("<I", len(bucket_payload)),
             bucket_payload,
-            struct.pack("<Q", nbits),
-            np.packbits(bits).tobytes(),
+            struct.pack("<Q", int(widths.sum())),
+            pack_raw_bits(fields, widths),
         ]
     )
 
@@ -154,14 +151,12 @@ def decode_centers(payload: bytes, q: int, count: int) -> QuantizedGeometry:
         raise CorruptPayloadError("bucket exceeds the lattice code width")
 
     (nbits,) = struct.unpack_from("<Q", payload, 9 + blen)
-    expected_bits = int((np.maximum(buckets - 1, 0)).sum())
-    if expected_bits != nbits:
+    widths = np.maximum(buckets - 1, 0)
+    if int(widths.sum()) != nbits:
         raise CorruptPayloadError("remainder bit count disagrees with buckets")
-    bits = unpack_raw_bits(payload[9 + blen + 8 :], nbits, "remainder section")
-    deltas = np.zeros((n, LIMBS), dtype=np.int64)
-    for rows, positions, sig in raw_bit_chunks(buckets):
-        weights = bits[positions].astype(np.int64) << (sig % LIMB_BITS)
-        deltas[rows] = weights @ (sig[:, None] // LIMB_BITS == np.arange(LIMBS))
+    fields = unpack_raw_bits(payload[9 + blen + 8 :], widths, LIMBS * LIMB_BITS // 8,
+                             "remainder section")
+    deltas = be_values(fields.reshape(n, LIMBS, LIMB_BITS // 8)[:, ::-1])
     lead = np.flatnonzero(buckets)
     top = buckets[lead] - 1  # the implied leading 1
     deltas[lead, top // LIMB_BITS] += 1 << (top % LIMB_BITS)

@@ -113,7 +113,9 @@ def kdtree_split(centers: np.ndarray, max_leaf: int = 200) -> Partition:
     separated about the lower median of that coordinate: the ceil(n/2)
     smallest go left, the rest right, with equal coordinates assigned in
     input order.  Leaves are emitted left to right, so the partition of a
-    Morton-ordered cloud is itself contiguous-free but deterministic.
+    Morton-ordered cloud is itself contiguous-free but deterministic.  The
+    tree is built a level at a time: every node of a level is split by
+    the same few array operations.
     """
     pts = np.asarray(centers, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -124,27 +126,37 @@ def kdtree_split(centers: np.ndarray, max_leaf: int = 200) -> Partition:
     if max_leaf < 1:
         raise ValueError("max_leaf must be >= 1")
 
-    leaves: list[np.ndarray] = []
-    # Explicit stack, right child pushed first, keeps emission left-to-right
-    # without recursion-depth concerns.
-    stack: list[np.ndarray] = [np.arange(n, dtype=np.int64)]
-    while stack:
-        idx = stack.pop()
-        if len(idx) <= max_leaf:
-            leaves.append(idx)
-            continue
+    # Each level splits every segment of `order` that holds more than
+    # max_leaf points into its two children, left then right, each keeping
+    # its parent's order; so the segments stay in left-to-right leaf order.
+    order = np.arange(n, dtype=np.int64)
+    starts = np.zeros(1, dtype=np.int64)
+    sizes = np.full(1, n, dtype=np.int64)
+    while True:
+        split = sizes > max_leaf
+        if not split.any():
+            break
+        s_start, s_size = starts[split], sizes[split]
+        offsets = np.cumsum(s_size) - s_size
+        seg = np.repeat(np.arange(s_size.shape[0]), s_size)
+        pos = s_start[seg] + np.arange(seg.shape[0]) - offsets[seg]
+        idx = order[pos]
         sub = pts[idx]
-        extents = sub.max(axis=0) - sub.min(axis=0)
-        axis = int(np.argmax(extents))  # argmax takes the first (x<y<z) on ties
-        coords = sub[:, axis]
-        n_left = (len(idx) + 1) // 2
-        kth = np.partition(coords, n_left - 1)[n_left - 1]
-        below = coords < kth
-        left = below.copy()
-        # Equal-to-median points fill the left side in input order.
-        need = n_left - int(below.sum())
-        ties = np.flatnonzero(coords == kth)[:need]
-        left[ties] = True
-        stack.append(idx[~left])
-        stack.append(idx[left])
-    return Partition(leaves=leaves)
+        extents = np.maximum.reduceat(sub, offsets) - np.minimum.reduceat(sub, offsets)
+        axis = np.argmax(extents, axis=1)  # argmax takes the first (x<y<z) on ties
+        coords = sub[np.arange(seg.shape[0]), axis[seg]]
+        # Rank by coordinate within the segment, equal coordinates in
+        # segment order: the lower ceil(m/2) ranks go left.
+        ranked = np.lexsort((coords, seg))
+        rank = np.empty_like(pos)
+        rank[ranked] = np.arange(seg.shape[0]) - offsets[seg[ranked]]
+        n_left = (s_size + 1) // 2
+        right = rank >= n_left[seg]
+        # One stable partition: each segment's left child, then its right
+        # child, both in the segment's order.
+        order[pos] = idx[np.argsort(2 * seg + right, kind="stable")]
+        starts = np.concatenate([starts[~split], s_start, s_start + n_left])
+        sizes = np.concatenate([sizes[~split], n_left, s_size - n_left])
+    keep = np.argsort(starts)
+    return Partition(leaves=[order[a : a + m] for a, m in zip(starts[keep].tolist(),
+                                                              sizes[keep].tolist())])

@@ -515,17 +515,17 @@ class TestLevelPayloadBytes:
 
     @pytest.mark.parametrize("q, comps, alpha, sizes, size, digest", [
         pytest.param(8, 3, 1.0, {40: 2, 37: 1}, 214,
-            "f0f7e6ca442dc0dabb05b79138dbedef89e8253d6fee70599deeda6887fb6c90",
+            "d0268bbeb233ccb129d7de1618288bc813b55527b16be76c84e761072eb2f48d",
             id="8-3-1.0-sizes0-218-b9b3b182b0bdc3d5c872186c2ffae03a15785b00a4d719fc80380e810fcdf9d4"),
         pytest.param(16, 1, 0.5, {64: 3}, 173,
-            "7a196060eaa4f344f2f156898912dbf86e4da30e582860e4a9354df76f401819",
+            "e1806f41ee91353a8d27b696d422410313486e165ade15b032aeee3c08dda56d",
             id="16-1-0.5-sizes1-177-96976c7a9952809296cc442b245cccf5841edb5f30584a3fad824595ab3c57ad"),
         pytest.param(1, 4, 1.0, {20: 2}, 18,
-            "59336d48d987455a699e23fb067eedcf76a16fdad767cd7a2d28ebf205123145",
+            "fe434982caf9643a5660a7bec2043f64d6970ceaae04842c12a23c5cdab16b5b",
             id="1-4-1.0-sizes2-21-eea53d8bb727f5d808aa31ffb1ad080dc8090f7886f4054b626439895c8ad6e6"),
         # 16 components: an SH colour channel, every degree context
         pytest.param(10, 16, 1.0, {20: 2}, 650,
-            "5f89dced7229efab6a9d9f842c8d07ead22a79050dad0dfbd8983ea689fea884",
+            "73b84d1487e03a376deab18bee65aa59a0eee3991a5894c08ce7e7607b8a6752",
             id="10-16-1.0-sizes3-650-5f89dced7229efab6a9d9f842c8d07ead22a79050dad0dfbd8983ea689fea884"),
     ])
     def test_payload_hash(self, q, comps, alpha, sizes, size, digest):

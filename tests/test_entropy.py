@@ -52,67 +52,93 @@ def golden_symbols(alphabet, n, seed):
 
 def reference_encode(symbols, alphabet, contexts=None):
     """The coder written out plainly: counts in a list whose sums are taken
-    per symbol (O(alphabet)), one list per context, and `low` an unbounded
-    int that only ever shifts, so a carry needs no code; the bytes are
-    taken once, at the end.  Reads `entropy.RESCALE_LIMIT` at call time,
-    like the coder, so both can be run with a lowered limit."""
+    per symbol (O(alphabet)), one list per context; each pair of symbols
+    narrows the interval once, by the product of their probabilities, the
+    second taken after the first's update, and an odd last symbol alone;
+    a context whose total passes the rescale limit halves after the pair.
+    `low` is an unbounded int that only ever shifts, so a carry needs no
+    code; the bytes are taken once, at the end.  Reads
+    `entropy.RESCALE_LIMIT` at call time, like the coder, so both can be
+    run with a lowered limit."""
     if contexts is None:
         contexts = [0] * len(symbols)
     models = {}
-    low, rng, shifts = 0, 1 << 64, 0
-    for s, ctx in zip(symbols, contexts):
-        s = int(s)
-        counts = models.setdefault(int(ctx), [entropy.COUNT_INIT] * alphabet)
-        total = sum(counts)
+    low, rng, shifts = 0, 1 << 88, 0
+    for i in range(0, len(symbols), 2):
+        cum, freq, total = 0, 1, 1
+        step = [(int(s), int(c)) for s, c in zip(symbols[i : i + 2], contexts[i : i + 2])]
+        for s, ctx in step:
+            counts = models.setdefault(ctx, [entropy.COUNT_INIT] * alphabet)
+            t = sum(counts)
+            cum, freq, total = cum * t + sum(counts[:s]) * freq, freq * counts[s], total * t
+            counts[s] += entropy.COUNT_INCREMENT
+        for ctx in {ctx for _, ctx in step}:
+            if sum(models[ctx]) > entropy.RESCALE_LIMIT:
+                models[ctx][:] = [(c + 1) >> 1 for c in models[ctx]]
         r = rng // total
-        low += r * sum(counts[:s])
-        rng = r * counts[s]
-        while rng < 1 << 56:
+        low += r * cum
+        rng = r * freq
+        while rng < 1 << 80:
             low <<= 8
             rng <<= 8
             shifts += 1
-        counts[s] += entropy.COUNT_INCREMENT
-        if total + entropy.COUNT_INCREMENT > entropy.RESCALE_LIMIT:
-            counts[:] = [(c + 1) >> 1 for c in counts]
     body = b""
     if len(symbols):
-        # The smallest multiple of 2^56 at or above low, less its 7 zero
+        # The smallest multiple of 2^80 at or above low, less its 10 zero
         # bytes: one byte per shift plus one.
-        body = (-(-low >> 56)).to_bytes(shifts + 1, "big")
+        body = (-(-low >> 80)).to_bytes(shifts + 1, "big")
     return struct.pack("<I", len(symbols)) + body
+
+
+def _scan(counts, target):
+    """The symbol whose cumulative interval holds `target`, and its
+    cumulative count, by a linear scan."""
+    s, cum = 0, 0
+    while cum + counts[s] <= target:
+        cum += counts[s]
+        s += 1
+    return s, cum
 
 
 def plain_decode(body, alphabet, count, contexts=None):
     """The decoder written out plainly and without any check: `code` and
     `low` unbounded ints, bytes past the end read as zero, and a value past
-    the last symbol's interval taken as the last symbol.  Whatever bytes
-    it is given, it returns `count` symbols."""
+    the last step's interval taken as its last pair.  Whatever bytes it is
+    given, it returns `count` symbols."""
     if contexts is None:
         contexts = [0] * count
     models = {}
-    code = int.from_bytes(body[:8].ljust(8, b"\0"), "big")
-    low, rng, pos = 0, 1 << 64, 8
+    code = int.from_bytes(body[:11].ljust(11, b"\0"), "big")
+    low, rng, pos = 0, 1 << 88, 11
     out = []
-    for ctx in contexts:
-        counts = models.setdefault(int(ctx), [entropy.COUNT_INIT] * alphabet)
-        total = sum(counts)
-        r = rng // total
-        value = min((code - low) // r, total - 1)
-        s, cumlow = 0, 0
-        while cumlow + counts[s] <= value:
-            cumlow += counts[s]
-            s += 1
-        low += r * cumlow
-        rng = r * counts[s]
-        while rng < 1 << 56:
+    for i in range(0, count, 2):
+        ctx = [int(c) for c in contexts[i : i + 2]]
+        lists = [models.setdefault(c, [entropy.COUNT_INIT] * alphabet) for c in ctx]
+        t1 = sum(lists[0])
+        # The second symbol's total counts the first's update.
+        t2 = sum(lists[1]) + entropy.COUNT_INCREMENT * (ctx[1] == ctx[0]) if len(ctx) == 2 else 1
+        r = rng // (t1 * t2)
+        value = min((code - low) // r, t1 * t2 - 1)
+        s1, c1 = _scan(lists[0], value // t2)
+        f1 = lists[0][s1]
+        lists[0][s1] += entropy.COUNT_INCREMENT
+        cum, freq = c1 * t2, f1
+        out.append(s1)
+        if len(ctx) == 2:
+            s2, c2 = _scan(lists[1], (value - cum) // f1)
+            cum, freq = cum + c2 * f1, f1 * lists[1][s2]
+            lists[1][s2] += entropy.COUNT_INCREMENT
+            out.append(s2)
+        for c in set(ctx):
+            if sum(models[c]) > entropy.RESCALE_LIMIT:
+                models[c][:] = [(n + 1) >> 1 for n in models[c]]
+        low += r * cum
+        rng = r * freq
+        while rng < 1 << 80:
             code = (code << 8) | (body[pos] if pos < len(body) else 0)
             low <<= 8
             rng <<= 8
             pos += 1
-        out.append(s)
-        counts[s] += entropy.COUNT_INCREMENT
-        if total + entropy.COUNT_INCREMENT > entropy.RESCALE_LIMIT:
-            counts[:] = [(c + 1) >> 1 for c in counts]
     return np.array(out, dtype=np.int64)
 
 
@@ -178,7 +204,7 @@ class TestPythonKernelWidth:
     def test_aac_decode_through_python_body(self):
         """Payload bytes >= 0x80 decode exactly: the byte reader must not
         keep any register in a narrow integer type (a uint8 byte would keep
-        the 64-bit code window in uint8 under numpy 2 scalar promotion)."""
+        the 88-bit code window in uint8 under numpy 2 scalar promotion)."""
         symbols = np.arange(64, dtype=np.int64) % 7 + 1
         payload = aac_encode(stream(symbols, 8))
         assert max(payload[4:]) >= 0x80
@@ -205,20 +231,20 @@ class TestGoldenBytes:
         "alphabet, n, seed, size, digest",
         [
             pytest.param(2, 3000, 1, 372,
-                "e27a6a91e75be3b4080b9be5d0c1df0199e9ef332c428f02cfad111e7421df5b",
+                "68465925639bf520feaf7e594ee5fb7ce7508b2894b1ca8712a22cfec0b50f7d",
                 id="2-3000-1-375-2b34eaa1beac62cbb4bb36320d4e53033b78ee05d132ba4b4ecdb37415f84fb2"),
             pytest.param(128, 3000, 2, 2044,
-                "6420939d7b01d9558b72053d93ce75c55f6c7bb4714620ecbc4e3e2dc59a20ee",
+                "70577dc5bcd1e3702b6a9aed8bf80581445f2ed38ebbc5dd4f2c9295929a1b48",
                 id="128-3000-2-2048-d8de3daab6c26696cb916d0a528b4949859c13cd1edb3f1c2bf7670d73b6864a"),
             pytest.param(1024, 3000, 3, 2487,
-                "918a9cf833671e6f53e21fdf17da7b78cde8c123c7e14b52ccfb76bd42f503f1",
+                "a1c69f663d68d6fa8bab8d6b7f856e198662fea0ef0158f64c96a54d381eef03",
                 id="1024-3000-3-2491-29c1718daf676de4dd90700fdc0118dd9f6eb8e26363001ed99bf959e2e95eec"),
             pytest.param(65536, 3000, 4, 3194,
-                "6ac9de7a8e74d6cb958b34101e4b863d0243053da0c0b8851ea9c91959603fcd",
+                "f1c6eb1986aa53b92ffb8b5b4f031c21eb66935d32ab5b84b66535f3eb5e08a8",
                 id="65536-3000-4-3198-ff27edf1f88db94f7f7ba540f0b93ee294065d0a2a22cee1853348b10288682c"),
             # 700k symbols push the model total past RESCALE_LIMIT once.
             pytest.param(64, 700_000, 5, 415762,
-                "47faaa4bdf2544c35a89898f08f3d295d259180699be6427a8ad7c6dfec86918",
+                "dd30d574d35c3a34f2328504a1f1fd1015482d91708f5b0c423c779acc8454de",
                 id="64-700000-5-415766-899d5b9c029fb379b5f447966fa7539b5bc72b48d9c52cace8cfe79008c055c0"),
             pytest.param(256, 0, 6, 4,
                 "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
@@ -238,9 +264,10 @@ class TestGoldenBytes:
 
 
     def test_carry_through_two_ff_bytes(self, monkeypatch):
-        """r = 2^64 // 100 rounds down, so symbol 50 of 100 starts just
-        below one half: the zeros that follow keep the interval across
-        2^63 while 0x7F and two 0xFF bytes leave, and the final 1 lifts
+        """The pair (50, 0) of 100 symbols takes [6600, 6601) of a joint
+        total of 100 * 132, and r = 2^88 // 13200 rounds down, so it starts
+        just below one half: the zeros that follow keep the interval across
+        2^87 while 0x7F and two 0xFF bytes leave, and the final 1 lifts
         `low` over it, carrying through both 0xFF bytes."""
         trailing = []  # 0xFF bytes at the end of the output, per carry
         carry = entropy._carry
@@ -254,6 +281,65 @@ class TestGoldenBytes:
         assert payload == struct.pack("<I", 16) + bytes.fromhex("80000062b8")
         assert payload == reference_encode(syms, 100)
         np.testing.assert_array_equal(aac_decode(payload, 100, 16).symbols, syms)
+
+
+class TestPairs:
+    """Symbols 2k and 2k + 1 share one interval step, coded by their joint
+    probability; an odd last symbol is coded alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 31, 101])
+    @pytest.mark.parametrize("n_contexts", [None, 1, 3])
+    def test_short_and_odd_lengths(self, n, n_contexts):
+        syms = golden_symbols(50, n, n)
+        ctx = None if n_contexts is None else np.arange(n) % n_contexts
+        payload = aac_encode(stream(syms, 50), ctx)
+        assert payload == reference_encode(syms, 50, ctx)
+        np.testing.assert_array_equal(aac_decode(payload, 50, n, ctx).symbols, syms)
+
+    @pytest.mark.parametrize("contexts, joint", [
+        # One context: the second symbol sees the first's update, so
+        # C2 = 1 + 33 and T2 = 4 + 32.
+        ([0, 0], (1 * 36 + 34 * 1, 1 * 1, 4 * 36)),
+        # Two contexts: the second model is untouched.
+        ([0, 1], (1 * 4 + 2 * 1, 1 * 1, 4 * 4)),
+    ])
+    def test_joint_values(self, contexts, joint):
+        """Symbols (1, 2) of 4 take (C1 T2 + C2 F1, F1 F2, T1 T2)."""
+        ctx = np.array(contexts)
+        steps = entropy._steps(*entropy._model(np.array([1, 2]), 4, ctx))
+        assert [a.tolist() for a in steps] == [[v] for v in joint]
+        payload = aac_encode(stream([1, 2], 4), ctx)
+        assert payload == reference_encode([1, 2], 4, ctx)
+        np.testing.assert_array_equal(aac_decode(payload, 4, 2, ctx).symbols, [1, 2])
+
+    def test_lone_last_symbol_is_coded_alone(self):
+        steps = entropy._steps(*entropy._model(np.array([1, 2, 3]), 4))
+        # (1, 2) as above, then 3 after both updates: C = 1 + 33 + 33.
+        assert [a.tolist() for a in steps] == [[70, 67], [1, 1], [144, 68]]
+
+    def test_rescale_waits_for_the_pair(self, monkeypatch):
+        """Symbol 2 takes the total from 68 past a limit of 68, but opens
+        the pair (2, 3): symbol 3 is coded on the unhalved counts, and the
+        halving comes after it."""
+        monkeypatch.setattr(entropy, "RESCALE_LIMIT", 68)
+        syms = [0, 0, 0, 0, 1]
+        cumlow, freq, total = entropy._model(np.array(syms), 4)
+        assert total.tolist() == [4, 36, 68, 100, 68]  # [65, 1, 1, 1] after
+        assert freq.tolist() == [1, 33, 65, 97, 1]
+        assert cumlow.tolist() == [0, 0, 0, 0, 65]
+        payload = aac_encode(stream(syms, 4))
+        assert payload == reference_encode(syms, 4)
+        np.testing.assert_array_equal(aac_decode(payload, 4, 5).symbols, syms)
+
+    def test_rescale_between_two_contexts_of_a_pair(self, monkeypatch):
+        """A context whose total passes the limit on a pair's first symbol
+        halves after the pair, while the second symbol is in another
+        context; its next symbol sees the same counts either way."""
+        monkeypatch.setattr(entropy, "RESCALE_LIMIT", 36)
+        syms, ctx = [0, 0, 0, 1, 1, 1], np.array([0, 0, 0, 1, 0, 1])
+        payload = aac_encode(stream(syms, 4), ctx)
+        assert payload == reference_encode(syms, 4, ctx)
+        np.testing.assert_array_equal(aac_decode(payload, 4, 6, ctx).symbols, syms)
 
 
 class TestRoundTrip:
@@ -444,11 +530,19 @@ class TestCorruption:
 
     @pytest.mark.parametrize("alphabet", [3, 1000])
     def test_dead_zone_code_refused(self, alphabet):
-        """r = 2^64 // total leaves codes from r * total up to 2^64 to no
+        """r = 2^88 // total leaves codes from r * total up to 2^88 to no
         symbol; a body of 0xFF bytes starts in that zone."""
-        assert (1 << 64) % alphabet  # the zone is not empty
+        assert (1 << 88) % alphabet  # the zone is not empty
         with pytest.raises(CorruptPayloadError, match="dead zone"):
-            aac_decode(struct.pack("<I", 1) + b"\xff" * 8, alphabet, 1)
+            aac_decode(struct.pack("<I", 1) + b"\xff" * 11, alphabet, 1)
+
+    @pytest.mark.parametrize("contexts, joint", [([0, 0], 3 * 35), ([0, 1], 3 * 3)])
+    def test_pair_dead_zone_code_refused(self, contexts, joint):
+        """A pair's value v = diff // r at or past T1 * T2 (3 * 35 in one
+        context of 3 symbols, 3 * 3 in two) decodes to no pair."""
+        assert (1 << 88) % joint
+        with pytest.raises(CorruptPayloadError, match="dead zone"):
+            aac_decode(struct.pack("<I", 2) + b"\xff" * 11, 3, 2, np.array(contexts))
 
     def test_larger_flush_byte_refused(self):
         """A last byte raised by one keeps the code inside the final
@@ -582,22 +676,22 @@ class TestContexts:
         "alphabet, n, seed, contexts, size, digest",
         [
             pytest.param(10, 3000, 21, band_contexts, 1188,
-                "cb0a63c72b438b515b1b057645bcc2fba8d85c9f1b4370db4dd5c45aa643d83f",
+                "9c44b3fd26e95aec3d88d67861ae28b6d0d08fa005b0f4e73fa344866e545702",
                 id="10-3000-21-band_contexts-1192-b7094ed93eefa79e12af667f2dfc172f08526f5e332a93d6e2d958de44c27764"),
             pytest.param(18, 3000, 22, band_contexts, 1432,
-                "786012bc57182abe96341c04f43557b5d974f49170278833400f584f70e829f5",
+                "a520be1e3e471a46f5c2c0cfb7a425d7c977086fc62f47526cfd3ca19ba8fc75",
                 id="18-3000-22-band_contexts-1435-a2d45a4345795fda6f19c4a1db27b79f4792977030e052af8425c36c846f3958"),
             pytest.param(256, 3000, 23, band_contexts, 2355,
-                "4ffdd20f750f167a3d0f8cb0dca2c87d949e5bc5cfd4a952881a55e2ab6f94c3",
+                "5b2c6a040aa76128e2c46f90a69dc600a7ea736c2e4d32d65ef947ff64bc3542",
                 id="256-3000-23-band_contexts-2358-d58e4d11e68a30f2c5fad993ee68830db1b5998066cfd2e34d770402a42a2545"),
             # Context and symbol together take more than 16 bits.
             pytest.param(65536, 3000, 25, band_contexts, 3783,
-                "f83195ce308360f8e3a5ce0d592517b58caca0d5aca05ffbf6aee16ef464733b",
+                "2529c5cff70c52f10f1e7755ebc38c137af58be72044e792e2a165c51d5d7750",
                 id="65536-3000-25-band_contexts-3787-4caef5e4c2038911736ed2e012fd14be377df98a88668b0d76e3944b320c0953"),
             # Two interleaved contexts of 550k symbols each: both push
             # their model total past RESCALE_LIMIT once.
             pytest.param(18, 1_100_000, 24, lambda n: np.arange(n) % 2, 502257,
-                "240f41ba2e86f4f0c42417673651282386d2d1c89849da4df837ead2cb11c9d9",
+                "1e2ed40d0583e7212010fe07e4d8bd55956a151dfd64b529730a30ea69a60b2c",
                 id="18-1100000-24-<lambda>-502261-e475d9a6fd0b8adf8744443a13c8d5a4ededf9d3a68e67d1554fceb75dc61b7c"),
         ],
     )

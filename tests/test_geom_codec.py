@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggsc.entropy import CorruptPayloadError, SymbolStream, aac_decode, aac_encode
+from ggsc.entropy import (
+    CorruptPayloadError,
+    SymbolStream,
+    aac_decode,
+    aac_encode,
+    pack_raw_bits,
+    unpack_raw_bits,
+)
 from ggsc.geom_codec import (
     BUCKET_ALPHABET,
     EXTERNAL_TAG,
@@ -50,26 +57,52 @@ def deinterleave_oracle(code, q):
             for axis in range(3)]
 
 
-def reference_section(codes, q):
-    """The section written out plainly from Python-int Morton codes: one
-    delta, bucket and remainder bit at a time, packed MSB-first."""
-    buckets, bits, prev = [], [], 0
-    for code in codes:
-        delta, prev = code - prev, code
-        buckets.append(delta.bit_length())
-        bits += [(delta >> k) & 1 for k in range(delta.bit_length() - 2, -1, -1)]
+def reference_raw_bits(values, widths):
+    """The low `width` bits of each Python int, one bit at a time,
+    MSB-first, packed eight to a byte and zero padded."""
+    bits = [(v >> k) & 1 for v, w in zip(values, widths) for k in range(w - 1, -1, -1)]
     remainder = bytearray()
     for start in range(0, len(bits), 8):
         byte = bits[start : start + 8]
         remainder.append(int("".join(map(str, byte)).ljust(8, "0"), 2))
+    return bytes(remainder)
+
+
+def reference_section(codes, q):
+    """The section written out plainly from Python-int Morton codes: one
+    delta, bucket and remainder bit at a time, packed MSB-first."""
+    deltas = [code - prev for prev, code in zip([0] + codes, codes)]
+    buckets = [delta.bit_length() for delta in deltas]
+    widths = [max(b - 1, 0) for b in buckets]
     payload = aac_encode(SymbolStream(BUCKET_ALPHABET, np.array(buckets)))
     return b"".join([
         struct.pack("<IB", len(codes), q),
         struct.pack("<I", len(payload)),
         payload,
-        struct.pack("<Q", len(bits)),
-        bytes(remainder),
+        struct.pack("<Q", sum(widths)),
+        reference_raw_bits(deltas, widths),
     ])
+
+
+@pytest.mark.parametrize("width", [0, 1, 16, 92])
+@pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
+def test_raw_bits_match_bit_at_a_time_packer(width, mixed):
+    """`pack_raw_bits` writes the reference packer's bytes from 12-byte
+    fields whose bits above each width are random, over enough rows for
+    several chunks, and `unpack_raw_bits` gives back each row's low bits
+    with zeros above them."""
+    rng = np.random.default_rng(width)
+    n = 3000
+    values = [int(v) for v in rng.integers(0, 1 << 62, size=n)]
+    values = [v << 34 | int(w) for v, w in zip(values, rng.integers(0, 1 << 34, size=n))]
+    widths = rng.integers(0, width + 1, size=n) if mixed else np.full(n, width)
+    fields = np.frombuffer(b"".join(v.to_bytes(12, "big") for v in values),
+                           dtype=np.uint8).reshape(n, 12)
+    data = pack_raw_bits(fields, widths)
+    assert data == reference_raw_bits(values, widths.tolist())
+    back = unpack_raw_bits(data, widths, 12, "raw bits")
+    assert [int.from_bytes(row.tobytes(), "big") for row in back] == [
+        v & ((1 << int(w)) - 1) for v, w in zip(values, widths)]
 
 
 class TestGoldenBytes:
@@ -86,25 +119,25 @@ class TestGoldenBytes:
                 "e3f7b4b73e1796b6a86244a6b22df2319afda3d250737ef1f4b254f05dc62c8e",
                 id="1-40-1-32-8bf2a6f5e6ae47a4f8861f78f9c27129c1fdb95feb787ddce5970049a59f52db"),
             pytest.param(2, 60, 2, 42,
-                "50001411268f684dcd1d8afeb34661891c5f0be96fe0acb2799bc976d301cbce",
+                "6e469076e3f4deaa4f452a8bd19c92e4eb08195a8edbf0df2c7ee343443db9a1",
                 id="2-60-2-46-f5f06e5e0a79883f437b63ce1a2bdea6ed6e328594a5e809817128431fb1efde"),
             pytest.param(14, 3000, 3, 11065,
-                "f6ab0384d55b92e658bea6847f48f9f8c215c6dd2f7f4a7be4f46f1107497cf7",
+                "89e3a13b969a59207c5697a71ae48033b49397b3e152876667d4e86a04d6a5da",
                 id="14-3000-3-11069-aa08c6265210847249d3296d31f840750f69bb4da59a8f170d1cb169101eb7e6"),
             pytest.param(16, 2000, 4, 8874,
-                "71bc2e42ce50f2869480671aba4e57d4388b5e2e6bcf170bd016296b624b85e6",
+                "de1bc960f372588861265729d98855389878ae34a08e920cbbacb9fbbc3eaa2c",
                 id="16-2000-4-8878-84319779adb57b1cb945a8c25edb5fa5f2cd3b245a7252481556d9a83ea67aa4"),
             pytest.param(21, 2000, 5, 12257,
-                "073fc762308977ffb4c3c7a36d73b0527fb211d8ddca98fd884ea136979d5198",
+                "8c61a6e5004f35e08fc3007aabe10bbb3d1234b01825ef5cec79410bfe983895",
                 id="21-2000-5-12261-a35eaee5a0d055d93675edc46d96b2dae9d594a5b258f6a04eaed11b1ca3f693"),
             pytest.param(22, 2000, 6, 12932,
-                "867cf8fb96b6c0030fa8579c34c10267bf61ca558d458c06db9b403cd4ab3b44",
+                "67f1449ecac286552d565eb5d2a42b3a8aeceb8a3e930fcdccad00cd5e161f21",
                 id="22-2000-6-12936-de84b50a71799f7cc7a7384648391d9998bd839ed8196691df55ee012b80680d"),
             pytest.param(25, 1500, 7, 11310,
-                "8526389373ca039b30defd469f98041a43de7b6c9e5fc6a9a73618a9458bc901",
+                "d9c3282d5cd830624b7c1385fd6a0743af246ada91b7de9e48e4392255345f1b",
                 id="25-1500-7-11314-c47e0929e8e68c8e707635f72693238b2481880a185b2f33d29eda7a33d026c3"),
             pytest.param(31, 1500, 8, 14354,
-                "d97ee966631f91840a363c61d76da87168d4fa874043939da05c0db50447733f",
+                "6a7c53282f838ee20ad1e853c1026a6e3061aebc70faa5122c4ddad1e80581a1",
                 id="31-1500-8-14357-6728fdbf899cf0fa7fb168ef193ae45c4280e74a13cb68a56c1198e0c2c30dd2"),
             # One point: the whole section is the first code.
             pytest.param(31, 1, 9, 34,

@@ -68,7 +68,7 @@ CASES = [
     # 100 primitives split into leaves of 12 and 13.
     Case("mixed", lambda: make_cloud(100, seed=31, smooth=True),
          CodecParams(max_leaf=16, **_SMALL_Q), leaf=0,
-         stream_sha="73394d0c84f2a54daed1fa0cf08e6427d878b1987a8093fec781d93c8e87d38d",
+         stream_sha="c523bf41a47d311be5bf76d5633e2d5cf84f770a52c09170a4db51ea0b07681b",
          ply_sha="e9ed83fb1d8945dcf755f97fb3992291b88c0b3360bf93a16e5931f79dad020e",
          eigenvalues_sha="e67488e309293140dc75e2a7a2f8261030cd0615d88bf5cf811ccef5e22667e2",
          basis_sha="ca8b3dfe30c1c19961e309afd0beb3a17488ebc58488e1cc764c69a4693475da"),
@@ -77,14 +77,14 @@ CASES = [
          CodecParams(max_leaf=32, q_geo=16, alpha_sh_y=0.5, alpha_sh_u=0.25,
                      alpha_sh_v=0.25, alpha_opacity=0.5, alpha_scale=0.5,
                      alpha_rotation=0.5, **_SMALL_Q), leaf=1,
-         stream_sha="1e2f4673734d05d02d8926932d4ed6b1a5f9865612e9fffcd91c6f23e3fd01bc",
+         stream_sha="f4a59dbd0855f667792661fd2423f06927db6d13c6f6e66c7a3acb62d26e0b1e",
          ply_sha="ca7c6ed8a0a8f55f5f9843dfb62f9462d9e594ce99c69111479b83f99fafc063",
          eigenvalues_sha="c1e1318bc6e4b65d18e1bea7ce22ee0058a0ab3e3fa0b30e66e96fd0776aa219",
          basis_sha="605642bbc4fb39c06fa91099c3813bc66579f396a38558d119e25cea2e84a3af"),
     # Isolated points: the pinned leaf holds all three far points.
     Case("isolated", _isolated_cloud,
          CodecParams(max_leaf=16, **_SMALL_Q), leaf=3,
-         stream_sha="258992e7517f7d8b246592160a660c0a4f65608e584019e97ae1de28e0fd7b5e",
+         stream_sha="c4d54df2e4a183777b74dfeb875aecb3adaf7995de5ec55d4ad6b41374023b40",
          ply_sha="0afb608044a534b184f00a603d75b16eb8703ab56d904edd76665ad85cf11d31",
          eigenvalues_sha="65ea6dfb949fd7cab6b07246f0900d76482731ebbee8383d98a62fa19614c192",
          basis_sha="af699c78e00ddcca51b75c6ac947e90ffe79e337d00012907d1afe5e41f79c4a"),
