@@ -5,8 +5,8 @@ along a Morton curve, partitions them with a KD-tree into small leaves,
 and transforms every per-primitive attribute (spherical-harmonics color in
 YUV, opacity, scale, rotation) with the graph Fourier basis of each leaf's
 Gaussian-affinity Laplacian.  High-frequency coefficients are clipped,
-the rest uniformly quantized and entropy coded with an adaptive binary
-arithmetic coder.  Geometry travels in its own Morton-delta coded section.
+the rest uniformly quantized and entropy coded with an adaptive range
+coder.  Geometry travels in its own Morton-delta coded section.
 """
 
 from .gs_core import GaussianCloud, Box3, PlyFormatError, load_ply, save_ply, bounding_box

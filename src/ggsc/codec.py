@@ -107,6 +107,17 @@ MAX_Q_GEO = 31
 #: peak RSS on one core of an Intel Xeon.  The bound keeps a hostile
 #: header from asking for one leaf over every point.
 MAX_LEAF = 512
+#: Most primitives a stream may declare per byte of its own length.  The
+#: header's count sets how much the decoder decodes, so without a bound a
+#: file of a few kilobytes could claim millions of primitives and fail
+#: only after seconds of work.  Benchmark streams carry at least 11 bytes
+#: per primitive.  Copies of one primitive at q 1 and alpha 0.01 reach
+#: 7.5 per byte at max_leaf 64 and 53 at 512 (131,072 copies); with every
+#: attribute zero they cost almost nothing, and 65,536 copies code to 465
+#: bytes, 141 per byte.  No bound passes every such degenerate cloud:
+#: `encode` refuses a stream past this one, so every stream it writes
+#: decodes.
+MAX_PRIMS_PER_BYTE = 64
 #: Job weight below which `_fork_join` codes every payload in this
 #: process, counted in encoded symbols.  On a 2-core x86-64 VM a fork plus
 #: join costs about 5 ms and an encoded symbol 0.6-0.7 us (class streams,
@@ -248,6 +259,9 @@ class CodedStream:
             raise CodecError(f"invalid header field: {exc}") from exc
         if gs_count < 1:
             raise CodecError("stream declares zero primitives")
+        if gs_count > MAX_PRIMS_PER_BYTE * len(data):
+            raise CodecError(f"{gs_count} primitives in {len(data)} bytes: "
+                             f"more than {MAX_PRIMS_PER_BYTE} per byte")
 
         lens = [cur.unpack("<I")[0] for _ in range(1 + len(GROUP_NAMES))]
         geometry_payload = cur.take(lens[0])
@@ -595,7 +609,8 @@ def encode(
     that backend; decoding it needs the matching decode command.
 
     `threads` (>= 1) has no effect: payloads are coded on forked processes
-    when that pays (see `_fork_join`), and the spectra in this one.
+    when that pays (see `_fork_join`), and the spectra in this one.  A
+    stream denser than MAX_PRIMS_PER_BYTE raises `CodecError`.
     """
     params.validate()
     if threads < 1:
@@ -650,6 +665,10 @@ def encode(
         geometry_payload=geometry_payload,
         attribute_payloads=payloads,
     )
+    size = bitrate_breakdown(stream).total_bytes
+    if len(cloud) > MAX_PRIMS_PER_BYTE * size:
+        raise CodecError(f"{len(cloud)} primitives in {size} bytes: "
+                         f"more than {MAX_PRIMS_PER_BYTE} per byte would not decode")
     if not collect_debug:
         return stream
 

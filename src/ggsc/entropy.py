@@ -5,14 +5,16 @@ on an 88-bit window.  Its state is `low`, the bottom of the current
 interval, and `rng`, the interval's width, starting at 0 and 2^88.
 Symbols are coded two at a time, the alphabet extension of Witten, Neal
 and Cleary (1987): symbols 2k and 2k + 1 narrow the interval in one
-step, by their joint probability, and an odd last symbol takes a step
-alone.  A pair whose first symbol has cumulative count C1, count F1 and
-model total T1, and whose second symbol has C2, F2 and T2 (counted after
-the first symbol's update), takes the part
+step, by their joint probability.  A pair whose first symbol has
+cumulative count C1, count F1 and model total T1, and whose second
+symbol has C2, F2 and T2 (counted after the first symbol's update),
+takes the part
 
     [C1 T2 + C2 F1, C1 T2 + C2 F1 + F1 F2)  of  [0, T1 T2),
 
-the second symbol's slice of the first symbol's part.  A step with
+the second symbol's slice of the first symbol's part.  An odd last
+symbol is a pair whose second symbol is certain: C2 = 0 and F2 = T2 = 1,
+so it narrows the interval by its own probability.  A step with
 joint values (cumlow, freq, total) narrows the interval to
 
     r = rng // total;  low += r * cumlow;  rng = r * freq
@@ -39,21 +41,28 @@ frequency band of an attribute coefficient).  Each context then has a
 model of its own under the same rules, which sees only that context's
 symbols; the interval arithmetic is shared, and a pair may span two
 contexts (then T2 is the second context's total).  Without contexts
-every symbol shares one model, and the bytes are those of a single
-context.
+every symbol is in context 0.
 
 A model depends only on the symbols already coded, and `total` grows
 by a fixed step, so the points where it halves are known in advance.
 The encoder therefore computes every symbol's (cumlow, freq, total)
-with numpy before coding starts: inside one rescale segment a symbol's
-cumulative count is the segment's base prefix plus the increment times
-the number of earlier, smaller symbols in the segment (per context,
-scattered back to symbol order).  The pairs' joint values are three
-int64 products of those arrays.  The decoder learns each symbol only
-as it decodes it, so each of its models is a Fenwick tree (a Python
-list built with numpy, rebuilt at each rescale) with O(log alphabet)
-queries and updates.  From a pair's value v in [0, T1 T2) it reads the
-first symbol at v // T2 and the second at (v - C1 T2) // F1.
+with numpy before coding starts.  Until a context first halves, a
+symbol's cumulative count is COUNT_INIT times its value plus the
+increment times the number of earlier, smaller symbols of its context,
+so one pass over all symbols serves every context that never halves.
+Each context that does goes alone through its rescale segments, each
+counted the same way from the segment's base counts.  The pairs' joint
+values are three int64 products of those arrays.
+
+The decoder learns each symbol only as it decodes it, so each of its
+models is a Fenwick tree (Fenwick, 1994): a Python list built in one
+linear pass, and again from the halved counts at each rescale, with
+O(log alphabet) queries and updates.  From a pair's value v in
+[0, T1 T2) it reads the first symbol at v // T2 and the second at
+(v - C1 T2) // F1.  It decodes an odd last symbol the way the encoder
+codes it, paired with a partner context whose total is 1 and whose
+counts are all 1, so the partner's symbol is 0 with C2 = 0 and
+F2 = T2 = 1; that symbol is then dropped.
 
 A payload is framed as
 
@@ -105,7 +114,6 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -173,7 +181,7 @@ def _equal_before(key: np.ndarray) -> np.ndarray:
     order = np.argsort(key, kind="stable")
     ordered = key[order]
     first = np.empty(n, dtype=bool)
-    first[0] = True
+    first[:1] = True  # `key` is empty when every context rescales
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     start = np.where(first, pos, 0)
     np.maximum.accumulate(start, out=start)
@@ -182,30 +190,24 @@ def _equal_before(key: np.ndarray) -> np.ndarray:
     return here
 
 
-def _earlier_counts(seg: np.ndarray, alphabet: int, groups: np.ndarray | None = None,
-                    above: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _earlier_counts(seg: np.ndarray, alphabet: int, groups: np.ndarray,
+                    above: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each i, over the earlier j of its group: (#{seg[j] < seg[i]},
     #{seg[j] == seg[i]}).
 
-    Without `groups` every symbol is in one group; with them `above` is
-    each symbol's count of earlier symbols of its group.  With R_b(i) the
-    number of those j whose seg[j] >> b equals seg[i] >> b, a smaller
-    earlier symbol first differs from seg[i] at one bit b where seg[i]
-    has a 1, so the first count is the sum over b of bit_b(seg[i]) *
-    (R_{b+1} - R_b), and the second is R_0.  Each R_b is one stable
+    `above` is each symbol's count of earlier symbols of its group.  With
+    R_b(i) the number of those j whose seg[j] >> b equals seg[i] >> b, a
+    smaller earlier symbol first differs from seg[i] at one bit b where
+    seg[i] has a 1, so the first count is the sum over b of bit_b(seg[i])
+    * (R_{b+1} - R_b), and the second is R_0.  Each R_b is one stable
     argsort of the group and seg[i] >> b.
     """
     bits = (alphabet - 1).bit_length()
-    if groups is None:
-        high = 0
-        above = np.arange(seg.shape[0])  # R_b for b = bits: every j < i
-    else:
-        high = groups << bits
-    top = (0 if groups is None else int(groups.max()) << bits) | (alphabet - 1)
-    dtype = np.uint16 if top < 1 << 16 else np.uint32
+    key = groups << bits | seg
+    dtype = np.uint16 if key.max(initial=0) < 1 << 16 else np.uint32
     less = np.zeros(seg.shape[0], dtype=np.int64)
     for b in range(bits - 1, -1, -1):
-        here = _equal_before(((high | seg) >> b).astype(dtype))
+        here = _equal_before((key >> b).astype(dtype))
         diff = above - here
         diff *= (seg >> b) & 1
         less += diff
@@ -222,76 +224,77 @@ def _segments(symbols: np.ndarray, alphabet: int, paired: np.ndarray
     `total` grows by COUNT_INCREMENT per symbol, so where the model halves
     is known in advance: after the symbol that takes the total past
     RESCALE_LIMIT, or after its partner when that symbol opens a pair.
-    Inside a segment the counts are the segment's base counts plus
-    COUNT_INCREMENT per earlier occurrence.  Until the first rescale every
-    base count is COUNT_INIT, which needs no table.
+    Inside a segment the counts are the segment's base counts, COUNT_INIT
+    in the first, plus COUNT_INCREMENT per earlier occurrence.
     """
     n = symbols.shape[0]
     cumlow = np.empty(n, dtype=np.int64)
     freq = np.empty(n, dtype=np.int64)
     total = np.empty(n, dtype=np.int64)
-    base = None
+    base = np.full(alphabet, COUNT_INIT, dtype=np.int64)
     t = alphabet * COUNT_INIT
     start = 0
     while start < n:
         stop = min(n, start + max(1, (RESCALE_LIMIT - t) // COUNT_INCREMENT + 1))
         stop += int(paired[stop - 1])
         seg = symbols[start:stop]
-        less, equal = _earlier_counts(seg, alphabet)
-        if base is None:
-            cumlow[start:stop] = COUNT_INIT * seg + COUNT_INCREMENT * less
-            freq[start:stop] = COUNT_INIT + COUNT_INCREMENT * equal
-        else:
-            cum = np.cumsum(base)
-            cum -= base
-            cumlow[start:stop] = cum[seg] + COUNT_INCREMENT * less
-            freq[start:stop] = base[seg] + COUNT_INCREMENT * equal
+        less, equal = _earlier_counts(seg, alphabet, np.zeros_like(seg),
+                                      np.arange(stop - start))
+        cum = np.cumsum(base)
+        cum -= base
+        cumlow[start:stop] = cum[seg] + COUNT_INCREMENT * less
+        freq[start:stop] = base[seg] + COUNT_INCREMENT * equal
         total[start:stop] = t + COUNT_INCREMENT * np.arange(stop - start)
         if stop < n:
-            counts = COUNT_INCREMENT * np.bincount(seg, minlength=alphabet)
-            counts += COUNT_INIT if base is None else base
-            base = (counts + 1) >> 1
+            base = (base + COUNT_INCREMENT * np.bincount(seg, minlength=alphabet) + 1) >> 1
             t = int(base.sum())
         start = stop
     return cumlow, freq, total
 
 
-def _model(symbols: np.ndarray, alphabet: int, contexts: np.ndarray | None = None
+def _model(symbols: np.ndarray, alphabet: int, contexts: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The model's (cumlow, freq, total) for every symbol, as int64 arrays
-    in symbol order.
+    in symbol order; each context has a model of its own, which sees only
+    that context's symbols.
 
-    Without contexts there is one adaptive model.  With them each context
-    has a model of its own, which sees only that context's symbols.  Until
-    a context's first rescale its base counts are all COUNT_INIT, so one
-    pass that counts only the earlier symbols of each symbol's context
-    gives every context's values; a context busy enough to rescale is then
-    redone alone through `_segments`.
+    Until a context's first rescale its base counts are all COUNT_INIT,
+    so one pass that counts only the earlier symbols of each symbol's
+    context gives the values of every context that never rescales.  A
+    context busy enough to rescale is left out of that pass and modelled
+    alone through `_segments`.
     """
-    n = symbols.shape[0]
-    paired = np.zeros(n, dtype=bool)  # opens a step whose partner shares its model
-    paired[0 : n - 1 : 2] = True
-    if contexts is None:
-        return _segments(symbols, alphabet, paired)
-    paired[:-1] &= contexts[1:] == contexts[:-1]
-    rank = _equal_before(contexts.astype(np.uint16))  # earlier symbols of the context
-    less, equal = _earlier_counts(symbols, alphabet, contexts, rank)
-    cumlow = COUNT_INIT * symbols + COUNT_INCREMENT * less
-    freq = COUNT_INIT + COUNT_INCREMENT * equal
-    total = alphabet * COUNT_INIT + COUNT_INCREMENT * rank
+    # A context with more symbols than a model's first segment holds rescales.
     first = max(1, (RESCALE_LIMIT - alphabet * COUNT_INIT) // COUNT_INCREMENT + 1)
-    for ctx in np.unique(contexts[rank >= first]):
-        rows = np.flatnonzero(contexts == ctx)
-        for out, values in zip((cumlow, freq, total),
-                               _segments(symbols[rows], alphabet, paired[rows])):
+    is_busy = np.bincount(contexts) > first
+    busy = np.flatnonzero(is_busy)
+    # The usual case, no busy context, takes whole arrays rather than a mask.
+    quiet = ~is_busy[contexts] if busy.size else slice(None)
+    sym, ctx = symbols[quiet], contexts[quiet]
+    above = _equal_before(ctx.astype(np.uint16))  # earlier symbols of the context
+    less, equal = _earlier_counts(sym, alphabet, ctx, above)
+    joint = (COUNT_INIT * sym + COUNT_INCREMENT * less,
+             COUNT_INIT + COUNT_INCREMENT * equal,
+             alphabet * COUNT_INIT + COUNT_INCREMENT * above)
+    if not busy.size:
+        return joint
+    model = tuple(np.empty(symbols.shape[0], dtype=np.int64) for _ in joint)
+    for out, values in zip(model, joint):
+        out[quiet] = values
+    for c in busy:
+        rows = np.flatnonzero(contexts == c)
+        # A symbol at an even index whose partner is the context's next
+        # symbol opens a step that stays in this model.
+        paired = np.append((rows[:-1] % 2 == 0) & (np.diff(rows) == 1), False)
+        for out, values in zip(model, _segments(symbols[rows], alphabet, paired)):
             out[rows] = values
-    return cumlow, freq, total
+    return model
 
 
 def _steps(cumlow: np.ndarray, freq: np.ndarray, total: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each coding step's joint (cumlow, freq, total): symbols 2k and
-    2k + 1 as one, then an odd last symbol alone.
+    2k + 1 as one, an odd last symbol paired with a certain one.
 
     The first symbol takes [C1 T2, (C1 + F1) T2) of [0, T1 T2) and the
     second the part [C2 F1, (C2 + F2) F1) of that; the second symbol's
@@ -299,8 +302,7 @@ def _steps(cumlow: np.ndarray, freq: np.ndarray, total: np.ndarray
     RESCALE_LIMIT + COUNT_INCREMENT, so the products stay below 2^49.
     """
     if cumlow.shape[0] % 2:
-        # Alone, a symbol is a pair whose second symbol is certain:
-        # C2 = 0 and F2 = T2 = 1.
+        # The certain partner: C2 = 0 and F2 = T2 = 1.
         cumlow, freq, total = (np.append(a, v) for a, v in ((cumlow, 0), (freq, 1), (total, 1)))
     c1, c2 = cumlow[0::2], cumlow[1::2]
     f1, f2 = freq[0::2], freq[1::2]
@@ -317,12 +319,9 @@ def _carry(out: bytearray) -> None:
     out[i] += 1
 
 
-def _encode_bytes(symbols: np.ndarray, alphabet: int,
-                  contexts: np.ndarray | None = None) -> bytes:
+def _encode_bytes(symbols: np.ndarray, alphabet: int, contexts: np.ndarray) -> bytes:
     if symbols.shape[0] == 0:
         return b""
-    if symbols.min() < 0 or symbols.max() >= alphabet:
-        raise ValueError("symbols out of range for the declared alphabet")
     out = bytearray()
     put = out.append
     top, bot, low80 = _TOP, _BOT, _LOW80
@@ -353,77 +352,38 @@ def _encode_bytes(symbols: np.ndarray, alphabet: int,
     return bytes(out)
 
 
-def _fenwick(counts: np.ndarray) -> list[int]:
-    """Fenwick tree of `counts` as a list (entry 0 unused).
+def _fenwick(counts: list[int]) -> list[int]:
+    """Fenwick tree of `counts` as a list: entry i, from 1, is the sum of
+    counts[i - (i & -i) : i], and entry 0 is unused.
 
-    A search from the top power of two at or below the alphabet size
-    visits indices up to twice that power minus one; when the alphabet is
-    not a power of two, the entries past it hold a sentinel that no
-    search target reaches.  (A power-of-two alphabet needs none: its last
-    entry is the total, which every target is below.)
+    Each entry, once complete, is added to the one entry that covers it
+    next, so one pass builds the tree.  A search from the top power of
+    two at or below the alphabet size visits indices up to twice that
+    power minus one; when the alphabet is not a power of two, the entries
+    past it hold a sentinel that no search target reaches.  (A
+    power-of-two alphabet needs none: its last entry is the total, which
+    every target is below.)
     """
-    a = counts.shape[0]
-    tree = np.zeros(a + 1, dtype=np.int64)
-    tree[1:] = counts
-    step = 1
-    while step < a:
-        child = np.arange(step, a + 1 - step, 2 * step)
-        tree[child + step] += tree[child]
-        step *= 2
+    a = len(counts)
+    tree = [0, *counts]
+    for i in range(1, a):
+        j = i + (i & -i)
+        if j <= a:
+            tree[j] += tree[i]
     top_bit = 1 << (a.bit_length() - 1)
-    out = tree.tolist()
     if a != top_bit:
-        out += [1 << 62] * (2 * top_bit - a - 1)
-    return out
-
-
-def _uniform_fenwick(alphabet: int) -> list[int]:
-    """`_fenwick` of `alphabet` counts of COUNT_INIT, built without numpy.
-
-    Entry i covers as many counts as the lowest set bit of i, so entries
-    1 .. 2^(k+1) are two copies of entries 1 .. 2^k with the last one
-    doubled.  Repeating a list builds the tree in a fraction of what the
-    numpy build and its `tolist` cost per payload.
-    """
-    tree = [COUNT_INIT]
-    while 2 * len(tree) <= alphabet:
-        tree *= 2
-        tree[-1] = COUNT_INIT * len(tree)
-    top_bit = len(tree)
-    tree.insert(0, 0)
-    if alphabet != top_bit:
-        # Entry top_bit + i covers what entry i does.
-        tree += tree[1 : alphabet - top_bit + 1]
-        tree += [1 << 62] * (2 * top_bit - alphabet - 1)
+        tree += [1 << 62] * (2 * top_bit - a - 1)
     return tree
 
 
-def _find(tree: list[int], value: int, top_bit: int) -> tuple[int, int]:
-    """The symbol whose cumulative interval holds `value`, and `value`
-    less the symbol's cumulative count, by a Fenwick tree search."""
-    sym = 0
-    bit = top_bit
-    while bit:
-        t = tree[sym + bit]
-        if t <= value:
-            sym += bit
-            value -= t
-        bit >>= 1
-    return sym, value
-
-
 def _decode_symbols(data: bytes, alphabet: int, count: int,
-                    contexts: np.ndarray | None = None) -> np.ndarray:
+                    contexts: np.ndarray) -> np.ndarray:
     """Decode `count` symbols from the coded bytes, with one model per
-    context when `contexts` gives each symbol's.
+    context.
 
     Raises `CorruptPayloadError` unless the bytes are the canonical
     encoding of the symbols they decode to (see the module docstring).
     """
-    if count >= len(data) << 27:
-        raise CorruptPayloadError(
-            f"{len(data)} coded bytes cannot hold {count} symbols"
-        )
     buf = data + bytes(_PRIME - 1)  # bytes past the end read as zero
     end = len(buf)
     diff = int.from_bytes(buf[:_PRIME], "big")  # code - low
@@ -433,23 +393,26 @@ def _decode_symbols(data: bytes, alphabet: int, count: int,
     top_bit = 1 << (alphabet.bit_length() - 1)
     limit = RESCALE_LIMIT
     inc = COUNT_INCREMENT
-    # Each context's counts, Fenwick tree and total, indexed by context.
-    counts_of: list = [None] * MAX_CONTEXTS
-    trees: list = [None] * MAX_CONTEXTS
-    totals = [0] * MAX_CONTEXTS
-    if contexts is None:
-        ctx = [0]
-        pairs = repeat((0, 0), count >> 1)
-    else:
-        ctx = contexts.tolist()
-        pairs = zip(ctx[0::2], ctx[1::2])
+    # Each context's counts, Fenwick tree and total, indexed by context;
+    # index MAX_CONTEXTS is the odd last symbol's partner.
+    counts_of: list = [None] * (MAX_CONTEXTS + 1)
+    trees: list = [None] * (MAX_CONTEXTS + 1)
+    totals = [0] * (MAX_CONTEXTS + 1)
+    ctx = contexts.tolist()
     for c in set(ctx):
         counts_of[c] = [COUNT_INIT] * alphabet
-        trees[c] = _uniform_fenwick(alphabet)
+        trees[c] = _fenwick(counts_of[c])
         totals[c] = alphabet * COUNT_INIT
+    if count & 1:
+        # Total 1 and every count 1: the search finds symbol 0, with
+        # C2 = 0 and F2 = T2 = 1, the encoder's certain partner.
+        ctx.append(MAX_CONTEXTS)
+        counts_of[MAX_CONTEXTS] = [1] * alphabet
+        trees[MAX_CONTEXTS] = _fenwick(counts_of[MAX_CONTEXTS])
+        totals[MAX_CONTEXTS] = 1
 
     out = array("q")
-    for c1, c2 in pairs:
+    for c1, c2 in zip(ctx[0::2], ctx[1::2]):
         t1 = totals[c1]
         t2 = t1 + inc if c2 == c1 else totals[c2]  # no rescale inside a pair
         joint = t1 * t2
@@ -514,39 +477,20 @@ def _decode_symbols(data: bytes, alphabet: int, count: int,
         if t1 + inc > limit or t2 + inc > limit:
             for c in {c1, c2}:
                 if totals[c] > limit:
-                    halved = (np.array(counts_of[c], dtype=np.int64) + 1) >> 1
-                    counts_of[c] = halved.tolist()
-                    trees[c] = _fenwick(halved)
-                    totals[c] = int(halved.sum())
-    if count & 1:  # the odd last symbol, coded alone
-        c1 = ctx[-1]
-        t1 = totals[c1]
-        r = rng // t1
-        value = diff // r
-        if value >= t1:
-            raise CorruptPayloadError("code lies in the coder's dead zone")
-        s1, rem = _find(trees[c1], value, top_bit)
-        diff -= r * (value - rem)
-        rng = r * counts_of[c1][s1]
-        while rng < _BOT:
-            if pos == end:
-                raise CorruptPayloadError(
-                    "payload ends before its symbol count is met"
-                )
-            diff = (diff << 8) | buf[pos]
-            pos += 1
-            rng <<= 8
-        out.append(s1)
+                    counts_of[c] = [(f + 1) >> 1 for f in counts_of[c]]
+                    trees[c] = _fenwick(counts_of[c])
+                    totals[c] = sum(counts_of[c])
     if pos != end:
         raise CorruptPayloadError("payload carries bytes past its last symbol")
     if diff >= _BOT:
         raise CorruptPayloadError("payload's last byte is not the encoder's flush")
-    return np.frombuffer(out, dtype=np.int64)
+    return np.frombuffer(out, dtype=np.int64)[:count]
 
 
-def _check_contexts(contexts, count: int) -> np.ndarray | None:
+def _check_contexts(contexts, count: int) -> np.ndarray:
+    """The contexts as int64, or context 0 for every symbol when None."""
     if contexts is None:
-        return None
+        return np.zeros(count, dtype=np.int64)
     ctx = np.asarray(contexts)
     if ctx.shape != (count,) or not np.issubdtype(ctx.dtype, np.integer):
         raise ValueError(f"contexts must be {count} integers, one per symbol")
@@ -559,8 +503,8 @@ def aac_encode(stream: SymbolStream, contexts: np.ndarray | None = None) -> byte
     """Encode a stream into its canonical [count u32][coded bytes] payload.
 
     `contexts`, one integer in [0, MAX_CONTEXTS) per symbol, gives each
-    context an adaptive model of its own; without it every symbol shares
-    one.
+    context an adaptive model of its own; without it every symbol is in
+    context 0.
     """
     ctx = _check_contexts(contexts, len(stream))
     return struct.pack("<I", len(stream)) + _encode_bytes(
@@ -573,15 +517,14 @@ def aac_decode(payload: bytes, alphabet_size: int, count: int,
     """Decode a payload; raises `CorruptPayloadError` on any inconsistency.
 
     `count` is the number of symbols the caller expects.  A header that
-    claims any other number is rejected before anything is allocated, so
-    the count bounds the decoder's memory and time.  `contexts` must be
-    those the payload was encoded with.
+    claims any other number, or more than the body can hold, is rejected
+    before anything is allocated, so the count bounds the decoder's memory
+    and time.  `contexts` must be those the payload was encoded with.
     """
     if not MIN_ALPHABET <= alphabet_size <= MAX_ALPHABET:
         raise ValueError(
             f"alphabet_size must be in [{MIN_ALPHABET}, {MAX_ALPHABET}]"
         )
-    ctx = _check_contexts(contexts, count)
     if len(payload) < 4:
         raise CorruptPayloadError("payload shorter than its count header")
     (claimed,) = struct.unpack_from("<I", payload, 0)
@@ -589,12 +532,17 @@ def aac_decode(payload: bytes, alphabet_size: int, count: int,
         raise CorruptPayloadError(
             f"payload holds {claimed} symbols, expected {count}"
         )
+    body = bytes(payload[4:])
+    if claimed and claimed >= len(body) << 27:
+        raise CorruptPayloadError(
+            f"{len(body)} coded bytes cannot hold {claimed} symbols"
+        )
+    ctx = _check_contexts(contexts, count)  # after the checks: may allocate `count` zeros
     if claimed == 0:
-        if len(payload) != 4:
+        if body:
             raise CorruptPayloadError("empty stream carries trailing bytes")
         return SymbolStream(alphabet_size, np.empty(0, dtype=np.int64))
-    symbols = _decode_symbols(bytes(payload[4:]), alphabet_size, claimed, ctx)
-    return SymbolStream(alphabet_size, symbols)
+    return SymbolStream(alphabet_size, _decode_symbols(body, alphabet_size, claimed, ctx))
 
 
 def pack_raw_bits(fields: np.ndarray, widths: np.ndarray) -> bytes:

@@ -7,13 +7,18 @@ serializer is checked against a second, independent implementation.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ggsc
+from ggsc.entropy import CorruptPayloadError
 from ggsc.gs_core import GaussianCloud
 
 # Field order of the common splat exporter, spelled out independently of
@@ -26,6 +31,23 @@ PLY_FIELDS = (
     + [f"scale_{i}" for i in range(3)]
     + [f"rot_{i}" for i in range(4)]
 )
+
+
+@contextlib.contextmanager
+def bounded_failure(seconds, bytes_, error=CorruptPayloadError):
+    """The block must raise `error` within `seconds`, having allocated at
+    most `bytes_` at its peak (as traced by tracemalloc)."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(error):
+            yield
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < seconds, elapsed
+    assert peak < bytes_, peak
 
 
 def as_f32(values) -> np.ndarray:

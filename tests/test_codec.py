@@ -31,9 +31,8 @@ from ggsc.entropy import CorruptPayloadError, SymbolStream, aac_encode
 from ggsc.quantizer import QuantGrid, dequantize, quantize
 from ggsc import spectral
 
-from conftest import child_env, make_cloud, make_realistic_cloud
+from conftest import bounded_failure, child_env, make_cloud, make_realistic_cloud
 from ggsc.gs_core import save_ply
-from test_entropy import bounded_failure
 import test_fuzz
 from test_golden import CASES as GOLDEN_CASES
 
@@ -384,6 +383,31 @@ class TestCorruptStreams:
         stream.geometry_payload = bytes(blob)
         with pytest.raises((CorruptPayloadError, CodecError)):
             decode(stream)
+
+    @pytest.mark.parametrize("claimed, geometry", [(10**7, False), (10**6, True)])
+    def test_primitive_count_bounded_by_stream_bytes(self, claimed, geometry):
+        """A header claiming more than MAX_PRIMS_PER_BYTE primitives per
+        stream byte is refused before any payload is decoded, also when
+        the geometry section claims them too over a bucket body of 16 zero
+        bytes, which the bucket decoder would run through symbol by
+        symbol."""
+        stream = encode(make_cloud(30, seed=0), CodecParams(max_leaf=40))
+        if geometry:
+            buckets = struct.pack("<I", claimed) + bytes(16)
+            stream.geometry_payload = (
+                struct.pack("<IBI", claimed, stream.params.q_geo, len(buckets))
+                + buckets + struct.pack("<Q", 0))
+        blob = bytearray(stream.to_bytes())
+        blob[7:11] = struct.pack("<I", claimed)  # gs_count field
+        assert claimed > C.MAX_PRIMS_PER_BYTE * len(blob)
+        with bounded_failure(seconds=0.5, bytes_=1 << 20, error=CodecError):
+            decode(CodedStream.from_bytes(bytes(blob)))
+
+    def test_encode_refuses_a_denser_stream(self, monkeypatch):
+        """So every stream `encode` writes decodes."""
+        monkeypatch.setattr(C, "MAX_PRIMS_PER_BYTE", 0)
+        with pytest.raises(CodecError, match="per byte"):
+            encode(make_cloud(30, seed=0), SMALL)
 
     def test_attribute_payload_truncated(self):
         stream = self._stream()

@@ -1,11 +1,8 @@
 """Adaptive range coder: losslessness, framing, corruption behavior,
 and the exact bytes it writes (golden hashes and a reference model)."""
 
-import contextlib
 import hashlib
 import struct
-import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,26 +20,11 @@ from ggsc.entropy import (
     empirical_entropy_bits,
 )
 
+from conftest import bounded_failure
+
 
 def stream(symbols, alphabet):
     return SymbolStream(alphabet, np.asarray(symbols, dtype=np.int64))
-
-
-@contextlib.contextmanager
-def bounded_failure(seconds, bytes_):
-    """The block must raise `CorruptPayloadError` within `seconds`, having
-    allocated at most `bytes_` at its peak (as traced by tracemalloc)."""
-    tracemalloc.start()
-    start = time.perf_counter()
-    try:
-        with pytest.raises(CorruptPayloadError):
-            yield
-        elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert elapsed < seconds, elapsed
-    assert peak < bytes_, peak
 
 
 def golden_symbols(alphabet, n, seed):
@@ -213,11 +195,24 @@ class TestPythonKernelWidth:
 
 
 @pytest.mark.parametrize("alphabet", [2, 3, 5, 128, 1000, 1024, 65535, 65536])
-def test_uniform_fenwick_matches_numpy_build(alphabet):
-    """The decoder's initial tree, sentinel entries included, is the one
-    `_fenwick` builds from uniform counts (and rebuilds after a rescale)."""
-    expected = entropy._fenwick(np.full(alphabet, entropy.COUNT_INIT, dtype=np.int64))
-    assert entropy._uniform_fenwick(alphabet) == expected
+def test_fenwick_matches_definition(alphabet):
+    """Entry i of the decoder's tree, from 1, sums the counts over
+    (i - (i & -i), i]; past the alphabet, up to twice the top power of two
+    at or below it, come sentinels above any total a model reaches.  For
+    the uniform counts a model starts from and for halved random counts,
+    as after a rescale."""
+    rng = np.random.default_rng(alphabet)
+    halved = ((rng.integers(1, 1 << 20, size=alphabet) + 1) >> 1).tolist()
+    top_bit = 1 << (alphabet.bit_length() - 1)
+    i = np.arange(1, alphabet + 1)
+    for counts in ([entropy.COUNT_INIT] * alphabet, halved):
+        tree = entropy._fenwick(counts)
+        prefix = np.concatenate([[0], np.cumsum(counts)])
+        assert tree[0] == 0
+        assert tree[1 : alphabet + 1] == (prefix[i] - prefix[i - (i & -i)]).tolist()
+        sentinels = tree[alphabet + 1 :]
+        assert len(sentinels) == (alphabet != top_bit) * (2 * top_bit - alphabet - 1)
+        assert all(t > entropy.RESCALE_LIMIT + entropy.COUNT_INCREMENT for t in sentinels)
 
 
 class TestGoldenBytes:
@@ -285,7 +280,7 @@ class TestGoldenBytes:
 
 class TestPairs:
     """Symbols 2k and 2k + 1 share one interval step, coded by their joint
-    probability; an odd last symbol is coded alone."""
+    probability; an odd last symbol is paired with a certain one."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 31, 101])
     @pytest.mark.parametrize("n_contexts", [None, 1, 3])
@@ -313,8 +308,10 @@ class TestPairs:
         np.testing.assert_array_equal(aac_decode(payload, 4, 2, ctx).symbols, [1, 2])
 
     def test_lone_last_symbol_is_coded_alone(self):
-        steps = entropy._steps(*entropy._model(np.array([1, 2, 3]), 4))
-        # (1, 2) as above, then 3 after both updates: C = 1 + 33 + 33.
+        zeros = np.zeros(3, dtype=np.int64)
+        steps = entropy._steps(*entropy._model(np.array([1, 2, 3]), 4, zeros))
+        # (1, 2) as above, then 3 after both updates: C = 1 + 33 + 33,
+        # times the certain partner's F2 = T2 = 1.
         assert [a.tolist() for a in steps] == [[70, 67], [1, 1], [144, 68]]
 
     def test_rescale_waits_for_the_pair(self, monkeypatch):
@@ -323,7 +320,8 @@ class TestPairs:
         halving comes after it."""
         monkeypatch.setattr(entropy, "RESCALE_LIMIT", 68)
         syms = [0, 0, 0, 0, 1]
-        cumlow, freq, total = entropy._model(np.array(syms), 4)
+        zeros = np.zeros(5, dtype=np.int64)
+        cumlow, freq, total = entropy._model(np.array(syms), 4, zeros)
         assert total.tolist() == [4, 36, 68, 100, 68]  # [65, 1, 1, 1] after
         assert freq.tolist() == [1, 33, 65, 97, 1]
         assert cumlow.tolist() == [0, 0, 0, 0, 65]
@@ -334,10 +332,19 @@ class TestPairs:
     def test_rescale_between_two_contexts_of_a_pair(self, monkeypatch):
         """A context whose total passes the limit on a pair's first symbol
         halves after the pair, while the second symbol is in another
-        context; its next symbol sees the same counts either way."""
+        context; its next symbol sees the same counts either way.  The
+        encoder models that busy context only through its rescale
+        segments, so it counts each symbol's earlier symbols once."""
         monkeypatch.setattr(entropy, "RESCALE_LIMIT", 36)
+        counted = []
+        earlier_counts = entropy._earlier_counts
+        def spy(seg, *args):
+            counted.append(seg.shape[0])
+            return earlier_counts(seg, *args)
+        monkeypatch.setattr(entropy, "_earlier_counts", spy)
         syms, ctx = [0, 0, 0, 1, 1, 1], np.array([0, 0, 0, 1, 0, 1])
         payload = aac_encode(stream(syms, 4), ctx)
+        assert sum(counted) == len(syms)
         assert payload == reference_encode(syms, 4, ctx)
         np.testing.assert_array_equal(aac_decode(payload, 4, 6, ctx).symbols, syms)
 
@@ -484,24 +491,25 @@ class TestCorruption:
         either raise or be the canonical encoding of the (different) stream
         it decodes to -- never a silent wrong answer that re-encodes
         differently."""
-        payload, syms = self._payload(n=200, seed=8)
-        detected = 0
-        undetected = 0
-        for bitpos in range(32, len(payload) * 8):  # skip the count field
-            byte, bit = divmod(bitpos, 8)
-            tampered = bytearray(payload)
-            tampered[byte] ^= 1 << (7 - bit)
-            tampered = bytes(tampered)
-            try:
-                got = aac_decode(tampered, 256, 200)
-            except CorruptPayloadError:
-                detected += 1
-            else:
-                undetected += 1
-                assert aac_encode(got) == tampered
-                assert not np.array_equal(got.symbols, syms)
-        total = detected + undetected
-        assert detected / total > 0.85, (detected, total)
+        for n in (200, 201):  # an odd count ends on a lone symbol
+            payload, syms = self._payload(n=n, seed=8)
+            detected = 0
+            undetected = 0
+            for bitpos in range(32, len(payload) * 8):  # skip the count field
+                byte, bit = divmod(bitpos, 8)
+                tampered = bytearray(payload)
+                tampered[byte] ^= 1 << (7 - bit)
+                tampered = bytes(tampered)
+                try:
+                    got = aac_decode(tampered, 256, n)
+                except CorruptPayloadError:
+                    detected += 1
+                else:
+                    undetected += 1
+                    assert aac_encode(got) == tampered
+                    assert not np.array_equal(got.symbols, syms)
+            total = detected + undetected
+            assert detected / total > 0.85, (n, detected, total)
 
     def test_detection_is_not_flaky_on_clean_payloads(self):
         rng = np.random.default_rng(9)
@@ -708,23 +716,26 @@ class TestContexts:
     seed=st.integers(0, 2**16),
     n=st.integers(min_value=0, max_value=400),
     bits=st.integers(min_value=1, max_value=16),
-    n_contexts=st.integers(min_value=1, max_value=6),
+    n_contexts=st.integers(min_value=0, max_value=6),
     steps=st.integers(min_value=1, max_value=40),
 )
 def test_contexts_match_reference_model(seed, n, bits, n_contexts, steps):
     """Context payloads are byte for byte the plain reference coder's with
     one count list per context, and decode exactly, for alphabets from 2
     to 2^16.  The lowered rescale limit makes a context halve its model
-    after `steps` symbols, and again as it stays busy."""
+    after `steps` symbols, and again as it stays busy.  No contexts
+    (`n_contexts` 0) are all-zero contexts."""
     rng = np.random.default_rng(seed)
     alphabet = int(rng.integers((1 << bits) // 2 + 1, (1 << bits) + 1))
     syms = golden_symbols(alphabet, n, seed)
-    ctx = rng.integers(0, n_contexts, size=n)
+    ctx = rng.integers(0, n_contexts, size=n) if n_contexts else None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(entropy, "RESCALE_LIMIT",
                    alphabet * entropy.COUNT_INIT + steps * entropy.COUNT_INCREMENT)
         payload = aac_encode(stream(syms, alphabet), ctx)
         assert payload == reference_encode(syms, alphabet, ctx)
+        if ctx is None:
+            assert payload == aac_encode(stream(syms, alphabet), np.zeros(n, dtype=np.int64))
         out = aac_decode(payload, alphabet, n, ctx)
     np.testing.assert_array_equal(out.symbols, syms)
 

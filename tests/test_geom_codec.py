@@ -28,7 +28,7 @@ from ggsc.geom_codec import (
 )
 from ggsc.partition import morton_order
 
-from test_entropy import bounded_failure
+from conftest import bounded_failure
 from test_partition import interleave_oracle
 
 
