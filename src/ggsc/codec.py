@@ -11,13 +11,18 @@ Encoding pipeline:
    eigenbasis, transform each attribute group (SH color as Y/U/V
    channels, opacity, scale, rotation), and keep the lowest
    ceil(alpha * m) coefficients; leaves of one size m go through these
-   steps together, as one stack,
+   steps together, as one stack, graphs included,
 6. quantize kept coefficients on one global grid per group and entropy
    code them; geometry travels separately as Morton deltas.  The seven
    payloads are independent, so from `FORK_MIN_SYMBOLS` coded symbols
    (a decoded one weighing `DECODE_WEIGHT`) they are coded on forked
-   processes, one per further usable CPU (`_fork_join`); every byte is
-   the same whatever the worker count.
+   processes, one per further usable CPU (`_fork_join`).  The partition
+   already fixes each payload's symbol count, so an encode that forks
+   does so before step 5: each worker solves a contiguous run of every
+   size's leaves and writes their kept coefficients into memory the
+   workers share, and once all have, each fits, quantizes and codes its
+   share of the payloads.  Every byte is the same whatever the worker
+   count.
 
 An attribute payload lists the leaf sizes in order of first appearance
 in the partition, each size's leaves in partition order, and each
@@ -48,8 +53,10 @@ and travel as float32.
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
+import signal
 import struct
 import threading
 from collections import Counter
@@ -96,6 +103,10 @@ SH_DEGREES = np.repeat(np.arange(DEGREES), 2 * np.arange(DEGREES) + 1)
 
 GEOM_INTERNAL = 0
 GEOM_EXTERNAL = 1
+#: The header's fields ahead of its grids: magic, version, geometry
+#: backend, primitive count, max_leaf, q_geo, then each group's bit depth
+#: and each group's alpha.
+_HEADER_FIELDS = f"<4sHBIIB{len(GROUP_NAMES)}B{len(GROUP_NAMES)}d"
 
 #: Attribute bit depths share the entropy coder's alphabet ceiling of
 #: 2^16; geometry indices never meet the entropy alphabet, so the lattice
@@ -119,16 +130,18 @@ MAX_LEAF = 512
 #: decodes.
 MAX_PRIMS_PER_BYTE = 64
 #: Job weight below which `_fork_join` codes every payload in this
-#: process, counted in encoded symbols.  On a 2-core x86-64 VM a fork plus
-#: join costs about 5 ms and an encoded symbol 0.6-0.7 us (class streams,
-#: symbols coded two per interval step), and two busy processes there
-#: each run about 1.6x slower than one alone.  Forced fork against
+#: process, counted in encoded symbols; an encode below it solves its
+#: leaf spectra here too.  On a 2-core x86-64 VM a fork plus join costs
+#: about 5 ms and an encoded symbol 0.6-0.7 us (class streams, symbols
+#: coded two per interval step).  Payloads alone, forced fork against
 #: serial, medians of alternating ops over 15 s at three seeds:
 #: `entropy-q16` (58,368 encoded symbols, 172,032 weighted decoded ones)
 #: encode 1.10-1.27x, decode 1.24-1.45x; `lossy-rd` (10,752 and 30,720)
 #: encode 0.97-1.01x, decode 0.94-1.04x; `spectral-m64` (7,296 and
 #: 21,504) encode 0.89-0.92x, decode 1.00-1.04x.  So only the
-#: `entropy-q16` payloads fork.
+#: `entropy-q16` payloads fork.  A fork for the leaf spectra alone did
+#: not pay at these sizes either (`spectral-m64` 0.86x), so the spectra
+#: ride on the payloads' fork and its threshold.
 FORK_MIN_SYMBOLS = 1 << 15
 #: A decoded attribute level weighs this many encoded symbols: the
 #: decoder's per-symbol Fenwick search costs 3.3-4 times an encode of the
@@ -209,24 +222,23 @@ class CodedStream:
         return head + table + body
 
     def header_size(self) -> int:
-        """Bytes of header plus section table (everything but payloads)."""
-        return len(self._pack_header()) + 4 * (1 + len(GROUP_NAMES))
+        """Bytes of header plus section table (everything but payloads),
+        from the layout alone: packing would raise on an attribute grid
+        that float32 cannot hold."""
+        grids = 8 * (self.geom_grid.components + 1) + 4 * sum(
+            self.attr_grids[name].components + 1 for name in GROUP_NAMES)
+        return struct.calcsize(_HEADER_FIELDS) + grids + 4 * (1 + len(GROUP_NAMES))
 
     def _pack_header(self) -> bytes:
         p = self.params
-        out = bytearray()
-        out += MAGIC
-        out += struct.pack("<H", VERSION)
-        out += struct.pack("<B", self.geom_backend)
-        out += struct.pack("<IIB", self.gs_count, p.max_leaf, p.q_geo)
-        for name in GROUP_NAMES:
-            out += struct.pack("<B", p.q_for(name))
-        for name in GROUP_NAMES:
-            out += struct.pack("<d", p.alpha_for(name))
+        out = struct.pack(_HEADER_FIELDS, MAGIC, VERSION, self.geom_backend,
+                          self.gs_count, p.max_leaf, p.q_geo,
+                          *(p.q_for(name) for name in GROUP_NAMES),
+                          *(p.alpha_for(name) for name in GROUP_NAMES))
         out += _pack_grid(self.geom_grid, "d")
         for name in GROUP_NAMES:
             out += _pack_grid(self.attr_grids[name], "f")
-        return bytes(out)
+        return out
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CodedStream":
@@ -399,74 +411,167 @@ def _run_share(jobs, share: list[int]) -> dict[int, tuple[bool, object]]:
     return out
 
 
-def _serve(jobs, share: list[int], r: int, w: int) -> None:
-    """A forked worker: run its share, pickle the outcomes to `w`, exit."""
+def _send(fd: int, message) -> None:
+    """Pickle `message` onto a pipe, framed by its length."""
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(struct.pack("<Q", len(data)) + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(fh):
+    """The next message `_send` framed on `fh`, or None if the pipe ended
+    first."""
+    head = fh.read(8)
+    if len(head) == 8:
+        (size,) = struct.unpack("<Q", head)
+        data = fh.read(size)
+        if len(data) == size:
+            return pickle.loads(data)
+    return None
+
+
+def _serve(jobs, share: list[int], prelude, rank: int, workers: int,
+           up: int, go: int | None) -> None:
+    """A forked worker.  With a `prelude`, run it, send its outcome up and
+    wait for the go on pipe `go`; then run the share, send the outcomes
+    up and exit."""
     code = 1
     try:
-        os.close(r)
-        data = pickle.dumps(_run_share(jobs, share), pickle.HIGHEST_PROTOCOL)
-        with open(w, "wb") as fh:
-            fh.write(data)
+        if prelude is not None:
+            try:
+                prelude(rank, workers)
+                outcome = (True, None)
+            except Exception as exc:  # noqa: BLE001 - returned to `_fork_join`
+                outcome = (False, exc)
+            _send(up, outcome)
+            with open(go, "rb") as fh:
+                if _receive(fh) is not True:
+                    return
+        _send(up, _run_share(jobs, share))
         code = 0
     finally:
         os._exit(code)
 
 
-def _fork_join(jobs: list[tuple[int, object, tuple]]) -> list:
+class _Child:
+    """A forked worker as this process sees it: its pid, the pipe it sends
+    outcomes on and, with a prelude, the pipe it waits on for the go."""
+
+    def __init__(self, jobs, share: list[int], prelude, rank: int, workers: int):
+        up_r, up_w = os.pipe()
+        go_r, go_w = os.pipe() if prelude is not None else (None, None)
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (up_r, up_w, go_r, go_w):
+                if fd is not None:
+                    os.close(fd)
+            raise
+        if pid == 0:
+            os.close(up_r)
+            if go_w is not None:
+                os.close(go_w)
+            _serve(jobs, share, prelude, rank, workers, up_w, go_r)
+        os.close(up_w)
+        if go_r is not None:
+            os.close(go_r)
+        self.pid: int | None = pid
+        self.outcomes = open(up_r, "rb")
+        self.go = go_w
+
+    def receive(self):
+        """The child's next message.  A child whose pipe ended first is
+        reaped and named by its exit status."""
+        message = _receive(self.outcomes)
+        if message is None:
+            self.join(early=True)
+        return message
+
+    def start(self) -> None:
+        """Let the child run its share."""
+        try:
+            _send(self.go, True)
+        except BrokenPipeError:
+            self.join(early=True)
+
+    def join(self, early: bool = False) -> None:
+        """Reap the child.  One that exited with a nonzero status, or
+        `early`, before it sent what it owed, raises RuntimeError naming
+        its exit status."""
+        pid, self.pid = self.pid, None
+        self._close()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0 or early:
+            raise RuntimeError(f"payload worker {pid} exited with status {status}")
+
+    def kill(self) -> None:
+        """Kill and reap the child unless it is reaped already."""
+        pid, self.pid = self.pid, None
+        self._close()
+        if pid is not None:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # already reaped
+                pass
+
+    def _close(self) -> None:
+        self.outcomes.close()
+        if self.go is not None:
+            os.close(self.go)
+            self.go = None
+
+
+def _fork_join(jobs: list[tuple[int, object, tuple]], prelude=None) -> list:
     """Results of independent jobs `(weight, fn, args)`, in job order.
 
     A job's weight is its expected cost in encoded symbols.  The jobs are
     shared out by weight between this process and one forked child per
     further usable CPU; each child sends its outcomes back over a pipe.
     The jobs run here, one after another, when they weigh less than
-    `FORK_MIN_SYMBOLS` in all, when only one CPU
-    is usable, without `os.fork`, or when this process has other threads
-    (a fork copies only the calling one).  Either way the exception
-    raised is that of the first job in list order that raised.  Every
-    child is reaped before this returns or raises.
+    `FORK_MIN_SYMBOLS` in all, when only one CPU is usable, without
+    `os.fork`, or when this process has other threads (a fork copies only
+    the calling one).
+
+    A `prelude(rank, n)` runs on each of the n workers before any job,
+    this process being rank 0, and no job starts before every prelude has
+    returned: a prelude writes what the jobs read into memory that the
+    workers share (an anonymous `mmap` made before the call), and its
+    value is dropped.  On the serial path `prelude(0, 1)` runs here.
+
+    Either way the exception raised is the first in rank order of the
+    preludes, else that of the first job in list order that raised.  A
+    child that dies is named by its exit status, and every child is
+    reaped before this returns or raises.
     """
     workers = min(_usable_cpus(), len(jobs))
     if (workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1
             or sum(n for n, _, _ in jobs) < FORK_MIN_SYMBOLS):
+        if prelude is not None:
+            prelude(0, 1)
         return [fn(*args) for _, fn, args in jobs]
 
     shares = _shares([n for n, _, _ in jobs], workers)
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    children: list[_Child] = []
     try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                _serve(jobs, share, r, w)
-            os.close(w)
-            children.append((pid, r))
+        for rank, share in enumerate(shares[1:], 1):
+            children.append(_Child(jobs, share, prelude, rank, len(shares)))
+        if prelude is not None:
+            prelude(0, len(shares))
+            for child in children:
+                ok, exc = child.receive()
+                if not ok:
+                    raise exc
+            for child in children:
+                child.start()
         outcomes = _run_share(jobs, shares[0])
-        while children:
-            pid, r = children[0]
-            with open(r, "rb", closefd=False) as fh:
-                data = fh.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            os.close(r)
-            if status != 0:
-                raise RuntimeError(f"payload worker {pid} exited with status {status}")
-            outcomes.update(pickle.loads(data))
+        for child in children:
+            outcomes.update(child.receive())
+            child.join()
     finally:
-        if children:
-            import signal
-
-            for pid, r in children:
-                os.close(r)
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                except (ProcessLookupError, ChildProcessError):  # already reaped
-                    pass
+        for child in children:
+            child.kill()
 
     results = []
     for i in range(len(jobs)):
@@ -504,6 +609,36 @@ def _level_layout(grid: QuantGrid, alpha: float,
         contexts.append(np.broadcast_to(ctx, (n, comps, k)).ravel())
         zeros.append(np.broadcast_to(zero[:, None], (n, comps, k)).ravel())
     return np.concatenate(contexts), np.concatenate(zeros)
+
+
+def _leaf_blocks(values: np.ndarray, comps: int, alpha: float,
+                 sizes: dict[int, int]) -> dict[int, np.ndarray]:
+    """Views of a group's values in payload layout, flat, as one (n, k, C)
+    block per leaf size m: its n leaves, their k = `clip_count(alpha, m)`
+    kept coefficients and C components."""
+    blocks, at = {}, 0
+    for m, n in sizes.items():
+        size = n * spectral.clip_count(alpha, m) * comps
+        blocks[m] = values[at:at + size].reshape(n, -1, comps)
+        at += size
+    return blocks
+
+
+def _payload_levels(kept: np.ndarray, grid: QuantGrid, alpha: float,
+                    sizes: dict[int, int]) -> np.ndarray:
+    """A group's levels in payload order (each leaf's component-major)
+    from its kept coefficients, flat in `_leaf_blocks` layout."""
+    levels = quantize(kept.reshape(-1, grid.components), grid).ravel()
+    blocks = _leaf_blocks(levels, grid.components, alpha, sizes).values()
+    return np.concatenate([block.transpose(0, 2, 1).ravel() for block in blocks])
+
+
+def _code_group(kept: np.ndarray, comps: int, q: int, alpha: float,
+                sizes: dict[int, int]) -> tuple[QuantGrid, bytes]:
+    """A group's grid, fitted over all its kept coefficients (flat, in
+    `_leaf_blocks` layout), and its payload."""
+    grid = fit_grid(kept.reshape(-1, comps), q, np.float32)
+    return grid, encode_levels(_payload_levels(kept, grid, alpha, sizes), grid, alpha, sizes)
 
 
 #: Bytes of the big-endian field that holds a zigzagged level's raw bits:
@@ -572,10 +707,10 @@ def _box_of(points: np.ndarray) -> Box3:
     return Box3(min=points.min(axis=0), max=points.max(axis=0))
 
 
-def _leaf_spectra(centers: np.ndarray, part: partition.Partition
+def _leaf_spectra(centers: np.ndarray, leaves
                   ) -> list[tuple[np.ndarray, spectral.GraphSpectrum]]:
     sigma = spectral.sigma_from_box(_box_of(centers))
-    return spectral.graph_spectra(centers, part.leaves, sigma)
+    return spectral.graph_spectra(centers, leaves, sigma)
 
 
 def _attribute_signals(cloud: GaussianCloud) -> dict[str, np.ndarray]:
@@ -608,9 +743,12 @@ def encode(
     placeholders, e.g. "tmc3 --mode=0 ... {in} {out}".  The stream records
     that backend; decoding it needs the matching decode command.
 
-    `threads` (>= 1) has no effect: payloads are coded on forked processes
-    when that pays (see `_fork_join`), and the spectra in this one.  A
-    stream denser than MAX_PRIMS_PER_BYTE raises `CodecError`.
+    `threads` (>= 1) has no effect.  When the payloads weigh enough to
+    be coded on forked processes (see `_fork_join`), the leaf spectra are
+    solved on the same workers first, in contiguous runs of each size's
+    leaves; with `collect_debug` they are solved in this process, which
+    keeps their bases.  A stream denser than MAX_PRIMS_PER_BYTE raises
+    `CodecError`.
     """
     params.validate()
     if threads < 1:
@@ -625,28 +763,48 @@ def encode(
     recon_centers = dequantize(lattice, geom_grid)
     part = partition.kdtree_split(recon_centers, params.max_leaf)
     sizes = Counter(len(leaf) for leaf in part.leaves)
-    chunks = _leaf_spectra(recon_centers, part)
+    by_size: dict[int, list[np.ndarray]] = {}
+    for leaf in part.leaves:
+        by_size.setdefault(len(leaf), []).append(leaf)
     signals = _attribute_signals(ordered)
+    # Each group's kept coefficients in payload order, in memory that
+    # forked workers share.
+    counts = [_level_count(comps, params.alpha_for(name), sizes)
+              for name, comps in ATTRIBUTE_GROUPS]
+    shared = np.frombuffer(mmap.mmap(-1, 8 * sum(counts)), dtype=np.float64)
+    kept = dict(zip(GROUP_NAMES, np.split(shared, np.cumsum(counts)[:-1])))
 
-    attr_grids: dict[str, QuantGrid] = {}
-    symbols_by_group: dict[str, np.ndarray] = {}
-    jobs = []
-    for name, comps in ATTRIBUTE_GROUPS:
-        alpha = params.alpha_for(name)
-        kept = [spectral.gft(spec, signals[name][rows],
-                             spectral.clip_count(alpha, rows.shape[1]))
-                for rows, spec in chunks]
-        samples = np.concatenate([k.reshape(-1, comps) for k in kept])
-        grid = attr_grids[name] = fit_grid(samples, params.q_for(name), np.float32)
-        symbols = symbols_by_group[name] = np.concatenate(
-            [quantize(k, grid).transpose(0, 2, 1).ravel() for k in kept])
-        jobs.append((symbols.size, encode_levels, (symbols, grid, alpha, sizes)))
+    def transform(rank: int, workers: int) -> list[tuple[np.ndarray, spectral.GraphSpectrum]]:
+        """Solve run `rank` of `workers` contiguous runs of each size's
+        leaves, and write each group's kept coefficients over the run into
+        `kept`; returns the run's chunks."""
+        starts = {m: n * rank // workers for m, n in sizes.items()}
+        run = [leaf for m, group in by_size.items()
+               for leaf in group[starts[m]:sizes[m] * (rank + 1) // workers]]
+        chunks = _leaf_spectra(recon_centers, run)
+        for name, comps in ATTRIBUTE_GROUPS:
+            blocks = _leaf_blocks(kept[name], comps, params.alpha_for(name), sizes)
+            at = dict(starts)
+            for rows, spec in chunks:
+                nb, m = rows.shape
+                block = blocks[m]
+                block[at[m]:at[m] + nb] = spectral.gft(spec, signals[name][rows], block.shape[1])
+                at[m] += nb
+        return chunks
 
     geometry = geom_codec.QuantizedGeometry(q=params.q_geo, points=lattice)
+    jobs = [(count, _code_group, (kept[name], comps, params.q_for(name),
+                                  params.alpha_for(name), sizes))
+            for (name, comps), count in zip(ATTRIBUTE_GROUPS, counts)]
     if not geometry_command:
         jobs.append((len(geometry), geom_codec.encode_centers, (geometry,)))
-    coded = _fork_join(jobs)
-    payloads = dict(zip(GROUP_NAMES, coded))
+    if collect_debug:  # every basis is solved here, and kept
+        chunks = transform(0, 1)
+        coded = _fork_join(jobs)
+    else:
+        coded = _fork_join(jobs, prelude=transform)
+    attr_grids = {name: grid for name, (grid, _) in zip(GROUP_NAMES, coded)}
+    payloads = {name: payload for name, (_, payload) in zip(GROUP_NAMES, coded)}
     if geometry_command:
         geometry_payload = geom_codec.encode_centers_external(
             geometry, geometry_command
@@ -672,6 +830,9 @@ def encode(
     if not collect_debug:
         return stream
 
+    symbols_by_group = {name: _payload_levels(kept[name], attr_grids[name],
+                                              params.alpha_for(name), sizes)
+                        for name in GROUP_NAMES}
     local = _reconstruct_signals(stream, chunks, symbols_by_group)
     return stream, Internals(part, chunks, recon_centers, local)
 
@@ -769,7 +930,7 @@ def decode(
                 name, stream.attribute_payloads[name], stream.attr_grids[name], alpha,
                 sizes)))
         symbols_by_group = dict(zip(GROUP_NAMES, _fork_join(jobs)))
-        chunks = _leaf_spectra(recon_centers, part)
+        chunks = _leaf_spectra(recon_centers, part.leaves)
 
         signals = _reconstruct_signals(stream, chunks, symbols_by_group)
 

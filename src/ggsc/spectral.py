@@ -35,12 +35,15 @@ The solver is Householder tridiagonalization followed by implicit QL
 
 At leaf sizes of a few dozen most of a single solve is fixed numpy call
 overhead, so `graph_spectra` solves all leaves of one size together:
-`eig_sym` takes a (B, m, m) stack, the reduction, the rotation pass and
-the sign/order normalization each run once over the stack, and only the
-scalar QL recurrence runs per leaf.  Every per-matrix operation is the
-same elementwise op or the same sum along the same axis as for one
-matrix, so a leaf's bits do not depend on the batch or the chunk it is
-solved in.
+`build_adjacency` and `laplacian` build a chunk's (B, m, m) graphs in
+one pass over its (B, m, 3) centers, `eig_sym` takes the stack, the
+reduction, the rotation pass and the sign/order normalization each run
+once over it, and only the scalar QL recurrence runs per leaf.  Every
+per-matrix operation is the same elementwise op or the same sum along
+the same axis as for one matrix, so a leaf's bits do not depend on the
+batch or the chunk it is solved in.  That holds for the graphs only as
+long as numpy's einsum and exp round each element alike whatever the
+operand's rank; `tests/test_spectral.py` checks it bit for bit.
 """
 
 from __future__ import annotations
@@ -94,29 +97,35 @@ def sigma_from_box(box: Box3) -> float:
 
 
 def build_adjacency(centers: np.ndarray, sigma: float) -> np.ndarray:
-    """Dense Gaussian affinity matrix with zero diagonal."""
+    """Dense Gaussian affinity matrix with zero diagonal.
+
+    `centers` is (m, 3), or a (B, m, 3) stack of leaves whose (B, m, m)
+    matrices are built in one pass, each bit-identical to its own build.
+    """
     pts = np.asarray(centers, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"centers must be (N, 3), got {pts.shape}")
-    if pts.shape[0] < 1:
+    if pts.ndim not in (2, 3) or pts.shape[-1] != 3:
+        raise ValueError(f"centers must be (N, 3) or (B, N, 3), got {pts.shape}")
+    if pts.shape[-2] < 1:
         raise ValueError("need at least one point")
     if not (sigma > 0.0) or not math.isfinite(sigma):
         raise ValueError("sigma must be finite and positive")
-    diff = pts[:, None, :] - pts[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    diff = pts[..., :, None, :] - pts[..., None, :, :]
+    sq = np.einsum("...ijk,...ijk->...ij", diff, diff)
     w = np.exp(-sq / (sigma * sigma))
-    np.fill_diagonal(w, 0.0)
+    diag = np.arange(pts.shape[-2])
+    w[..., diag, diag] = 0.0
     return w
 
 
 def laplacian(adjacency: np.ndarray) -> np.ndarray:
-    """Combinatorial Laplacian L = D - W of a symmetric affinity matrix."""
+    """Combinatorial Laplacian L = D - W of a symmetric affinity matrix,
+    or of each matrix of a (B, m, m) stack."""
     w = np.asarray(adjacency, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+    if w.ndim not in (2, 3) or w.shape[-1] != w.shape[-2]:
         raise ValueError("adjacency must be square")
-    lap = -w.copy()
-    np.fill_diagonal(lap, 0.0)
-    lap[np.diag_indices_from(lap)] = w.sum(axis=1)
+    lap = -w
+    diag = np.arange(w.shape[-1])
+    lap[..., diag, diag] = w.sum(axis=-1)
     return lap
 
 
@@ -431,8 +440,7 @@ def graph_spectra(centers: np.ndarray, leaves,
         per = max(1, BATCH_ENTRIES // (m * m))
         chunks += [np.stack(group[i:i + per]) for i in range(0, len(group), per)]
 
-    return [(rows, eig_sym(np.stack([laplacian(build_adjacency(pts, sigma))
-                                     for pts in centers[rows]])))
+    return [(rows, eig_sym(laplacian(build_adjacency(centers[rows], sigma))))
             for rows in chunks]
 
 

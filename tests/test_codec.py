@@ -170,6 +170,20 @@ class TestContainer:
         with pytest.raises(ValueError, match="float32"):
             stream.to_bytes()
 
+    def test_header_size_follows_the_layout(self):
+        """`header_size` counts the layout rather than packing it: it is the
+        packed header plus the 28-byte section table on every golden
+        stream, and it still answers for a grid float32 cannot hold (the
+        1e308 `sh_y` scale of `test_grid_overflow_is_a_codec_error`), which
+        `to_bytes` refuses."""
+        for case in GOLDEN_CASES:
+            stream = CodedStream.from_bytes(case.path.read_bytes())
+            assert stream.header_size() == len(stream._pack_header()) + 28 == 378
+        stream.attr_grids["sh_y"] = replace(stream.attr_grids["sh_y"], scale=1e308)
+        with pytest.raises(ValueError, match="float32"):
+            stream.to_bytes()
+        assert bitrate_breakdown(stream).header_bytes == stream.header_size() == 378
+
     def test_header_size_accounts_for_everything(self):
         stream = self._stream()
         report = bitrate_breakdown(stream)
@@ -747,8 +761,8 @@ class TestForkJoin:
     def test_decode_weighs_a_symbol_above_encode(self, monkeypatch):
         """At the lossy operating point of 576 primitives (12,032 attribute
         levels plus 576 points) on two CPUs the encode stays in this
-        process; the decode, whose levels weigh `DECODE_WEIGHT` each,
-        forks one worker."""
+        process, its leaf spectra as well as its payloads; the decode,
+        whose levels weigh `DECODE_WEIGHT` each, forks one worker."""
         forks = _count_forks(monkeypatch, cpus=2)
         stream = encode(make_realistic_cloud(576, seed=41), GOLDEN_CASES[1].params)
         assert forks == []
@@ -802,6 +816,71 @@ class TestForkJoin:
         with pytest.raises(RuntimeError, match="exited with status 7"):
             encode(cloud, SMALL)
         assert len(forks) == 2
+
+
+    def test_spectra_error_in_a_child_surfaces(self, monkeypatch):
+        """A QL failure in a child's share of the leaf spectra is raised
+        here with the serial path's message."""
+        cloud = make_cloud(150, seed=18)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "QL_MAX_SWEEPS", 0)
+            with pytest.raises(RuntimeError, match="converge") as serial:
+                encode(cloud, SMALL)
+        forks = _force_fork(monkeypatch)
+        parent = os.getpid()
+        real = C._leaf_spectra
+
+        def failing_in_children(*args):
+            if os.getpid() != parent:
+                spectral.QL_MAX_SWEEPS = 0  # this child's copy only
+            return real(*args)
+
+        monkeypatch.setattr(C, "_leaf_spectra", failing_in_children)
+        with pytest.raises(RuntimeError) as forked:
+            encode(cloud, SMALL)
+        assert len(forks) == 2
+        assert str(forked.value) == str(serial.value)
+
+    def test_child_dying_in_its_spectra_names_exit_status(self, monkeypatch):
+        forks = _force_fork(monkeypatch)
+        parent = os.getpid()
+        real = C._leaf_spectra
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(5)
+            return real(*args)
+
+        monkeypatch.setattr(C, "_leaf_spectra", dying)
+        with pytest.raises(RuntimeError, match="exited with status 5"):
+            encode(make_cloud(150, seed=18), SMALL)
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("cpus, here", [(3, 2), (5, 0)])
+    def test_spectra_split_by_runs_of_each_size(self, monkeypatch, cpus, here):
+        """The golden `mixed` case has four leaves of 12 and four of 13.
+        This process solves the first of the workers' contiguous runs of
+        each size: one leaf of each on three CPUs, none at all on five,
+        where the leaves go 0, 1, 1, 1, 1.  The bytes are the serial ones."""
+        case = GOLDEN_CASES[0]
+        assert case.name == "mixed"
+        cloud = case.cloud()
+        blob = encode(cloud, case.params).to_bytes()
+        monkeypatch.setattr(C, "FORK_MIN_SYMBOLS", 0)
+        forks = _count_forks(monkeypatch, cpus)
+        parent = os.getpid()
+        real = C._leaf_spectra
+        solved_here = []
+
+        def counted(centers, leaves):
+            if os.getpid() == parent:
+                solved_here.append(Counter(len(leaf) for leaf in leaves))
+            return real(centers, leaves)
+
+        monkeypatch.setattr(C, "_leaf_spectra", counted)
+        assert encode(cloud, case.params).to_bytes() == blob
+        assert len(forks) == cpus - 1
+        assert solved_here == [Counter({12: here // 2, 13: here // 2})]
 
 
 # argv[1] is the mutation seed.  Replays test_fuzz's corpus on the serial

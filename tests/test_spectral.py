@@ -76,8 +76,34 @@ class TestAdjacency:
                 build_adjacency(pts, sigma)
 
     def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError):
-            build_adjacency(np.zeros((3, 2)), 1.0)
+        for shape in ((3, 2), (3,), (2, 3, 2), (2, 2, 3, 3), (2, 0, 3)):
+            with pytest.raises(ValueError):
+                build_adjacency(np.zeros(shape), 1.0)
+
+    def test_stack_matches_per_leaf_build(self):
+        """A (B, m, 3) stack of leaves is built in one pass, on 4-D
+        differences where one leaf's build takes 3-D ones; every matrix,
+        adjacency and Laplacian alike, must match its own leaf's build
+        bit for bit.  A numpy whose einsum or exp rounds by operand rank
+        fails here, not only in the golden pins."""
+        rng = np.random.default_rng(61)
+        shapes = [(1, 1), (1, 80), (40, 1), (40, 80)] + [
+            (int(rng.integers(1, 41)), int(rng.integers(1, 81))) for _ in range(296)]
+        for t, (nb, m) in enumerate(shapes):
+            if t % 3 == 0:  # scattered, at scales from 1e-3 to 10
+                pts = rng.normal(size=(nb, m, 3)) * 10.0 ** rng.uniform(-3, 1)
+            elif t % 3 == 1:  # a small lattice, so points repeat
+                pts = rng.integers(0, 3, size=(nb, m, 3)) * 0.25
+            else:  # every point of a leaf coincident
+                pts = np.repeat(rng.normal(size=(nb, 1, 3)), m, axis=1)
+            sigma = float(10.0 ** rng.uniform(-6, math.log10(3.0)))
+            w = build_adjacency(pts, sigma)
+            lap = laplacian(w)
+            assert w.shape == lap.shape == (nb, m, m)
+            for b in range(nb):
+                one = build_adjacency(pts[b], sigma)
+                assert w[b].tobytes() == one.tobytes()
+                assert lap[b].tobytes() == laplacian(one).tobytes()
 
 
 class TestLaplacian:
@@ -96,8 +122,9 @@ class TestLaplacian:
         np.testing.assert_allclose(lap.sum(axis=1), 0.0, atol=1e-12)
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            laplacian(np.zeros((2, 3)))
+        for shape in ((2, 3), (2, 2, 3), (3,)):
+            with pytest.raises(ValueError):
+                laplacian(np.zeros(shape))
 
 
 class TestEigSym:
