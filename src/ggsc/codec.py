@@ -13,16 +13,17 @@ Encoding pipeline:
    ceil(alpha * m) coefficients; leaves of one size m go through these
    steps together, as one stack, graphs included,
 6. quantize kept coefficients on one global grid per group and entropy
-   code them; geometry travels separately as Morton deltas.  The seven
-   payloads are independent, so from `FORK_MIN_SYMBOLS` coded symbols
-   (a decoded one weighing `DECODE_WEIGHT`) they are coded on forked
-   processes, one per further usable CPU (`_fork_join`).  The partition
-   already fixes each payload's symbol count, so an encode that forks
-   does so before step 5: each worker solves a contiguous run of every
-   size's leaves and writes their kept coefficients into memory the
-   workers share, and once all have, each fits, quantizes and codes its
-   share of the payloads.  Every byte is the same whatever the worker
-   count.
+   code them; geometry travels separately as Morton deltas.
+
+From `POOL_MIN_WORK` of work, counted in encoded symbols (a decoded
+level weighing `DECODE_WEIGHT`, a leaf spectrum `SPECTRUM_WEIGHT * m^2`),
+steps 5-6 are shared between this process and a pool of forked workers,
+one per further usable CPU (`_dispatch`, `pool`).  The pool is forked
+by the first call that needs it and serves every later one;
+`pool.close_pool` stops it, as does exit.  Each process first solves a contiguous run of every
+size's leaves and sends back their kept coefficients; then each fits,
+quantizes and codes its share of the seven independent payloads.  Every
+byte is the same whatever the worker count.
 
 An attribute payload lists the leaf sizes in order of first appearance
 in the partition, each size's leaves in partition order, and each
@@ -43,20 +44,18 @@ where the class bytes are the coder's output after its count header.
 The decoder replays steps 3-5 from the decoded lattice alone, which
 reproduces partitions, graphs and bases bit-for-bit -- no basis data is
 transmitted.  The partition alone fixes each payload's symbol count, so
-the six attribute payloads are decoded, forked the same way, before the
-graph spectra are built.  Bitstream sections: header (parameters +
-grids + section table), geometry payload (size B1), six attribute
-payloads (sum B2).  The geometry grid travels as float64, since every
-basis depends on it; the attribute grids are fitted on float32 values
-and travel as float32.
+the six attribute payloads are decoded first, shared out like the
+encoder's; then each process solves its run of every size's leaves and
+inverse transforms the run's levels.  Bitstream sections: header
+(parameters + grids + section table), geometry payload (size B1), six
+attribute payloads (sum B2).  The geometry grid travels as float64,
+since every basis depends on it; the attribute grids are fitted on
+float32 values and travel as float32.
 """
 
 from __future__ import annotations
 
-import mmap
 import os
-import pickle
-import signal
 import struct
 import threading
 from collections import Counter
@@ -129,25 +128,27 @@ MAX_LEAF = 512
 #: `encode` refuses a stream past this one, so every stream it writes
 #: decodes.
 MAX_PRIMS_PER_BYTE = 64
-#: Job weight below which `_fork_join` codes every payload in this
-#: process, counted in encoded symbols; an encode below it solves its
-#: leaf spectra here too.  On a 2-core x86-64 VM a fork plus join costs
-#: about 5 ms and an encoded symbol 0.6-0.7 us (class streams, symbols
-#: coded two per interval step).  Payloads alone, forced fork against
-#: serial, medians of alternating ops over 15 s at three seeds:
-#: `entropy-q16` (58,368 encoded symbols, 172,032 weighted decoded ones)
-#: encode 1.10-1.27x, decode 1.24-1.45x; `lossy-rd` (10,752 and 30,720)
-#: encode 0.97-1.01x, decode 0.94-1.04x; `spectral-m64` (7,296 and
-#: 21,504) encode 0.89-0.92x, decode 1.00-1.04x.  So only the
-#: `entropy-q16` payloads fork.  A fork for the leaf spectra alone did
-#: not pay at these sizes either (`spectral-m64` 0.86x), so the spectra
-#: ride on the payloads' fork and its threshold.
-FORK_MIN_SYMBOLS = 1 << 15
+#: Work, counted in encoded symbols, below which an encode or decode
+#: runs in this process alone rather than sharing its leaf spectra and
+#: payloads with the worker pool (`_process_count`).  On a 2-vCPU x86-64
+#: VM a pool round trip costs 0.1 ms empty and 0.3 ms carrying 172 KB (an
+#: encoded symbol costs about 0.6 us), but splitting a stack of small
+#: leaves duplicates its fixed per-chunk cost, so the break-even lies
+#: higher: forced pool against serial, medians of 15-21 alternating calls,
+#: gained 1.15-1.4x from about 19,000 (128 primitives in leaves of 32),
+#: and ranged 0.74-1.2x, mostly below 1, under 16,000.  The benchmark's
+#: `tiny` (5,696 to encode, 12,800 to decode) stays here, and
+#: `spectral-m64` (40,064), `lossy-rd` (76,288) and `entropy-q16` (91,136)
+#: use the pool.
+POOL_MIN_WORK = 1 << 14
+#: A leaf spectrum of m primitives, with its transforms, weighs
+#: SPECTRUM_WEIGHT * m^2 encoded symbols: solved in stacks of its size, a
+#: leaf took 4.0-4.6 m^2 symbols' time at m = 8 to 32 and 6 m^2 at m = 64
+#: (a Python QL of about 1.1 m^2 rotations dominates).
+SPECTRUM_WEIGHT = 4
 #: A decoded attribute level weighs this many encoded symbols: the
 #: decoder's per-symbol Fenwick search costs 3.3-4 times an encode of the
-#: same class streams (2.1-2.8 against 0.6-0.7 us per symbol).  A weight
-#: of 4 would fork `lossy-rd`'s decode, which forced forking does not
-#: speed up (above), so the weight stays below the cost ratio.
+#: same class streams (2.1-2.8 against 0.6-0.7 us per symbol).
 DECODE_WEIGHT = 3
 
 
@@ -385,6 +386,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _process_count(work: int) -> int:
+    """Processes to share `work` (in encoded symbols) between: this one
+    plus a pool worker per further usable CPU, or this one alone when the
+    work weighs less than `POOL_MIN_WORK`, when only one CPU is usable,
+    without `os.fork`, or when this process has other threads (a fork
+    copies only the calling one, and the pool serves one caller)."""
+    cpus = _usable_cpus()
+    if (cpus < 2 or work < POOL_MIN_WORK or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return 1
+    return cpus
+
+
 def _shares(weights: list[int], workers: int) -> list[list[int]]:
     """Job indices per worker: heaviest job first onto the lightest load.
     Each share is in job order; empty shares are dropped."""
@@ -397,184 +411,39 @@ def _shares(weights: list[int], workers: int) -> list[list[int]]:
     return [sorted(share) for share in shares if share]
 
 
-def _run_share(jobs, share: list[int]) -> dict[int, tuple[bool, object]]:
-    """Run the share's jobs in order up to the first that raises: a later
-    job of the share cannot hold the first error."""
+def _run_share(calls) -> dict[int, tuple[bool, object]]:
+    """Outcomes of `calls` (index, name of a function of this module,
+    args), run in order up to the first that raises: a later call of the
+    share cannot hold the first error."""
     out = {}
-    for i in share:
-        _, fn, args = jobs[i]
+    for i, name, args in calls:
         try:
-            out[i] = (True, fn(*args))
-        except Exception as exc:  # noqa: BLE001 - returned to `_fork_join`
+            out[i] = (True, globals()[name](*args))
+        except Exception as exc:  # noqa: BLE001 - returned to `_dispatch`
             out[i] = (False, exc)
             break
     return out
 
 
-def _send(fd: int, message) -> None:
-    """Pickle `message` onto a pipe, framed by its length."""
-    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(struct.pack("<Q", len(data)) + data)
-    while view:
-        view = view[os.write(fd, view):]
+def _dispatch(calls: list[tuple[str, tuple]], shares: list[list[int]]) -> list:
+    """Results of `calls` (name of a function of this module, args), in
+    call order.
 
-
-def _receive(fh):
-    """The next message `_send` framed on `fh`, or None if the pipe ended
-    first."""
-    head = fh.read(8)
-    if len(head) == 8:
-        (size,) = struct.unpack("<Q", head)
-        data = fh.read(size)
-        if len(data) == size:
-            return pickle.loads(data)
-    return None
-
-
-def _serve(jobs, share: list[int], prelude, rank: int, workers: int,
-           up: int, go: int | None) -> None:
-    """A forked worker.  With a `prelude`, run it, send its outcome up and
-    wait for the go on pipe `go`; then run the share, send the outcomes
-    up and exit."""
-    code = 1
-    try:
-        if prelude is not None:
-            try:
-                prelude(rank, workers)
-                outcome = (True, None)
-            except Exception as exc:  # noqa: BLE001 - returned to `_fork_join`
-                outcome = (False, exc)
-            _send(up, outcome)
-            with open(go, "rb") as fh:
-                if _receive(fh) is not True:
-                    return
-        _send(up, _run_share(jobs, share))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-class _Child:
-    """A forked worker as this process sees it: its pid, the pipe it sends
-    outcomes on and, with a prelude, the pipe it waits on for the go."""
-
-    def __init__(self, jobs, share: list[int], prelude, rank: int, workers: int):
-        up_r, up_w = os.pipe()
-        go_r, go_w = os.pipe() if prelude is not None else (None, None)
-        try:
-            pid = os.fork()
-        except BaseException:
-            for fd in (up_r, up_w, go_r, go_w):
-                if fd is not None:
-                    os.close(fd)
-            raise
-        if pid == 0:
-            os.close(up_r)
-            if go_w is not None:
-                os.close(go_w)
-            _serve(jobs, share, prelude, rank, workers, up_w, go_r)
-        os.close(up_w)
-        if go_r is not None:
-            os.close(go_r)
-        self.pid: int | None = pid
-        self.outcomes = open(up_r, "rb")
-        self.go = go_w
-
-    def receive(self):
-        """The child's next message.  A child whose pipe ended first is
-        reaped and named by its exit status."""
-        message = _receive(self.outcomes)
-        if message is None:
-            self.join(early=True)
-        return message
-
-    def start(self) -> None:
-        """Let the child run its share."""
-        try:
-            _send(self.go, True)
-        except BrokenPipeError:
-            self.join(early=True)
-
-    def join(self, early: bool = False) -> None:
-        """Reap the child.  One that exited with a nonzero status, or
-        `early`, before it sent what it owed, raises RuntimeError naming
-        its exit status."""
-        pid, self.pid = self.pid, None
-        self._close()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status != 0 or early:
-            raise RuntimeError(f"payload worker {pid} exited with status {status}")
-
-    def kill(self) -> None:
-        """Kill and reap the child unless it is reaped already."""
-        pid, self.pid = self.pid, None
-        self._close()
-        if pid is not None:
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):  # already reaped
-                pass
-
-    def _close(self) -> None:
-        self.outcomes.close()
-        if self.go is not None:
-            os.close(self.go)
-            self.go = None
-
-
-def _fork_join(jobs: list[tuple[int, object, tuple]], prelude=None) -> list:
-    """Results of independent jobs `(weight, fn, args)`, in job order.
-
-    A job's weight is its expected cost in encoded symbols.  The jobs are
-    shared out by weight between this process and one forked child per
-    further usable CPU; each child sends its outcomes back over a pipe.
-    The jobs run here, one after another, when they weigh less than
-    `FORK_MIN_SYMBOLS` in all, when only one CPU is usable, without
-    `os.fork`, or when this process has other threads (a fork copies only
-    the calling one).
-
-    A `prelude(rank, n)` runs on each of the n workers before any job,
-    this process being rank 0, and no job starts before every prelude has
-    returned: a prelude writes what the jobs read into memory that the
-    workers share (an anonymous `mmap` made before the call), and its
-    value is dropped.  On the serial path `prelude(0, 1)` runs here.
-
-    Either way the exception raised is the first in rank order of the
-    preludes, else that of the first job in list order that raised.  A
-    child that dies is named by its exit status, and every child is
-    reaped before this returns or raises.
+    Share 0 runs here and share w on worker w of the pool (`pool.share`);
+    a single share runs here alone.  The exception raised is that of the
+    first call in list order that raised.
     """
-    workers = min(_usable_cpus(), len(jobs))
-    if (workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1
-            or sum(n for n, _, _ in jobs) < FORK_MIN_SYMBOLS):
-        if prelude is not None:
-            prelude(0, 1)
-        return [fn(*args) for _, fn, args in jobs]
+    requests = [[(i, *calls[i]) for i in share] for share in shares]
+    if len(requests) == 1:
+        outcomes = _run_share(requests[0])
+    else:
+        from . import pool  # compiled only once a call needs it
 
-    shares = _shares([n for n, _, _ in jobs], workers)
-    children: list[_Child] = []
-    try:
-        for rank, share in enumerate(shares[1:], 1):
-            children.append(_Child(jobs, share, prelude, rank, len(shares)))
-        if prelude is not None:
-            prelude(0, len(shares))
-            for child in children:
-                ok, exc = child.receive()
-                if not ok:
-                    raise exc
-            for child in children:
-                child.start()
-        outcomes = _run_share(jobs, shares[0])
-        for child in children:
-            outcomes.update(child.receive())
-            child.join()
-    finally:
-        for child in children:
-            child.kill()
-
+        outcomes = {}
+        for reply in pool.share(_run_share, requests):
+            outcomes.update(reply)
     results = []
-    for i in range(len(jobs)):
+    for i in range(len(calls)):
         ok, value = outcomes[i]
         if not ok:
             raise value
@@ -618,9 +487,9 @@ def _leaf_blocks(values: np.ndarray, comps: int, alpha: float,
     kept coefficients and C components."""
     blocks, at = {}, 0
     for m, n in sizes.items():
-        size = n * spectral.clip_count(alpha, m) * comps
-        blocks[m] = values[at:at + size].reshape(n, -1, comps)
-        at += size
+        k = spectral.clip_count(alpha, m)
+        blocks[m] = values[at:at + n * k * comps].reshape(n, k, comps)
+        at += n * k * comps
     return blocks
 
 
@@ -703,14 +572,95 @@ def level_payload_sections(payload: bytes) -> tuple[int, int]:
     return class_len, len(payload) - 8 - class_len
 
 
-def _box_of(points: np.ndarray) -> Box3:
-    return Box3(min=points.min(axis=0), max=points.max(axis=0))
+def _sigma(centers: np.ndarray) -> float:
+    """Every leaf's kernel bandwidth, from the box of all the centers."""
+    return spectral.sigma_from_box(Box3(min=centers.min(axis=0), max=centers.max(axis=0)))
 
 
-def _leaf_spectra(centers: np.ndarray, leaves
-                  ) -> list[tuple[np.ndarray, spectral.GraphSpectrum]]:
-    sigma = spectral.sigma_from_box(_box_of(centers))
-    return spectral.graph_spectra(centers, leaves, sigma)
+def _spectra_work(sizes: dict[int, int]) -> int:
+    return sum(n * SPECTRUM_WEIGHT * m * m for m, n in sizes.items())
+
+
+def _runs(leaves, sizes: dict[int, int],
+          count: int) -> list[tuple[np.ndarray, dict[int, int]]]:
+    """`count` contiguous runs of each size's leaves: run r holds leaves
+    n * r // count up to n * (r + 1) // count of each size's n.  Each run
+    comes as its rows (its leaves concatenated, sizes in payload order)
+    and its sizes, every size of `sizes` listed, in the same order."""
+    by_size: dict[int, list[np.ndarray]] = {}
+    for leaf in leaves:
+        by_size.setdefault(len(leaf), []).append(leaf)
+    runs = []
+    for r in range(count):
+        bounds = {m: (n * r // count, n * (r + 1) // count) for m, n in sizes.items()}
+        run = [leaf for m, (lo, hi) in bounds.items() for leaf in by_size[m][lo:hi]]
+        rows = np.concatenate(run) if run else np.zeros(0, dtype=np.int64)
+        runs.append((rows, {m: hi - lo for m, (lo, hi) in bounds.items()}))
+    return runs
+
+
+def _consecutive_leaves(sizes: dict[int, int]) -> list[np.ndarray]:
+    """Leaves of the given sizes over consecutive rows, in payload order."""
+    leaves, at = [], 0
+    for m, n in sizes.items():
+        for _ in range(n):
+            leaves.append(np.arange(at, at + m))
+            at += m
+    return leaves
+
+
+def _split_runs(values: np.ndarray, comps: int, alpha: float, sizes: dict[int, int],
+                run_sizes: list[dict[int, int]]) -> list[np.ndarray]:
+    """A group's values in payload layout (each size's leaves, each leaf's
+    `clip_count(alpha, m) * comps` entries) cut into the runs' flat
+    values, in the same layout over each run's sizes."""
+    blocks = _leaf_blocks(values, comps, alpha, sizes)
+    at = dict.fromkeys(sizes, 0)
+    out = []
+    for run in run_sizes:
+        out.append(np.concatenate([blocks[m][at[m]:at[m] + n].ravel()
+                                   for m, n in run.items()]))
+        for m, n in run.items():
+            at[m] += n
+    return out
+
+
+def _join_runs(parts: list[np.ndarray], comps: int, alpha: float,
+               run_sizes: list[dict[int, int]]) -> np.ndarray:
+    """Invert `_split_runs`: the runs' flat values joined in payload layout."""
+    blocks = [_leaf_blocks(part, comps, alpha, run) for part, run in zip(parts, run_sizes)]
+    return np.concatenate([b[m].ravel() for m in run_sizes[0] for b in blocks])
+
+
+def _kept_coefficients(chunks, signals: dict[str, np.ndarray], params: CodecParams,
+                       sizes: dict[int, int]) -> dict[str, np.ndarray]:
+    """Each group's kept coefficients over the chunks' leaves, flat in
+    `_leaf_blocks` layout for `sizes`."""
+    kept = {}
+    for name, comps in ATTRIBUTE_GROUPS:
+        alpha = params.alpha_for(name)
+        values = np.empty(_level_count(comps, alpha, sizes))
+        blocks = _leaf_blocks(values, comps, alpha, sizes)
+        at = dict.fromkeys(sizes, 0)
+        for rows, spec in chunks:
+            nb, m = rows.shape
+            block = blocks[m]
+            block[at[m]:at[m] + nb] = spectral.gft(spec, signals[name][rows], block.shape[1])
+            at[m] += nb
+        kept[name] = values
+    return kept
+
+
+def _encode_run(centers: np.ndarray, sizes: dict[int, int], sigma: float,
+                signals: dict[str, np.ndarray], params: CodecParams) -> dict[str, np.ndarray]:
+    """Kept coefficients of a run of leaves that lie on consecutive rows of
+    `centers` and `signals`, `sizes` of them (`_kept_coefficients`)."""
+    chunks = spectral.graph_spectra(centers, _consecutive_leaves(sizes), sigma)
+    return _kept_coefficients(chunks, signals, params, sizes)
+
+
+def _code_geometry(geometry: geom_codec.QuantizedGeometry) -> bytes:
+    return geom_codec.encode_centers(geometry)
 
 
 def _attribute_signals(cloud: GaussianCloud) -> dict[str, np.ndarray]:
@@ -743,12 +693,12 @@ def encode(
     placeholders, e.g. "tmc3 --mode=0 ... {in} {out}".  The stream records
     that backend; decoding it needs the matching decode command.
 
-    `threads` (>= 1) has no effect.  When the payloads weigh enough to
-    be coded on forked processes (see `_fork_join`), the leaf spectra are
-    solved on the same workers first, in contiguous runs of each size's
-    leaves; with `collect_debug` they are solved in this process, which
-    keeps their bases.  A stream denser than MAX_PRIMS_PER_BYTE raises
-    `CodecError`.
+    `threads` (>= 1) has no effect.  When the encode weighs enough to be
+    shared with the worker pool (see `_process_count`), each process
+    first solves a contiguous run of every size's leaves, then codes its
+    share of the payloads (`_dispatch`); with `collect_debug` the leaf
+    spectra are solved in this process, which keeps their bases.  A
+    stream denser than MAX_PRIMS_PER_BYTE raises `CodecError`.
     """
     params.validate()
     if threads < 1:
@@ -763,46 +713,35 @@ def encode(
     recon_centers = dequantize(lattice, geom_grid)
     part = partition.kdtree_split(recon_centers, params.max_leaf)
     sizes = Counter(len(leaf) for leaf in part.leaves)
-    by_size: dict[int, list[np.ndarray]] = {}
-    for leaf in part.leaves:
-        by_size.setdefault(len(leaf), []).append(leaf)
+    sigma = _sigma(recon_centers)
     signals = _attribute_signals(ordered)
-    # Each group's kept coefficients in payload order, in memory that
-    # forked workers share.
+    geometry = geom_codec.QuantizedGeometry(q=params.q_geo, points=lattice)
     counts = [_level_count(comps, params.alpha_for(name), sizes)
               for name, comps in ATTRIBUTE_GROUPS]
-    shared = np.frombuffer(mmap.mmap(-1, 8 * sum(counts)), dtype=np.float64)
-    kept = dict(zip(GROUP_NAMES, np.split(shared, np.cumsum(counts)[:-1])))
-
-    def transform(rank: int, workers: int) -> list[tuple[np.ndarray, spectral.GraphSpectrum]]:
-        """Solve run `rank` of `workers` contiguous runs of each size's
-        leaves, and write each group's kept coefficients over the run into
-        `kept`; returns the run's chunks."""
-        starts = {m: n * rank // workers for m, n in sizes.items()}
-        run = [leaf for m, group in by_size.items()
-               for leaf in group[starts[m]:sizes[m] * (rank + 1) // workers]]
-        chunks = _leaf_spectra(recon_centers, run)
-        for name, comps in ATTRIBUTE_GROUPS:
-            blocks = _leaf_blocks(kept[name], comps, params.alpha_for(name), sizes)
-            at = dict(starts)
-            for rows, spec in chunks:
-                nb, m = rows.shape
-                block = blocks[m]
-                block[at[m]:at[m] + nb] = spectral.gft(spec, signals[name][rows], block.shape[1])
-                at[m] += nb
-        return chunks
-
-    geometry = geom_codec.QuantizedGeometry(q=params.q_geo, points=lattice)
-    jobs = [(count, _code_group, (kept[name], comps, params.q_for(name),
-                                  params.alpha_for(name), sizes))
-            for (name, comps), count in zip(ATTRIBUTE_GROUPS, counts)]
     if not geometry_command:
-        jobs.append((len(geometry), geom_codec.encode_centers, (geometry,)))
+        counts.append(len(geometry))
+    procs = _process_count(sum(counts) + _spectra_work(sizes))
+
     if collect_debug:  # every basis is solved here, and kept
-        chunks = transform(0, 1)
-        coded = _fork_join(jobs)
+        chunks = spectral.graph_spectra(recon_centers, part.leaves, sigma)
+        kept = _kept_coefficients(chunks, signals, params, sizes)
     else:
-        coded = _fork_join(jobs, prelude=transform)
+        runs = _runs(part.leaves, sizes, procs)
+        parts = _dispatch(
+            [("_encode_run", (recon_centers[rows], run, sigma,
+                              {name: s[rows] for name, s in signals.items()}, params))
+             for rows, run in runs],
+            [[r] for r in range(procs)])
+        run_sizes = [run for _, run in runs]
+        kept = {name: _join_runs([p[name] for p in parts], comps,
+                                 params.alpha_for(name), run_sizes)
+                for name, comps in ATTRIBUTE_GROUPS}
+    calls = [("_code_group", (kept[name], comps, params.q_for(name),
+                              params.alpha_for(name), sizes))
+             for name, comps in ATTRIBUTE_GROUPS]
+    if not geometry_command:
+        calls.append(("_code_geometry", (geometry,)))
+    coded = _dispatch(calls, _shares(counts, procs))
     attr_grids = {name: grid for name, (grid, _) in zip(GROUP_NAMES, coded)}
     payloads = {name: payload for name, (_, payload) in zip(GROUP_NAMES, coded)}
     if geometry_command:
@@ -830,38 +769,51 @@ def encode(
     if not collect_debug:
         return stream
 
-    symbols_by_group = {name: _payload_levels(kept[name], attr_grids[name],
-                                              params.alpha_for(name), sizes)
-                        for name in GROUP_NAMES}
-    local = _reconstruct_signals(stream, chunks, symbols_by_group)
+    levels = {name: _payload_levels(kept[name], attr_grids[name], params.alpha_for(name), sizes)
+              for name in GROUP_NAMES}
+    local = _reconstruct_signals(chunks, levels, attr_grids, params, len(cloud))
     return stream, Internals(part, chunks, recon_centers, local)
 
 
 def _reconstruct_signals(
-    stream: CodedStream,
     chunks: list[tuple[np.ndarray, spectral.GraphSpectrum]],
-    symbols_by_group: dict[str, np.ndarray],
+    levels: dict[str, np.ndarray],
+    grids: dict[str, QuantGrid],
+    params: CodecParams,
+    count: int,
 ) -> dict[str, np.ndarray]:
-    """Shared inverse path from each group's payload symbols: dequantize,
-    zero-pad, inverse transform, one chunk at a time.  Used verbatim by the
-    decoder and by the encoder's local decode, so both sides produce
-    bit-identical attribute signals by construction.
+    """Shared inverse path from each group's levels in payload order over
+    the chunks' leaves: dequantize, zero-pad, inverse transform, one chunk
+    at a time, into (count, C) signals.  Used verbatim by the decoder and
+    by the encoder's local decode, so both sides produce bit-identical
+    attribute signals by construction.
     """
     out: dict[str, np.ndarray] = {}
     for name, comps in ATTRIBUTE_GROUPS:
-        symbols = symbols_by_group[name]
-        sig = np.empty((stream.gs_count, comps))
+        symbols = levels[name]
+        sig = np.empty((count, comps))
         pos = 0
         for rows, spec in chunks:
             nb, m = rows.shape
-            k = spectral.clip_count(stream.params.alpha_for(name), m)
-            levels = symbols[pos : pos + nb * comps * k].reshape(nb, comps, k)
-            pos += levels.size
+            k = spectral.clip_count(params.alpha_for(name), m)
+            block = symbols[pos : pos + nb * comps * k].reshape(nb, comps, k)
+            pos += block.size
             padded = np.zeros((nb, m, comps))
-            padded[:, :k] = dequantize(levels.transpose(0, 2, 1), stream.attr_grids[name])
+            padded[:, :k] = dequantize(block.transpose(0, 2, 1), grids[name])
             sig[rows] = spectral.igft(spec, padded)
         out[name] = sig
     return out
+
+
+def _decode_run(centers: np.ndarray, sizes: dict[int, int], sigma: float,
+                levels: dict[str, np.ndarray], grids: dict[str, QuantGrid],
+                params: CodecParams) -> dict[str, np.ndarray]:
+    """Decoded signals of a run of leaves that lie on consecutive rows of
+    `centers`, `sizes` of them, from each group's levels over the run."""
+    chunks = spectral.graph_spectra(centers, _consecutive_leaves(sizes), sigma)
+    # Overflow on a hostile grid is `decode`'s to report (`_check_finite`).
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _reconstruct_signals(chunks, levels, grids, params, len(centers))
 
 
 def _decode_payload(name: str, payload: bytes, grid: QuantGrid, alpha: float,
@@ -894,7 +846,10 @@ def decode(
     only for a stream whose geometry an external coder wrote (see
     `encode`).  Truncated or tampered payloads raise `CorruptPayloadError`;
     container problems raise `CodecError`.  `threads` (>= 1) has no
-    effect, as in `encode`.
+    effect.  A decode shared with the worker pool decodes the payloads
+    first, then solves each process's contiguous run of every size's
+    leaves and inverse transforms it; with `collect_debug` the spectra
+    are solved here, as in `encode`.
     """
     params = stream.params
     params.validate()
@@ -923,16 +878,35 @@ def decode(
         _check_finite("centers", recon_centers)
         part = partition.kdtree_split(recon_centers, params.max_leaf)
         sizes = Counter(len(leaf) for leaf in part.leaves)
-        jobs = []
-        for name, comps in ATTRIBUTE_GROUPS:
-            alpha = params.alpha_for(name)
-            jobs.append((DECODE_WEIGHT * _level_count(comps, alpha, sizes), _decode_payload, (
-                name, stream.attribute_payloads[name], stream.attr_grids[name], alpha,
-                sizes)))
-        symbols_by_group = dict(zip(GROUP_NAMES, _fork_join(jobs)))
-        chunks = _leaf_spectra(recon_centers, part.leaves)
+        sigma = _sigma(recon_centers)
+        weights = [DECODE_WEIGHT * _level_count(comps, params.alpha_for(name), sizes)
+                   for name, comps in ATTRIBUTE_GROUPS]
+        procs = _process_count(sum(weights) + _spectra_work(sizes))
+        calls = [("_decode_payload", (name, stream.attribute_payloads[name],
+                                      stream.attr_grids[name], params.alpha_for(name), sizes))
+                 for name in GROUP_NAMES]
+        levels = dict(zip(GROUP_NAMES, _dispatch(calls, _shares(weights, procs))))
 
-        signals = _reconstruct_signals(stream, chunks, symbols_by_group)
+        if collect_debug:  # every basis is solved here, and kept
+            chunks = spectral.graph_spectra(recon_centers, part.leaves, sigma)
+            signals = _reconstruct_signals(chunks, levels, stream.attr_grids, params,
+                                           stream.gs_count)
+        else:
+            runs = _runs(part.leaves, sizes, procs)
+            run_sizes = [run for _, run in runs]
+            split = {name: _split_runs(levels[name], comps, params.alpha_for(name),
+                                       sizes, run_sizes)
+                     for name, comps in ATTRIBUTE_GROUPS}
+            parts = _dispatch(
+                [("_decode_run", (recon_centers[rows], run, sigma,
+                                  {name: split[name][r] for name in GROUP_NAMES},
+                                  stream.attr_grids, params))
+                 for r, (rows, run) in enumerate(runs)],
+                [[r] for r in range(procs)])
+            signals = {name: np.empty((stream.gs_count, comps)) for name, comps in ATTRIBUTE_GROUPS}
+            for (rows, _), part_signals in zip(runs, parts):
+                for name in GROUP_NAMES:
+                    signals[name][rows] = part_signals[name]
 
         yuv = np.stack([signals["sh_y"], signals["sh_u"], signals["sh_v"]], axis=2)
         rgb = colorspace.sh_yuv_to_rgb(colorspace.ShTriple(coeffs=yuv, space="yuv"))

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import ggsc
+from ggsc import pool
 from ggsc.entropy import CorruptPayloadError
 from ggsc.gs_core import GaussianCloud
 
@@ -31,6 +32,14 @@ PLY_FIELDS = (
     + [f"scale_{i}" for i in range(3)]
     + [f"rot_{i}" for i in range(4)]
 )
+
+
+@pytest.fixture(autouse=True)
+def _close_codec_pool():
+    """Stop the codec's worker pool after each test: a worker forked under
+    one test's monkeypatches must not serve a later test."""
+    yield
+    pool.close_pool()
 
 
 @contextlib.contextmanager

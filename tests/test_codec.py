@@ -1,9 +1,11 @@
 """Container format and end-to-end encode/decode behavior."""
 
+import gc
 import hashlib
 import json
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -29,7 +31,7 @@ from ggsc.codec import (
 )
 from ggsc.entropy import CorruptPayloadError, SymbolStream, aac_encode
 from ggsc.quantizer import QuantGrid, dequantize, quantize
-from ggsc import spectral
+from ggsc import pool, spectral
 
 from conftest import bounded_failure, child_env, make_cloud, make_realistic_cloud
 from ggsc.gs_core import save_ply
@@ -344,7 +346,7 @@ class TestSymbolLayout:
         assert order != sorted(order)  # the sizes interleave
 
         centers = edbg.recon_centers
-        sigma = spectral.sigma_from_box(C._box_of(centers))
+        sigma = C._sigma(centers)
         scale = canonical_order(cloud, params).scale
         expected = []
         grid = stream.attr_grids["scale"]
@@ -701,16 +703,19 @@ class TestCanonicalOrder:
         assert got == want
 
 
-def _force_fork(monkeypatch) -> list[int]:
-    """Make `_fork_join` fork for any job list, as on 3 usable CPUs; the
-    returned list collects the pid of every child forked."""
-    monkeypatch.setattr(C, "FORK_MIN_SYMBOLS", 0)
-    return _count_forks(monkeypatch, cpus=3)
+def _force_pool(monkeypatch, cpus: int = 3) -> list[int]:
+    """Make every encode and decode share its work with the pool, as on
+    `cpus` usable CPUs; the returned list collects the pid of every worker
+    forked."""
+    monkeypatch.setattr(C, "POOL_MIN_WORK", 0)
+    return _count_forks(monkeypatch, cpus)
 
 
 def _count_forks(monkeypatch, cpus: int) -> list[int]:
-    """Make `_fork_join` see `cpus` usable CPUs; the returned list
-    collects the pid of every child forked."""
+    """Close the pool and make the codec see `cpus` usable CPUs; the
+    returned list collects the pid of every worker forked from then on,
+    each with the monkeypatches made before it."""
+    pool.close_pool()
     monkeypatch.setattr(C, "_usable_cpus", lambda: cpus)
     forks = []
     real = os.fork
@@ -725,9 +730,32 @@ def _count_forks(monkeypatch, cpus: int) -> list[int]:
     return forks
 
 
+def _serial(monkeypatch, case) -> tuple[bytes, bytes]:
+    """Stream and decoded PLY bytes of `case` (name, cloud, params) coded
+    in this process alone."""
+    _, cloud, params = case
+    with monkeypatch.context() as patch:
+        patch.setattr(C, "_usable_cpus", lambda: 1)
+        blob = encode(cloud(), params).to_bytes()
+        return blob, save_ply(decode(CodedStream.from_bytes(blob)))
+
+
+def _pool_pids() -> list[int]:
+    return [worker.pid for worker in pool._POOL]
+
+
+def _reaped(pid: int) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 @pytest.fixture
 def no_child_left():
     yield
+    pool.close_pool()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -738,47 +766,58 @@ def _in_child(parent: int, i: int) -> int:
     return i
 
 
+def _job_and_pid(i: int) -> tuple[int, int]:
+    return i, os.getpid()
+
+
+_MIXED = next((c.name, c.cloud, c.params) for c in GOLDEN_CASES if c.name == "mixed")
+
+
 @pytest.mark.usefixtures("no_child_left")
 class TestForkJoin:
-    """Payload coding on forked workers gives the serial path's bytes and
-    errors, and reaps every child."""
+    """Work shared with the worker pool gives the serial path's bytes and
+    errors, and leaves no worker behind."""
 
     CASES = [(c.name, c.cloud, c.params) for c in GOLDEN_CASES] + [
         ("realistic-2000", lambda: make_realistic_cloud(2_000, seed=40),
          CodecParams(max_leaf=32))]
 
-    @pytest.mark.parametrize("name,cloud,params", CASES, ids=[c[0] for c in CASES])
-    def test_bytes_match_serial(self, monkeypatch, name, cloud, params):
-        cloud = cloud()
-        blob = encode(cloud, params).to_bytes()
-        ply = save_ply(decode(CodedStream.from_bytes(blob)))
-        forks = _force_fork(monkeypatch)
-        assert encode(cloud, params).to_bytes() == blob
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_bytes_match_serial(self, monkeypatch, case):
+        """Encode and decode on three processes give the serial bytes, and
+        the decode reuses the encode's two workers."""
+        _, cloud, params = case
+        blob, ply = _serial(monkeypatch, case)
+        forks = _force_pool(monkeypatch)
+        assert encode(cloud(), params).to_bytes() == blob
         assert len(forks) == 2
         assert save_ply(decode(CodedStream.from_bytes(blob))) == ply
-        assert len(forks) == 4
+        assert _pool_pids() == forks
 
     def test_decode_weighs_a_symbol_above_encode(self, monkeypatch):
-        """At the lossy operating point of 576 primitives (12,032 attribute
-        levels plus 576 points) on two CPUs the encode stays in this
-        process, its leaf spectra as well as its payloads; the decode,
-        whose levels weigh `DECODE_WEIGHT` each, forks one worker."""
+        """96 primitives in sixteen leaves of 6 at the default bit depths
+        carry 5,376 attribute levels, and their spectra weigh 16 * 4 * 36 =
+        2,304.  On two CPUs the encode (7,776 with its 96 points) stays in
+        this process; the decode, whose levels weigh `DECODE_WEIGHT` each
+        (18,432 in all), uses one pool worker."""
+        assert (C.POOL_MIN_WORK, C.DECODE_WEIGHT, C.SPECTRUM_WEIGHT) == (1 << 14, 3, 4)
         forks = _count_forks(monkeypatch, cpus=2)
-        stream = encode(make_realistic_cloud(576, seed=41), GOLDEN_CASES[1].params)
+        stream = encode(make_realistic_cloud(96, seed=41), CodecParams(max_leaf=8))
         assert forks == []
         decode(stream)
         assert len(forks) == 1
 
     def test_results_in_job_order(self, monkeypatch):
-        forks = _force_fork(monkeypatch)
-        jobs = [(n, lambda i: (i, os.getpid()), (i,)) for i, n in enumerate([5, 1, 9, 2, 7])]
-        got = C._fork_join(jobs)
+        monkeypatch.setattr(C, "_job_and_pid", _job_and_pid, raising=False)
+        forks = _force_pool(monkeypatch)
+        calls = [("_job_and_pid", (i,)) for i in range(5)]
+        got = C._dispatch(calls, C._shares([5, 1, 9, 2, 7], 3))
         assert [i for i, _ in got] == [0, 1, 2, 3, 4]
         assert {pid for _, pid in got} == {os.getpid(), *forks}
         assert len(forks) == 2
 
     def test_first_corrupt_group_is_reported(self, monkeypatch):
-        """sh_u goes to a child and rotation stays in this process; the
+        """sh_u goes to a worker and rotation stays in this process; the
         error names sh_u, as on the serial path."""
         stream = encode(make_cloud(150, seed=18), SMALL)
         for group in ("sh_u", "rotation"):
@@ -787,23 +826,24 @@ class TestForkJoin:
         with pytest.raises(CorruptPayloadError) as serial:
             decode(stream)
         assert str(serial.value).startswith("sh_u: ")
-        forks = _force_fork(monkeypatch)
-        with pytest.raises(CorruptPayloadError) as forked:
+        forks = _force_pool(monkeypatch)
+        with pytest.raises(CorruptPayloadError) as pooled:
             decode(stream)
         assert len(forks) == 2
-        assert str(forked.value) == str(serial.value)
+        assert str(pooled.value) == str(serial.value)
 
     def test_child_exception_surfaces(self, monkeypatch):
-        forks = _force_fork(monkeypatch)
-        parent = os.getpid()
-        jobs = [(1, _in_child, (parent, i)) for i in range(3)]
+        monkeypatch.setattr(C, "_in_child", _in_child, raising=False)
+        forks = _force_pool(monkeypatch)
+        calls = [("_in_child", (os.getpid(), i)) for i in range(3)]
         with pytest.raises(ValueError, match="^job 1 raised in a child$"):
-            C._fork_join(jobs)
+            C._dispatch(calls, C._shares([1, 1, 1], 3))
         assert len(forks) == 2
 
     def test_dead_child_names_exit_status(self, monkeypatch):
+        """A worker that dies in its payloads is named by its exit status;
+        the next call forks fresh workers."""
         cloud = make_cloud(150, seed=18)
-        forks = _force_fork(monkeypatch)
         parent = os.getpid()
         real = C.entropy.aac_encode
 
@@ -812,79 +852,232 @@ class TestForkJoin:
                 os._exit(7)
             return real(*args)
 
-        monkeypatch.setattr(C.entropy, "aac_encode", dying)
-        with pytest.raises(RuntimeError, match="exited with status 7"):
-            encode(cloud, SMALL)
-        assert len(forks) == 2
-
+        with monkeypatch.context() as patch:
+            patch.setattr(C.entropy, "aac_encode", dying)
+            forks = _force_pool(monkeypatch)
+            with pytest.raises(RuntimeError, match="exited with status 7"):
+                encode(cloud, SMALL)
+            assert len(forks) == 2 and _pool_pids() == []
+            assert all(_reaped(pid) for pid in forks)
+        blob, _ = _serial(monkeypatch, ("", lambda: cloud, SMALL))
+        assert encode(cloud, SMALL).to_bytes() == blob
+        assert len(forks) == 4
 
     def test_spectra_error_in_a_child_surfaces(self, monkeypatch):
-        """A QL failure in a child's share of the leaf spectra is raised
+        """A QL failure in a worker's share of the leaf spectra is raised
         here with the serial path's message."""
         cloud = make_cloud(150, seed=18)
         with monkeypatch.context() as patch:
             patch.setattr(spectral, "QL_MAX_SWEEPS", 0)
+            patch.setattr(C, "_usable_cpus", lambda: 1)
             with pytest.raises(RuntimeError, match="converge") as serial:
                 encode(cloud, SMALL)
-        forks = _force_fork(monkeypatch)
+        forks = _force_pool(monkeypatch)
         parent = os.getpid()
-        real = C._leaf_spectra
+        real = spectral.graph_spectra
 
         def failing_in_children(*args):
             if os.getpid() != parent:
-                spectral.QL_MAX_SWEEPS = 0  # this child's copy only
+                spectral.QL_MAX_SWEEPS = 0  # this worker's copy only
             return real(*args)
 
-        monkeypatch.setattr(C, "_leaf_spectra", failing_in_children)
-        with pytest.raises(RuntimeError) as forked:
+        monkeypatch.setattr(spectral, "graph_spectra", failing_in_children)
+        with pytest.raises(RuntimeError) as pooled:
             encode(cloud, SMALL)
         assert len(forks) == 2
-        assert str(forked.value) == str(serial.value)
+        assert str(pooled.value) == str(serial.value)
 
     def test_child_dying_in_its_spectra_names_exit_status(self, monkeypatch):
-        forks = _force_fork(monkeypatch)
+        self._die_in_spectra(monkeypatch, encode, make_cloud(150, seed=18))
+
+    def test_child_dying_in_its_decode_spectra_names_exit_status(self, monkeypatch):
+        self._die_in_spectra(monkeypatch, decode, encode(make_cloud(150, seed=18), SMALL))
+
+    @staticmethod
+    def _die_in_spectra(monkeypatch, op, *args):
         parent = os.getpid()
-        real = C._leaf_spectra
+        real = spectral.graph_spectra
 
         def dying(*args):
             if os.getpid() != parent:
                 os._exit(5)
             return real(*args)
 
-        monkeypatch.setattr(C, "_leaf_spectra", dying)
+        monkeypatch.setattr(spectral, "graph_spectra", dying)
+        forks = _force_pool(monkeypatch)
         with pytest.raises(RuntimeError, match="exited with status 5"):
-            encode(make_cloud(150, seed=18), SMALL)
+            op(*args)
         assert len(forks) == 2
 
     @pytest.mark.parametrize("cpus, here", [(3, 2), (5, 0)])
     def test_spectra_split_by_runs_of_each_size(self, monkeypatch, cpus, here):
         """The golden `mixed` case has four leaves of 12 and four of 13.
-        This process solves the first of the workers' contiguous runs of
+        This process solves the first of the processes' contiguous runs of
         each size: one leaf of each on three CPUs, none at all on five,
         where the leaves go 0, 1, 1, 1, 1.  The bytes are the serial ones."""
-        case = GOLDEN_CASES[0]
-        assert case.name == "mixed"
-        cloud = case.cloud()
-        blob = encode(cloud, case.params).to_bytes()
-        monkeypatch.setattr(C, "FORK_MIN_SYMBOLS", 0)
-        forks = _count_forks(monkeypatch, cpus)
-        parent = os.getpid()
-        real = C._leaf_spectra
-        solved_here = []
-
-        def counted(centers, leaves):
-            if os.getpid() == parent:
-                solved_here.append(Counter(len(leaf) for leaf in leaves))
-            return real(centers, leaves)
-
-        monkeypatch.setattr(C, "_leaf_spectra", counted)
-        assert encode(cloud, case.params).to_bytes() == blob
+        blob, _ = _serial(monkeypatch, _MIXED)
+        solved_here = self._count_leaves_solved_here(monkeypatch)
+        forks = _force_pool(monkeypatch, cpus)
+        assert encode(_MIXED[1](), _MIXED[2]).to_bytes() == blob
         assert len(forks) == cpus - 1
         assert solved_here == [Counter({12: here // 2, 13: here // 2})]
 
+    @pytest.mark.parametrize("cpus, here", [(3, 2), (5, 0)])
+    def test_decode_spectra_split_by_runs_of_each_size(self, monkeypatch, cpus, here):
+        """Decode splits the leaf spectra and inverse transforms the way
+        encode does, after its payloads; the PLY bytes are the serial ones."""
+        blob, ply = _serial(monkeypatch, _MIXED)
+        solved_here = self._count_leaves_solved_here(monkeypatch)
+        forks = _force_pool(monkeypatch, cpus)
+        assert save_ply(decode(CodedStream.from_bytes(blob))) == ply
+        assert len(forks) == cpus - 1
+        assert solved_here == [Counter({12: here // 2, 13: here // 2})]
+
+    @staticmethod
+    def _count_leaves_solved_here(monkeypatch) -> list[Counter]:
+        """Patch `spectral.graph_spectra` to count, by size, the leaves of each call
+        made in this process."""
+        parent = os.getpid()
+        real = spectral.graph_spectra
+        solved_here = []
+
+        def counted(centers, leaves, sigma):
+            if os.getpid() == parent:
+                solved_here.append(Counter(len(leaf) for leaf in leaves))
+            return real(centers, leaves, sigma)
+
+        monkeypatch.setattr(spectral, "graph_spectra", counted)
+        return solved_here
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_own_share_raising_leaves_no_stale_reply(self, monkeypatch, error):
+        """This process's own share raises while the workers hold their
+        payload requests.  An exception waits for their replies, and the
+        workers serve on; an interrupt kills and reaps them.  Either way the
+        next encode gives the serial bytes."""
+        case = ("", lambda: make_cloud(150, seed=18), SMALL)
+        blob, _ = _serial(monkeypatch, case)
+        forks = _force_pool(monkeypatch)
+        assert encode(case[1](), SMALL).to_bytes() == blob
+        workers = _pool_pids()
+
+        def failing(*args):
+            raise error("own share")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(C, "_code_group", failing)  # here only: the workers exist
+            with pytest.raises(error, match="own share"):
+                encode(case[1](), SMALL)
+        interrupted = error is KeyboardInterrupt
+        assert _pool_pids() == ([] if interrupted else workers)
+        assert all(_reaped(pid) for pid in workers) == interrupted
+        assert encode(case[1](), SMALL).to_bytes() == blob
+        assert len(forks) == (4 if interrupted else 2)
+
+    def test_killed_worker_is_replaced(self, monkeypatch):
+        """A worker SIGKILLed between calls is reaped and replaced by the
+        next call, which gives the serial bytes: an encode, then a decode."""
+        case = ("", lambda: make_cloud(150, seed=18), SMALL)
+        blob, ply = _serial(monkeypatch, case)
+        forks = _force_pool(monkeypatch)
+        encode(case[1](), SMALL)
+        for op in ("encode", "decode"):
+            victim = _pool_pids()[0]
+            os.kill(victim, signal.SIGKILL)
+            # wait for its death, and leave it for the pool to reap
+            os.waitid(os.P_PID, victim, os.WEXITED | os.WNOWAIT)
+            if op == "encode":
+                assert encode(case[1](), SMALL).to_bytes() == blob
+            else:
+                assert save_ply(decode(CodedStream.from_bytes(blob))) == ply
+            assert victim not in _pool_pids() and _reaped(victim)
+        assert len(forks) == 4
+
+
+    def test_workers_ignore_sigint(self, monkeypatch):
+        """An interrupt is the owner's to handle: a worker sent SIGINT
+        serves on."""
+        case = ("", lambda: make_cloud(150, seed=18), SMALL)
+        blob, _ = _serial(monkeypatch, case)
+        _force_pool(monkeypatch)
+        encode(case[1](), SMALL)
+        workers = _pool_pids()
+        for pid in workers:
+            os.kill(pid, signal.SIGINT)
+        assert encode(case[1](), SMALL).to_bytes() == blob
+        assert _pool_pids() == workers
+
+
+    def test_fork_leaves_the_owners_freeze_alone(self, monkeypatch):
+        """The pool freezes the collector's objects across its forks only:
+        an owner that froze none has none frozen after, and one that froze
+        some of its own keeps them frozen."""
+        _force_pool(monkeypatch)
+        encode(make_cloud(150, seed=18), SMALL)
+        assert gc.get_freeze_count() == 0
+        pool.close_pool()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            encode(make_cloud(150, seed=18), SMALL)
+            assert gc.get_freeze_count() >= frozen > 0
+        finally:
+            gc.unfreeze()
+
+
+# Encodes and decodes on a forced 3-worker pool, forks a grandchild that
+# sleeps with the pool's pipes inherited, and exits; prints the worker
+# and grandchild pids as one JSON line.
+_OWNER = """
+import json, os, sys, time
+import numpy as np
+from ggsc import codec, pool
+from ggsc.gs_core import GaussianCloud
+
+codec._usable_cpus = lambda: 3
+codec.POOL_MIN_WORK = 0
+rng = np.random.default_rng(0)
+n = 150
+cloud = GaussianCloud(rng.normal(size=(n, 3)), rng.normal(size=(n, 48)),
+                      rng.normal(size=n), rng.normal(size=(n, 3)), rng.normal(size=(n, 4)))
+codec.decode(codec.encode(cloud, codec.CodecParams(max_leaf=50)))
+grandchild = os.fork()
+if grandchild == 0:
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, 1)
+    os.dup2(null, 2)
+    time.sleep(300)
+    os._exit(0)
+print(json.dumps({"workers": [w.pid for w in pool._POOL], "grandchild": grandchild}))
+"""
+
+
+def test_no_worker_outlives_its_owner():
+    """The pool's owner exits promptly although a forked grandchild is
+    still running, and leaves every worker reaped: the grandchild closed
+    its inherited pipes, so the workers saw their request pipes end.  The
+    owner runs in a session of its own, so that a hang is cleaned up."""
+    proc = subprocess.Popen([sys.executable, "-c", _OWNER], env=child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        workers = json.loads(out.splitlines()[-1])["workers"]
+        assert len(workers) == 2
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # the grandchild, and any worker left
+        except ProcessLookupError:
+            pass
+        proc.wait()
+
 
 # argv[1] is the mutation seed.  Replays test_fuzz's corpus on the serial
-# and on the forced three-worker path; prints one JSON summary line.
+# and on the forced three-process path; prints one JSON summary line.
 _PARALLEL_FUZZ = test_fuzz._CHILD.split("\ncounts = ")[0] + """
 import hashlib, os
 from ggsc import gs_core
@@ -897,9 +1090,10 @@ def outcome(blob):
     return ["decoded", hashlib.sha256(ply).hexdigest()]
 
 corpus = list(mutants())
+codec._usable_cpus = lambda: 1
 serial = [outcome(blob) for _, blob in corpus]
 codec._usable_cpus = lambda: 3
-codec.FORK_MIN_SYMBOLS = 0
+codec.POOL_MIN_WORK = 0
 forks = 0
 fork = os.fork
 def counted():
@@ -908,7 +1102,9 @@ def counted():
     forks += pid != 0
     return pid
 os.fork = counted
-forked = [outcome(blob) for _, blob in corpus]
+pooled = [outcome(blob) for _, blob in corpus]
+from ggsc import pool
+pool.close_pool()
 try:
     os.waitpid(-1, os.WNOHANG)
     left = True
@@ -919,13 +1115,13 @@ print(json.dumps({
     "forks": forks,
     "left": left,
     "kinds": sorted({s[0] for s in serial}),
-    "differ": [[what, s, f] for (what, _), s, f in zip(corpus, serial, forked) if s != f],
+    "differ": [[what, s, f] for (what, _), s, f in zip(corpus, serial, pooled) if s != f],
 }))
 """
 
 
 def test_mutants_decode_alike_on_forked_workers():
-    """Every mutant of the fuzz corpus gives the forked decode the serial
+    """Every mutant of the fuzz corpus gives the pooled decode the serial
     decode's outcome: the same exception type and message, or the same
     PLY bytes."""
     assert "\ncounts = " in test_fuzz._CHILD and "def mutants():" in _PARALLEL_FUZZ

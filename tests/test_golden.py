@@ -130,7 +130,7 @@ def test_isolated_case_skips_a_reflector():
     case = CASES[2]
     _, debug = codec.encode(case.cloud(), case.params, collect_debug=True)
     leaf = debug.part.leaves[case.leaf]
-    sigma = spectral.sigma_from_box(codec._box_of(debug.recon_centers))
+    sigma = codec._sigma(debug.recon_centers)
     w = spectral.build_adjacency(debug.recon_centers[leaf], sigma)
     isolated = np.flatnonzero(~w.any(axis=1))
     assert isolated.size and isolated.min() <= len(leaf) - 3
