@@ -15,15 +15,18 @@ Encoding pipeline:
 6. quantize kept coefficients on one global grid per group and entropy
    code them; geometry travels separately as Morton deltas.
 
-From `POOL_MIN_WORK` of work, counted in encoded symbols (a decoded
-level weighing `DECODE_WEIGHT`, a leaf spectrum `SPECTRUM_WEIGHT * m^2`),
-steps 5-6 are shared between this process and a pool of forked workers,
-one per further usable CPU (`_dispatch`, `pool`).  The pool is forked
-by the first call that needs it and serves every later one;
-`pool.close_pool` stops it, as does exit.  Each process first solves a contiguous run of every
-size's leaves and sends back their kept coefficients; then each fits,
-quantizes and codes its share of the seven independent payloads.  Every
-byte is the same whatever the worker count.
+Step 5 works on runs: contiguous slices of the leaves in payload order
+(below), cut at about equal spectrum work (`_runs`), so that a group's
+kept coefficients are the runs' parts concatenated.  From
+`POOL_MIN_WORK` of work, counted in encoded symbols (a decoded level
+weighing `DECODE_WEIGHT`, a leaf spectrum `SPECTRUM_WEIGHT * m^2`), the
+runs and the seven independent payloads of step 6 are shared between
+this process and a pool of forked workers, one per further usable CPU
+(`_dispatch`, `pool`); a lighter call, or one that collects its
+`Internals`, makes one run and codes every payload here.  The pool is
+forked by the first call that needs it and serves every later one;
+`pool.close_pool` stops it, as does exit.  Every byte is the same
+whatever the worker count.
 
 An attribute payload lists the leaf sizes in order of first appearance
 in the partition, each size's leaves in partition order, and each
@@ -45,12 +48,12 @@ The decoder replays steps 3-5 from the decoded lattice alone, which
 reproduces partitions, graphs and bases bit-for-bit -- no basis data is
 transmitted.  The partition alone fixes each payload's symbol count, so
 the six attribute payloads are decoded first, shared out like the
-encoder's; then each process solves its run of every size's leaves and
-inverse transforms the run's levels.  Bitstream sections: header
-(parameters + grids + section table), geometry payload (size B1), six
-attribute payloads (sum B2).  The geometry grid travels as float64,
-since every basis depends on it; the attribute grids are fitted on
-float32 values and travel as float32.
+encoder's; then each run, cut as the encoder cuts it, solves its leaves'
+spectra and inverse transforms its slice of the levels.  Bitstream
+sections: header (parameters + grids + section table), geometry payload
+(size B1), six attribute payloads (sum B2).  The geometry grid travels
+as float64, since every basis depends on it; the attribute grids are
+fitted on float32 values and travel as float32.
 """
 
 from __future__ import annotations
@@ -58,8 +61,10 @@ from __future__ import annotations
 import os
 import struct
 import threading
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -144,7 +149,8 @@ POOL_MIN_WORK = 1 << 14
 #: A leaf spectrum of m primitives, with its transforms, weighs
 #: SPECTRUM_WEIGHT * m^2 encoded symbols: solved in stacks of its size, a
 #: leaf took 4.0-4.6 m^2 symbols' time at m = 8 to 32 and 6 m^2 at m = 64
-#: (a Python QL of about 1.1 m^2 rotations dominates).
+#: (a Python QL of about 1.1 m^2 rotations dominates).  `_runs` cuts the
+#: leaves by the same weight.
 SPECTRUM_WEIGHT = 4
 #: A decoded attribute level weighs this many encoded symbols: the
 #: decoder's per-symbol Fenwick search costs 3.3-4 times an encode of the
@@ -339,9 +345,10 @@ class Internals:
     """
 
     part: partition.Partition
-    #: One (rows, spectrum) pair per chunk of equal-size leaves, as
-    #: `spectral.graph_spectra` returns them: rows (B, m) index the
-    #: primitives in canonical order, the spectrum stacks B leaves.
+    #: One (rows, spectrum) pair per chunk of equal-size leaves, in
+    #: payload order, as the run's `spectral.graph_spectra` returns them:
+    #: rows (B, m) index the primitives in canonical order, the spectrum
+    #: stacks B leaves.
     chunks: list[tuple[np.ndarray, spectral.GraphSpectrum]]
     recon_centers: np.ndarray
     #: Group name -> (N, C) decoded attribute signals (dequantize,
@@ -581,21 +588,26 @@ def _spectra_work(sizes: dict[int, int]) -> int:
     return sum(n * SPECTRUM_WEIGHT * m * m for m, n in sizes.items())
 
 
-def _runs(leaves, sizes: dict[int, int],
-          count: int) -> list[tuple[np.ndarray, dict[int, int]]]:
-    """`count` contiguous runs of each size's leaves: run r holds leaves
-    n * r // count up to n * (r + 1) // count of each size's n.  Each run
-    comes as its rows (its leaves concatenated, sizes in payload order)
-    and its sizes, every size of `sizes` listed, in the same order."""
+def _runs(leaves, count: int) -> list[tuple[np.ndarray, dict[int, int]]]:
+    """The leaves in payload order cut into at most `count` contiguous
+    runs by spectrum work: run r ends after the last leaf whose work,
+    counted through that leaf, is at most (r + 1) / count of the total, a
+    leaf of m weighing SPECTRUM_WEIGHT * m^2.  Empty runs are dropped.
+    Each run comes as its rows (its leaves concatenated) and its sizes
+    (leaf size -> leaf count, in payload order)."""
     by_size: dict[int, list[np.ndarray]] = {}
     for leaf in leaves:
         by_size.setdefault(len(leaf), []).append(leaf)
-    runs = []
+    order = [leaf for group in by_size.values() for leaf in group]
+    # each leaf's work so far, times `count`, so that the cut is exact
+    done = [count * w for w in accumulate(SPECTRUM_WEIGHT * len(leaf) ** 2 for leaf in order)]
+    runs, lo = [], 0
     for r in range(count):
-        bounds = {m: (n * r // count, n * (r + 1) // count) for m, n in sizes.items()}
-        run = [leaf for m, (lo, hi) in bounds.items() for leaf in by_size[m][lo:hi]]
-        rows = np.concatenate(run) if run else np.zeros(0, dtype=np.int64)
-        runs.append((rows, {m: hi - lo for m, (lo, hi) in bounds.items()}))
+        hi = bisect_right(done, (r + 1) * done[-1] // count)
+        if hi > lo:
+            run = order[lo:hi]
+            runs.append((np.concatenate(run), Counter(map(len, run))))
+        lo = hi
     return runs
 
 
@@ -609,54 +621,32 @@ def _consecutive_leaves(sizes: dict[int, int]) -> list[np.ndarray]:
     return leaves
 
 
-def _split_runs(values: np.ndarray, comps: int, alpha: float, sizes: dict[int, int],
-                run_sizes: list[dict[int, int]]) -> list[np.ndarray]:
-    """A group's values in payload layout (each size's leaves, each leaf's
-    `clip_count(alpha, m) * comps` entries) cut into the runs' flat
-    values, in the same layout over each run's sizes."""
-    blocks = _leaf_blocks(values, comps, alpha, sizes)
-    at = dict.fromkeys(sizes, 0)
-    out = []
-    for run in run_sizes:
-        out.append(np.concatenate([blocks[m][at[m]:at[m] + n].ravel()
-                                   for m, n in run.items()]))
-        for m, n in run.items():
-            at[m] += n
-    return out
+def _canonical_chunks(runs, parts) -> list[tuple[np.ndarray, spectral.GraphSpectrum]]:
+    """The chunks that the runs' `_encode_run` or `_decode_run` returned
+    (`parts`), in payload order, their rows mapped from the run's
+    consecutive rows back to canonical order through the run's rows."""
+    return [(rows[local], spec)
+            for (rows, _), (_, chunks) in zip(runs, parts) for local, spec in chunks]
 
 
-def _join_runs(parts: list[np.ndarray], comps: int, alpha: float,
-               run_sizes: list[dict[int, int]]) -> np.ndarray:
-    """Invert `_split_runs`: the runs' flat values joined in payload layout."""
-    blocks = [_leaf_blocks(part, comps, alpha, run) for part, run in zip(parts, run_sizes)]
-    return np.concatenate([b[m].ravel() for m in run_sizes[0] for b in blocks])
-
-
-def _kept_coefficients(chunks, signals: dict[str, np.ndarray], params: CodecParams,
-                       sizes: dict[int, int]) -> dict[str, np.ndarray]:
-    """Each group's kept coefficients over the chunks' leaves, flat in
-    `_leaf_blocks` layout for `sizes`."""
-    kept = {}
-    for name, comps in ATTRIBUTE_GROUPS:
-        alpha = params.alpha_for(name)
-        values = np.empty(_level_count(comps, alpha, sizes))
-        blocks = _leaf_blocks(values, comps, alpha, sizes)
-        at = dict.fromkeys(sizes, 0)
-        for rows, spec in chunks:
-            nb, m = rows.shape
-            block = blocks[m]
-            block[at[m]:at[m] + nb] = spectral.gft(spec, signals[name][rows], block.shape[1])
-            at[m] += nb
-        kept[name] = values
-    return kept
+def _kept_coefficients(chunks, signals: dict[str, np.ndarray],
+                       params: CodecParams) -> dict[str, np.ndarray]:
+    """Each group's kept coefficients over the chunks' leaves, in chunk
+    order, flat in `_leaf_blocks` layout."""
+    return {name: np.concatenate([
+                spectral.gft(spec, signals[name][rows],
+                             spectral.clip_count(params.alpha_for(name), rows.shape[1])).ravel()
+                for rows, spec in chunks])
+            for name in GROUP_NAMES}
 
 
 def _encode_run(centers: np.ndarray, sizes: dict[int, int], sigma: float,
-                signals: dict[str, np.ndarray], params: CodecParams) -> dict[str, np.ndarray]:
-    """Kept coefficients of a run of leaves that lie on consecutive rows of
-    `centers` and `signals`, `sizes` of them (`_kept_coefficients`)."""
+                signals: dict[str, np.ndarray], params: CodecParams, debug: bool):
+    """Kept coefficients (`_kept_coefficients`) of a run of leaves that lie
+    on consecutive rows of `centers` and `signals`, `sizes` of them, and
+    with `debug` the run's chunks, else None: bases cross no pipe unasked."""
     chunks = spectral.graph_spectra(centers, _consecutive_leaves(sizes), sigma)
-    return _kept_coefficients(chunks, signals, params, sizes)
+    return _kept_coefficients(chunks, signals, params), chunks if debug else None
 
 
 def _code_geometry(geometry: geom_codec.QuantizedGeometry) -> bytes:
@@ -695,10 +685,10 @@ def encode(
 
     `threads` (>= 1) has no effect.  When the encode weighs enough to be
     shared with the worker pool (see `_process_count`), each process
-    first solves a contiguous run of every size's leaves, then codes its
-    share of the payloads (`_dispatch`); with `collect_debug` the leaf
-    spectra are solved in this process, which keeps their bases.  A
-    stream denser than MAX_PRIMS_PER_BYTE raises `CodecError`.
+    solves one run of the leaves (`_runs`), then codes its share of the
+    payloads (`_dispatch`).  With `collect_debug` the whole encode takes
+    that path as one process: one run, whose bases it keeps.  A stream
+    denser than MAX_PRIMS_PER_BYTE raises `CodecError`.
     """
     params.validate()
     if threads < 1:
@@ -720,22 +710,15 @@ def encode(
               for name, comps in ATTRIBUTE_GROUPS]
     if not geometry_command:
         counts.append(len(geometry))
-    procs = _process_count(sum(counts) + _spectra_work(sizes))
+    procs = 1 if collect_debug else _process_count(sum(counts) + _spectra_work(sizes))
 
-    if collect_debug:  # every basis is solved here, and kept
-        chunks = spectral.graph_spectra(recon_centers, part.leaves, sigma)
-        kept = _kept_coefficients(chunks, signals, params, sizes)
-    else:
-        runs = _runs(part.leaves, sizes, procs)
-        parts = _dispatch(
-            [("_encode_run", (recon_centers[rows], run, sigma,
-                              {name: s[rows] for name, s in signals.items()}, params))
-             for rows, run in runs],
-            [[r] for r in range(procs)])
-        run_sizes = [run for _, run in runs]
-        kept = {name: _join_runs([p[name] for p in parts], comps,
-                                 params.alpha_for(name), run_sizes)
-                for name, comps in ATTRIBUTE_GROUPS}
+    runs = _runs(part.leaves, procs)
+    parts = _dispatch(
+        [("_encode_run", (recon_centers[rows], run, sigma,
+                          {name: s[rows] for name, s in signals.items()}, params, collect_debug))
+         for rows, run in runs],
+        [[r] for r in range(len(runs))])
+    kept = {name: np.concatenate([p[name] for p, _ in parts]) for name in GROUP_NAMES}
     calls = [("_code_group", (kept[name], comps, params.q_for(name),
                               params.alpha_for(name), sizes))
              for name, comps in ATTRIBUTE_GROUPS]
@@ -769,6 +752,7 @@ def encode(
     if not collect_debug:
         return stream
 
+    chunks = _canonical_chunks(runs, parts)
     levels = {name: _payload_levels(kept[name], attr_grids[name], params.alpha_for(name), sizes)
               for name in GROUP_NAMES}
     local = _reconstruct_signals(chunks, levels, attr_grids, params, len(cloud))
@@ -807,13 +791,15 @@ def _reconstruct_signals(
 
 def _decode_run(centers: np.ndarray, sizes: dict[int, int], sigma: float,
                 levels: dict[str, np.ndarray], grids: dict[str, QuantGrid],
-                params: CodecParams) -> dict[str, np.ndarray]:
+                params: CodecParams, debug: bool):
     """Decoded signals of a run of leaves that lie on consecutive rows of
-    `centers`, `sizes` of them, from each group's levels over the run."""
+    `centers`, `sizes` of them, from each group's levels over the run, and
+    with `debug` the run's chunks, else None."""
     chunks = spectral.graph_spectra(centers, _consecutive_leaves(sizes), sigma)
     # Overflow on a hostile grid is `decode`'s to report (`_check_finite`).
     with np.errstate(over="ignore", invalid="ignore"):
-        return _reconstruct_signals(chunks, levels, grids, params, len(centers))
+        signals = _reconstruct_signals(chunks, levels, grids, params, len(centers))
+    return signals, chunks if debug else None
 
 
 def _decode_payload(name: str, payload: bytes, grid: QuantGrid, alpha: float,
@@ -847,9 +833,10 @@ def decode(
     `encode`).  Truncated or tampered payloads raise `CorruptPayloadError`;
     container problems raise `CodecError`.  `threads` (>= 1) has no
     effect.  A decode shared with the worker pool decodes the payloads
-    first, then solves each process's contiguous run of every size's
-    leaves and inverse transforms it; with `collect_debug` the spectra
-    are solved here, as in `encode`.
+    first, then each process solves one run of the leaves, cut as
+    `encode` cuts it, and inverse transforms the run's slice of the
+    levels; with `collect_debug` it is one process and one run, as in
+    `encode`, so that both return the same chunks.
     """
     params = stream.params
     params.validate()
@@ -881,32 +868,26 @@ def decode(
         sigma = _sigma(recon_centers)
         weights = [DECODE_WEIGHT * _level_count(comps, params.alpha_for(name), sizes)
                    for name, comps in ATTRIBUTE_GROUPS]
-        procs = _process_count(sum(weights) + _spectra_work(sizes))
+        procs = 1 if collect_debug else _process_count(sum(weights) + _spectra_work(sizes))
         calls = [("_decode_payload", (name, stream.attribute_payloads[name],
                                       stream.attr_grids[name], params.alpha_for(name), sizes))
                  for name in GROUP_NAMES]
         levels = dict(zip(GROUP_NAMES, _dispatch(calls, _shares(weights, procs))))
 
-        if collect_debug:  # every basis is solved here, and kept
-            chunks = spectral.graph_spectra(recon_centers, part.leaves, sigma)
-            signals = _reconstruct_signals(chunks, levels, stream.attr_grids, params,
-                                           stream.gs_count)
-        else:
-            runs = _runs(part.leaves, sizes, procs)
-            run_sizes = [run for _, run in runs]
-            split = {name: _split_runs(levels[name], comps, params.alpha_for(name),
-                                       sizes, run_sizes)
-                     for name, comps in ATTRIBUTE_GROUPS}
-            parts = _dispatch(
-                [("_decode_run", (recon_centers[rows], run, sigma,
-                                  {name: split[name][r] for name in GROUP_NAMES},
-                                  stream.attr_grids, params))
-                 for r, (rows, run) in enumerate(runs)],
-                [[r] for r in range(procs)])
-            signals = {name: np.empty((stream.gs_count, comps)) for name, comps in ATTRIBUTE_GROUPS}
-            for (rows, _), part_signals in zip(runs, parts):
-                for name in GROUP_NAMES:
-                    signals[name][rows] = part_signals[name]
+        runs = _runs(part.leaves, procs)
+        split = {name: np.split(levels[name], np.cumsum(
+                     [_level_count(comps, params.alpha_for(name), run) for _, run in runs])[:-1])
+                 for name, comps in ATTRIBUTE_GROUPS}
+        parts = _dispatch(
+            [("_decode_run", (recon_centers[rows], run, sigma,
+                              {name: split[name][r] for name in GROUP_NAMES},
+                              stream.attr_grids, params, collect_debug))
+             for r, (rows, run) in enumerate(runs)],
+            [[r] for r in range(len(runs))])
+        signals = {name: np.empty((stream.gs_count, comps)) for name, comps in ATTRIBUTE_GROUPS}
+        for (rows, _), (run_signals, _) in zip(runs, parts):
+            for name in GROUP_NAMES:
+                signals[name][rows] = run_signals[name]
 
         yuv = np.stack([signals["sh_y"], signals["sh_u"], signals["sh_v"]], axis=2)
         rgb = colorspace.sh_yuv_to_rgb(colorspace.ShTriple(coeffs=yuv, space="yuv"))
@@ -923,6 +904,7 @@ def decode(
     )
     if not collect_debug:
         return cloud
+    chunks = _canonical_chunks(runs, parts)
     return cloud, Internals(part, chunks, recon_centers, signals)
 
 

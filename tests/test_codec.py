@@ -703,6 +703,63 @@ class TestCanonicalOrder:
         assert got == want
 
 
+def _leaves(sizes: list[int]) -> list[np.ndarray]:
+    """Leaves of the given sizes, in partition order, over consecutive rows."""
+    bounds = np.cumsum([0, *sizes])
+    return [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _run_work(run) -> int:
+    return sum(n * C.SPECTRUM_WEIGHT * m * m for m, n in run[1].items())
+
+
+class TestRuns:
+    """`_runs` cuts the leaves in payload order into contiguous runs of
+    about equal spectrum work."""
+
+    # sizes 16 and 9 interleaved; payload order is every 16, then every 9
+    MIXED = [16, 9, 9, 16, 9, 16, 16, 9, 9, 9, 16, 9, 16]
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 13, 20])
+    def test_every_leaf_once_in_payload_order(self, count):
+        leaves = _leaves(self.MIXED)
+        runs = C._runs(leaves, count)
+        payload = [leaf for m in (16, 9) for leaf in leaves if len(leaf) == m]
+        assert 1 <= len(runs) <= count
+        assert all(len(rows) > 0 for rows, _ in runs)
+        at = 0
+        for rows, sizes in runs:
+            run = payload[at:at + sum(sizes.values())]
+            np.testing.assert_array_equal(rows, np.concatenate(run))
+            assert list(sizes.items()) == list(Counter(map(len, run)).items())
+            at += len(run)
+        assert at == len(payload)
+
+    @pytest.mark.parametrize("n", [1, 5, 16, 37])
+    @pytest.mark.parametrize("count", [1, 2, 3, 8])
+    def test_one_size_cuts_at_n_r_over_count(self, n, count):
+        runs = C._runs(_leaves([12] * n), count)
+        ends = [n * (r + 1) // count for r in range(count)]
+        lengths = [hi - lo for lo, hi in zip([0, *ends], ends) if hi > lo]
+        assert [sizes[12] for _, sizes in runs] == lengths
+
+    @pytest.mark.parametrize("count", [2, 3, 4, 5])
+    def test_two_sizes_balance_within_one_leaf(self, count):
+        """Leaves of 32 and 17 (works 4,096 and 1,156): each run's work
+        lies within one leaf's work of an equal share."""
+        runs = C._runs(_leaves([32, 17, 17, 32, 17, 32, 17, 17, 32, 17, 17, 17]), count)
+        total = sum(map(_run_work, runs))
+        assert len(runs) == count
+        for run in runs:
+            assert abs(count * _run_work(run) - total) < count * C.SPECTRUM_WEIGHT * 32 ** 2
+
+    @pytest.mark.parametrize("sizes", [[20, 20, 20], [13, 12, 13, 12, 13, 12, 13, 12]])
+    def test_more_processes_than_leaves_give_a_run_per_leaf(self, sizes):
+        runs = C._runs(_leaves(sizes), 10)
+        assert len(runs) == len(sizes)
+        assert all(sum(run.values()) == 1 for _, run in runs)
+
+
 def _force_pool(monkeypatch, cpus: int = 3) -> list[int]:
     """Make every encode and decode share its work with the pool, as on
     `cpus` usable CPUs; the returned list collects the pid of every worker
@@ -888,7 +945,7 @@ class TestForkJoin:
         assert str(pooled.value) == str(serial.value)
 
     def test_child_dying_in_its_spectra_names_exit_status(self, monkeypatch):
-        self._die_in_spectra(monkeypatch, encode, make_cloud(150, seed=18))
+        self._die_in_spectra(monkeypatch, encode, make_cloud(150, seed=18), SMALL)
 
     def test_child_dying_in_its_decode_spectra_names_exit_status(self, monkeypatch):
         self._die_in_spectra(monkeypatch, decode, encode(make_cloud(150, seed=18), SMALL))
@@ -909,21 +966,23 @@ class TestForkJoin:
             op(*args)
         assert len(forks) == 2
 
-    @pytest.mark.parametrize("cpus, here", [(3, 2), (5, 0)])
-    def test_spectra_split_by_runs_of_each_size(self, monkeypatch, cpus, here):
-        """The golden `mixed` case has four leaves of 12 and four of 13.
-        This process solves the first of the processes' contiguous runs of
-        each size: one leaf of each on three CPUs, none at all on five,
-        where the leaves go 0, 1, 1, 1, 1.  The bytes are the serial ones."""
+    @pytest.mark.parametrize("cpus, here", [(3, 2), (5, 1)])
+    def test_spectra_split_by_work(self, monkeypatch, cpus, here):
+        """The golden `mixed` case has four leaves of 13, then four of 12 in
+        payload order: works 676 and 576, 5,008 in all, 676 to 5,008 through
+        each leaf.  This process solves the first contiguous run, the leaves
+        through at most 1/cpus of the total: two leaves of 13 on three CPUs
+        (1,352 <= 1,669), one on five (676 <= 1,002 < 1,352).  The bytes are
+        the serial ones."""
         blob, _ = _serial(monkeypatch, _MIXED)
         solved_here = self._count_leaves_solved_here(monkeypatch)
         forks = _force_pool(monkeypatch, cpus)
         assert encode(_MIXED[1](), _MIXED[2]).to_bytes() == blob
         assert len(forks) == cpus - 1
-        assert solved_here == [Counter({12: here // 2, 13: here // 2})]
+        assert solved_here == [Counter({13: here})]
 
-    @pytest.mark.parametrize("cpus, here", [(3, 2), (5, 0)])
-    def test_decode_spectra_split_by_runs_of_each_size(self, monkeypatch, cpus, here):
+    @pytest.mark.parametrize("cpus, here", [(3, 2), (5, 1)])
+    def test_decode_spectra_split_by_work(self, monkeypatch, cpus, here):
         """Decode splits the leaf spectra and inverse transforms the way
         encode does, after its payloads; the PLY bytes are the serial ones."""
         blob, ply = _serial(monkeypatch, _MIXED)
@@ -931,7 +990,18 @@ class TestForkJoin:
         forks = _force_pool(monkeypatch, cpus)
         assert save_ply(decode(CodedStream.from_bytes(blob))) == ply
         assert len(forks) == cpus - 1
-        assert solved_here == [Counter({12: here // 2, 13: here // 2})]
+        assert solved_here == [Counter({13: here})]
+
+    def test_no_worker_without_a_share(self, monkeypatch):
+        """Two leaves of 50 on ten CPUs: the spectra make two runs, and the
+        seven payloads of an encode seven shares, so the pool forks six
+        workers, not nine; the decode's six payloads need no more."""
+        case = ("", lambda: make_cloud(100, seed=18), SMALL)
+        blob, ply = _serial(monkeypatch, case)
+        forks = _force_pool(monkeypatch, cpus=10)
+        assert encode(case[1](), SMALL).to_bytes() == blob
+        assert save_ply(decode(CodedStream.from_bytes(blob))) == ply
+        assert len(forks) == 6
 
     @staticmethod
     def _count_leaves_solved_here(monkeypatch) -> list[Counter]:

@@ -90,6 +90,8 @@ from pathlib import Path
 import ggsc, ggsc.eval, ggsc.cli
 from ggsc.gs_core import load_ply
 
+pool_at_import = "ggsc.pool" in sys.modules
+
 root = Path(sys.argv[1])
 ply, coded, out = root / "scene.ply", root / "scene.ggsc", root / "out.ply"
 codes = [
@@ -103,6 +105,7 @@ d1 = ggsc.eval.geometry_psnr_d1(load_ply(ply.read_bytes()), load_ply(out.read_by
 fit = ggsc.eval.fit_logistic5(*ggsc.eval.read_pairs_csv((root / "pairs.csv").read_text()))
 (root / "result.json").write_text(json.dumps({
     "codes": codes,
+    "pool_at_import": pool_at_import,
     "scipy_before": before,
     "unused_before": unused,
     "scipy_after": "scipy.spatial" in sys.modules and "scipy.optimize" in sys.modules,
@@ -116,7 +119,8 @@ def test_codec_commands_load_no_scipy(tmp_path):
     """`import ggsc, ggsc.eval, ggsc.cli` and `ggsc encode|decode|info`
     leave scipy unloaded, and `concurrent.futures` and `subprocess` (about
     16 ms of start-up; only the external geometry backend runs a
-    command); the two functions that need scipy still load it and return
+    command); the import leaves `ggsc.pool` uncompiled, since only a call
+    that uses the pool needs it; the two functions that need scipy still load it and return
     what they return in this process."""
     (tmp_path / "scene.ply").write_bytes(write_ply(cloud_columns(make_cloud(80, seed=5))))
     rng = np.random.default_rng(6)
@@ -130,6 +134,7 @@ def test_codec_commands_load_no_scipy(tmp_path):
     child = json.loads((tmp_path / "result.json").read_text())
 
     assert child["codes"] == [0, 0, 0]
+    assert not child["pool_at_import"]
     assert child["scipy_before"] == []
     assert child["unused_before"] == []
     assert child["scipy_after"]
