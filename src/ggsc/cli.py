@@ -8,7 +8,9 @@ Subcommands:
   attribute payloads split into class and raw bytes,
 * ``sweep IN OUT.csv``  rate-distortion sweep over a parameter grid,
 * ``correlate CSV``     logistic fit + PLCC/SRCC/RMSE for (objective,
-  MOS) pairs.
+  MOS) pairs,
+* ``psnr REF STREAM``   per-attribute PSNR and D1 geometry PSNR of a
+  decoded stream against its source .ply.
 
 Exit codes: 0 on success, 1 on runtime failure (bad file, corrupt
 stream, codec error), 2 on usage errors (argparse default).

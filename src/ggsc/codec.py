@@ -30,13 +30,14 @@ whatever the worker count.
 
 An attribute payload lists the leaf sizes in order of first appearance
 in the partition, each size's leaves in partition order, and each
-leaf's kept levels component-major.  A level is coded as its offset d
-from its component's zero level, `quantize(0)` on the header grid,
-zigzagged to u (2d for d >= 0, -2d - 1 below): the *class* of u, its
-bit length in [0, q + 1], is arithmetic coded with one adaptive model
-per band of the coefficient index (0 | 1 | 2-3 | 4-7 | 8-15 | 16+) and
-SH degree of the component (0-3 for colour, 0 for every other group),
-and u's low `class - 1` bits follow raw (`encode_levels`).  The payload
+leaf's kept levels in the transform's (k, C) order: coefficient by
+coefficient, each with its C components.  A level is coded as its
+offset d from its component's zero level, `quantize(0)` on the header
+grid, zigzagged to u (2d for d >= 0, -2d - 1 below): the *class* of u,
+its bit length in [0, q + 1], is arithmetic coded with one adaptive
+model per band of the coefficient index (0 | 1 | 2-3 | 4-7 | 8-15 |
+16+) and SH degree of the component (0-3 for colour, 0 for every other
+group), and u's low `class - 1` bits follow raw (`encode_levels`).  The payload
 is
 
     [count u32 LE][class-bytes length u32 LE][class bytes]
@@ -74,16 +75,17 @@ from .gs_core import Box3, GaussianCloud
 from .quantizer import QuantGrid, dequantize, fit_grid, quantize
 
 MAGIC = b"GGSC"
-#: Stream format version.  8: symbols range coded two per interval step,
-#: on an 88-bit window (7: class contexts by band and SH degree, attribute
-#: grids in float32; 6: every payload range coded, bytes at a time; 5:
-#: attribute levels coded as band-context magnitude classes plus raw
-#: bits, through a bit-wise arithmetic coder; 4: one adaptive model
-#: over all 2^q levels, one flag byte, one scale per grid, colour
-#: conversions sum in index order; 3: payloads group leaves by size,
-#: transforms sum in index order without BLAS; 2: per-leaf order and BLAS
-#: products; 1: cyclic Jacobi bases).
-VERSION = 8
+#: Stream format version.  9: each leaf's levels coefficient-major, in
+#: the transform's (k, C) order (8: symbols range coded two per interval
+#: step, on an 88-bit window, each leaf's levels component-major; 7:
+#: class contexts by band and SH degree, attribute grids in float32; 6:
+#: every payload range coded, bytes at a time; 5: attribute levels coded
+#: as band-context magnitude classes plus raw bits, through a bit-wise
+#: arithmetic coder; 4: one adaptive model over all 2^q levels, one flag
+#: byte, one scale per grid, colour conversions sum in index order; 3:
+#: payloads group leaves by size, transforms sum in index order without
+#: BLAS; 2: per-leaf order and BLAS products; 1: cyclic Jacobi bases).
+VERSION = 9
 
 #: Attribute groups in payload order: (name, component count).  SH color
 #: is coded per YUV channel, 16 coefficient triples each.
@@ -346,7 +348,7 @@ class Internals:
 
     part: partition.Partition
     #: One (rows, spectrum) pair per chunk of equal-size leaves, in
-    #: payload order, as the run's `spectral.graph_spectra` returns them:
+    #: payload order, as the runs' `spectral.graph_spectra` return them:
     #: rows (B, m) index the primitives in canonical order, the spectrum
     #: stacks B leaves.
     chunks: list[tuple[np.ndarray, spectral.GraphSpectrum]]
@@ -474,47 +476,22 @@ def _level_layout(grid: QuantGrid, alpha: float,
     component's grid.
     """
     comps = grid.components
-    zero = quantize(np.zeros(comps), grid)
     degree = SH_DEGREES if comps == len(SH_DEGREES) else np.zeros(comps, dtype=np.int64)
-    contexts, zeros = [], []
-    for m, n in sizes.items():
-        k = spectral.clip_count(alpha, m)
-        # frexp's exponent is the bit length of a nonnegative integer
-        band = np.minimum(np.frexp(np.arange(k))[1], BANDS - 1)
-        ctx = band * DEGREES + degree[:, None]
-        contexts.append(np.broadcast_to(ctx, (n, comps, k)).ravel())
-        zeros.append(np.broadcast_to(zero[:, None], (n, comps, k)).ravel())
-    return np.concatenate(contexts), np.concatenate(zeros)
-
-
-def _leaf_blocks(values: np.ndarray, comps: int, alpha: float,
-                 sizes: dict[int, int]) -> dict[int, np.ndarray]:
-    """Views of a group's values in payload layout, flat, as one (n, k, C)
-    block per leaf size m: its n leaves, their k = `clip_count(alpha, m)`
-    kept coefficients and C components."""
-    blocks, at = {}, 0
-    for m, n in sizes.items():
-        k = spectral.clip_count(alpha, m)
-        blocks[m] = values[at:at + n * k * comps].reshape(n, k, comps)
-        at += n * k * comps
-    return blocks
-
-
-def _payload_levels(kept: np.ndarray, grid: QuantGrid, alpha: float,
-                    sizes: dict[int, int]) -> np.ndarray:
-    """A group's levels in payload order (each leaf's component-major)
-    from its kept coefficients, flat in `_leaf_blocks` layout."""
-    levels = quantize(kept.reshape(-1, grid.components), grid).ravel()
-    blocks = _leaf_blocks(levels, grid.components, alpha, sizes).values()
-    return np.concatenate([block.transpose(0, 2, 1).ravel() for block in blocks])
+    index = np.concatenate([np.tile(np.arange(spectral.clip_count(alpha, m)), n)
+                            for m, n in sizes.items()])
+    # frexp's exponent is the bit length of a nonnegative integer
+    band = np.minimum(np.frexp(index)[1], BANDS - 1)[:, None]
+    zero = quantize(np.zeros(comps), grid)
+    return (band * DEGREES + degree).ravel(), np.tile(zero, len(index))
 
 
 def _code_group(kept: np.ndarray, comps: int, q: int, alpha: float,
                 sizes: dict[int, int]) -> tuple[QuantGrid, bytes]:
     """A group's grid, fitted over all its kept coefficients (flat, in
-    `_leaf_blocks` layout), and its payload."""
-    grid = fit_grid(kept.reshape(-1, comps), q, np.float32)
-    return grid, encode_levels(_payload_levels(kept, grid, alpha, sizes), grid, alpha, sizes)
+    payload order), and its payload."""
+    coeffs = kept.reshape(-1, comps)
+    grid = fit_grid(coeffs, q, np.float32)
+    return grid, encode_levels(quantize(coeffs, grid).ravel(), grid, alpha, sizes)
 
 
 #: Bytes of the big-endian field that holds a zigzagged level's raw bits:
@@ -524,7 +501,8 @@ _RAW_BYTES = 3
 
 def encode_levels(levels: np.ndarray, grid: QuantGrid, alpha: float,
                   sizes: dict[int, int]) -> bytes:
-    """One attribute payload from its levels in payload order.
+    """One attribute payload from its levels in payload order: leaf by
+    leaf, each leaf's (k, C) kept levels flat, as `gft` orders them.
 
     Each level's offset from its zero level is zigzagged to u >= 0; its
     magnitude class, the bit length of u, is arithmetic coded with one
@@ -543,7 +521,9 @@ def encode_levels(levels: np.ndarray, grid: QuantGrid, alpha: float,
 
 def decode_levels(payload: bytes, grid: QuantGrid, alpha: float,
                   sizes: dict[int, int]) -> np.ndarray:
-    """Invert `encode_levels`; any inconsistency raises `CorruptPayloadError`.
+    """Invert `encode_levels`: the levels, flat in payload order, each
+    leaf's (k, C) as `igft` takes them.  Any inconsistency raises
+    `CorruptPayloadError`.
 
     The count the header claims must be the one `sizes` implies, and is
     checked before anything is decoded or allocated.
@@ -611,16 +591,6 @@ def _runs(leaves, count: int) -> list[tuple[np.ndarray, dict[int, int]]]:
     return runs
 
 
-def _consecutive_leaves(sizes: dict[int, int]) -> list[np.ndarray]:
-    """Leaves of the given sizes over consecutive rows, in payload order."""
-    leaves, at = [], 0
-    for m, n in sizes.items():
-        for _ in range(n):
-            leaves.append(np.arange(at, at + m))
-            at += m
-    return leaves
-
-
 def _canonical_chunks(runs, parts) -> list[tuple[np.ndarray, spectral.GraphSpectrum]]:
     """The chunks that the runs' `_encode_run` or `_decode_run` returned
     (`parts`), in payload order, their rows mapped from the run's
@@ -631,8 +601,8 @@ def _canonical_chunks(runs, parts) -> list[tuple[np.ndarray, spectral.GraphSpect
 
 def _kept_coefficients(chunks, signals: dict[str, np.ndarray],
                        params: CodecParams) -> dict[str, np.ndarray]:
-    """Each group's kept coefficients over the chunks' leaves, in chunk
-    order, flat in `_leaf_blocks` layout."""
+    """Each group's kept coefficients over the chunks' leaves, flat in
+    payload order: leaf by leaf, each leaf's (k, C) as `gft` returns it."""
     return {name: np.concatenate([
                 spectral.gft(spec, signals[name][rows],
                              spectral.clip_count(params.alpha_for(name), rows.shape[1])).ravel()
@@ -645,7 +615,7 @@ def _encode_run(centers: np.ndarray, sizes: dict[int, int], sigma: float,
     """Kept coefficients (`_kept_coefficients`) of a run of leaves that lie
     on consecutive rows of `centers` and `signals`, `sizes` of them, and
     with `debug` the run's chunks, else None: bases cross no pipe unasked."""
-    chunks = spectral.graph_spectra(centers, _consecutive_leaves(sizes), sigma)
+    chunks = spectral.graph_spectra(centers, sizes, sigma)
     return _kept_coefficients(chunks, signals, params), chunks if debug else None
 
 
@@ -753,8 +723,8 @@ def encode(
         return stream
 
     chunks = _canonical_chunks(runs, parts)
-    levels = {name: _payload_levels(kept[name], attr_grids[name], params.alpha_for(name), sizes)
-              for name in GROUP_NAMES}
+    levels = {name: quantize(kept[name].reshape(-1, comps), attr_grids[name]).ravel()
+              for name, comps in ATTRIBUTE_GROUPS}
     local = _reconstruct_signals(chunks, levels, attr_grids, params, len(cloud))
     return stream, Internals(part, chunks, recon_centers, local)
 
@@ -780,10 +750,10 @@ def _reconstruct_signals(
         for rows, spec in chunks:
             nb, m = rows.shape
             k = spectral.clip_count(params.alpha_for(name), m)
-            block = symbols[pos : pos + nb * comps * k].reshape(nb, comps, k)
+            block = symbols[pos : pos + nb * k * comps].reshape(nb, k, comps)
             pos += block.size
             padded = np.zeros((nb, m, comps))
-            padded[:, :k] = dequantize(block.transpose(0, 2, 1), grids[name])
+            padded[:, :k] = dequantize(block, grids[name])
             sig[rows] = spectral.igft(spec, padded)
         out[name] = sig
     return out
@@ -795,7 +765,7 @@ def _decode_run(centers: np.ndarray, sizes: dict[int, int], sigma: float,
     """Decoded signals of a run of leaves that lie on consecutive rows of
     `centers`, `sizes` of them, from each group's levels over the run, and
     with `debug` the run's chunks, else None."""
-    chunks = spectral.graph_spectra(centers, _consecutive_leaves(sizes), sigma)
+    chunks = spectral.graph_spectra(centers, sizes, sigma)
     # Overflow on a hostile grid is `decode`'s to report (`_check_finite`).
     with np.errstate(over="ignore", invalid="ignore"):
         signals = _reconstruct_signals(chunks, levels, grids, params, len(centers))

@@ -34,14 +34,16 @@ The solver is Householder tridiagonalization followed by implicit QL
   at a time (`_apply_rotations`), bit-identical to tql2's own update.
 
 At leaf sizes of a few dozen most of a single solve is fixed numpy call
-overhead, so `graph_spectra` solves all leaves of one size together:
-`build_adjacency` and `laplacian` build a chunk's (B, m, m) graphs in
-one pass over its (B, m, 3) centers, `eig_sym` takes the stack, the
-reduction, the rotation pass and the sign/order normalization each run
-once over it, and only the scalar QL recurrence runs per leaf.  Every
-per-matrix operation is the same elementwise op or the same sum along
-the same axis as for one matrix, so a leaf's bits do not depend on the
-batch or the chunk it is solved in.  That holds for the graphs only as
+overhead, so `graph_spectra` takes leaves that lie on consecutive rows
+(the codec gathers each run's rows so that they do) and solves each
+stretch of one size together: `build_adjacency` and `laplacian` build a
+chunk's (B, m, m) graphs in one pass over its (B, m, 3) centers,
+`eig_sym` takes the stack, the reduction, the rotation pass and the
+sign/order normalization each run once over it, and only the scalar QL
+recurrence runs per leaf.  Every per-matrix operation is the same
+elementwise op or the same sum along the same axis as for one matrix,
+so a leaf's bits do not depend on the batch or the chunk it is solved
+in.  That holds for the graphs only as
 long as numpy's einsum and exp round each element alike whatever the
 operand's rank; `tests/test_spectral.py` checks it bit for bit.
 """
@@ -421,25 +423,25 @@ def graph_spectrum(centers: np.ndarray, sigma: float) -> GraphSpectrum:
     return eig_sym(laplacian(build_adjacency(centers, sigma)))
 
 
-def graph_spectra(centers: np.ndarray, leaves,
+def graph_spectra(centers: np.ndarray, sizes: dict[int, int],
                   sigma: float) -> list[tuple[np.ndarray, GraphSpectrum]]:
-    """Spectra of many leaves, one (rows, spectrum) stack per chunk.
+    """Spectra of leaves that lie on consecutive rows of `centers`, one
+    (rows, spectrum) stack per chunk.
 
-    `leaves` index rows of `centers`; `sigma` is every leaf's kernel
-    bandwidth.  Leaves of one size are solved together by `eig_sym`, in
-    chunks of at most `BATCH_ENTRIES` matrix entries.  A chunk's rows
-    (B, m) are its leaves; sizes come in order of first appearance, the
-    leaves of one size in their order.  Every spectrum is bit-identical to
-    `graph_spectrum(centers[leaf], sigma)`, whatever its batch or chunk.
+    `sizes` maps leaf size to leaf count in row order: the first leaf is
+    rows 0 .. m - 1, the next follows it.  `sigma` is every leaf's kernel
+    bandwidth.  Consecutive leaves of one size are solved together by
+    `eig_sym`, in chunks of at most `BATCH_ENTRIES` matrix entries; a
+    chunk's rows (B, m) are its leaves, in row order.  Every spectrum is
+    bit-identical to `graph_spectrum(centers[leaf], sigma)`, whatever its
+    batch or chunk.
     """
-    by_size: dict[int, list[np.ndarray]] = {}
-    for leaf in leaves:
-        by_size.setdefault(len(leaf), []).append(leaf)
-    chunks = []
-    for m, group in by_size.items():
+    chunks, at = [], 0
+    for m, n in sizes.items():
+        leaves = np.arange(at, at + n * m).reshape(n, m)
         per = max(1, BATCH_ENTRIES // (m * m))
-        chunks += [np.stack(group[i:i + per]) for i in range(0, len(group), per)]
-
+        chunks += [leaves[i:i + per] for i in range(0, n, per)]
+        at += n * m
     return [(rows, eig_sym(laplacian(build_adjacency(centers[rows], sigma))))
             for rows in chunks]
 

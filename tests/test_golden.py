@@ -1,5 +1,6 @@
-"""Golden `.ggsc` streams: the encoder's bytes, the decoder's PLY and one
-leaf's spectrum, pinned by SHA-256.
+"""Every stream-format pin: golden `.ggsc` streams (the encoder's bytes,
+the decoder's PLY and one leaf's spectrum) and attribute payloads written
+by `codec.encode_levels`, pinned by SHA-256.
 
 The streams under `tests/golden/` were written by the codec when these
 pins were recorded.  Every test here reads or rebuilds them unchanged, so
@@ -9,7 +10,8 @@ A deliberate format change bumps `codec.VERSION` and records them again:
 
     PYTHONPATH=src:tests python tests/test_golden.py
 
-rewrites the streams and prints the digests to paste into `CASES`.
+rewrites the streams and prints the digests to paste into `CASES` and
+the sizes and digests to paste into `PAYLOAD_CASES`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from conftest import as_f32, make_cloud, make_realistic_cloud
 from ggsc import codec, spectral
 from ggsc.codec import CodecParams, CodedStream
 from ggsc.gs_core import GaussianCloud, save_ply
+from ggsc.quantizer import QuantGrid, quantize
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -68,7 +71,7 @@ CASES = [
     # 100 primitives split into leaves of 12 and 13.
     Case("mixed", lambda: make_cloud(100, seed=31, smooth=True),
          CodecParams(max_leaf=16, **_SMALL_Q), leaf=0,
-         stream_sha="c523bf41a47d311be5bf76d5633e2d5cf84f770a52c09170a4db51ea0b07681b",
+         stream_sha="5ab72a44a8108bad52509ba805cf17189b40f38a88889b17169be7d3ec31757c",
          ply_sha="e9ed83fb1d8945dcf755f97fb3992291b88c0b3360bf93a16e5931f79dad020e",
          eigenvalues_sha="e67488e309293140dc75e2a7a2f8261030cd0615d88bf5cf811ccef5e22667e2",
          basis_sha="ca8b3dfe30c1c19961e309afd0beb3a17488ebc58488e1cc764c69a4693475da"),
@@ -77,14 +80,14 @@ CASES = [
          CodecParams(max_leaf=32, q_geo=16, alpha_sh_y=0.5, alpha_sh_u=0.25,
                      alpha_sh_v=0.25, alpha_opacity=0.5, alpha_scale=0.5,
                      alpha_rotation=0.5, **_SMALL_Q), leaf=1,
-         stream_sha="f4a59dbd0855f667792661fd2423f06927db6d13c6f6e66c7a3acb62d26e0b1e",
+         stream_sha="2dcfa3bab73231d3b250111c980e9d87b928b177f1726ba7a44994b53960ca95",
          ply_sha="ca7c6ed8a0a8f55f5f9843dfb62f9462d9e594ce99c69111479b83f99fafc063",
          eigenvalues_sha="c1e1318bc6e4b65d18e1bea7ce22ee0058a0ab3e3fa0b30e66e96fd0776aa219",
          basis_sha="605642bbc4fb39c06fa91099c3813bc66579f396a38558d119e25cea2e84a3af"),
     # Isolated points: the pinned leaf holds all three far points.
     Case("isolated", _isolated_cloud,
          CodecParams(max_leaf=16, **_SMALL_Q), leaf=3,
-         stream_sha="c4d54df2e4a183777b74dfeb875aecb3adaf7995de5ec55d4ad6b41374023b40",
+         stream_sha="4a2f51b174d414384fde1db89ed3972aa60a40aa6f1fafd5947ac69554411a89",
          ply_sha="0afb608044a534b184f00a603d75b16eb8703ab56d904edd76665ad85cf11d31",
          eigenvalues_sha="65ea6dfb949fd7cab6b07246f0900d76482731ebbee8383d98a62fa19614c192",
          basis_sha="af699c78e00ddcca51b75c6ac947e90ffe79e337d00012907d1afe5e41f79c4a"),
@@ -136,6 +139,61 @@ def test_isolated_case_skips_a_reflector():
     assert isolated.size and isolated.min() <= len(leaf) - 3
 
 
+def _spectrum_levels(grid, alpha, sizes, seed):
+    """Levels in payload order of Laplace-shaped coefficients that shrink
+    with their index, quantized on `grid`."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for m, n in sizes.items():
+        k = spectral.clip_count(alpha, m)
+        values = rng.laplace(size=(n, k, grid.components)) / (1.0 + np.arange(k))[:, None]
+        parts.append(quantize(values, grid).ravel())
+    return np.concatenate(parts)
+
+
+def _level_payload(q, comps, alpha, sizes):
+    """A grid, levels on it and their payload, for one `PAYLOAD_CASES` case."""
+    grid = QuantGrid(mins=np.full(comps, -2.0), scale=4.5, q=q)
+    levels = _spectrum_levels(grid, alpha, sizes, seed=q)
+    return grid, levels, codec.encode_levels(levels, grid, alpha, sizes)
+
+
+#: (q, comps, alpha, sizes, size, digest) of `encode_levels` payloads.  The
+#: leaves reach coefficient 16 and past, so every band is pinned, and the
+#: 16-component case pins every SH degree.  Each case keeps the id it was
+#: first recorded under, which ends in that recording's size and digest,
+#: so a new recording renames no case.
+PAYLOAD_CASES = [
+    pytest.param(8, 3, 1.0, {40: 2, 37: 1}, 214,
+        "d8806a3487e3473c7ba6ab160cc97fe45bbeb008ee2615ba920275ebbe53a499",
+        id="8-3-1.0-sizes0-218-b9b3b182b0bdc3d5c872186c2ffae03a15785b00a4d719fc80380e810fcdf9d4"),
+    pytest.param(16, 1, 0.5, {64: 3}, 173,
+        "e1806f41ee91353a8d27b696d422410313486e165ade15b032aeee3c08dda56d",
+        id="16-1-0.5-sizes1-177-96976c7a9952809296cc442b245cccf5841edb5f30584a3fad824595ab3c57ad"),
+    pytest.param(1, 4, 1.0, {20: 2}, 18,
+        "35369d19bc024ca87f5ead722ddb5e0ec68def23f6121248ce4a9c73e98202fe",
+        id="1-4-1.0-sizes2-21-eea53d8bb727f5d808aa31ffb1ad080dc8090f7886f4054b626439895c8ad6e6"),
+    # 16 components: an SH colour channel, every degree context
+    pytest.param(10, 16, 1.0, {20: 2}, 650,
+        "1682fe2720b45bc72958d5d013b022fed5e84e60556ed3c0bb99eda4d057c046",
+        id="10-16-1.0-sizes3-650-5f89dced7229efab6a9d9f842c8d07ead22a79050dad0dfbd8983ea689fea884"),
+]
+
+
+class TestLevelPayloadBytes:
+    """SHA-256 of attribute payloads written by `encode_levels` when these
+    pins were recorded (`PAYLOAD_CASES`); each round-trips through
+    `decode_levels`.  A change to any of them is a stream format change:
+    bump `codec.VERSION` and record them again (module docstring)."""
+
+    @pytest.mark.parametrize("q, comps, alpha, sizes, size, digest", PAYLOAD_CASES)
+    def test_payload_hash(self, q, comps, alpha, sizes, size, digest):
+        grid, levels, payload = _level_payload(q, comps, alpha, sizes)
+        np.testing.assert_array_equal(codec.decode_levels(payload, grid, alpha, sizes), levels)
+        assert len(payload) == size
+        assert _sha(payload) == digest
+
+
 def _record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for case in CASES:
@@ -147,6 +205,10 @@ def _record() -> None:
         print(f"{case.name}: {len(blob)} bytes, leaf sizes {sizes}")
         for key, value in _digests(blob, case.leaf).items():
             print(f'    {key}="{value}",')
+    for case in PAYLOAD_CASES:
+        q, comps, alpha, sizes, _, _ = case.values
+        payload = _level_payload(q, comps, alpha, sizes)[2]
+        print(f'payload {case.id}:\n    {len(payload)}, "{_sha(payload)}",')
 
 
 if __name__ == "__main__":

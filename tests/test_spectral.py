@@ -277,16 +277,15 @@ class TestEigSym:
 
 
 class TestGraphSpectra:
-    """Leaves solved together must come out bit-identical to one
-    `eig_sym` per leaf, in stacks of equal-size leaves: sizes in order of
-    first appearance, each size's leaves in the given order."""
+    """Leaves on consecutive rows, solved together, must come out
+    bit-identical to one `eig_sym` per leaf, in stacks of consecutive
+    equal-size leaves, in row order."""
 
-    @staticmethod
-    def _assert_single(centers, leaves, sigma, got):
-        sizes = [len(leaf) for leaf in leaves]
-        order = sorted(range(len(leaves)), key=lambda j: sizes.index(sizes[j]))
+    @classmethod
+    def _assert_single(cls, centers, sizes, sigma, got):
+        leaves = cls._leaves(sizes)
         rows = [row for chunk_rows, _ in got for row in chunk_rows]
-        assert [row.tolist() for row in rows] == [leaves[j].tolist() for j in order]
+        assert [row.tolist() for row in rows] == [leaf.tolist() for leaf in leaves]
         for chunk_rows, spec in got:
             assert spec.basis.shape == (len(chunk_rows), *chunk_rows.shape[1:] * 2)
             for row, vals, basis in zip(chunk_rows, spec.eigenvalues, spec.basis):
@@ -296,15 +295,15 @@ class TestGraphSpectra:
 
     @staticmethod
     def _leaves(sizes):
-        bounds = np.cumsum([0, *sizes])
+        """Each leaf's rows, for `sizes` (leaf size -> count) in row order."""
+        bounds = np.cumsum([0, *(m for m, n in sizes.items() for _ in range(n))])
         return [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def test_mixed_sizes_match_single_solves(self):
-        sizes = [5, 1, 8, 2, 8, 13, 1, 5, 2, 8]
+        sizes = {5: 2, 1: 2, 8: 3, 2: 2, 13: 1}
         rng = np.random.default_rng(20)
-        pts = rng.normal(size=(sum(sizes), 3))
-        leaves = self._leaves(sizes)
-        self._assert_single(pts, leaves, 0.7, graph_spectra(pts, leaves, 0.7))
+        pts = rng.normal(size=(sum(m * n for m, n in sizes.items()), 3))
+        self._assert_single(pts, sizes, 0.7, graph_spectra(pts, sizes, 0.7))
 
     def test_zero_matrix_leaf(self):
         """Points 100 apart at sigma 1 have no nonzero weight: that leaf's
@@ -312,12 +311,11 @@ class TestGraphSpectra:
         rng = np.random.default_rng(21)
         pts = rng.normal(size=(12, 3))
         pts[4:8] = np.arange(4)[:, None] * 100.0
-        leaves = self._leaves([4, 4, 4])
-        [(rows, spec)] = got = graph_spectra(pts, leaves, 1.0)
-        np.testing.assert_array_equal(rows[1], leaves[1])
+        [(rows, spec)] = got = graph_spectra(pts, {4: 3}, 1.0)
+        np.testing.assert_array_equal(rows[1], np.arange(4, 8))
         np.testing.assert_array_equal(spec.basis[1], np.eye(4))
         np.testing.assert_array_equal(spec.eigenvalues[1], np.zeros(4))
-        self._assert_single(pts, leaves, 1.0, got)
+        self._assert_single(pts, {4: 3}, 1.0, got)
 
     def test_partial_reflector_skip(self):
         """Leaves whose first point is isolated skip the first Householder
@@ -326,7 +324,7 @@ class TestGraphSpectra:
         m, count = 9, 6
         pts = rng.normal(size=(m * count, 3))
         pts[0:m * count:2 * m] += 50.0  # leaves 0, 2, 4
-        leaves = self._leaves([m] * count)
+        leaves = self._leaves({m: count})
         laps = np.stack([laplacian(build_adjacency(pts[leaf], 0.8)) for leaf in leaves])
         skips = [not (lap[1:, 0] != 0.0).any() for lap in laps]
         assert skips == [True, False] * 3
@@ -335,15 +333,15 @@ class TestGraphSpectra:
             alone = _tridiagonalize(laps[j:j + 1].copy())
             for got, want in zip(batched, alone):
                 assert got[j].tobytes() == want[0].tobytes()
-        self._assert_single(pts, leaves, 0.8, graph_spectra(pts, leaves, 0.8))
+        self._assert_single(pts, {m: count}, 0.8, graph_spectra(pts, {m: count}, 0.8))
 
     def test_size_group_split_into_chunks(self, monkeypatch):
         """With the chunk limit lowered to two 6x6 matrices, five leaves of
         6 are solved as chunks of 2, 2 and 1 with the same bits."""
         rng = np.random.default_rng(23)
         pts = rng.normal(size=(33, 3))
-        leaves = self._leaves([6, 6, 3, 6, 6, 6])
-        want = graph_spectra(pts, leaves, 0.7)
+        sizes = {6: 5, 3: 1}
+        want = graph_spectra(pts, sizes, 0.7)
         shapes = []
         solve = spectral.eig_sym
 
@@ -353,11 +351,11 @@ class TestGraphSpectra:
 
         monkeypatch.setattr(spectral, "BATCH_ENTRIES", 2 * 36 + 35)
         monkeypatch.setattr(spectral, "eig_sym", spy)
-        got = graph_spectra(pts, leaves, 0.7)
+        got = graph_spectra(pts, sizes, 0.7)
         assert [rows.shape for rows, _ in got] == [(2, 6), (2, 6), (1, 6), (1, 3)]
-        self._assert_single(pts, leaves, 0.7, got)
-        assert sorted(shapes) == sorted([(2, 6, 6), (2, 6, 6), (1, 6, 6), (1, 3, 3)])
-        self._assert_single(pts, leaves, 0.7, want)
+        self._assert_single(pts, sizes, 0.7, got)
+        assert shapes == [(2, 6, 6), (2, 6, 6), (1, 6, 6), (1, 3, 3)]
+        self._assert_single(pts, sizes, 0.7, want)
 
     def test_stack_checks_every_matrix(self, monkeypatch):
         good = laplacian(build_adjacency(np.random.default_rng(24).normal(size=(4, 3)), 0.7))
@@ -428,8 +426,7 @@ class TestTransform:
         """A stack's rows transform bit-identically to one call per leaf."""
         rng = np.random.default_rng(19)
         pts = rng.normal(size=(40, 3))
-        leaves = [np.arange(i, i + 10) for i in range(0, 40, 10)]
-        [(rows, spec)] = graph_spectra(pts, leaves, 0.7)
+        [(rows, spec)] = graph_spectra(pts, {10: 4}, 0.7)
         for shape in ((4, 10), (4, 10, 3)):
             x = rng.normal(size=shape)
             fwd, inv = gft(spec, x), igft(spec, x)
@@ -445,8 +442,7 @@ class TestTransform:
         where numpy would sum a lone column pairwise."""
         rng = np.random.default_rng(25)
         pts = rng.normal(size=(60, 3))
-        leaves = [np.arange(i, i + 20) for i in range(0, 60, 20)]
-        [(rows, spec)] = graph_spectra(pts, leaves, 0.7)
+        [(rows, spec)] = graph_spectra(pts, {20: 3}, 0.7)
         x = rng.normal(size=(3, 20, 4)) * 100.0
         for basis in (spec.basis, np.ascontiguousarray(spec.basis)):
             stack = GraphSpectrum(spec.eigenvalues, basis)
