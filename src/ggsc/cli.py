@@ -5,7 +5,7 @@ Subcommands:
 * ``encode IN OUT``     compress a .ply (or every .ply in a directory),
 * ``decode IN OUT``     reconstruct .ply from .ggsc (file or directory),
 * ``info STREAM``       print header fields and exact byte accounting,
-  attribute payloads split into class and raw bytes,
+  classed payloads split into class and raw bytes,
 * ``sweep IN OUT.csv``  rate-distortion sweep over a parameter grid,
 * ``correlate CSV``     logistic fit + PLCC/SRCC/RMSE for (objective,
   MOS) pairs,
@@ -36,8 +36,8 @@ from .codec import (
     canonical_order,
     decode,
     encode,
-    level_payload_sections,
 )
+from .entropy import classed_sections
 from .gs_core import load_ply, save_ply
 
 
@@ -142,6 +142,13 @@ def _cmd_decode(args: argparse.Namespace) -> int:
                       lambda src, dst: _decode_one(src, dst, args))
 
 
+def _print_classed(key: str, payload: bytes) -> None:
+    """A classed payload's class and raw bytes, read from its framing."""
+    coded, raw = classed_sections(payload)
+    print(f"{key}_class_bytes: {len(coded) - 4}")
+    print(f"{key}_raw_bytes: {len(raw)}")
+
+
 def _cmd_info(args: argparse.Namespace) -> int:
     blob = _read(args.stream)
     stream = CodedStream.from_bytes(blob)
@@ -153,11 +160,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"geom_backend: {backend}")
     print(f"header_bytes: {report.header_bytes}")
     print(f"b1_bytes: {report.b1}")
+    if stream.geom_backend != GEOM_EXTERNAL:
+        _print_classed("b1", stream.geometry_payload)
     for name in GROUP_NAMES:
         print(f"b2_{name}_bytes: {report.attribute_bytes[name]}")
-        class_bytes, raw_bytes = level_payload_sections(stream.attribute_payloads[name])
-        print(f"b2_{name}_class_bytes: {class_bytes}")
-        print(f"b2_{name}_raw_bytes: {raw_bytes}")
+        _print_classed(f"b2_{name}", stream.attribute_payloads[name])
     print(f"b2_bytes: {report.b2}")
     print(f"total_bytes: {report.total_bytes}")
     for field in dc_fields(CodecParams):

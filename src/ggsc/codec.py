@@ -37,13 +37,8 @@ grid, zigzagged to u (2d for d >= 0, -2d - 1 below): the *class* of u,
 its bit length in [0, q + 1], is arithmetic coded with one adaptive
 model per band of the coefficient index (0 | 1 | 2-3 | 4-7 | 8-15 |
 16+) and SH degree of the component (0-3 for colour, 0 for every other
-group), and u's low `class - 1` bits follow raw (`encode_levels`).  The payload
-is
-
-    [count u32 LE][class-bytes length u32 LE][class bytes]
-    [raw bits, MSB-first, zero padded to a byte]
-
-where the class bytes are the coder's output after its count header.
+group), and u's low `class - 1` bits follow raw (`encode_levels`), in
+`entropy`'s classed payload, as the geometry section's Morton deltas do.
 
 The decoder replays steps 3-5 from the decoded lattice alone, which
 reproduces partitions, graphs and bases bit-for-bit -- no basis data is
@@ -75,8 +70,10 @@ from .gs_core import Box3, GaussianCloud
 from .quantizer import QuantGrid, dequantize, fit_grid, quantize
 
 MAGIC = b"GGSC"
-#: Stream format version.  9: each leaf's levels coefficient-major, in
-#: the transform's (k, C) order (8: symbols range coded two per interval
+#: Stream format version.  10: the geometry section is a classed payload
+#: framed as the attribute payloads are, and an external backend's section
+#: is the tool's bytes alone (9: each leaf's levels coefficient-major, in
+#: the transform's (k, C) order; 8: symbols range coded two per interval
 #: step, on an 88-bit window, each leaf's levels component-major; 7:
 #: class contexts by band and SH degree, attribute grids in float32; 6:
 #: every payload range coded, bytes at a time; 5: attribute levels coded
@@ -85,7 +82,7 @@ MAGIC = b"GGSC"
 #: byte, one scale per grid, colour conversions sum in index order; 3:
 #: payloads group leaves by size, transforms sum in index order without
 #: BLAS; 2: per-leaf order and BLAS products; 1: cyclic Jacobi bases).
-VERSION = 9
+VERSION = 10
 
 #: Attribute groups in payload order: (name, component count).  SH color
 #: is coded per YUV channel, 16 coefficient triples each.
@@ -515,8 +512,7 @@ def encode_levels(levels: np.ndarray, grid: QuantGrid, alpha: float,
     u = np.where(d < 0, -2 * d - 1, 2 * d)
     classes = np.frexp(u.astype(np.float64))[1].astype(np.int64)
     coded = entropy.aac_encode(entropy.SymbolStream(grid.q + 2, classes), contexts)
-    raw = entropy.pack_raw_bits(entropy.be_fields(u, _RAW_BYTES), np.maximum(classes - 1, 0))
-    return b"".join([coded[:4], struct.pack("<I", len(coded) - 4), coded[4:], raw])
+    return entropy.classed_payload(coded, entropy.be_fields(u, _RAW_BYTES), classes)
 
 
 def decode_levels(payload: bytes, grid: QuantGrid, alpha: float,
@@ -526,37 +522,17 @@ def decode_levels(payload: bytes, grid: QuantGrid, alpha: float,
     `CorruptPayloadError`.
 
     The count the header claims must be the one `sizes` implies, and is
-    checked before anything is decoded or allocated.
+    checked before anything is decoded.
     """
     count = _level_count(grid.components, alpha, sizes)
-    class_len, _ = level_payload_sections(payload)
-    (claimed,) = struct.unpack_from("<I", payload, 0)
-    if claimed != count:
-        raise CorruptPayloadError(f"payload holds {claimed} symbols, expected {count}")
+    coded, raw = entropy.classed_sections(payload)
     contexts, zeros = _level_layout(grid, alpha, sizes)
-    classes = entropy.aac_decode(payload[:4] + payload[8 : 8 + class_len],
-                                 grid.q + 2, count, contexts).symbols
-    widths = np.maximum(classes - 1, 0)
-    u = entropy.be_values(entropy.unpack_raw_bits(payload[8 + class_len :], widths,
-                                                  _RAW_BYTES, "raw section"))
-    u |= np.where(classes > 0, 1 << widths, 0)
+    classes = entropy.aac_decode(coded, grid.q + 2, count, contexts).symbols
+    u = entropy.be_values(entropy.classed_fields(raw, classes, _RAW_BYTES, "raw section"))
     levels = zeros + np.where(u & 1, -(u + 1) // 2, u // 2)
     if count and (levels.min() < 0 or levels.max() > grid.levels):
         raise CorruptPayloadError(f"raw bits decode to a level outside [0, {grid.levels}]")
     return levels
-
-
-def level_payload_sections(payload: bytes) -> tuple[int, int]:
-    """(class bytes, raw bytes) of an attribute payload, read from its
-    framing without decoding; a framing they do not fit raises
-    `CorruptPayloadError`."""
-    if len(payload) < 8:
-        raise CorruptPayloadError("payload shorter than its header")
-    (class_len,) = struct.unpack_from("<I", payload, 4)
-    if 8 + class_len > len(payload):
-        raise CorruptPayloadError(
-            f"class bytes ({class_len}) run past the payload end ({len(payload)})")
-    return class_len, len(payload) - 8 - class_len
 
 
 def _sigma(centers: np.ndarray) -> float:

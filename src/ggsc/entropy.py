@@ -103,10 +103,19 @@ symbols, and a count that large is refused before decoding too.
 Values too wide to model symbol by symbol are split the same way by
 the codec's attribute payloads and the geometry section: the coder
 takes each value's bit length (its *class*), and the low `class - 1`
-bits follow raw, MSB-first, their leading 1 implied.  `pack_raw_bits`
-lays those bits out from big-endian byte fields (`be_fields`) and
-`unpack_raw_bits` checks a raw section's length and zero padding and
-puts them back.
+bits follow raw, MSB-first, their leading 1 implied.  Such a *classed*
+payload is framed as
+
+    [class count: u32 LE][class-bytes length: u32 LE][class bytes]
+    [raw bits, MSB-first, zero padded to a byte]
+
+where the class bytes are the coder's output after its count header.
+`classed_payload` writes it from the coder's payload and big-endian
+byte fields (`be_fields`), `classed_sections` checks its framing and
+splits it back into the coder's payload and the raw bits, and
+`classed_fields` checks the raw section's length and zero padding and
+restores each value's field, its leading 1 included.  The coder's
+calls stay with the callers: these helpers never code a symbol.
 """
 
 from __future__ import annotations
@@ -590,6 +599,39 @@ def unpack_raw_bits(data: bytes, widths: np.ndarray, nbytes: int,
         mat[keep] = bits[pos:end]
         pos = end
         fields[rows, nbytes - keep.shape[1] // 8 :] = np.packbits(mat, axis=1)
+    return fields
+
+
+def classed_payload(coded: bytes, fields: np.ndarray, classes: np.ndarray) -> bytes:
+    """A classed payload (module docstring) from the coder's payload of
+    the `classes` and each value's (rows, B) big-endian field; a class is
+    at most 8 * B."""
+    raw = pack_raw_bits(fields, np.maximum(classes - 1, 0))
+    return b"".join([coded[:4], struct.pack("<I", len(coded) - 4), coded[4:], raw])
+
+
+def classed_sections(payload: bytes) -> tuple[bytes, bytes]:
+    """(the coder's [count][class bytes] payload, the raw bits) of a
+    classed payload, split by its framing without decoding; a framing
+    they do not fit raises `CorruptPayloadError`."""
+    if len(payload) < 8:
+        raise CorruptPayloadError("payload shorter than its header")
+    (class_len,) = struct.unpack_from("<I", payload, 4)
+    if 8 + class_len > len(payload):
+        raise CorruptPayloadError(
+            f"class bytes ({class_len}) run past the payload end ({len(payload)})")
+    return payload[:4] + payload[8 : 8 + class_len], payload[8 + class_len :]
+
+
+def classed_fields(raw: bytes, classes: np.ndarray, nbytes: int, what: str) -> np.ndarray:
+    """(rows, nbytes) uint8 big-endian fields of the values of `classes`
+    (each at most 8 * nbytes): the raw bits with each leading 1 set.  A
+    raw section of any other length, or with nonzero padding, raises
+    `CorruptPayloadError`."""
+    fields = unpack_raw_bits(raw, np.maximum(classes - 1, 0), nbytes, what)
+    lead = np.flatnonzero(classes)
+    top = classes[lead] - 1
+    fields[lead, nbytes - 1 - top // 8] |= (1 << top % 8).astype(np.uint8)
     return fields
 
 

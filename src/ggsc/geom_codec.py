@@ -11,25 +11,27 @@ One numpy path serves every depth q in [1, 31].  Codes of up to 93 bits
 and their deltas are held as four 24-bit int64 limbs, with borrows and
 carries moved limb by limb; the raw bits are packed and unpacked from
 the limbs as 12-byte big-endian fields, at most `entropy.CHUNK_BITS`
-bits at a time (`entropy.pack_raw_bits`), so temporaries stay
-O(points + remainder bits).
+bits at a time, so temporaries stay O(points + remainder bits).
 
-Section layout, all little-endian:
+Section layout: the buckets are the classes of an `entropy` classed
+payload, all little-endian,
 
-    [count: u32][q: u8][bucket payload length: u32][bucket payload]
-    [remainder bit count: u64][remainder bytes, zero padded to a byte]
+    [count: u32][bucket-bytes length: u32][bucket bytes]
+    [remainder bits, zero padded to a byte]
+
+The point count is the container's, q is the header's, and the
+remainder's bit count follows from the buckets, so none is stored again.
 
 An alternative backend can stand in for this whole section: the encoder
 shells out to an external lossless point-cloud codec and stores its
-output verbatim as [tag: u8 = 1][length: u32][opaque bytes].  The codec
-header records which backend produced the section.
+output verbatim, as the section.  The codec header records which backend
+produced the section, and its section table the length.
 """
 
 from __future__ import annotations
 
 import io
 import os
-import struct
 import tempfile
 from dataclasses import dataclass
 
@@ -37,11 +39,11 @@ import numpy as np
 
 from . import partition
 from .entropy import (CorruptPayloadError, SymbolStream, aac_decode, aac_encode,
-                      be_fields, be_values, pack_raw_bits, unpack_raw_bits)
+                      be_fields, be_values, classed_fields, classed_payload,
+                      classed_sections)
 
 #: Bit-length alphabet for the bucket stream (covers codes up to 127 bits).
 BUCKET_ALPHABET = 128
-EXTERNAL_TAG = 1
 
 #: Codes and deltas are held as LIMBS int64 limbs of LIMB_BITS bits: four
 #: cover the 93-bit code of q = 31, two make up each half of the Morton
@@ -106,19 +108,9 @@ def _deltas(geom: QuantizedGeometry) -> tuple[np.ndarray, np.ndarray]:
 def encode_centers(geom: QuantizedGeometry) -> bytes:
     """Serialize Morton-ordered lattice centers; order violations raise."""
     deltas, buckets = _deltas(geom)
-    bucket_payload = aac_encode(SymbolStream(BUCKET_ALPHABET, buckets))
-
-    widths = np.maximum(buckets - 1, 0)
     fields = be_fields(deltas[:, ::-1], LIMB_BITS // 8).reshape(len(geom), -1)
-    return b"".join(
-        [
-            struct.pack("<IB", len(geom), geom.q),
-            struct.pack("<I", len(bucket_payload)),
-            bucket_payload,
-            struct.pack("<Q", int(widths.sum())),
-            pack_raw_bits(fields, widths),
-        ]
-    )
+    return classed_payload(aac_encode(SymbolStream(BUCKET_ALPHABET, buckets)),
+                           fields, buckets)
 
 
 def _check_count(n: int, count: int) -> None:
@@ -130,37 +122,18 @@ def _check_count(n: int, count: int) -> None:
 def decode_centers(payload: bytes, q: int, count: int) -> QuantizedGeometry:
     """Invert `encode_centers`; any framing inconsistency raises.
 
-    `count` is the number of points the container declares; a section
-    holding any other number is rejected before its buckets are decoded.
+    `count` is the number of points the container declares, at least one;
+    a section holding any other number is rejected before its buckets are
+    decoded.
     """
-    if len(payload) < 9:
-        raise CorruptPayloadError("geometry payload shorter than its header")
-    n, q_stored = struct.unpack_from("<IB", payload, 0)
-    if n == 0:
-        raise CorruptPayloadError("geometry payload holds zero points")
-    _check_count(n, count)
-    if q_stored != q:
-        raise CorruptPayloadError(
-            f"geometry payload coded at q={q_stored}, expected q={q}"
-        )
-    (blen,) = struct.unpack_from("<I", payload, 5)
-    if len(payload) < 9 + blen + 8:
-        raise CorruptPayloadError("geometry payload truncated in bucket section")
-    buckets = aac_decode(payload[9 : 9 + blen], BUCKET_ALPHABET, n).symbols
+    coded, raw = classed_sections(payload)
+    _check_count(int.from_bytes(coded[:4], "little"), count)
+    buckets = aac_decode(coded, BUCKET_ALPHABET, count).symbols
     if buckets.size and buckets.max() > 3 * q:
         raise CorruptPayloadError("bucket exceeds the lattice code width")
-
-    (nbits,) = struct.unpack_from("<Q", payload, 9 + blen)
-    widths = np.maximum(buckets - 1, 0)
-    if int(widths.sum()) != nbits:
-        raise CorruptPayloadError("remainder bit count disagrees with buckets")
-    fields = unpack_raw_bits(payload[9 + blen + 8 :], widths, LIMBS * LIMB_BITS // 8,
-                             "remainder section")
-    deltas = be_values(fields.reshape(n, LIMBS, LIMB_BITS // 8)[:, ::-1])
-    lead = np.flatnonzero(buckets)
-    top = buckets[lead] - 1  # the implied leading 1
-    deltas[lead, top // LIMB_BITS] += 1 << (top % LIMB_BITS)
-    # Each limb's cumsum stays below n * 2^24 < 2^56; carries then move up.
+    fields = classed_fields(raw, buckets, LIMBS * LIMB_BITS // 8, "remainder section")
+    deltas = be_values(fields.reshape(count, LIMBS, LIMB_BITS // 8)[:, ::-1])
+    # Each limb's cumsum stays below count * 2^24 < 2^56; carries then move up.
     codes = np.cumsum(deltas, axis=0, out=deltas)
     for k in range(LIMBS - 1):
         codes[:, k + 1] += codes[:, k] >> LIMB_BITS
@@ -224,9 +197,9 @@ def _ascii_ply_to_points(blob: bytes, q: int) -> np.ndarray:
 
 
 def encode_centers_external(geom: QuantizedGeometry, command: str) -> bytes:
-    """Compress the section with an external codec; output stored verbatim."""
-    blob = _run_external(command, _points_to_ascii_ply(geom.points), ".ply", ".bin")
-    return struct.pack("<BI", EXTERNAL_TAG, len(blob)) + blob
+    """Compress the section with an external codec: its output is the
+    section, verbatim."""
+    return _run_external(command, _points_to_ascii_ply(geom.points), ".ply", ".bin")
 
 
 def decode_centers_external(
@@ -239,12 +212,7 @@ def decode_centers_external(
     `count` is the number of points the container declares; any other
     number of decoded points is rejected.
     """
-    if len(payload) < 5:
-        raise CorruptPayloadError("external geometry payload too short")
-    tag, length = struct.unpack_from("<BI", payload, 0)
-    if tag != EXTERNAL_TAG or len(payload) != 5 + length:
-        raise CorruptPayloadError("external geometry payload framing mismatch")
-    blob = _run_external(command, payload[5:], ".bin", ".ply")
+    blob = _run_external(command, payload, ".bin", ".ply")
     points = _ascii_ply_to_points(blob, q)
     _check_count(points.shape[0], count)
     order = partition.morton_order(points, q)

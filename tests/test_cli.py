@@ -97,6 +97,10 @@ class TestEncodeDecode:
                      "--geometry-command", cmd]) == 0
         stream = encode(cloud, CodecParams(max_leaf=60), geometry_command=cmd)
         assert coded.read_bytes() == stream.to_bytes()
+        capsys.readouterr()
+        assert main(["info", str(coded)]) == 0  # the tool's section is not split
+        info = _kv(capsys.readouterr().out)
+        assert info["geom_backend"] == "external" and "b1_class_bytes" not in info
         assert main(["decode", str(coded), str(back)]) == 1
         assert "--geometry-command" in capsys.readouterr().err
         assert main(["decode", str(coded), str(back),
@@ -210,6 +214,17 @@ class TestInfo:
             assert class_bytes == int.from_bytes(payload[4:8], "little") > 0
             assert raw_bytes > 0
             assert 8 + class_bytes + raw_bytes == int(info[f"b2_{name}_bytes"])
+
+    def test_geometry_class_and_raw_bytes(self, asset, capsys):
+        """The internal geometry section splits the same way: its framing,
+        its bucket bytes and its remainder bits."""
+        _, _, dst = asset
+        assert main(["info", str(dst)]) == 0
+        info = _kv(capsys.readouterr().out)
+        class_bytes = int(info["b1_class_bytes"])
+        raw_bytes = int(info["b1_raw_bytes"])
+        assert class_bytes > 0 and raw_bytes > 0
+        assert 8 + class_bytes + raw_bytes == int(info["b1_bytes"])
 
     def test_info_on_bad_payload_framing_fails(self, asset, tmp_path, capsys):
         _, _, dst = asset

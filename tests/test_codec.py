@@ -113,6 +113,15 @@ class TestContainer:
         with pytest.raises(CodecError, match="unsupported stream version 8"):
             CodedStream.from_bytes(bytes(blob))
 
+    def test_version_9_stream_is_refused(self):
+        """`VERSION` 9 geometry sections repeat the point count and q, and
+        carry a remainder bit count, in fields this format does not have:
+        the header refuses them rather than misreading those fields."""
+        blob = bytearray(self._stream().to_bytes())
+        blob[4:6] = (9).to_bytes(2, "little")
+        with pytest.raises(CodecError, match="unsupported stream version 9"):
+            CodedStream.from_bytes(bytes(blob))
+
     def test_truncations_raise(self):
         blob = self._stream().to_bytes()
         for keep in (0, 3, 5, 10, 40, len(blob) // 2, len(blob) - 1):
@@ -399,8 +408,8 @@ class TestCorruptStreams:
         return encode(make_cloud(150, seed=18), SMALL)
 
     def test_geometry_payload_tamper(self):
-        """Corrupting the geometry point count contradicts the coded bucket
-        stream, which carries its own count."""
+        """Corrupting the geometry section's point count contradicts the
+        container's."""
         stream = self._stream()
         blob = bytearray(stream.geometry_payload)
         blob[0] ^= 0x01
@@ -417,10 +426,7 @@ class TestCorruptStreams:
         symbol."""
         stream = encode(make_cloud(30, seed=0), CodecParams(max_leaf=40))
         if geometry:
-            buckets = struct.pack("<I", claimed) + bytes(16)
-            stream.geometry_payload = (
-                struct.pack("<IBI", claimed, stream.params.q_geo, len(buckets))
-                + buckets + struct.pack("<Q", 0))
+            stream.geometry_payload = struct.pack("<II", claimed, 16) + bytes(16)
         blob = bytearray(stream.to_bytes())
         blob[7:11] = struct.pack("<I", claimed)  # gs_count field
         assert claimed > C.MAX_PRIMS_PER_BYTE * len(blob)

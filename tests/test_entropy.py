@@ -17,6 +17,9 @@ from ggsc.entropy import (
     SymbolStream,
     aac_decode,
     aac_encode,
+    classed_fields,
+    classed_payload,
+    classed_sections,
     empirical_entropy_bits,
 )
 
@@ -428,6 +431,57 @@ class TestEntropyHelper:
         syms = rng.integers(0, 256, size=10**5)
         bits = empirical_entropy_bits(syms, 256)
         assert bits == pytest.approx(8.0 * 10**5, rel=0.01)
+
+
+class TestClassedPayload:
+    """`classed_payload` frames the coder's class payload and the raw bits
+    below each value's leading 1; `classed_sections` and `classed_fields`
+    give back the coder's payload and every value."""
+
+    @staticmethod
+    def _payload(values, nbytes):
+        classes = np.array([v.bit_length() for v in values], dtype=np.int64)
+        fields = np.frombuffer(b"".join(v.to_bytes(nbytes, "big") for v in values),
+                               dtype=np.uint8).reshape(len(values), nbytes)
+        coded = aac_encode(stream(classes, 8 * nbytes + 1))
+        return classes, coded, classed_payload(coded, fields, classes)
+
+    def _round_trip(self, values, nbytes):
+        """The raw section, after checking the round trip and the framing."""
+        classes, coded, payload = self._payload(values, nbytes)
+        got, raw = classed_sections(payload)
+        assert got == coded
+        assert payload[4:8] == struct.pack("<I", len(coded) - 4)
+        assert len(payload) == 8 + len(coded) - 4 + len(raw)
+        back = classed_fields(raw, classes, nbytes, "raw section")
+        assert back.shape == (len(values), nbytes)
+        assert [int.from_bytes(row.tobytes(), "big") for row in back] == values
+        return raw
+
+    def test_class_zero_has_no_raw_bits(self):
+        assert self._round_trip([0, 0, 0], 2) == b""
+
+    @pytest.mark.parametrize("nbytes", [1, 3, 12])
+    def test_widest_class(self, nbytes):
+        """Class 8 * nbytes: the leading 1 is the field's top bit."""
+        top = 1 << (8 * nbytes - 1)
+        self._round_trip([top, 2 * top - 1, 0, 1, top + 1, 2], nbytes)
+
+    def test_class_bytes_past_the_end(self):
+        _, _, payload = self._payload([5, 9, 0], 1)
+        forged = payload[:4] + struct.pack("<I", len(payload) - 7) + payload[8:]
+        with pytest.raises(CorruptPayloadError, match="past the payload end"):
+            classed_sections(forged)
+        with pytest.raises(CorruptPayloadError, match="shorter than its header"):
+            classed_sections(payload[:7])
+
+    def test_nonzero_padding(self):
+        """Class 3 leaves two raw bits and six of padding."""
+        assert self._round_trip([5], 1) == bytes([0b01000000])
+        with pytest.raises(CorruptPayloadError, match="nonzero padding in raw section"):
+            classed_fields(bytes([0b01000001]), np.array([3]), 1, "raw section")
+        with pytest.raises(CorruptPayloadError, match="raw section holds 2 bytes"):
+            classed_fields(bytes([0b01000000, 0]), np.array([3]), 1, "raw section")
 
 
 class TestCorruption:

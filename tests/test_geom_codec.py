@@ -14,12 +14,12 @@ from ggsc.entropy import (
     SymbolStream,
     aac_decode,
     aac_encode,
+    classed_sections,
     pack_raw_bits,
     unpack_raw_bits,
 )
 from ggsc.geom_codec import (
     BUCKET_ALPHABET,
-    EXTERNAL_TAG,
     QuantizedGeometry,
     decode_centers,
     decode_centers_external,
@@ -68,18 +68,18 @@ def reference_raw_bits(values, widths):
     return bytes(remainder)
 
 
-def reference_section(codes, q):
+def reference_section(codes):
     """The section written out plainly from Python-int Morton codes: one
-    delta, bucket and remainder bit at a time, packed MSB-first."""
+    delta, bucket and remainder bit at a time, packed MSB-first, after
+    the bucket count, the bucket bytes' length and the bucket bytes."""
     deltas = [code - prev for prev, code in zip([0] + codes, codes)]
     buckets = [delta.bit_length() for delta in deltas]
     widths = [max(b - 1, 0) for b in buckets]
     payload = aac_encode(SymbolStream(BUCKET_ALPHABET, np.array(buckets)))
     return b"".join([
-        struct.pack("<IB", len(codes), q),
-        struct.pack("<I", len(payload)),
-        payload,
-        struct.pack("<Q", sum(widths)),
+        payload[:4],
+        struct.pack("<I", len(payload) - 4),
+        payload[4:],
         reference_raw_bits(deltas, widths),
     ])
 
@@ -115,36 +115,36 @@ class TestGoldenBytes:
     @pytest.mark.parametrize(
         "q, n, seed, size, digest",
         [
-            pytest.param(1, 40, 1, 28,
-                "e3f7b4b73e1796b6a86244a6b22df2319afda3d250737ef1f4b254f05dc62c8e",
+            pytest.param(1, 40, 1, 15,
+                "17eac07a16dfef4390235fa51b1842860eb40773dde2ba373eded318c9363260",
                 id="1-40-1-32-8bf2a6f5e6ae47a4f8861f78f9c27129c1fdb95feb787ddce5970049a59f52db"),
-            pytest.param(2, 60, 2, 42,
-                "6e469076e3f4deaa4f452a8bd19c92e4eb08195a8edbf0df2c7ee343443db9a1",
+            pytest.param(2, 60, 2, 29,
+                "1b0e8166e092ba49e8c96685e2eaaeb188f17f2875bc012a0452e4147a143b35",
                 id="2-60-2-46-f5f06e5e0a79883f437b63ce1a2bdea6ed6e328594a5e809817128431fb1efde"),
-            pytest.param(14, 3000, 3, 11065,
-                "89e3a13b969a59207c5697a71ae48033b49397b3e152876667d4e86a04d6a5da",
+            pytest.param(14, 3000, 3, 11052,
+                "8bedb2aadff6b0c509a662769b58705fb7895ef3424c03d8182f2919a02782fb",
                 id="14-3000-3-11069-aa08c6265210847249d3296d31f840750f69bb4da59a8f170d1cb169101eb7e6"),
-            pytest.param(16, 2000, 4, 8874,
-                "de1bc960f372588861265729d98855389878ae34a08e920cbbacb9fbbc3eaa2c",
+            pytest.param(16, 2000, 4, 8861,
+                "e9e83045f796f84e9e748ac6e9bd2b9e05c3c73ba9ce1a1b160c6311de91d7d1",
                 id="16-2000-4-8878-84319779adb57b1cb945a8c25edb5fa5f2cd3b245a7252481556d9a83ea67aa4"),
-            pytest.param(21, 2000, 5, 12257,
-                "8c61a6e5004f35e08fc3007aabe10bbb3d1234b01825ef5cec79410bfe983895",
+            pytest.param(21, 2000, 5, 12244,
+                "e58d580b4fee02a6a1b632d26d7b1efddc3bb3c7c212323b059999272a3efa20",
                 id="21-2000-5-12261-a35eaee5a0d055d93675edc46d96b2dae9d594a5b258f6a04eaed11b1ca3f693"),
-            pytest.param(22, 2000, 6, 12932,
-                "67f1449ecac286552d565eb5d2a42b3a8aeceb8a3e930fcdccad00cd5e161f21",
+            pytest.param(22, 2000, 6, 12919,
+                "2e9cbecfcd9fa593da718dcff0b3903d989293945305c2d25d4f5740270e4ee1",
                 id="22-2000-6-12936-de84b50a71799f7cc7a7384648391d9998bd839ed8196691df55ee012b80680d"),
-            pytest.param(25, 1500, 7, 11310,
-                "d9c3282d5cd830624b7c1385fd6a0743af246ada91b7de9e48e4392255345f1b",
+            pytest.param(25, 1500, 7, 11297,
+                "1999c3b4bea244160f7aef41fe8f73b975a9a0087c5e3a1da952816ce74756f3",
                 id="25-1500-7-11314-c47e0929e8e68c8e707635f72693238b2481880a185b2f33d29eda7a33d026c3"),
-            pytest.param(31, 1500, 8, 14354,
-                "6a7c53282f838ee20ad1e853c1026a6e3061aebc70faa5122c4ddad1e80581a1",
+            pytest.param(31, 1500, 8, 14341,
+                "0fd2ed04a5daa675100b7dddb1507b76f6b3b4f45ecb9a596b4eaa06b0c5a1cb",
                 id="31-1500-8-14357-6728fdbf899cf0fa7fb168ef193ae45c4280e74a13cb68a56c1198e0c2c30dd2"),
             # One point: the whole section is the first code.
-            pytest.param(31, 1, 9, 34,
-                "b566697adc6b70dd8bde43733e48aa8d668ad67225cdb78b11f1837e0dbb0e3d",
+            pytest.param(31, 1, 9, 21,
+                "40a96df7a94119618b3ad906c2a8abaac6a90abbb775fbcdb09ec3d85629dbe1",
                 id="31-1-9-38-aa10f1a1dcaa0a2da8d0a8883202e95b21722628042868c7f1453bf843cfe33a"),
-            pytest.param(1, 1, 10, 23,
-                "317d5e95bc5f930aab81426032c1d0cbfee54143ffb6f6f886b2664dd9e1bd4e",
+            pytest.param(1, 1, 10, 10,
+                "7d0c30fd254895f39a6fe26a8e2fe6670a211a59db8ba2bcfa71741672f3b4ce",
                 id="1-1-10-27-b7ee80c64964dd5cbd0e53d9367134ea2a4d71ce71be22e490b1671d15772a52"),
         ],
     )
@@ -183,7 +183,7 @@ def test_matches_reference_packer(case):
     q, codes = case
     points = np.array([deinterleave_oracle(c, q) for c in codes], dtype=np.int64)
     payload = encode_centers(QuantizedGeometry(q=q, points=points))
-    assert payload == reference_section(codes, q)
+    assert payload == reference_section(codes)
     out = decode_centers(payload, q, len(codes))
     np.testing.assert_array_equal(out.points, points)
 
@@ -301,26 +301,27 @@ class TestSectionLayout:
         geom = QuantizedGeometry(q=q, points=np.array(pts, dtype=np.int64))
 
         payload = encode_centers(geom)
-        n, q_stored = struct.unpack_from("<IB", payload, 0)
-        assert (n, q_stored) == (4, 2)
-        (blen,) = struct.unpack_from("<I", payload, 5)
-        buckets = aac_decode(payload[9 : 9 + blen], BUCKET_ALPHABET, 4).symbols
+        n, blen = struct.unpack_from("<II", payload, 0)
+        assert n == 4
+        buckets = aac_decode(payload[:4] + payload[8 : 8 + blen], BUCKET_ALPHABET, 4).symbols
         np.testing.assert_array_equal(buckets, [3, 0, 1, 4])
-        (nbits,) = struct.unpack_from("<Q", payload, 9 + blen)
-        assert nbits == 5
-        remainder = payload[9 + blen + 8 :]
+        remainder = payload[8 + blen :]
         assert remainder == bytes([0b01000000])
         out = decode_centers(payload, q, 4)
         np.testing.assert_array_equal(out.points, geom.points)
 
     def test_payload_length_accounts_exactly(self):
+        """8 bytes of framing, the bucket bytes, and the remainder bits the
+        buckets imply, zero padded to a byte."""
         rng = np.random.default_rng(2)
         pts = rng.integers(0, 2**10, size=(400, 3))
         geom = sorted_geom(pts, 10)
         payload = encode_centers(geom)
-        (blen,) = struct.unpack_from("<I", payload, 5)
-        (nbits,) = struct.unpack_from("<Q", payload, 9 + blen)
-        assert len(payload) == 9 + blen + 8 + (nbits + 7) // 8
+        (blen,) = struct.unpack_from("<I", payload, 4)
+        buckets = aac_decode(payload[:4] + payload[8 : 8 + blen], BUCKET_ALPHABET, 400).symbols
+        nbits = int(np.maximum(buckets - 1, 0).sum())
+        assert nbits % 8
+        assert len(payload) == 8 + blen + (nbits + 7) // 8
 
 
 class TestCorruption:
@@ -340,17 +341,6 @@ class TestCorruption:
             with pytest.raises(CorruptPayloadError):
                 decode_centers(payload[:keep], 8, 300)
 
-    def test_zero_point_count(self):
-        payload = bytearray(self._payload())
-        payload[0:4] = struct.pack("<I", 0)
-        with pytest.raises(CorruptPayloadError, match="zero points"):
-            decode_centers(bytes(payload), 8, 0)
-
-    def test_q_mismatch(self):
-        payload = self._payload()
-        with pytest.raises(CorruptPayloadError, match="q=8"):
-            decode_centers(payload, 9, 300)
-
     def test_trailing_garbage(self):
         payload = self._payload()
         with pytest.raises(CorruptPayloadError):
@@ -358,12 +348,12 @@ class TestCorruption:
 
     def test_nonzero_remainder_padding(self):
         payload = bytearray(self._payload())
-        (blen,) = struct.unpack_from("<I", payload, 5)
-        (nbits,) = struct.unpack_from("<Q", bytes(payload), 9 + blen)
-        if nbits % 8:  # flip a padding bit in the final byte
-            payload[-1] |= 1
-            with pytest.raises(CorruptPayloadError):
-                decode_centers(bytes(payload), 8, 300)
+        coded, _ = classed_sections(bytes(payload))
+        buckets = aac_decode(coded, BUCKET_ALPHABET, 300).symbols
+        assert int(np.maximum(buckets - 1, 0).sum()) % 8
+        payload[-1] |= 1  # a padding bit of the final byte
+        with pytest.raises(CorruptPayloadError, match="nonzero padding"):
+            decode_centers(bytes(payload), 8, 300)
 
     def test_point_count_tamper(self):
         payload = bytearray(self._payload())
@@ -378,14 +368,14 @@ class TestCorruption:
             decode_centers(payload, 8, 299)
 
     def test_huge_counts_rejected_before_decoding(self):
-        """2^32 - 1 points, or 2^32 - 1 coded buckets, are refused on the
-        counts the caller and the section header give, before decoding."""
+        """2^32 - 1 points, or 2^32 - 1 bucket bytes, are refused on the
+        container's count and the section's length, before decoding."""
         payload = self._payload()
         many = struct.pack("<I", 2**32 - 1)
         with bounded_failure(seconds=0.5, bytes_=1 << 20):
             decode_centers(many + payload[4:], 8, 300)
         with bounded_failure(seconds=0.5, bytes_=1 << 20):
-            decode_centers(payload[:9] + many + payload[13:], 8, 300)
+            decode_centers(payload[:4] + many + payload[8:], 8, 300)
 
     def test_bucket_overflow_rejected(self):
         """A bucket claiming more bits than the lattice width is framing
@@ -393,15 +383,13 @@ class TestCorruption:
         geom = QuantizedGeometry(q=2, points=np.array([[0, 0, 0], [1, 0, 0]]))
         payload = bytearray(encode_centers(geom))
         # re-code the bucket stream with an oversized bucket
-        from ggsc.entropy import SymbolStream, aac_encode
         forged_buckets = aac_encode(
             SymbolStream(BUCKET_ALPHABET, np.array([90, 0], dtype=np.int64))
         )
-        (old_blen,) = struct.unpack_from("<I", bytes(payload), 5)
-        rest = bytes(payload)[9 + old_blen:]
-        forged = bytes(payload)[:5] + struct.pack("<I", len(forged_buckets)) \
-            + forged_buckets + rest
-        with pytest.raises(CorruptPayloadError):
+        _, raw = classed_sections(bytes(payload))
+        forged = (forged_buckets[:4] + struct.pack("<I", len(forged_buckets) - 4)
+                  + forged_buckets[4:] + raw)
+        with pytest.raises(CorruptPayloadError, match="lattice code width"):
             decode_centers(forged, 2, 2)
 
 
@@ -419,9 +407,7 @@ class TestExternalHook:
         rng = np.random.default_rng(4)
         geom = sorted_geom(rng.integers(0, 2**6, size=(50, 3)), 6)
         payload = encode_centers_external(geom, cmd)
-        tag, length = struct.unpack_from("<BI", payload, 0)
-        assert tag == EXTERNAL_TAG
-        assert len(payload) == 5 + length
+        assert payload.startswith(b"ply\n")  # the tool's output, verbatim
         out = decode_centers_external(payload, 6, cmd, len(geom))
         np.testing.assert_array_equal(out.points, geom.points)
         with pytest.raises(CorruptPayloadError, match="header says 49"):
@@ -482,16 +468,5 @@ class TestExternalHook:
         cmd = self._script(
             tmp_path, f"import sys, shutil\nshutil.copy({str(out)!r}, sys.argv[2])\n"
         )
-        payload = struct.pack("<BI", EXTERNAL_TAG, 1) + b"x"
         with pytest.raises(CorruptPayloadError):
-            decode_centers_external(payload, 4, cmd, 1)
-
-    def test_framing_validation(self):
-        with pytest.raises(CorruptPayloadError):
-            decode_centers_external(b"\x01", 4, "true", 1)
-        bogus = struct.pack("<BI", 2, 0)
-        with pytest.raises(CorruptPayloadError):
-            decode_centers_external(bogus, 4, "true", 1)
-        short = struct.pack("<BI", EXTERNAL_TAG, 10) + b"abc"
-        with pytest.raises(CorruptPayloadError):
-            decode_centers_external(short, 4, "true", 1)
+            decode_centers_external(b"x", 4, cmd, 1)

@@ -71,7 +71,7 @@ CASES = [
     # 100 primitives split into leaves of 12 and 13.
     Case("mixed", lambda: make_cloud(100, seed=31, smooth=True),
          CodecParams(max_leaf=16, **_SMALL_Q), leaf=0,
-         stream_sha="5ab72a44a8108bad52509ba805cf17189b40f38a88889b17169be7d3ec31757c",
+         stream_sha="ab99570ff541ea4375eaf40892bf0e672b121c1ffffa9b1686dd4d11cd4fef82",
          ply_sha="e9ed83fb1d8945dcf755f97fb3992291b88c0b3360bf93a16e5931f79dad020e",
          eigenvalues_sha="e67488e309293140dc75e2a7a2f8261030cd0615d88bf5cf811ccef5e22667e2",
          basis_sha="ca8b3dfe30c1c19961e309afd0beb3a17488ebc58488e1cc764c69a4693475da"),
@@ -80,14 +80,14 @@ CASES = [
          CodecParams(max_leaf=32, q_geo=16, alpha_sh_y=0.5, alpha_sh_u=0.25,
                      alpha_sh_v=0.25, alpha_opacity=0.5, alpha_scale=0.5,
                      alpha_rotation=0.5, **_SMALL_Q), leaf=1,
-         stream_sha="2dcfa3bab73231d3b250111c980e9d87b928b177f1726ba7a44994b53960ca95",
+         stream_sha="1e76168fe972aaff0aa41f8479f8326f686e8be70f6f3afa27c52f689be02ed5",
          ply_sha="ca7c6ed8a0a8f55f5f9843dfb62f9462d9e594ce99c69111479b83f99fafc063",
          eigenvalues_sha="c1e1318bc6e4b65d18e1bea7ce22ee0058a0ab3e3fa0b30e66e96fd0776aa219",
          basis_sha="605642bbc4fb39c06fa91099c3813bc66579f396a38558d119e25cea2e84a3af"),
     # Isolated points: the pinned leaf holds all three far points.
     Case("isolated", _isolated_cloud,
          CodecParams(max_leaf=16, **_SMALL_Q), leaf=3,
-         stream_sha="4a2f51b174d414384fde1db89ed3972aa60a40aa6f1fafd5947ac69554411a89",
+         stream_sha="5828a6ed054f73be1f74e32b7528f387f9b800629047588a6c40a1645813e93b",
          ply_sha="0afb608044a534b184f00a603d75b16eb8703ab56d904edd76665ad85cf11d31",
          eigenvalues_sha="65ea6dfb949fd7cab6b07246f0900d76482731ebbee8383d98a62fa19614c192",
          basis_sha="af699c78e00ddcca51b75c6ac947e90ffe79e337d00012907d1afe5e41f79c4a"),
