@@ -111,9 +111,11 @@ GEOM_EXTERNAL = 1
 #: and each group's alpha.
 _HEADER_FIELDS = f"<4sHBIIB{len(GROUP_NAMES)}B{len(GROUP_NAMES)}d"
 
-#: Attribute bit depths share the entropy coder's alphabet ceiling of
-#: 2^16; geometry indices never meet the entropy alphabet, so the lattice
-#: may go deeper.
+#: Attribute bit depths: at q = 16 a zigzagged level has 17 bits, which
+#: the `_RAW_BYTES` = 3 byte field holds, while the coder sees only its
+#: class (alphabet q + 2 = 18); 16 is also the deepest the tests run every
+#: group at.  The lattice depth is `partition.check_lattice`'s: the 93-bit
+#: Morton code of q = 31 fits its four 24-bit limbs.
 MAX_Q_ATTR = 16
 MAX_Q_GEO = 31
 #: Largest KD-tree leaf.  A leaf's eigensolve is O(m^3) in time and its

@@ -8,10 +8,12 @@ of two or more bits, the raw low `bucket - 1` bits (the leading 1 is
 implied by the bucket).  Raw bits are packed MSB-first.
 
 One numpy path serves every depth q in [1, 31].  Codes of up to 93 bits
-and their deltas are held as four 24-bit int64 limbs, with borrows and
-carries moved limb by limb; the raw bits are packed and unpacked from
-the limbs as 12-byte big-endian fields, at most `entropy.CHUNK_BITS`
-bits at a time, so temporaries stay O(points + remainder bits).
+come from `partition.morton_limbs` as four 24-bit int64 limbs; their
+deltas stay in limbs, with borrows and carries moved limb by limb, and
+the decoder hands the summed limbs to `partition.points_of_limbs`.  The raw
+bits are packed and unpacked from the limbs as 12-byte big-endian
+fields, at most `entropy.CHUNK_BITS` bits at a time, so temporaries stay
+O(points + remainder bits).
 
 Section layout: the buckets are the classes of an `entropy` classed
 payload, all little-endian,
@@ -38,19 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import partition
+from .partition import LIMB_BITS, LIMBS
 from .entropy import (CorruptPayloadError, SymbolStream, aac_decode, aac_encode,
                       be_fields, be_values, classed_fields, classed_payload,
                       classed_sections)
 
 #: Bit-length alphabet for the bucket stream (covers codes up to 127 bits).
 BUCKET_ALPHABET = 128
-
-#: Codes and deltas are held as LIMBS int64 limbs of LIMB_BITS bits: four
-#: cover the 93-bit code of q = 31, two make up each half of the Morton
-#: key pair, and a limb's cumsum over fewer than 2^32 points fits int64.
-LIMB_BITS = 24
-LIMBS = 4
-LIMB_MASK = (1 << LIMB_BITS) - 1
 
 
 @dataclass
@@ -65,35 +61,18 @@ class QuantizedGeometry:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.q <= 31:
-            raise ValueError(f"q must be in [1, 31], got {self.q}")
-        pts = np.asarray(self.points)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"points must be (N, 3), got {pts.shape}")
-        if pts.shape[0] < 1:
+        self.points = partition.check_lattice(self.points, self.q)
+        if self.points.shape[0] < 1:
             raise ValueError("geometry must hold at least one point")
-        if not np.issubdtype(pts.dtype, np.integer):
-            raise ValueError("lattice points must be integers")
-        self.points = pts.astype(np.int64, copy=False)
-        if self.points.min() < 0 or self.points.max() >= (1 << self.q):
-            raise ValueError(f"coordinates must lie in [0, 2^{self.q})")
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
 
-def _limbs(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """(n, LIMBS) int64 limbs, least significant first, of 48-bit split keys."""
-    mask, shift = np.uint64(LIMB_MASK), np.uint64(LIMB_BITS)
-    return np.stack([low & mask, low >> shift, high & mask, high >> shift],
-                    axis=1).astype(np.int64)
-
-
 def _deltas(geom: QuantizedGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Consecutive Morton code differences (the first against 0) as
     (n, LIMBS) limbs, and their bit lengths; order violations raise."""
-    keys = partition.morton_key_pair(geom.points, geom.q)
-    deltas = np.diff(_limbs(*keys), axis=0, prepend=0)
+    deltas = np.diff(partition.morton_limbs(geom.points, geom.q), axis=0, prepend=0)
     for k in range(LIMBS - 1):
         borrow = deltas[:, k] < 0
         deltas[borrow, k] += 1 << LIMB_BITS
@@ -137,16 +116,11 @@ def decode_centers(payload: bytes, q: int, count: int) -> QuantizedGeometry:
     codes = np.cumsum(deltas, axis=0, out=deltas)
     for k in range(LIMBS - 1):
         codes[:, k + 1] += codes[:, k] >> LIMB_BITS
-        codes[:, k] &= LIMB_MASK
+        codes[:, k] &= (1 << LIMB_BITS) - 1
     last = sum(int(limb) << (LIMB_BITS * k) for k, limb in enumerate(codes[-1]))
     if last >= 1 << (3 * q):
         raise CorruptPayloadError("decoded code exceeds the lattice")
-    codes = codes.view(np.uint64)  # every limb is nonnegative
-    shift = np.uint64(LIMB_BITS)
-    points = partition.points_of_key_pair(
-        codes[:, 2] | codes[:, 3] << shift, codes[:, 0] | codes[:, 1] << shift
-    )
-    return QuantizedGeometry(q=q, points=points)
+    return QuantizedGeometry(q=q, points=partition.points_of_limbs(codes))
 
 
 def _run_external(command: str, src: bytes, suffix_in: str, suffix_out: str) -> bytes:

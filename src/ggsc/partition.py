@@ -4,6 +4,10 @@ Both the encoder and the decoder run these routines on the *reconstructed*
 (quantized, then dequantized) centers, so the leaf structure they see is
 bit-identical by construction.  Everything here is pure integer / index
 arithmetic with stable tie-breaking; no randomness, no hashing.
+
+This module owns the Morton code: `morton_limbs` makes it, as four
+24-bit limbs, for both the sort here and the geometry section's deltas,
+and `points_of_limbs` inverts it for the geometry decoder.
 """
 
 from __future__ import annotations
@@ -12,79 +16,67 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Widest coordinate bit depth `_spread3` interleaves into a uint64
-#: (3 * 21 = 63 bits).
-_FAST_BITS = 21
+#: The Morton code of a lattice point is held as LIMBS int64 limbs of
+#: LIMB_BITS bits, least significant first: limb k interleaves bits
+#: 8k ... 8k + 7 of x, y and z.  Four cover the 93-bit code of q = 31,
+#: two make up each 48-bit sort key, and a limb's cumsum over fewer than
+#: 2^32 points fits int64.
+LIMB_BITS = 24
+LIMBS = 4
 
 
 def _spread3(v: np.ndarray) -> np.ndarray:
-    """Spread the low 21 bits of each uint64 so they occupy every 3rd bit."""
-    v = v & np.uint64(0x1FFFFF)
-    v = (v | (v << np.uint64(32))) & np.uint64(0x1F00000000FFFF)
-    v = (v | (v << np.uint64(16))) & np.uint64(0x1F0000FF0000FF)
-    v = (v | (v << np.uint64(8))) & np.uint64(0x100F00F00F00F00F)
-    v = (v | (v << np.uint64(4))) & np.uint64(0x10C30C30C30C30C3)
-    v = (v | (v << np.uint64(2))) & np.uint64(0x1249249249249249)
-    return v
+    """Spread the low 8 bits of each value so they occupy every 3rd bit."""
+    v = v & 0xFF
+    v = (v | (v << 8)) & 0xF00F
+    v = (v | (v << 4)) & 0xC30C3
+    return (v | (v << 2)) & 0x249249
 
 
 def _compact3(v: np.ndarray) -> np.ndarray:
-    """Inverse of `_spread3`: gather every 3rd bit back into the low 21."""
-    v = v & np.uint64(0x1249249249249249)
-    v = (v ^ (v >> np.uint64(2))) & np.uint64(0x10C30C30C30C30C3)
-    v = (v ^ (v >> np.uint64(4))) & np.uint64(0x100F00F00F00F00F)
-    v = (v ^ (v >> np.uint64(8))) & np.uint64(0x1F0000FF0000FF)
-    v = (v ^ (v >> np.uint64(16))) & np.uint64(0x1F00000000FFFF)
-    v = (v ^ (v >> np.uint64(32))) & np.uint64(0x1FFFFF)
-    return v
+    """Inverse of `_spread3`: gather every 3rd bit back into the low 8."""
+    v = v & 0x249249
+    v = (v ^ (v >> 2)) & 0xC30C3
+    v = (v ^ (v >> 4)) & 0xF00F
+    return (v ^ (v >> 8)) & 0xFF
 
 
-def _check_lattice(points: np.ndarray, q: int) -> np.ndarray:
+def check_lattice(points: np.ndarray, q: int) -> np.ndarray:
+    """(N, 3) integer points in [0, 2^q), q in [1, 31], as int64; else raise."""
     pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be (N, 3), got {pts.shape}")
     if not np.issubdtype(pts.dtype, np.integer):
         raise ValueError("lattice points must be integers")
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    limit = 1 << q
-    if pts.shape[0] and (pts.min() < 0 or pts.max() >= limit):
+    if not 1 <= q <= 31:
+        raise ValueError(f"q must be in [1, 31], got {q}")
+    if pts.shape[0] and (pts.min() < 0 or pts.max() >= 1 << q):
         raise ValueError(f"coordinates must lie in [0, 2^{q})")
     return pts.astype(np.int64, copy=False)
 
 
-def _interleave(u: np.ndarray) -> np.ndarray:
-    """Interleave the low 21 bits of each (x, y, z) row of uint64s."""
-    return _spread3(u[:, 0]) | (_spread3(u[:, 1]) << np.uint64(1)) | (
-        _spread3(u[:, 2]) << np.uint64(2)
-    )
-
-
-def morton_key_pair(points: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low) uint64 sort keys of the interleaved z/y/x bit codes.
+def morton_limbs(points: np.ndarray, q: int) -> np.ndarray:
+    """(N, LIMBS) int64 limbs of the interleaved z/y/x bit codes.
 
     Bit 0 of the code is bit 0 of x, bit 1 is bit 0 of y, bit 2 is bit 0
-    of z, and so on.  Each coordinate is split at bit 16: `low` holds the
-    low 48 bits of the code and `high` the rest, so the code is
-    `high << 48 | low` and `high` is zero for q <= 16.
+    of z, and so on; limb k holds code bits 24k ... 24k + 23.
     """
-    pts = _check_lattice(points, q)
-    if q > 16 + _FAST_BITS:  # the high halves must fit 21 bits
-        raise ValueError(f"q={q} exceeds the supported Morton depth")
-    u = pts.astype(np.uint64)
-    return _interleave(u >> np.uint64(16)), _interleave(u & np.uint64(0xFFFF))
+    pts = check_lattice(points, q).astype(np.int32)  # q <= 31 fits int32
+    limbs = np.empty((pts.shape[0], LIMBS), dtype=np.int64)
+    for k in range(LIMBS):
+        spread = _spread3(pts >> 8 * k)
+        limbs[:, k] = spread[:, 0] | spread[:, 1] << 1 | spread[:, 2] << 2
+    return limbs
 
 
-def points_of_key_pair(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """Inverse of `morton_key_pair`: (N, 3) int64 lattice points."""
-    return np.stack(
-        [
-            (_compact3(high >> np.uint64(axis)) << np.uint64(16))
-            | _compact3(low >> np.uint64(axis))
-            for axis in range(3)
-        ],
-        axis=1,
-    ).astype(np.int64)
+def points_of_limbs(limbs: np.ndarray) -> np.ndarray:
+    """Inverse of `morton_limbs`: (N, 3) int64 lattice points."""
+    limbs = limbs.astype(np.int32)  # every limb is below 2^24
+    points = np.empty((limbs.shape[0], 3), dtype=np.int64)
+    for axis in range(3):
+        b = _compact3(limbs >> axis)
+        points[:, axis] = b[:, 0] | b[:, 1] << 8 | b[:, 2] << 16 | b[:, 3] << 24
+    return points
 
 
 def morton_order(points: np.ndarray, q: int) -> np.ndarray:
@@ -92,9 +84,11 @@ def morton_order(points: np.ndarray, q: int) -> np.ndarray:
 
     The sort is stable: coincident points keep their input order.  The
     origin precedes (1, 0, 0) because x occupies the least significant
-    interleaved bit.
+    interleaved bit.  The limbs are sorted as two 48-bit keys.
     """
-    high, low = morton_key_pair(points, q)
+    limbs = morton_limbs(points, q)
+    high = limbs[:, 3] << LIMB_BITS | limbs[:, 2]
+    low = limbs[:, 1] << LIMB_BITS | limbs[:, 0]
     return np.lexsort((low, high))
 
 

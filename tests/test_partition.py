@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from ggsc.partition import (
     Partition,
+    LIMB_BITS,
     kdtree_split,
-    morton_key_pair,
+    morton_limbs,
     morton_order,
+    points_of_limbs,
 )
 
 
@@ -49,9 +51,9 @@ def interleave_oracle(x: int, y: int, z: int, bits: int) -> int:
 
 
 def morton_codes(points, q):
-    """Whole interleaved codes as Python ints, from the (high, low) pair."""
-    high, low = morton_key_pair(points, q)
-    return [int(h) << 48 | int(lo) for h, lo in zip(high, low)]
+    """Whole interleaved codes as Python ints, from the limbs."""
+    return [sum(int(limb) << (LIMB_BITS * k) for k, limb in enumerate(row))
+            for row in morton_limbs(points, q)]
 
 
 class TestMortonCodes:
@@ -69,20 +71,16 @@ class TestMortonCodes:
         codes = morton_codes(pts, 4)
         assert list(codes) == [0, 1, 2, 4, 7]
 
-    def test_key_pair_matches_python_ints_at_high_precision(self):
-        """The code is held as a (hi, lo) pair split at bit 48; at 25
-        bits/axis its ordering must match exact big-int interleaving."""
+    def test_limbs_match_python_ints_at_full_depth(self):
+        """At q = 31 every limb is in use: the 93-bit codes equal exact
+        big-int interleaving, and the points come back from the limbs."""
         rng = np.random.default_rng(1)
-        q = 25
-        pts = rng.integers(0, 2**q, size=(200, 3), dtype=np.uint64)
-        hi, lo = morton_key_pair(pts, q)
+        q = 31
+        pts = rng.integers(0, 2**q, size=(200, 3), dtype=np.int64)
+        pts[:2] = [[0, 0, 0], [2**q - 1] * 3]
         exact = [interleave_oracle(*(int(v) for v in p), q) for p in pts]
-        paired = [(int(h) << 64) | int(l) for h, l in zip(hi, lo)]
-        # the pair sorts lexicographically (hi, lo); big-int concatenation
-        # gives the same order as the exact interleaved code
-        order_exact = np.argsort(np.array(exact, dtype=object), kind="stable")
-        order_pair = np.argsort(np.array(paired, dtype=object), kind="stable")
-        np.testing.assert_array_equal(order_exact, order_pair)
+        assert morton_codes(pts, q) == exact
+        np.testing.assert_array_equal(points_of_limbs(morton_limbs(pts, q)), pts)
 
 
 class TestMortonOrder:
@@ -91,12 +89,14 @@ class TestMortonOrder:
         np.testing.assert_array_equal(morton_order(pts, 8), [1, 0])
 
     def test_matches_oracle_sort(self):
+        """Depths on either side of each limb's 8 bits per axis."""
         rng = np.random.default_rng(3)
-        pts = rng.integers(0, 2**12, size=(500, 3), dtype=np.uint64)
-        got = morton_order(pts, 12)
-        keys = [interleave_oracle(*(int(v) for v in p), 12) for p in pts]
-        want = np.argsort(np.array(keys, dtype=object), kind="stable")
-        np.testing.assert_array_equal(got, want)
+        for q in (1, 8, 9, 16, 17, 24, 25, 31):
+            pts = rng.integers(0, 2**q, size=(500, 3), dtype=np.uint64)
+            got = morton_order(pts, q)
+            keys = [interleave_oracle(*(int(v) for v in p), q) for p in pts]
+            want = np.argsort(np.array(keys, dtype=object), kind="stable")
+            np.testing.assert_array_equal(got, want, err_msg=f"q={q}")
 
     def test_stable_on_duplicates(self):
         pts = np.array([[5, 5, 5]] * 4 + [[1, 1, 1]] * 3, dtype=np.uint64)
@@ -117,7 +117,7 @@ class TestMortonOrder:
         with pytest.raises(ValueError):
             morton_order(pts, 0)
         with pytest.raises(ValueError):
-            morton_order(pts, 38)
+            morton_order(pts, 32)
 
 
 @settings(max_examples=40, deadline=None)
