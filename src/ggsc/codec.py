@@ -3,7 +3,9 @@
 Encoding pipeline:
 
 1. fit a lattice grid over the centers, quantize them (q_geo bits/axis),
-2. sort primitives along the Morton curve of the lattice points,
+2. sort primitives along the Morton curve of the lattice points: their
+   codes are built once (`partition.morton_limbs`), sorted, and coded
+   as they are by the geometry section (`geom_codec.encode_centers`),
 3. rebuild the *reconstructed* centers (dequantized lattice) -- every
    later stage sees only these, because the decoder will too,
 4. KD-tree partition the reconstructed centers into leaves,
@@ -114,10 +116,8 @@ _HEADER_FIELDS = f"<4sHBIIB{len(GROUP_NAMES)}B{len(GROUP_NAMES)}d"
 #: Attribute bit depths: at q = 16 a zigzagged level has 17 bits, which
 #: the `_RAW_BYTES` = 3 byte field holds, while the coder sees only its
 #: class (alphabet q + 2 = 18); 16 is also the deepest the tests run every
-#: group at.  The lattice depth is `partition.check_lattice`'s: the 93-bit
-#: Morton code of q = 31 fits its four 24-bit limbs.
+#: group at.  The lattice depth is bounded by `partition.MAX_Q`.
 MAX_Q_ATTR = 16
-MAX_Q_GEO = 31
 #: Largest KD-tree leaf.  A leaf's eigensolve is O(m^3) in time and its
 #: affinity O(m^2) in memory; at m = 512 one solve took 2.7 s and 74 MiB
 #: peak RSS on one core of an Intel Xeon.  The bound keeps a hostile
@@ -167,9 +167,10 @@ class CodecError(ValueError):
 class CodecParams:
     """Everything the encoder is allowed to vary.
 
-    Bit depths `q_*` count quantizer bits (attribute groups 1..16,
-    geometry 1..31); `alpha_*` in (0, 1] is the kept fraction of graph
-    spectrum per group; `max_leaf` (1..512) bounds KD-tree leaf size.
+    Bit depths `q_*` count quantizer bits (attribute groups 1..MAX_Q_ATTR,
+    geometry 1..`partition.MAX_Q`); `alpha_*` in (0, 1] is the kept
+    fraction of graph spectrum per group; `max_leaf` (1..512) bounds
+    KD-tree leaf size.
     """
 
     q_geo: int = 14
@@ -188,8 +189,8 @@ class CodecParams:
     max_leaf: int = 200
 
     def validate(self) -> None:
-        if not isinstance(self.q_geo, int) or not 1 <= self.q_geo <= MAX_Q_GEO:
-            raise ValueError(f"q_geo must be an int in [1, {MAX_Q_GEO}]")
+        if not isinstance(self.q_geo, int) or not 1 <= self.q_geo <= partition.MAX_Q:
+            raise ValueError(f"q_geo must be an int in [1, {partition.MAX_Q}]")
         for name in GROUP_NAMES:
             q = self.q_for(name)
             if not isinstance(q, int) or not 1 <= q <= MAX_Q_ATTR:
@@ -597,11 +598,15 @@ def _encode_run(centers: np.ndarray, sizes: dict[int, int], sigma: float,
     return _kept_coefficients(chunks, signals, params), chunks if debug else None
 
 
-def _code_geometry(geometry: geom_codec.QuantizedGeometry) -> bytes:
-    return geom_codec.encode_centers(geometry)
+def _code_geometry(codes: np.ndarray) -> bytes:
+    return geom_codec.encode_centers(codes)
 
 
-def _attribute_signals(cloud: GaussianCloud) -> dict[str, np.ndarray]:
+def attribute_signals(cloud: GaussianCloud) -> dict[str, np.ndarray]:
+    """Each attribute group's (N, C) signal, by name in `GROUP_NAMES`: the
+    SH colour as its Y, U and V channels (16 coefficients each), opacity
+    as one column, scale and rotation as they are.  The encoder transforms
+    these; `eval.attribute_psnr` compares them."""
     yuv = colorspace.sh_rgb_to_yuv(colorspace.sh_from_flat(cloud.sh)).coeffs
     return {
         "sh_y": yuv[:, :, 0],
@@ -644,20 +649,20 @@ def encode(
 
     geom_grid = fit_grid(cloud.centers, params.q_geo)
     lattice = quantize(cloud.centers, geom_grid)
-    perm = partition.morton_order(lattice, params.q_geo)
-    lattice = lattice[perm]
+    codes = partition.morton_limbs(lattice, params.q_geo)
+    perm = partition.morton_order(codes)
+    lattice, codes = lattice[perm], codes[perm]
     ordered = cloud.take(perm)
 
     recon_centers = dequantize(lattice, geom_grid)
     part = partition.kdtree_split(recon_centers, params.max_leaf)
     sizes = Counter(len(leaf) for leaf in part.leaves)
     sigma = _sigma(recon_centers)
-    signals = _attribute_signals(ordered)
-    geometry = geom_codec.QuantizedGeometry(q=params.q_geo, points=lattice)
+    signals = attribute_signals(ordered)
     counts = [_level_count(comps, params.alpha_for(name), sizes)
               for name, comps in ATTRIBUTE_GROUPS]
     if not geometry_command:
-        counts.append(len(geometry))
+        counts.append(len(codes))
     procs = 1 if collect_debug else _process_count(sum(counts) + _spectra_work(sizes))
 
     runs = _runs(part.leaves, procs)
@@ -671,14 +676,12 @@ def encode(
                               params.alpha_for(name), sizes))
              for name, comps in ATTRIBUTE_GROUPS]
     if not geometry_command:
-        calls.append(("_code_geometry", (geometry,)))
+        calls.append(("_code_geometry", (codes,)))
     coded = _dispatch(calls, _shares(counts, procs))
     attr_grids = {name: grid for name, (grid, _) in zip(GROUP_NAMES, coded)}
     payloads = {name: payload for name, (_, payload) in zip(GROUP_NAMES, coded)}
     if geometry_command:
-        geometry_payload = geom_codec.encode_centers_external(
-            geometry, geometry_command
-        )
+        geometry_payload = geom_codec.encode_centers_external(lattice, geometry_command)
         backend = GEOM_EXTERNAL
     else:
         geometry_payload = coded[-1]
@@ -797,11 +800,11 @@ def decode(
                 "stream was coded with an external geometry backend; "
                 "pass geometry_command (ggsc decode --geometry-command) to decode it"
             )
-        geometry = geom_codec.decode_centers_external(
+        lattice = geom_codec.decode_centers_external(
             stream.geometry_payload, params.q_geo, geometry_command, stream.gs_count
         )
     else:
-        geometry = geom_codec.decode_centers(
+        lattice = geom_codec.decode_centers(
             stream.geometry_payload, params.q_geo, stream.gs_count
         )
 
@@ -809,7 +812,7 @@ def decode(
     # turns that into a CodecError, so numpy's warnings on the way would
     # only be noise ahead of it.
     with np.errstate(over="ignore", invalid="ignore"):
-        recon_centers = dequantize(geometry.points, stream.geom_grid)
+        recon_centers = dequantize(lattice, stream.geom_grid)
         _check_finite("centers", recon_centers)
         part = partition.kdtree_split(recon_centers, params.max_leaf)
         sizes = Counter(len(leaf) for leaf in part.leaves)
@@ -864,5 +867,5 @@ def canonical_order(cloud: GaussianCloud, params: CodecParams) -> GaussianCloud:
     params)` row by row.
     """
     grid = fit_grid(cloud.centers, params.q_geo)
-    perm = partition.morton_order(quantize(cloud.centers, grid), params.q_geo)
-    return cloud.take(perm)
+    codes = partition.morton_limbs(quantize(cloud.centers, grid), params.q_geo)
+    return cloud.take(partition.morton_order(codes))

@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from . import codec as codec_mod
-from . import colorspace
 from .codec import CodecParams, bitrate_breakdown
 from .gs_core import GaussianCloud, bounding_box
 
@@ -64,23 +63,18 @@ def attribute_psnr(ref: GaussianCloud, dist: GaussianCloud) -> dict[str, PsnrSta
         raise ValueError(
             f"clouds disagree in size: {len(ref)} vs {len(dist)} primitives"
         )
-    ref_yuv = colorspace.sh_rgb_to_yuv(colorspace.sh_from_flat(ref.sh)).coeffs
-    dist_yuv = colorspace.sh_rgb_to_yuv(colorspace.sh_from_flat(dist.sh)).coeffs
 
     def stats(a: np.ndarray, b: np.ndarray) -> PsnrStats:
         mse = float(np.mean((a - b) ** 2))
         peak = float(a.max() - a.min())
         return _psnr(mse, peak)
 
-    out = {
-        "sh": stats(ref.sh, dist.sh),
-        "sh_y": stats(ref_yuv[:, :, 0], dist_yuv[:, :, 0]),
-        "sh_u": stats(ref_yuv[:, :, 1], dist_yuv[:, :, 1]),
-        "sh_v": stats(ref_yuv[:, :, 2], dist_yuv[:, :, 2]),
-        "opacity": stats(ref.opacity, dist.opacity),
-        "scale": stats(ref.scale, dist.scale),
-        "rotation": stats(ref.rotation, dist.rotation),
-    }
+    # The flat SH, then each group's signal as the codec splits it.
+    ref_signals = codec_mod.attribute_signals(ref)
+    dist_signals = codec_mod.attribute_signals(dist)
+    out = {"sh": stats(ref.sh, dist.sh)}
+    for name in codec_mod.GROUP_NAMES:
+        out[name] = stats(ref_signals[name], dist_signals[name])
     return out
 
 

@@ -7,11 +7,13 @@ adaptive arithmetic coder over a 128-symbol alphabet) and, for buckets
 of two or more bits, the raw low `bucket - 1` bits (the leading 1 is
 implied by the bucket).  Raw bits are packed MSB-first.
 
-One numpy path serves every depth q in [1, 31].  Codes of up to 93 bits
-come from `partition.morton_limbs` as four 24-bit int64 limbs; their
-deltas stay in limbs, with borrows and carries moved limb by limb, and
-the decoder hands the summed limbs to `partition.points_of_limbs`.  The raw
-bits are packed and unpacked from the limbs as 12-byte big-endian
+One numpy path serves every depth q in [1, `partition.MAX_Q`].  The
+section codes the sort's own codes: the (N, 4) int64 limbs of 24 bits
+that `partition.morton_limbs` built and `partition.morton_order` sorted,
+with no wrapper around them.  Their deltas stay in limbs, with borrows
+and carries moved limb by limb, and the decoder hands the summed limbs to
+`partition.points_of_limbs`, returning plain (N, 3) lattice points.  The
+raw bits are packed and unpacked from the limbs as 12-byte big-endian
 fields, at most `entropy.CHUNK_BITS` bits at a time, so temporaries stay
 O(points + remainder bits).
 
@@ -35,7 +37,6 @@ from __future__ import annotations
 import io
 import os
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,30 +50,19 @@ from .entropy import (CorruptPayloadError, SymbolStream, aac_decode, aac_encode,
 BUCKET_ALPHABET = 128
 
 
-@dataclass
-class QuantizedGeometry:
-    """Lattice centers in Morton order.
-
-    q:      lattice bit depth per axis.
-    points: (N, 3) int64 in [0, 2^q); duplicates allowed and preserved.
-    """
-
-    q: int
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.points = partition.check_lattice(self.points, self.q)
-        if self.points.shape[0] < 1:
-            raise ValueError("geometry must hold at least one point")
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def _deltas(geom: QuantizedGeometry) -> tuple[np.ndarray, np.ndarray]:
+def _deltas(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Consecutive Morton code differences (the first against 0) as
-    (n, LIMBS) limbs, and their bit lengths; order violations raise."""
-    deltas = np.diff(partition.morton_limbs(geom.points, geom.q), axis=0, prepend=0)
+    (n, LIMBS) limbs, and their bit lengths.  Codes that are not (n,
+    LIMBS) integer limbs in [0, 2^LIMB_BITS), or not in Morton order,
+    raise."""
+    codes = np.asarray(codes)
+    if (codes.ndim != 2 or codes.shape[1] != LIMBS
+            or not np.issubdtype(codes.dtype, np.integer)):
+        raise ValueError(f"codes must be (N, {LIMBS}) integer limbs, "
+                         f"got {codes.shape} {codes.dtype}")
+    if codes.size and (codes.min() < 0 or codes.max() >= 1 << LIMB_BITS):
+        raise ValueError(f"code limbs must lie in [0, 2^{LIMB_BITS})")
+    deltas = np.diff(codes.astype(np.int64, copy=False), axis=0, prepend=0)
     for k in range(LIMBS - 1):
         borrow = deltas[:, k] < 0
         deltas[borrow, k] += 1 << LIMB_BITS
@@ -84,10 +74,11 @@ def _deltas(geom: QuantizedGeometry) -> tuple[np.ndarray, np.ndarray]:
     return deltas, np.where(deltas > 0, lengths, 0).max(axis=1).astype(np.int64)
 
 
-def encode_centers(geom: QuantizedGeometry) -> bytes:
-    """Serialize Morton-ordered lattice centers; order violations raise."""
-    deltas, buckets = _deltas(geom)
-    fields = be_fields(deltas[:, ::-1], LIMB_BITS // 8).reshape(len(geom), -1)
+def encode_centers(codes: np.ndarray) -> bytes:
+    """Serialize Morton-sorted `partition.morton_limbs` codes; limbs out of
+    range or out of order raise."""
+    deltas, buckets = _deltas(codes)
+    fields = be_fields(deltas[:, ::-1], LIMB_BITS // 8).reshape(len(deltas), -1)
     return classed_payload(aac_encode(SymbolStream(BUCKET_ALPHABET, buckets)),
                            fields, buckets)
 
@@ -98,8 +89,9 @@ def _check_count(n: int, count: int) -> None:
         raise CorruptPayloadError(f"geometry holds {n} points, header says {count}")
 
 
-def decode_centers(payload: bytes, q: int, count: int) -> QuantizedGeometry:
-    """Invert `encode_centers`; any framing inconsistency raises.
+def decode_centers(payload: bytes, q: int, count: int) -> np.ndarray:
+    """Invert `encode_centers`: the (count, 3) int64 lattice points, in
+    Morton order; any framing inconsistency raises.
 
     `count` is the number of points the container declares, at least one;
     a section holding any other number is rejected before its buckets are
@@ -120,7 +112,7 @@ def decode_centers(payload: bytes, q: int, count: int) -> QuantizedGeometry:
     last = sum(int(limb) << (LIMB_BITS * k) for k, limb in enumerate(codes[-1]))
     if last >= 1 << (3 * q):
         raise CorruptPayloadError("decoded code exceeds the lattice")
-    return QuantizedGeometry(q=q, points=partition.points_of_limbs(codes))
+    return partition.points_of_limbs(codes)
 
 
 def _run_external(command: str, src: bytes, suffix_in: str, suffix_out: str) -> bytes:
@@ -170,16 +162,17 @@ def _ascii_ply_to_points(blob: bytes, q: int) -> np.ndarray:
     return coords.astype(np.int64)
 
 
-def encode_centers_external(geom: QuantizedGeometry, command: str) -> bytes:
-    """Compress the section with an external codec: its output is the
-    section, verbatim."""
-    return _run_external(command, _points_to_ascii_ply(geom.points), ".ply", ".bin")
+def encode_centers_external(points: np.ndarray, command: str) -> bytes:
+    """Compress (N, 3) lattice points with an external codec: its output
+    is the section, verbatim."""
+    return _run_external(command, _points_to_ascii_ply(points), ".ply", ".bin")
 
 
 def decode_centers_external(
     payload: bytes, q: int, command: str, count: int
-) -> QuantizedGeometry:
-    """Run the external decoder and restore canonical Morton order.
+) -> np.ndarray:
+    """Run the external decoder and restore canonical Morton order: the
+    (count, 3) int64 lattice points.
 
     The external codec must be lossless, duplicates included; the point
     *order* it emits is free because the section is re-sorted here.
@@ -189,5 +182,4 @@ def decode_centers_external(
     blob = _run_external(command, payload, ".bin", ".ply")
     points = _ascii_ply_to_points(blob, q)
     _check_count(points.shape[0], count)
-    order = partition.morton_order(points, q)
-    return QuantizedGeometry(q=q, points=points[order])
+    return points[partition.morton_order(partition.morton_limbs(points, q))]

@@ -6,8 +6,9 @@ bit-identical by construction.  Everything here is pure integer / index
 arithmetic with stable tie-breaking; no randomness, no hashing.
 
 This module owns the Morton code: `morton_limbs` makes it, as four
-24-bit limbs, for both the sort here and the geometry section's deltas,
-and `points_of_limbs` inverts it for the geometry decoder.
+24-bit limbs, and is the one place a lattice is checked (`check_lattice`);
+`morton_order` sorts those limbs, which the geometry section then codes
+as they are, and `points_of_limbs` inverts them for the geometry decoder.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+#: Deepest lattice, in bits per axis.
+MAX_Q = 31
 #: The Morton code of a lattice point is held as LIMBS int64 limbs of
 #: LIMB_BITS bits, least significant first: limb k interleaves bits
-#: 8k ... 8k + 7 of x, y and z.  Four cover the 93-bit code of q = 31,
+#: 8k ... 8k + 7 of x, y and z.  Four cover the 93-bit code of q = MAX_Q,
 #: two make up each 48-bit sort key, and a limb's cumsum over fewer than
 #: 2^32 points fits int64.
 LIMB_BITS = 24
@@ -42,14 +45,14 @@ def _compact3(v: np.ndarray) -> np.ndarray:
 
 
 def check_lattice(points: np.ndarray, q: int) -> np.ndarray:
-    """(N, 3) integer points in [0, 2^q), q in [1, 31], as int64; else raise."""
+    """(N, 3) integer points in [0, 2^q), q in [1, MAX_Q], as int64; else raise."""
     pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be (N, 3), got {pts.shape}")
     if not np.issubdtype(pts.dtype, np.integer):
         raise ValueError("lattice points must be integers")
-    if not 1 <= q <= 31:
-        raise ValueError(f"q must be in [1, 31], got {q}")
+    if not 1 <= q <= MAX_Q:
+        raise ValueError(f"q must be in [1, {MAX_Q}], got {q}")
     if pts.shape[0] and (pts.min() < 0 or pts.max() >= 1 << q):
         raise ValueError(f"coordinates must lie in [0, 2^{q})")
     return pts.astype(np.int64, copy=False)
@@ -61,7 +64,7 @@ def morton_limbs(points: np.ndarray, q: int) -> np.ndarray:
     Bit 0 of the code is bit 0 of x, bit 1 is bit 0 of y, bit 2 is bit 0
     of z, and so on; limb k holds code bits 24k ... 24k + 23.
     """
-    pts = check_lattice(points, q).astype(np.int32)  # q <= 31 fits int32
+    pts = check_lattice(points, q).astype(np.int32)  # q <= MAX_Q fits int32
     limbs = np.empty((pts.shape[0], LIMBS), dtype=np.int64)
     for k in range(LIMBS):
         spread = _spread3(pts >> 8 * k)
@@ -79,14 +82,13 @@ def points_of_limbs(limbs: np.ndarray) -> np.ndarray:
     return points
 
 
-def morton_order(points: np.ndarray, q: int) -> np.ndarray:
-    """Permutation sorting lattice points into Morton (z-curve) order.
+def morton_order(limbs: np.ndarray) -> np.ndarray:
+    """Permutation sorting `morton_limbs` codes into Morton (z-curve) order.
 
     The sort is stable: coincident points keep their input order.  The
     origin precedes (1, 0, 0) because x occupies the least significant
     interleaved bit.  The limbs are sorted as two 48-bit keys.
     """
-    limbs = morton_limbs(points, q)
     high = limbs[:, 3] << LIMB_BITS | limbs[:, 2]
     low = limbs[:, 1] << LIMB_BITS | limbs[:, 0]
     return np.lexsort((low, high))

@@ -128,7 +128,7 @@ def test_full_rate_guarantees():
 
     # transform domain: decoded coefficients sit within half a step of
     # the originals (alpha=1 keeps every coefficient)
-    source = codec._attribute_signals(ordered)
+    source = codec.attribute_signals(ordered)
     for name in GROUP_NAMES:
         tol = _half_step(stream, name) + 1e-9
         for rows, spec in edbg.chunks:

@@ -30,7 +30,7 @@ from ggsc.codec import (
 )
 from ggsc.entropy import CorruptPayloadError, SymbolStream, aac_encode
 from ggsc.quantizer import QuantGrid, dequantize, quantize
-from ggsc import pool, spectral
+from ggsc import partition, pool, spectral
 
 from conftest import bounded_failure, child_env, make_cloud, make_realistic_cloud
 from ggsc.gs_core import save_ply
@@ -671,6 +671,19 @@ class TestCanonicalOrder:
         got = sorted(map(tuple, ref.centers))
         want = sorted(map(tuple, cloud.centers))
         assert got == want
+
+    def test_encode_builds_and_checks_the_lattice_once(self, monkeypatch):
+        """The geometry section codes the limbs the sort built, so an
+        encode builds the Morton code once and checks the lattice once."""
+        calls = Counter()
+        for name in ("morton_limbs", "check_lattice"):
+            def spy(*args, _name=name, _real=getattr(partition, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(partition, name, spy)
+        monkeypatch.setattr(C, "_usable_cpus", lambda: 1)
+        encode(make_cloud(130, seed=24), SMALL)
+        assert calls == {"morton_limbs": 1, "check_lattice": 1}
 
 
 def _leaves(sizes: list[int]) -> list[np.ndarray]:

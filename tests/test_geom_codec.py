@@ -20,26 +20,29 @@ from ggsc.entropy import (
 )
 from ggsc.geom_codec import (
     BUCKET_ALPHABET,
-    QuantizedGeometry,
     decode_centers,
     decode_centers_external,
     encode_centers,
     encode_centers_external,
 )
-from ggsc.partition import morton_order
+from ggsc.partition import LIMB_BITS, morton_limbs, morton_order
 
 from conftest import bounded_failure
 from test_partition import interleave_oracle
 
 
 def sorted_geom(points, q):
+    """Lattice points in Morton order, and their sorted Morton codes, as
+    `codec.encode` makes them."""
     pts = np.asarray(points, dtype=np.int64)
-    return QuantizedGeometry(q=q, points=pts[morton_order(pts, q)])
+    codes = morton_limbs(pts, q)
+    order = morton_order(codes)
+    return pts[order], codes[order]
 
 
 def golden_geometry(q, n, seed):
-    """Seeded lattice points with repeated rows and, past one point, the
-    lattice corners, in Morton order."""
+    """The sorted Morton codes of seeded lattice points with repeated rows
+    and, past one point, the lattice corners."""
     rng = np.random.default_rng(seed)
     top = (1 << q) - 1
     pts = rng.integers(0, 1 << q, size=(n, 3))
@@ -48,7 +51,7 @@ def golden_geometry(q, n, seed):
         corners = np.array([[0, 0, 0], [top, top, top], [top, 0, 0],
                             [0, top, top], [top, 0, top]])[: n // 2]
         pts[: len(corners)] = corners
-    return sorted_geom(pts, q)
+    return sorted_geom(pts, q)[1]
 
 
 def deinterleave_oracle(code, q):
@@ -182,89 +185,83 @@ def test_matches_reference_packer(case):
     """Bytes equal to the bit-at-a-time reference section, and lossless."""
     q, codes = case
     points = np.array([deinterleave_oracle(c, q) for c in codes], dtype=np.int64)
-    payload = encode_centers(QuantizedGeometry(q=q, points=points))
+    payload = encode_centers(morton_limbs(points, q))
     assert payload == reference_section(codes)
     out = decode_centers(payload, q, len(codes))
-    np.testing.assert_array_equal(out.points, points)
-
-
-class TestQuantizedGeometry:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuantizedGeometry(q=0, points=np.zeros((1, 3), dtype=np.int64))
-        with pytest.raises(ValueError):
-            QuantizedGeometry(q=32, points=np.zeros((1, 3), dtype=np.int64))
-        with pytest.raises(ValueError):
-            QuantizedGeometry(q=4, points=np.zeros((0, 3), dtype=np.int64))
-        with pytest.raises(ValueError):
-            QuantizedGeometry(q=4, points=np.zeros((1, 2), dtype=np.int64))
-        with pytest.raises(ValueError):
-            QuantizedGeometry(q=4, points=np.zeros((1, 3)))  # floats
-        with pytest.raises(ValueError):
-            QuantizedGeometry(q=4, points=np.array([[0, 16, 0]]))
-        with pytest.raises(ValueError):
-            QuantizedGeometry(q=4, points=np.array([[0, -1, 0]]))
-
-    def test_len(self):
-        geom = QuantizedGeometry(q=4, points=np.zeros((7, 3), dtype=np.int64))
-        assert len(geom) == 7
+    np.testing.assert_array_equal(out, points)
 
 
 class TestRoundTrip:
     def test_single_origin_point(self):
-        geom = QuantizedGeometry(q=8, points=np.array([[0, 0, 0]]))
-        out = decode_centers(encode_centers(geom), 8, 1)
-        np.testing.assert_array_equal(out.points, [[0, 0, 0]])
+        out = decode_centers(encode_centers(morton_limbs(np.array([[0, 0, 0]]), 8)), 8, 1)
+        np.testing.assert_array_equal(out, [[0, 0, 0]])
 
     def test_full_grid_compresses_hard(self):
         """Every cell of the 8x8x8 lattice: deltas collapse to 1, payload
         must land well under a quarter of the 512*3*3-bit raw encoding."""
         cells = np.stack(np.meshgrid(*[np.arange(8)] * 3, indexing="ij"),
                          axis=-1).reshape(-1, 3)
-        geom = sorted_geom(cells, 3)
-        payload = encode_centers(geom)
+        points, codes = sorted_geom(cells, 3)
+        payload = encode_centers(codes)
         raw_bytes = 512 * 3 * 3 / 8
         assert len(payload) < raw_bytes / 4
         out = decode_centers(payload, 3, 512)
-        np.testing.assert_array_equal(out.points, geom.points)
+        np.testing.assert_array_equal(out, points)
 
     def test_random_points_with_duplicates(self):
         rng = np.random.default_rng(0)
         pts = rng.integers(0, 2**12, size=(10**4, 3))
         pts[5000:5100] = pts[:100]  # force duplicates
-        geom = sorted_geom(pts, 12)
-        out = decode_centers(encode_centers(geom), 12, len(geom))
-        np.testing.assert_array_equal(out.points, geom.points)
+        points, codes = sorted_geom(pts, 12)
+        out = decode_centers(encode_centers(codes), 12, len(points))
+        np.testing.assert_array_equal(out, points)
 
     def test_duplicates_carry_multiplicity(self):
         pts = np.array([[3, 1, 4]] * 5 + [[3, 1, 5]] * 2)
-        geom = sorted_geom(pts, 4)
-        out = decode_centers(encode_centers(geom), 4, len(geom))
+        points, codes = sorted_geom(pts, 4)
+        out = decode_centers(encode_centers(codes), 4, len(points))
         assert len(out) == 7
-        np.testing.assert_array_equal(out.points, geom.points)
+        np.testing.assert_array_equal(out, points)
 
     def test_deep_lattice_round_trip(self):
-        """q = 25: codes wider than 64 bits, with both halves of the
-        Morton key pair and every limb in use."""
+        """q = 25: codes wider than 64 bits, with every limb in use."""
         rng = np.random.default_rng(1)
         pts = rng.integers(0, 2**25, size=(500, 3))
-        geom = sorted_geom(pts, 25)
-        out = decode_centers(encode_centers(geom), 25, len(geom))
-        np.testing.assert_array_equal(out.points, geom.points)
+        points, codes = sorted_geom(pts, 25)
+        out = decode_centers(encode_centers(codes), 25, len(points))
+        np.testing.assert_array_equal(out, points)
 
     def test_extreme_corner_points(self):
         q = 21
         top = (1 << q) - 1
         pts = np.array([[0, 0, 0], [top, top, top], [top, 0, top]])
-        geom = sorted_geom(pts, q)
-        out = decode_centers(encode_centers(geom), q, len(geom))
-        np.testing.assert_array_equal(out.points, geom.points)
+        points, codes = sorted_geom(pts, q)
+        out = decode_centers(encode_centers(codes), q, len(points))
+        np.testing.assert_array_equal(out, points)
 
     def test_unsorted_input_rejected(self):
-        pts = np.array([[7, 7, 7], [0, 0, 0]])
-        geom = QuantizedGeometry(q=3, points=pts)
+        codes = morton_limbs(np.array([[7, 7, 7], [0, 0, 0]]), 3)
         with pytest.raises(ValueError, match="Morton"):
-            encode_centers(geom)
+            encode_centers(codes)
+
+    @pytest.mark.parametrize("codes", [
+        np.zeros((2, 3), dtype=np.int64),
+        np.zeros((2, 5), dtype=np.int64),
+        np.zeros(4, dtype=np.int64),
+        np.zeros((2, 4)),
+    ], ids=["three-limbs", "five-limbs", "flat", "float"])
+    def test_codes_not_integer_limbs_rejected(self, codes):
+        with pytest.raises(ValueError, match="integer limbs"):
+            encode_centers(codes)
+
+    @pytest.mark.parametrize("limb", [-1, 1 << LIMB_BITS])
+    def test_limb_out_of_range_rejected(self, limb):
+        """A limb outside [0, 2^24) is refused: one of 2^24 would pass
+        the order check and code the wrong delta."""
+        codes = np.zeros((2, 4), dtype=np.int64)
+        codes[1, 0] = limb
+        with pytest.raises(ValueError, match="limbs must lie"):
+            encode_centers(codes)
 
 
 class TestPythonKernelWidth:
@@ -275,11 +272,11 @@ class TestPythonKernelWidth:
         # Sparse points on a 2^12 lattice: Morton deltas of 20+ bits, so
         # every remainder spans several bytes.
         rng = np.random.default_rng(21)
-        geom = sorted_geom(rng.integers(0, 1 << 12, size=(40, 3)), 12)
-        payload = encode_centers(geom)
+        points, codes = sorted_geom(rng.integers(0, 1 << 12, size=(40, 3)), 12)
+        payload = encode_centers(codes)
         assert max(payload[-8:]) >= 0x80  # remainder bytes end the section
-        back = decode_centers(payload, geom.q, len(geom))
-        np.testing.assert_array_equal(back.points, geom.points)
+        back = decode_centers(payload, 12, len(points))
+        np.testing.assert_array_equal(back, points)
 
 
 class TestSectionLayout:
@@ -298,9 +295,7 @@ class TestSectionLayout:
                 z |= ((code >> (3 * b + 2)) & 1) << b
             pts.append([x, y, z])
             assert interleave_oracle(x, y, z, q) == code
-        geom = QuantizedGeometry(q=q, points=np.array(pts, dtype=np.int64))
-
-        payload = encode_centers(geom)
+        payload = encode_centers(morton_limbs(np.array(pts), q))
         n, blen = struct.unpack_from("<II", payload, 0)
         assert n == 4
         buckets = aac_decode(payload[:4] + payload[8 : 8 + blen], BUCKET_ALPHABET, 4).symbols
@@ -308,15 +303,14 @@ class TestSectionLayout:
         remainder = payload[8 + blen :]
         assert remainder == bytes([0b01000000])
         out = decode_centers(payload, q, 4)
-        np.testing.assert_array_equal(out.points, geom.points)
+        np.testing.assert_array_equal(out, pts)
 
     def test_payload_length_accounts_exactly(self):
         """8 bytes of framing, the bucket bytes, and the remainder bits the
         buckets imply, zero padded to a byte."""
         rng = np.random.default_rng(2)
         pts = rng.integers(0, 2**10, size=(400, 3))
-        geom = sorted_geom(pts, 10)
-        payload = encode_centers(geom)
+        payload = encode_centers(sorted_geom(pts, 10)[1])
         (blen,) = struct.unpack_from("<I", payload, 4)
         buckets = aac_decode(payload[:4] + payload[8 : 8 + blen], BUCKET_ALPHABET, 400).symbols
         nbits = int(np.maximum(buckets - 1, 0).sum())
@@ -328,8 +322,7 @@ class TestCorruption:
     def _payload(self):
         rng = np.random.default_rng(3)
         pts = rng.integers(0, 2**8, size=(300, 3))
-        geom = sorted_geom(pts, 8)
-        return encode_centers(geom)
+        return encode_centers(sorted_geom(pts, 8)[1])
 
     def test_empty_payload(self):
         with pytest.raises(CorruptPayloadError):
@@ -380,8 +373,7 @@ class TestCorruption:
     def test_bucket_overflow_rejected(self):
         """A bucket claiming more bits than the lattice width is framing
         corruption even if the arithmetic payload itself is canonical."""
-        geom = QuantizedGeometry(q=2, points=np.array([[0, 0, 0], [1, 0, 0]]))
-        payload = bytearray(encode_centers(geom))
+        payload = bytearray(encode_centers(morton_limbs(np.array([[0, 0, 0], [1, 0, 0]]), 2)))
         # re-code the bucket stream with an oversized bucket
         forged_buckets = aac_encode(
             SymbolStream(BUCKET_ALPHABET, np.array([90, 0], dtype=np.int64))
@@ -405,11 +397,11 @@ class TestExternalHook:
             "import sys, shutil\nshutil.copy(sys.argv[1], sys.argv[2])\n",
         )
         rng = np.random.default_rng(4)
-        geom = sorted_geom(rng.integers(0, 2**6, size=(50, 3)), 6)
-        payload = encode_centers_external(geom, cmd)
+        points, _ = sorted_geom(rng.integers(0, 2**6, size=(50, 3)), 6)
+        payload = encode_centers_external(points, cmd)
         assert payload.startswith(b"ply\n")  # the tool's output, verbatim
-        out = decode_centers_external(payload, 6, cmd, len(geom))
-        np.testing.assert_array_equal(out.points, geom.points)
+        out = decode_centers_external(payload, 6, cmd, len(points))
+        np.testing.assert_array_equal(out, points)
         with pytest.raises(CorruptPayloadError, match="header says 49"):
             decode_centers_external(payload, 6, cmd, 49)
 
@@ -430,24 +422,22 @@ class TestExternalHook:
         )
         decode_cmd = f"python3 {reverse} {{in}} {{out}}"
         rng = np.random.default_rng(5)
-        geom = sorted_geom(rng.integers(0, 2**6, size=(40, 3)), 6)
-        payload = encode_centers_external(geom, encode_cmd)
-        out = decode_centers_external(payload, 6, decode_cmd, len(geom))
-        np.testing.assert_array_equal(out.points, geom.points)
+        points, _ = sorted_geom(rng.integers(0, 2**6, size=(40, 3)), 6)
+        payload = encode_centers_external(points, encode_cmd)
+        out = decode_centers_external(payload, 6, decode_cmd, len(points))
+        np.testing.assert_array_equal(out, points)
 
     def test_failing_tool_raises(self, tmp_path):
         cmd = self._script(tmp_path, "import sys\nsys.exit(3)\n")
-        geom = QuantizedGeometry(q=4, points=np.array([[1, 2, 3]]))
         with pytest.raises(RuntimeError, match="external"):
-            encode_centers_external(geom, cmd)
+            encode_centers_external(np.array([[1, 2, 3]]), cmd)
 
     def test_garbage_output_raises(self, tmp_path):
         cmd = self._script(
             tmp_path,
             "import sys\nopen(sys.argv[2], 'w').write('not a ply at all')\n",
         )
-        geom = QuantizedGeometry(q=4, points=np.array([[1, 2, 3]]))
-        payload = encode_centers_external(geom, "python3 -c "
+        payload = encode_centers_external(np.array([[1, 2, 3]]), "python3 -c "
                                            "'import sys, shutil; shutil.copy(sys.argv[1], sys.argv[2])' "
                                            "{in} {out}")
         with pytest.raises(CorruptPayloadError):

@@ -82,32 +82,45 @@ class TestMortonCodes:
         assert morton_codes(pts, q) == exact
         np.testing.assert_array_equal(points_of_limbs(morton_limbs(pts, q)), pts)
 
+    def test_check_lattice_rejections(self):
+        """`morton_limbs` checks its lattice (`check_lattice`): q outside
+        [1, MAX_Q], a shape other than (N, 3), non-integer points and
+        coordinates outside [0, 2^q) all raise."""
+        zero = np.zeros((1, 3), dtype=np.int64)
+        for q, points in [(0, zero), (32, zero),
+                          (4, np.zeros((1, 2), dtype=np.int64)),
+                          (4, np.zeros((1, 3))),  # floats
+                          (4, np.array([[0, 16, 0]])),
+                          (4, np.array([[0, -1, 0]]))]:
+            with pytest.raises(ValueError):
+                morton_limbs(points, q)
+
 
 class TestMortonOrder:
     def test_origin_sorts_first(self):
         pts = np.array([[1, 0, 0], [0, 0, 0]], dtype=np.uint64)
-        np.testing.assert_array_equal(morton_order(pts, 8), [1, 0])
+        np.testing.assert_array_equal(morton_order(morton_limbs(pts, 8)), [1, 0])
 
     def test_matches_oracle_sort(self):
         """Depths on either side of each limb's 8 bits per axis."""
         rng = np.random.default_rng(3)
         for q in (1, 8, 9, 16, 17, 24, 25, 31):
             pts = rng.integers(0, 2**q, size=(500, 3), dtype=np.uint64)
-            got = morton_order(pts, q)
+            got = morton_order(morton_limbs(pts, q))
             keys = [interleave_oracle(*(int(v) for v in p), q) for p in pts]
             want = np.argsort(np.array(keys, dtype=object), kind="stable")
             np.testing.assert_array_equal(got, want, err_msg=f"q={q}")
 
     def test_stable_on_duplicates(self):
         pts = np.array([[5, 5, 5]] * 4 + [[1, 1, 1]] * 3, dtype=np.uint64)
-        order = morton_order(pts, 8)
+        order = morton_order(morton_limbs(pts, 8))
         np.testing.assert_array_equal(order, [4, 5, 6, 0, 1, 2, 3])
 
     def test_deep_lattice_order(self):
         rng = np.random.default_rng(5)
         q = 25
         pts = rng.integers(0, 2**q, size=(400, 3), dtype=np.uint64)
-        got = morton_order(pts, q)
+        got = morton_order(morton_limbs(pts, q))
         keys = [interleave_oracle(*(int(v) for v in p), q) for p in pts]
         want = np.argsort(np.array(keys, dtype=object), kind="stable")
         np.testing.assert_array_equal(got, want)
@@ -115,9 +128,9 @@ class TestMortonOrder:
     def test_rejects_out_of_range_bits(self):
         pts = np.zeros((2, 3), dtype=np.uint64)
         with pytest.raises(ValueError):
-            morton_order(pts, 0)
+            morton_limbs(pts, 0)
         with pytest.raises(ValueError):
-            morton_order(pts, 32)
+            morton_limbs(pts, 32)
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,7 +142,7 @@ class TestMortonOrder:
 def test_morton_order_is_permutation_and_sorted(seed, n, q):
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, 2**q, size=(n, 3), dtype=np.uint64)
-    order = morton_order(pts, q)
+    order = morton_order(morton_limbs(pts, q))
     assert sorted(order) == list(range(n))
     keys = [interleave_oracle(*(int(v) for v in p), q) for p in pts[order]]
     assert all(a <= b for a, b in zip(keys, keys[1:]))
