@@ -48,10 +48,11 @@ transmitted.  The partition alone fixes each payload's symbol count, so
 the six attribute payloads are decoded first, shared out like the
 encoder's; then each run, cut as the encoder cuts it, solves its leaves'
 spectra and inverse transforms its slice of the levels.  Bitstream
-sections: header (parameters + grids + section table), geometry payload
-(size B1), six attribute payloads (sum B2).  The geometry grid travels
-as float64, since every basis depends on it; the attribute grids are
-fitted on float32 values and travel as float32.
+sections: the header, one fixed `struct` layout of `HEADER_BYTES` that
+holds the parameters, the grids and the section table; the geometry
+payload (B1 bytes); the six attribute payloads (B2 bytes in all).  The
+geometry grid travels as float64, since every basis depends on it; the
+attribute grids are fitted on float32 values and travel as float32.
 """
 
 from __future__ import annotations
@@ -108,10 +109,18 @@ SH_DEGREES = np.repeat(np.arange(DEGREES), 2 * np.arange(DEGREES) + 1)
 
 GEOM_INTERNAL = 0
 GEOM_EXTERNAL = 1
-#: The header's fields ahead of its grids: magic, version, geometry
-#: backend, primitive count, max_leaf, q_geo, then each group's bit depth
-#: and each group's alpha.
-_HEADER_FIELDS = f"<4sHBIIB{len(GROUP_NAMES)}B{len(GROUP_NAMES)}d"
+#: Each quantizer grid's fields in the header, its minima then its scale:
+#: the geometry grid's, then each attribute group's.
+_GRID_FIELDS = (4, *(comps + 1 for _, comps in ATTRIBUTE_GROUPS))
+#: The header, section table included: magic, version, geometry backend,
+#: primitive count, max_leaf, q_geo, each group's bit depth, each group's
+#: alpha, the geometry grid in float64, the attribute grids in float32,
+#: and the bytes of the geometry section and of each attribute payload.
+_HEADER = struct.Struct(f"<4sHBIIB{len(GROUP_NAMES)}B{len(GROUP_NAMES)}d"
+                        + f"{_GRID_FIELDS[0]}d" + "".join(f"{n}f" for n in _GRID_FIELDS[1:])
+                        + f"{1 + len(GROUP_NAMES)}I")
+#: Bytes ahead of the payloads, the same in every stream.
+HEADER_BYTES = _HEADER.size
 
 #: Attribute bit depths: at q = 16 a zigzagged level has 17 bits, which
 #: the `_RAW_BYTES` = 3 byte field holds, while the coder sees only its
@@ -210,7 +219,11 @@ class CodecParams:
 
 @dataclass
 class CodedStream:
-    """Parsed bitstream: parameters, fitted grids and raw payloads."""
+    """Parsed bitstream: parameters, fitted grids and raw payloads.
+
+    On the wire it is the `HEADER_BYTES` header, the geometry section,
+    then the attribute payloads in `GROUP_NAMES` order.
+    """
 
     params: CodecParams
     gs_count: int
@@ -221,61 +234,45 @@ class CodedStream:
     attribute_payloads: dict[str, bytes]
 
     def to_bytes(self) -> bytes:
-        head = self._pack_header()
-        table = struct.pack("<I", len(self.geometry_payload))
-        for name in GROUP_NAMES:
-            table += struct.pack("<I", len(self.attribute_payloads[name]))
-        body = self.geometry_payload + b"".join(
-            self.attribute_payloads[name] for name in GROUP_NAMES
-        )
-        return head + table + body
-
-    def header_size(self) -> int:
-        """Bytes of header plus section table (everything but payloads),
-        from the layout alone: packing would raise on an attribute grid
-        that float32 cannot hold."""
-        grids = 8 * (self.geom_grid.components + 1) + 4 * sum(
-            self.attr_grids[name].components + 1 for name in GROUP_NAMES)
-        return struct.calcsize(_HEADER_FIELDS) + grids + 4 * (1 + len(GROUP_NAMES))
-
-    def _pack_header(self) -> bytes:
+        """The header (`HEADER_BYTES`), then the geometry section and the
+        attribute payloads.  An attribute grid value that float32 cannot
+        hold raises `ValueError` instead of being rounded;
+        `fit_grid(..., np.float32)` fits grids that it holds."""
         p = self.params
-        out = struct.pack(_HEADER_FIELDS, MAGIC, VERSION, self.geom_backend,
-                          self.gs_count, p.max_leaf, p.q_geo,
-                          *(p.q_for(name) for name in GROUP_NAMES),
-                          *(p.alpha_for(name) for name in GROUP_NAMES))
-        out += _pack_grid(self.geom_grid, "d")
-        for name in GROUP_NAMES:
-            out += _pack_grid(self.attr_grids[name], "f")
-        return out
+        grids = [self.geom_grid, *(self.attr_grids[name] for name in GROUP_NAMES)]
+        fields = np.concatenate([np.append(grid.mins, grid.scale) for grid in grids])
+        single = fields[_GRID_FIELDS[0]:]
+        with np.errstate(over="ignore"):
+            if not np.array_equal(single.astype(np.float32), single):
+                raise ValueError("attribute grid holds a value float32 cannot represent")
+        payloads = [self.geometry_payload,
+                    *(self.attribute_payloads[name] for name in GROUP_NAMES)]
+        head = _HEADER.pack(MAGIC, VERSION, self.geom_backend, self.gs_count, p.max_leaf,
+                            p.q_geo, *(p.q_for(name) for name in GROUP_NAMES),
+                            *(p.alpha_for(name) for name in GROUP_NAMES),
+                            *fields, *map(len, payloads))
+        return head + b"".join(payloads)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CodedStream":
-        cur = _Cursor(data)
-        if cur.take(4) != MAGIC:
+        """Parse a stream; anything malformed raises `CodecError`."""
+        if data[:4] != MAGIC:
             raise CodecError("not a coded stream (bad magic)")
-        (version,) = cur.unpack("<H")
-        if version != VERSION:
+        version = int.from_bytes(data[4:6], "little")
+        if len(data) >= 6 and version != VERSION:
             raise CodecError(f"unsupported stream version {version}")
-        (backend,) = cur.unpack("<B")
+        if len(data) < HEADER_BYTES:
+            raise CodecError("stream truncated")
+        _, _, backend, gs_count, max_leaf, q_geo, *fields = _HEADER.unpack_from(data)
         if backend not in (GEOM_INTERNAL, GEOM_EXTERNAL):
             raise CodecError(f"unknown geometry backend {backend}")
-        gs_count, max_leaf, q_geo = cur.unpack("<IIB")
-        qs = {name: cur.unpack("<B")[0] for name in GROUP_NAMES}
-        alphas = {name: cur.unpack("<d")[0] for name in GROUP_NAMES}
+        n = len(GROUP_NAMES)
+        qs, alphas, grid_fields, lens = _cut(fields, (n, n, sum(_GRID_FIELDS), 1 + n))
         try:
-            params = CodecParams(
-                q_geo=q_geo,
-                max_leaf=max_leaf,
-                **{f"q_{n}": qs[n] for n in GROUP_NAMES},
-                **{f"alpha_{n}": alphas[n] for n in GROUP_NAMES},
-            )
+            params = CodecParams(q_geo, *qs, *alphas, max_leaf)
             params.validate()
-            geom_grid = _unpack_grid(cur, 3, q_geo, "d")
-            attr_grids = {
-                name: _unpack_grid(cur, comps, qs[name], "f")
-                for name, comps in ATTRIBUTE_GROUPS
-            }
+            grids = [QuantGrid(mins=np.array(grid[:-1]), scale=grid[-1], q=q)
+                     for grid, q in zip(_cut(grid_fields, _GRID_FIELDS), (q_geo, *qs))]
         except ValueError as exc:
             raise CodecError(f"invalid header field: {exc}") from exc
         if gs_count < 1:
@@ -284,58 +281,27 @@ class CodedStream:
             raise CodecError(f"{gs_count} primitives in {len(data)} bytes: "
                              f"more than {MAX_PRIMS_PER_BYTE} per byte")
 
-        lens = [cur.unpack("<I")[0] for _ in range(1 + len(GROUP_NAMES))]
-        geometry_payload = cur.take(lens[0])
-        attribute_payloads = {
-            name: cur.take(lens[1 + i]) for i, name in enumerate(GROUP_NAMES)
-        }
-        if cur.remaining() != 0:
-            raise CodecError(f"{cur.remaining()} trailing bytes after payloads")
+        extra = len(data) - HEADER_BYTES - sum(lens)
+        if extra < 0:
+            raise CodecError("stream truncated")
+        if extra > 0:
+            raise CodecError(f"{extra} trailing bytes after payloads")
+        _, geometry_payload, *payloads = _cut(data, (HEADER_BYTES, *lens))
         return cls(
             params=params,
             gs_count=gs_count,
             geom_backend=backend,
-            geom_grid=geom_grid,
-            attr_grids=attr_grids,
+            geom_grid=grids[0],
+            attr_grids=dict(zip(GROUP_NAMES, grids[1:])),
             geometry_payload=geometry_payload,
-            attribute_payloads=attribute_payloads,
+            attribute_payloads=dict(zip(GROUP_NAMES, payloads)),
         )
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CodecError("stream truncated")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
-
-
-def _pack_grid(grid: QuantGrid, fmt: str) -> bytes:
-    """A grid's mins then scale, each packed as `fmt` ("d" or "f").  A
-    value "f" cannot hold exactly raises `ValueError` instead of being
-    rounded; `fit_grid(..., np.float32)` fits grids that "f" holds."""
-    fields = np.append(grid.mins, grid.scale)
-    with np.errstate(over="ignore"):
-        exact = fmt == "d" or np.array_equal(fields.astype(np.float32), fields)
-    if not exact:
-        raise ValueError("attribute grid holds a value float32 cannot represent")
-    return struct.pack(f"<{fields.size}{fmt}", *fields)
-
-
-def _unpack_grid(cur: _Cursor, comps: int, q: int, fmt: str) -> QuantGrid:
-    *mins, scale = cur.unpack(f"<{comps + 1}{fmt}")
-    return QuantGrid(mins=np.array(mins), scale=scale, q=q)
+def _cut(seq, sizes) -> list:
+    """`seq` cut into consecutive pieces of `sizes`, at their running sums."""
+    ends = list(accumulate(sizes))
+    return [seq[end - size:end] for size, end in zip(sizes, ends)]
 
 
 @dataclass
@@ -377,7 +343,7 @@ class BitrateReport:
 
 
 def bitrate_breakdown(stream: CodedStream) -> BitrateReport:
-    header = stream.header_size()
+    header = HEADER_BYTES
     geom = len(stream.geometry_payload)
     attrs = {name: len(stream.attribute_payloads[name]) for name in GROUP_NAMES}
     return BitrateReport(

@@ -119,15 +119,15 @@ def _run_external(command: str, src: bytes, suffix_in: str, suffix_out: str) -> 
     import shlex  # loaded only by the external backend
     import subprocess
 
+    template = shlex.split(command)
+    if not template:
+        raise ValueError(f"geometry command {command!r} names no program")
     with tempfile.TemporaryDirectory(prefix="ggsc_geom_") as tmp:
         path_in = os.path.join(tmp, "points_in" + suffix_in)
         path_out = os.path.join(tmp, "points_out" + suffix_out)
         with open(path_in, "wb") as fh:
             fh.write(src)
-        argv = [
-            arg.replace("{in}", path_in).replace("{out}", path_out)
-            for arg in shlex.split(command)
-        ]
+        argv = [arg.replace("{in}", path_in).replace("{out}", path_out) for arg in template]
         proc = subprocess.run(argv, capture_output=True)
         if proc.returncode != 0:
             raise RuntimeError(

@@ -187,6 +187,9 @@ def _parse_header(data: bytes):
                 raise PlyFormatError("list properties are not supported")
             if len(tok) != 3 or tok[1] not in _PLY_DTYPES:
                 raise PlyFormatError(f"malformed property line: {line!r}")
+            if any(name == tok[2] for name, _ in elements[-1][2]):
+                raise PlyFormatError(f"repeated property in element {elements[-1][0]!r}: "
+                                     f"{line!r}")
             elements[-1][2].append((tok[2], _PLY_DTYPES[tok[1]]))
         else:
             raise PlyFormatError(f"unrecognized header line: {line!r}")

@@ -174,8 +174,8 @@ class TestContainer:
                      + (56 + 6) * 8  # attribute grids
                      + 4 * 7)  # section table
         assert version_6 == 626
-        assert stream.header_size() == version_6 - 248
-        assert len(stream.to_bytes()) == stream.header_size() + sum(
+        assert C.HEADER_BYTES == version_6 - 248 == 378
+        assert len(stream.to_bytes()) == C.HEADER_BYTES + sum(
             map(len, [stream.geometry_payload, *stream.attribute_payloads.values()]))
 
     @pytest.mark.parametrize("field, value", [("mins", 0.1), ("scale", 0.1),
@@ -191,29 +191,45 @@ class TestContainer:
             stream.to_bytes()
 
     def test_header_size_follows_the_layout(self):
-        """`header_size` counts the layout rather than packing it: it is the
-        packed header plus the 28-byte section table on every golden
-        stream, and it still answers for a grid float32 cannot hold (the
-        1e308 `sh_y` scale of `test_grid_overflow_is_a_codec_error`), which
-        `to_bytes` refuses."""
+        """The header is one fixed layout, section table included: every
+        golden stream is `HEADER_BYTES` plus its payloads, and
+        `bitrate_breakdown` still answers for a grid float32 cannot hold
+        (the 1e308 `sh_y` scale of `test_grid_overflow_is_a_codec_error`),
+        which `to_bytes` refuses."""
+        assert C._HEADER.format == "<4sHBIIB6B6d4d17f17f17f2f4f5f7I"
         for case in GOLDEN_CASES:
-            stream = CodedStream.from_bytes(case.path.read_bytes())
-            assert stream.header_size() == len(stream._pack_header()) + 28 == 378
+            blob = case.path.read_bytes()
+            stream = CodedStream.from_bytes(blob)
+            assert len(blob) == C.HEADER_BYTES + len(stream.geometry_payload) + sum(
+                len(stream.attribute_payloads[n]) for n in GROUP_NAMES)
         stream.attr_grids["sh_y"] = replace(stream.attr_grids["sh_y"], scale=1e308)
         with pytest.raises(ValueError, match="float32"):
             stream.to_bytes()
-        assert bitrate_breakdown(stream).header_bytes == stream.header_size() == 378
+        assert bitrate_breakdown(stream).header_bytes == C.HEADER_BYTES == 378
 
     def test_header_size_accounts_for_everything(self):
         stream = self._stream()
         report = bitrate_breakdown(stream)
         assert report.total_bytes == len(stream.to_bytes())
-        assert report.header_bytes == stream.header_size()
+        assert report.header_bytes == C.HEADER_BYTES
         assert report.b1 == len(stream.geometry_payload)
         assert report.b2 == sum(
             len(stream.attribute_payloads[n]) for n in GROUP_NAMES
         )
         assert report.total_bytes == report.header_bytes + report.b1 + report.b2
+
+    @pytest.mark.parametrize("entry", [0, len(GROUP_NAMES)], ids=["geometry", "rotation"])
+    @pytest.mark.parametrize("delta, message", [(1, "truncated"), (-1, "1 trailing")])
+    def test_section_table_entry_off_by_one(self, entry, delta, message):
+        """The payloads are cut at the section table's running sums: one
+        entry a byte too long overruns the data, a byte too short leaves
+        one unread."""
+        blob = bytearray(self._stream().to_bytes())
+        at = C.HEADER_BYTES - 4 * (1 + len(GROUP_NAMES) - entry)
+        (size,) = struct.unpack_from("<I", blob, at)
+        struct.pack_into("<I", blob, at, size + delta)
+        with pytest.raises(CodecError, match=message):
+            CodedStream.from_bytes(bytes(blob))
 
 
 def _geom_bound(stream):
@@ -650,6 +666,12 @@ class TestExternalGeometryBackend:
         stream = encode(make_cloud(30, seed=21), SMALL, geometry_command=cmd)
         with pytest.raises(CodecError, match="geometry_command"):
             decode(stream)
+
+    def test_blank_command_is_refused(self):
+        """A whitespace-only command names no program: encode says so
+        instead of failing inside `subprocess`."""
+        with pytest.raises(ValueError, match="names no program"):
+            encode(make_cloud(30, seed=21), SMALL, geometry_command="   ")
 
 
 class TestCanonicalOrder:

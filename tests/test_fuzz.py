@@ -29,7 +29,6 @@ from ggsc.entropy import CorruptPayloadError
 
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 streams = [p.read_bytes() for p in sorted(Path(sys.argv[1]).glob("*.ggsc"))]
-headers = [CodedStream.from_bytes(blob).header_size() for blob in streams]
 rng = random.Random(int(sys.argv[2]))
 
 def mutants():
@@ -43,7 +42,7 @@ def mutants():
             for _ in range(rng.randint(1, 3)):
                 # Half the flips land in the header: the fields, the
                 # quantizer grids and the payload lengths.
-                span = headers[i] if rng.random() < 0.5 else len(blob)
+                span = codec.HEADER_BYTES if rng.random() < 0.5 else len(blob)
                 pos, bit = rng.randrange(span), rng.randrange(8)
                 tampered[pos] ^= 1 << bit
                 flips.append((pos, bit))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ggsc import geom_codec
 from ggsc.entropy import (
     CorruptPayloadError,
     SymbolStream,
@@ -431,6 +432,20 @@ class TestExternalHook:
         cmd = self._script(tmp_path, "import sys\nsys.exit(3)\n")
         with pytest.raises(RuntimeError, match="external"):
             encode_centers_external(np.array([[1, 2, 3]]), cmd)
+
+    @pytest.mark.parametrize("side", ["encode", "decode"])
+    def test_blank_command_raises_before_any_file(self, monkeypatch, side):
+        """A command that splits to no argv is refused by name, before a
+        temporary file is written."""
+        def no_files(*args, **kwargs):
+            raise AssertionError("temporary directory made")
+
+        monkeypatch.setattr(geom_codec.tempfile, "TemporaryDirectory", no_files)
+        with pytest.raises(ValueError, match=r"' \\t ' names no program"):
+            if side == "encode":
+                encode_centers_external(np.array([[1, 2, 3]]), " \t ")
+            else:
+                decode_centers_external(b"x", 4, " \t ", 1)
 
     def test_garbage_output_raises(self, tmp_path):
         cmd = self._script(

@@ -199,8 +199,12 @@ class TestLoadPly:
         "element vertex abc",
         "element vertex 1_0",
         "property",
-    ], ids=["bare-format", "word-count", "underscore-count", "bare-property"])
+        "property float x",
+    ], ids=["bare-format", "word-count", "underscore-count", "bare-property",
+            "repeated-property"])
     def test_malformed_header_line_names_it(self, line):
+        """The error quotes the offending line.  A repeated property would
+        otherwise reach numpy's dtype, which raises a plain ValueError."""
         head = ["ply", "format binary_little_endian 1.0", "element vertex 1"]
         raw = "\n".join(head + [line, "property float x", "end_header", ""])
         with pytest.raises(PlyFormatError, match=re.escape(repr(line))):
