@@ -55,6 +55,12 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--max-leaf", type=int, default=None, metavar="N")
 
 
+def _add_geometry_decoder(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--geometry-command", metavar="TEMPLATE",
+                        help="external geometry decoder for streams coded "
+                        "with encode --geometry-command")
+
+
 def _params_from_args(args: argparse.Namespace) -> CodecParams:
     overrides: dict = {}
     if args.q_sh is not None:
@@ -227,7 +233,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 def _cmd_psnr(args: argparse.Namespace) -> int:
     ref = load_ply(_read(args.reference))
     stream = CodedStream.from_bytes(_read(args.stream))
-    dist = decode(stream)
+    dist = decode(stream, geometry_command=args.geometry_command)
     aligned = canonical_order(ref, stream.params)
     for axis, stats in eval_mod.attribute_psnr(aligned, dist).items():
         print(f"psnr_{axis}: {stats.psnr_db:.4f}")
@@ -256,9 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decode", help="reconstruct .ply from .ggsc")
     p_dec.add_argument("input", help=".ggsc file or directory")
     p_dec.add_argument("output", help=".ply file or output directory")
-    p_dec.add_argument("--geometry-command", metavar="TEMPLATE",
-                       help="external geometry decoder for streams coded "
-                       "with encode --geometry-command")
+    _add_geometry_decoder(p_dec)
     p_dec.set_defaults(func=_cmd_decode)
 
     p_info = sub.add_parser("info", help="show stream header and sizes")
@@ -289,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_psnr.add_argument("reference", help="original .ply")
     p_psnr.add_argument("stream", help=".ggsc file")
+    _add_geometry_decoder(p_psnr)
     p_psnr.set_defaults(func=_cmd_psnr)
 
     return parser

@@ -764,7 +764,7 @@ def decode(
         if not geometry_command:
             raise CodecError(
                 "stream was coded with an external geometry backend; "
-                "pass geometry_command (ggsc decode --geometry-command) to decode it"
+                "pass geometry_command (ggsc decode|psnr --geometry-command) to decode it"
             )
         lattice = geom_codec.decode_centers_external(
             stream.geometry_payload, params.q_geo, geometry_command, stream.gs_count

@@ -85,12 +85,10 @@ def geometry_psnr_d1(ref: GaussianCloud, dist: GaussianCloud) -> PsnrStats:
     conservative symmetrization -- and the peak is the reference bbox
     diagonal.
     """
-    # scipy costs about half a second of start-up; only this metric and
-    # the logistic fit need it, so it loads on their first call.
-    from scipy.spatial import cKDTree
+    from .nearest import nearest_distances  # compiled only once a call needs it
 
-    d_ab, _ = cKDTree(ref.centers).query(dist.centers)
-    d_ba, _ = cKDTree(dist.centers).query(ref.centers)
+    d_ab = nearest_distances(ref.centers, dist.centers)
+    d_ba = nearest_distances(dist.centers, ref.centers)
     mse = max(float(np.mean(d_ab**2)), float(np.mean(d_ba**2)))
     peak = bounding_box(ref).diagonal
     return _psnr(mse, peak)
@@ -168,7 +166,7 @@ def fit_logistic5(objective: np.ndarray, mos: np.ndarray) -> CorrelationReport:
         np.array([0.0, 1.0 / xspan, float(np.median(x)), slope,
                   float(y.mean() - slope * x.mean())]),
     ]
-    from scipy.optimize import least_squares
+    from scipy.optimize import least_squares  # the one use of scipy; loads on first fit
 
     best = None
     for p0 in starts:

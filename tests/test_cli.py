@@ -87,8 +87,8 @@ class TestEncodeDecode:
 
     def test_geometry_command_round_trip(self, asset, tmp_path, capsys):
         """--geometry-command hands the section to an external coder on
-        both sides; decoding without it is a runtime error."""
-        cloud, src, _ = asset
+        both sides; decoding or measuring without it is a runtime error."""
+        cloud, src, dst = asset
         copy = tmp_path / "copy.py"
         copy.write_text("import sys, shutil\nshutil.copy(sys.argv[1], sys.argv[2])\n")
         cmd = f"python3 {copy} {{in}} {{out}}"
@@ -106,6 +106,13 @@ class TestEncodeDecode:
         assert main(["decode", str(coded), str(back),
                      "--geometry-command", cmd]) == 0
         assert back.read_bytes() == save_ply(decode(stream, geometry_command=cmd))
+        capsys.readouterr()
+        assert main(["psnr", str(src), str(coded)]) == 1
+        assert "--geometry-command" in capsys.readouterr().err
+        assert main(["psnr", str(src), str(coded), "--geometry-command", cmd]) == 0
+        external = _kv(capsys.readouterr().out)
+        assert main(["psnr", str(src), str(dst)]) == 0  # the internal stream, same lattice
+        assert external == _kv(capsys.readouterr().out)
 
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
         rc = main(["encode", str(tmp_path / "nope.ply"), str(tmp_path / "o")])

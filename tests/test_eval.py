@@ -3,11 +3,13 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ggsc.codec import CodecParams
+from ggsc import nearest
+from ggsc.codec import CodecParams, canonical_order, decode, encode
 from ggsc.eval import (
     PSNR_AXES,
     CorrelationReport,
@@ -24,7 +26,7 @@ from ggsc.eval import (
 from ggsc.eval import _average_ranks
 from ggsc.gs_core import GaussianCloud
 
-from conftest import make_cloud
+from conftest import make_cloud, make_realistic_cloud
 
 
 def rank_oracle(x):
@@ -89,28 +91,140 @@ class TestAttributePsnr:
         assert stats["opacity"].infinite
 
 
+def _cloud_at(centers) -> GaussianCloud:
+    """A cloud with these centers and arbitrary attributes."""
+    centers = np.asarray(centers, dtype=np.float64)
+    base = make_cloud(centers.shape[0], seed=0)
+    return GaussianCloud(centers, base.sh, base.opacity, base.scale, base.rotation)
+
+
+def _decoded_pair():
+    cloud = make_cloud(400, seed=8)
+    params = CodecParams(q_geo=6, max_leaf=40)
+    return canonical_order(cloud, params), decode(encode(cloud, params))
+
+
+def _with_outlier():
+    centers = make_cloud(80, seed=9).centers
+    moved = centers.copy()
+    moved[3] = [1e3, -1e3, 1e3]
+    return _cloud_at(moved), _cloud_at(centers)
+
+
+def _line(n, seed):
+    t = np.random.default_rng(seed).normal(size=(n, 1))
+    return _cloud_at(t * np.array([[1.0, -2.0, 0.5]]) + np.array([[0.3, 0.1, -0.2]]))
+
+
+# Pairs of (reference, distorted) clouds for the D1 oracle check: each
+# shape is one a grid search could get wrong or blow up on.
+D1_CASES = {
+    "independent": lambda: (make_cloud(60, seed=5), make_cloud(60, seed=6)),
+    "decoded": _decoded_pair,
+    "planar": lambda: (
+        _cloud_at(make_cloud(200, seed=10).centers * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.25]),
+        make_cloud(150, seed=11),
+    ),
+    "collinear": lambda: (_line(200, seed=12), make_cloud(150, seed=13)),
+    "collinear_both": lambda: (_line(200, seed=14), _line(150, seed=15)),
+    "duplicates": lambda: (
+        _cloud_at(np.repeat(make_cloud(4, seed=16).centers, 100, axis=0)),
+        _cloud_at(np.repeat(make_cloud(3, seed=17).centers, 100, axis=0)),
+    ),
+    "outlier": _with_outlier,
+    "one_point": lambda: (make_cloud(40, seed=18), make_cloud(1, seed=19)),
+    "unequal_sizes": lambda: (make_cloud(30, seed=20), make_cloud(250, seed=21)),
+    "huge": lambda: (
+        _cloud_at(make_cloud(60, seed=22).centers * 1e150),
+        _cloud_at(make_cloud(60, seed=23).centers * -1e150),
+    ),
+}
+
+
 class TestGeometryPsnr:
     def test_identical_is_infinite(self):
         cloud = make_cloud(30, seed=4)
         assert geometry_psnr_d1(cloud, cloud).infinite
 
     def test_matches_quadratic_oracle(self):
-        ref = make_cloud(60, seed=5)
-        dist = make_cloud(60, seed=6)
-
         def directional(a, b):
             d2 = ((a.centers[:, None, :] - b.centers[None, :, :]) ** 2).sum(-1)
             return float(d2.min(axis=0).mean())
 
-        mse = max(directional(ref, dist), directional(dist, ref))
-        lo, hi = ref.centers.min(axis=0), ref.centers.max(axis=0)
-        peak = float(np.sqrt(((hi - lo) ** 2).sum()))
-        got = geometry_psnr_d1(ref, dist)
-        assert got.mse == pytest.approx(mse, rel=1e-12)
-        assert got.peak == pytest.approx(peak, rel=1e-12)
-        assert got.psnr_db == pytest.approx(
-            10 * math.log10(peak**2 / mse), rel=1e-12
-        )
+        for case, make in D1_CASES.items():
+            ref, dist = make()
+            mse = max(directional(ref, dist), directional(dist, ref))
+            lo, hi = ref.centers.min(axis=0), ref.centers.max(axis=0)
+            peak = float(np.sqrt(((hi - lo) ** 2).sum()))
+            got = geometry_psnr_d1(ref, dist)
+            assert got.mse == pytest.approx(mse, rel=1e-12), case
+            assert got.peak == pytest.approx(peak, rel=1e-12), case
+            assert got.psnr_db == pytest.approx(
+                10 * math.log10(peak**2 / mse), rel=1e-12
+            ), case
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-300])
+    def test_distances_are_the_brute_force_bits(self, scale):
+        """The square root of the least (dx*dx + dy*dy) + dz*dz, bit for
+        bit, at any scale: squares that underflow to subnormals or to zero
+        included."""
+        rng = np.random.default_rng(24)
+        targets = rng.normal(size=(300, 3)) * scale
+        queries = rng.normal(size=(200, 3)) * scale
+        d2 = ((queries[:, None, :] - targets[None, :, :]) ** 2).sum(-1)
+        np.testing.assert_array_equal(nearest.nearest_distances(targets, queries),
+                                      np.sqrt(d2.min(axis=1)))
+
+    def test_chunks_and_batches_do_not_change_distances(self, monkeypatch):
+        """Queries split over many chunks, and candidates over many
+        batches (some holding a single cell larger than a batch), give the
+        distances the brute force gives."""
+        targets = make_cloud(300, seed=11).centers
+        queries = np.concatenate([make_cloud(200, seed=12).centers, [[40.0, 0.0, 0.0]]])
+        d2 = ((queries[:, None, :] - targets[None, :, :]) ** 2).sum(-1)
+        monkeypatch.setattr(nearest, "CHUNK", 7)
+        monkeypatch.setattr(nearest, "BATCH", 5)
+        np.testing.assert_array_equal(nearest.nearest_distances(targets, queries),
+                                      np.sqrt(d2.min(axis=1)))
+
+    def test_memory_is_bounded_by_the_batch(self, monkeypatch):
+        """Two 10^4-point clouds in small chunks and batches: temporaries
+        stay within a few hundred bytes per point and per candidate pair of
+        a batch, where an unbatched search holds about 300 MiB."""
+        n = 10_000
+        ref = make_realistic_cloud(n, seed=13)
+        dist = make_realistic_cloud(n, seed=14)
+        monkeypatch.setattr(nearest, "CHUNK", 256)
+        monkeypatch.setattr(nearest, "BATCH", 4096)
+        tracemalloc.start()
+        try:
+            geometry_psnr_d1(ref, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * (2 * n + nearest.BATCH), peak
+
+    def test_coarse_decode_reads_few_candidates(self, monkeypatch):
+        """At q_geo 3 a decode puts 10^4 points on a few hundred lattice
+        vertices.  Repeated queries are searched once, so the candidate
+        pairs stay a few per point (a search that repeats them reads about
+        36), and the distances still equal the oracle's."""
+        cloud = make_realistic_cloud(10_000, seed=3)
+        params = CodecParams(q_geo=3, max_leaf=8)
+        ref, dist = canonical_order(cloud, params), decode(encode(cloud, params))
+        pairs = []
+        sq_distances = nearest._sq_distances
+        monkeypatch.setattr(nearest, "_sq_distances",
+                            lambda q, t: pairs.append(len(q)) or sq_distances(q, t))
+        d_ab = nearest.nearest_distances(ref.centers, dist.centers)
+        d_ba = nearest.nearest_distances(dist.centers, ref.centers)
+        assert sum(pairs) < 12 * (len(ref) + len(dist)), sum(pairs)
+
+        vertices, index = np.unique(dist.centers, axis=0, return_inverse=True)
+        assert len(vertices) < 512
+        d2 = ((vertices[:, None, :] - ref.centers[None, :, :].astype(np.float64)) ** 2).sum(-1)
+        np.testing.assert_allclose(d_ab, np.sqrt(d2.min(axis=1))[index.reshape(-1)], rtol=1e-12)
+        np.testing.assert_allclose(d_ba, np.sqrt(d2.min(axis=0)), rtol=1e-12)
 
     def test_asymmetric_direction_uses_worse_mean(self):
         """Reference has an outlier far from every distorted point; that
