@@ -147,11 +147,12 @@ MAX_PRIMS_PER_BYTE = 64
 #: runs in this process alone rather than sharing its leaf spectra and
 #: payloads with the worker pool (`_process_count`).  On a 2-vCPU x86-64
 #: VM a pool round trip costs 0.1 ms empty and 0.3 ms carrying 172 KB (an
-#: encoded symbol costs about 0.6 us), but splitting a stack of small
-#: leaves duplicates its fixed per-chunk cost, so the break-even lies
-#: higher: forced pool against serial, medians of 15-21 alternating calls,
-#: gained 1.15-1.4x from about 19,000 (128 primitives in leaves of 32),
-#: and ranged 0.74-1.2x, mostly below 1, under 16,000.  The benchmark's
+#: encoded symbol costs about 0.6 us), so the break-even lies higher.
+#: Forced pool against serial, each process on a CPU of its own (`pool`),
+#: medians of 21-61 alternating calls at 64-256 primitives in leaves of 8
+#: and 32, taken over five passes: 0.80-1.23x under 2^14, 0.90-1.40x from
+#: 2^14 to 2^15 and 1.24-1.35x above.  Single passes ranged 0.71-1.53x,
+#: so the break-even is no sharper than 2^14-2^15.  The benchmark's
 #: `tiny` (5,696 to encode, 12,800 to decode) stays here, and
 #: `spectral-m64` (40,064), `lossy-rd` (76,288) and `entropy-q16` (91,136)
 #: use the pool.

@@ -5,7 +5,8 @@
 A worker is a fork of this process, made by the first call that needs it
 and reused by every later one, so a call pays only the round trips of
 its request and reply.  They travel over pipes as pickles, the numpy
-arrays they hold out of band (`_send`).
+arrays they hold out of band (`_send`).  For the length of a call, each
+process that serves it runs on a CPU of its own where it can (`share`).
 
 The codec imports this module only once a call uses the pool, so that
 importing the package compiles none of it.
@@ -199,15 +200,38 @@ atexit.register(close_pool)
 os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _pin(pid: int, cpus) -> None:
+    """Best effort: keep process `pid` (0: this one) on `cpus`.  Where the
+    call fails, as for a worker that just died or in a sandbox that
+    forbids it, placement stays with the scheduler."""
+    try:
+        os.sched_setaffinity(pid, cpus)
+    except OSError:
+        pass
+
+
 def share(run, requests: list) -> list:
     """`run(request)` of each request, in order: request 0 runs here and
     request w on worker w.  Every call passes the same `run`, which the
     workers were forked to serve.  Raises what the run here raised, else
     RuntimeError naming the exit status of a worker that died; either way
-    a worker still holding its request is killed and reaped."""
+    a worker still holding its request is killed and reaped.
+
+    For the call, this process runs on the first CPU of its affinity set
+    and worker w on CPU w, round robin: a scheduler that does not balance
+    load (a cpuset without `sched_load_balance`) would otherwise keep a
+    worker on the CPU its owner forked it on.  The owner's own set comes
+    back however the call ends.  Without `os.sched_setaffinity`, placement
+    stays with the scheduler."""
     held = []
+    own = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
     try:
-        for worker, request in zip(_workers(run, len(requests) - 1), requests[1:]):
+        workers = _workers(run, len(requests) - 1)
+        if own:
+            cpus = sorted(own)
+            for w, pid in enumerate([0, *(worker.pid for worker in workers)]):
+                _pin(pid, (cpus[w % len(cpus)],))
+        for worker, request in zip(workers, requests[1:]):
             held.append(worker)
             worker.ask(request)
         replies = [run(requests[0])]
@@ -219,4 +243,6 @@ def share(run, requests: list) -> list:
             if worker in _POOL:
                 _POOL.remove(worker)
                 worker.reap(kill=True)
+        if own:
+            _pin(0, own)
     return replies

@@ -806,6 +806,37 @@ def _pool_pids() -> list[int]:
     return [worker.pid for worker in pool._POOL]
 
 
+def _affinity() -> set[int] | None:
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+def _record_placement(monkeypatch, tmp_path) -> list[dict[int, list[int]]]:
+    """From now on, each `pool.share` call appends {pid: sorted CPUs} of
+    every process that ran one of its shares, as it held them then.  Call
+    before the pool forks: the workers serve the `run` they were forked
+    with."""
+    log = tmp_path / "placement"
+    log.write_text("")
+    calls = []
+    run, share = C._run_share, pool.share
+
+    def placed_run(requests):
+        with open(log, "a") as f:
+            f.write(json.dumps([os.getpid(), sorted(os.sched_getaffinity(0))]) + "\n")
+        return run(requests)
+
+    def recorded_share(*args):
+        try:
+            return share(*args)
+        finally:
+            calls.append(dict(json.loads(line) for line in log.read_text().splitlines()))
+            log.write_text("")
+
+    monkeypatch.setattr(C, "_run_share", placed_run)
+    monkeypatch.setattr(pool, "share", recorded_share)
+    return calls
+
+
 def _reaped(pid: int) -> bool:
     try:
         os.waitpid(pid, os.WNOHANG)
@@ -816,8 +847,15 @@ def _reaped(pid: int) -> bool:
 
 @pytest.fixture
 def no_child_left():
+    """The test leaves no worker behind, and this process on the CPUs it
+    held before."""
+    own = _affinity()
     yield
     pool.close_pool()
+    now = _affinity()
+    if now != own:  # give it back, so that later tests start unpinned
+        os.sched_setaffinity(0, own)
+    assert now == own
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1024,17 +1062,113 @@ class TestForkJoin:
         monkeypatch.setattr(spectral, "graph_spectra", counted)
         return solved_here
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    @pytest.mark.parametrize("count", [2, 3, 10])
+    def test_each_share_runs_on_its_own_cpu(self, monkeypatch, tmp_path, count):
+        """Two leaves of 50 on `count` processes.  While a call runs, this
+        process holds the first CPU of its affinity set and worker w CPU w,
+        round robin over the set, so the processes hold distinct CPUs while
+        they are no more than the CPUs.  The bytes are the serial ones, and
+        this process gets its own set back."""
+        case = ("", lambda: make_cloud(100, seed=18), SMALL)
+        blob, ply = _serial(monkeypatch, case)
+        own = os.sched_getaffinity(0)
+        cpus = sorted(own)
+        forks = _force_pool(monkeypatch, count)
+        calls = _record_placement(monkeypatch, tmp_path)
+        assert encode(case[1](), SMALL).to_bytes() == blob
+        assert save_ply(decode(CodedStream.from_bytes(blob))) == ply
+        assert os.sched_getaffinity(0) == own
+        assert len(forks) == min(count - 1, 6) and len(calls) == 4
+        order = [os.getpid(), *_pool_pids()]
+        for placement in calls:
+            assert os.getpid() in placement and len(placement) > 1
+            assert placement == {pid: [cpus[order.index(pid) % len(cpus)]] for pid in placement}
+            if len(placement) <= len(cpus):
+                assert len({cpu for cpu, in placement.values()}) == len(placement)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_placement_stays_in_the_owners_set(self, monkeypatch, tmp_path):
+        """An owner confined to its last CPU keeps every process of the
+        call there, and is confined to it again after."""
+        case = ("", lambda: make_cloud(150, seed=18), SMALL)
+        blob, _ = _serial(monkeypatch, case)
+        own = os.sched_getaffinity(0)
+        last = max(own)
+        _force_pool(monkeypatch)
+        calls = _record_placement(monkeypatch, tmp_path)
+        os.sched_setaffinity(0, {last})
+        try:
+            assert encode(case[1](), SMALL).to_bytes() == blob
+            assert os.sched_getaffinity(0) == {last}
+        finally:
+            os.sched_setaffinity(0, own)
+        assert [set(p) for p in calls] == [{os.getpid(), *_pool_pids()}] * 2
+        assert all(cpus == [last] for p in calls for cpus in p.values())
+
+    @pytest.mark.parametrize("how", ["refused", "missing"])
+    def test_placement_is_best_effort(self, monkeypatch, how):
+        """Where `os.sched_setaffinity` raises OSError, or does not exist,
+        placement stays with the scheduler and the bytes are the serial
+        ones."""
+        case = ("", lambda: make_cloud(150, seed=18), SMALL)
+        blob, ply = _serial(monkeypatch, case)
+        own = _affinity()
+        refused = []
+
+        def refuse(pid, cpus):
+            refused.append(pid)
+            raise (ProcessLookupError if pid else PermissionError)(pid)
+
+        if how == "refused":
+            monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        forks = _force_pool(monkeypatch)
+        assert encode(case[1](), SMALL).to_bytes() == blob
+        assert save_ply(decode(CodedStream.from_bytes(blob))) == ply
+        assert len(forks) == 2 and _affinity() == own
+        if how == "refused":
+            assert set(refused) == {0, *forks}
+
+    def test_worker_dying_before_its_pinning_is_reported(self, monkeypatch):
+        """A worker that dies after the call picked it is pinned in vain:
+        the call names its exit status, and the next one replaces it."""
+        case = ("", lambda: make_cloud(150, seed=18), SMALL)
+        blob, _ = _serial(monkeypatch, case)
+        forks = _force_pool(monkeypatch)
+        encode(case[1](), SMALL)
+        own, victim = _affinity(), _pool_pids()[0]
+        picked = pool._workers
+
+        def killing(run, count):
+            workers = picked(run, count)
+            if victim in _pool_pids():
+                os.kill(victim, signal.SIGKILL)
+                os.waitid(os.P_PID, victim, os.WEXITED | os.WNOWAIT)
+            return workers
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pool, "_workers", killing)
+            with pytest.raises(RuntimeError, match=f"{victim} exited with status -9"):
+                encode(case[1](), SMALL)
+        assert _affinity() == own and _reaped(victim)
+        assert encode(case[1](), SMALL).to_bytes() == blob
+        assert victim not in _pool_pids() and len(forks) == 3
+
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
     def test_own_share_raising_leaves_no_stale_reply(self, monkeypatch, error):
         """This process's own share raises while the workers hold their
         payload requests.  An exception waits for their replies, and the
-        workers serve on; an interrupt kills and reaps them.  Either way the
-        next encode gives the serial bytes."""
+        workers serve on; an interrupt kills and reaps them.  Either way
+        this process gets its own CPU set back, and the next encode gives
+        the serial bytes."""
         case = ("", lambda: make_cloud(150, seed=18), SMALL)
         blob, _ = _serial(monkeypatch, case)
         forks = _force_pool(monkeypatch)
         assert encode(case[1](), SMALL).to_bytes() == blob
         workers = _pool_pids()
+        own = _affinity()
 
         def failing(*args):
             raise error("own share")
@@ -1043,6 +1177,7 @@ class TestForkJoin:
             patch.setattr(C, "_code_group", failing)  # here only: the workers exist
             with pytest.raises(error, match="own share"):
                 encode(case[1](), SMALL)
+        assert _affinity() == own
         interrupted = error is KeyboardInterrupt
         assert _pool_pids() == ([] if interrupted else workers)
         assert all(_reaped(pid) for pid in workers) == interrupted
