@@ -194,15 +194,13 @@ def _parse_axis(spec: str) -> tuple[str, list]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _params_from_args(args)
-    axes = [_parse_axis(spec) for spec in args.axis or []]
-    if not axes:
-        grid = [base]
-    else:
-        names = [name for name, _ in axes]
-        grid = [
-            replace(base, **dict(zip(names, combo)))
-            for combo in itertools.product(*(vals for _, vals in axes))
-        ]
+    axes: dict[str, list] = {}
+    for name, values in map(_parse_axis, args.axis or []):
+        if name in axes:
+            raise ValueError(f"parameter {name!r} is given more than one --axis")
+        axes[name] = values
+    grid = [replace(base, **dict(zip(axes, combo)))
+            for combo in itertools.product(*axes.values())]
     cloud = load_ply(_read(args.input))
     points = eval_mod.rd_sweep(cloud, grid)
     with open(args.output, "w", newline="") as fh:

@@ -13,14 +13,15 @@ Encoding pipeline:
    eigenbasis, transform each attribute group (SH color as Y/U/V
    channels, opacity, scale, rotation), and keep the lowest
    ceil(alpha * m) coefficients; leaves of one size m go through these
-   steps together, as one stack, graphs included,
+   steps a stack of them at a time, whose bases are then dropped,
 6. quantize kept coefficients on one global grid per group and entropy
    code them; geometry travels separately as Morton deltas.
 
 Step 5 works on runs: contiguous slices of the leaves in payload order
 (below), cut at about equal spectrum work (`_runs`), so that a group's
-kept coefficients are the runs' parts concatenated.  From
-`POOL_MIN_WORK` of work, counted in encoded symbols (a decoded level
+kept coefficients are the runs' parts concatenated.  A run is one call
+of `spectral.forward` (`inverse` on decode); the codec holds no basis.
+From `POOL_MIN_WORK` of work, counted in encoded symbols (a decoded level
 weighing `DECODE_WEIGHT`, a leaf spectrum `SPECTRUM_WEIGHT * m^2`), the
 runs and the seven independent payloads of step 6 are shared between
 this process and a pool of forked workers, one per further usable CPU
@@ -45,9 +46,9 @@ group), and u's low `class - 1` bits follow raw (`encode_levels`), in
 The decoder replays steps 3-5 from the decoded lattice alone, which
 reproduces partitions, graphs and bases bit-for-bit -- no basis data is
 transmitted.  The partition alone fixes each payload's symbol count, so
-the six attribute payloads are decoded first, shared out like the
-encoder's; then each run, cut as the encoder cuts it, solves its leaves'
-spectra and inverse transforms its slice of the levels.  Bitstream
+the six attribute payloads are decoded and dequantized first, shared
+out like the encoder's; then each run, cut as the encoder cuts it,
+solves its leaves' spectra and inverse transforms its slice.  Bitstream
 sections: the header, one fixed `struct` layout of `HEADER_BYTES` that
 holds the parameters, the grids and the section table; the geometry
 payload (B1 bytes); the six attribute payloads (B2 bytes in all).  The
@@ -314,11 +315,10 @@ class Internals:
     """
 
     part: partition.Partition
-    #: One (rows, spectrum) pair per chunk of equal-size leaves, in
-    #: payload order, as the runs' `spectral.graph_spectra` return them:
-    #: rows (B, m) index the primitives in canonical order, the spectrum
-    #: stacks B leaves.
-    chunks: list[tuple[np.ndarray, spectral.GraphSpectrum]]
+    #: One (rows, spectrum) pair per chunk of equal-size leaves, in payload
+    #: order, as `spectral.forward` or `inverse` keeps them: rows (B, m) in
+    #: canonical order, and the spectrum of those B leaves.
+    chunks: list[tuple]
     recon_centers: np.ndarray
     #: Group name -> (N, C) decoded attribute signals (dequantize,
     #: zero-pad, inverse transform); on the encoder, its local decode.
@@ -452,13 +452,12 @@ def _level_layout(grid: QuantGrid, alpha: float,
     return (band * DEGREES + degree).ravel(), np.tile(zero, len(index))
 
 
-def _code_group(kept: np.ndarray, comps: int, q: int, alpha: float,
+def _code_group(kept: np.ndarray, q: int, alpha: float,
                 sizes: dict[int, int]) -> tuple[QuantGrid, bytes]:
-    """A group's grid, fitted over all its kept coefficients (flat, in
-    payload order), and its payload."""
-    coeffs = kept.reshape(-1, comps)
-    grid = fit_grid(coeffs, q, np.float32)
-    return grid, encode_levels(quantize(coeffs, grid).ravel(), grid, alpha, sizes)
+    """A group's grid, fitted over all its (K, C) kept coefficients in
+    payload order, and its payload."""
+    grid = fit_grid(kept, q, np.float32)
+    return grid, encode_levels(quantize(kept, grid).ravel(), grid, alpha, sizes)
 
 
 #: Bytes of the big-endian field that holds a zigzagged level's raw bits:
@@ -537,32 +536,20 @@ def _runs(leaves, count: int) -> list[tuple[np.ndarray, dict[int, int]]]:
     return runs
 
 
-def _canonical_chunks(runs, parts) -> list[tuple[np.ndarray, spectral.GraphSpectrum]]:
-    """The chunks that the runs' `_encode_run` or `_decode_run` returned
-    (`parts`), in payload order, their rows mapped from the run's
-    consecutive rows back to canonical order through the run's rows."""
+def _canonical_chunks(runs, parts) -> list[tuple]:
+    """The chunks the runs returned (`parts`), in payload order, their rows
+    mapped from each run's consecutive rows back to canonical order."""
     return [(rows[local], spec)
             for (rows, _), (_, chunks) in zip(runs, parts) for local, spec in chunks]
 
 
-def _kept_coefficients(chunks, signals: dict[str, np.ndarray],
-                       params: CodecParams) -> dict[str, np.ndarray]:
-    """Each group's kept coefficients over the chunks' leaves, flat in
-    payload order: leaf by leaf, each leaf's (k, C) as `gft` returns it."""
-    return {name: np.concatenate([
-                spectral.gft(spec, signals[name][rows],
-                             spectral.clip_count(params.alpha_for(name), rows.shape[1])).ravel()
-                for rows, spec in chunks])
-            for name in GROUP_NAMES}
-
-
 def _encode_run(centers: np.ndarray, sizes: dict[int, int], sigma: float,
                 signals: dict[str, np.ndarray], params: CodecParams, debug: bool):
-    """Kept coefficients (`_kept_coefficients`) of a run of leaves that lie
-    on consecutive rows of `centers` and `signals`, `sizes` of them, and
-    with `debug` the run's chunks, else None: bases cross no pipe unasked."""
-    chunks = spectral.graph_spectra(centers, sizes, sigma)
-    return _kept_coefficients(chunks, signals, params), chunks if debug else None
+    """`spectral.forward` of a run of leaves on consecutive rows, `sizes`
+    of them; with `debug` the chunks too, else None: bases cross no pipe
+    unasked."""
+    alphas = {name: params.alpha_for(name) for name in GROUP_NAMES}
+    return spectral.forward(centers, sizes, sigma, signals, alphas, debug)
 
 
 def _code_geometry(codes: np.ndarray) -> bytes:
@@ -607,8 +594,9 @@ def encode(
     shared with the worker pool (see `_process_count`), each process
     solves one run of the leaves (`_runs`), then codes its share of the
     payloads (`_dispatch`).  With `collect_debug` the whole encode takes
-    that path as one process: one run, whose bases it keeps.  A stream
-    denser than MAX_PRIMS_PER_BYTE raises `CodecError`.
+    that path as one process: one run, whose chunks it keeps, and the
+    local decode is the decoder's own.  A stream denser than
+    MAX_PRIMS_PER_BYTE raises `CodecError`.
     """
     params.validate()
     if threads < 1:
@@ -639,9 +627,8 @@ def encode(
          for rows, run in runs],
         [[r] for r in range(len(runs))])
     kept = {name: np.concatenate([p[name] for p, _ in parts]) for name in GROUP_NAMES}
-    calls = [("_code_group", (kept[name], comps, params.q_for(name),
-                              params.alpha_for(name), sizes))
-             for name, comps in ATTRIBUTE_GROUPS]
+    calls = [("_code_group", (kept[name], params.q_for(name), params.alpha_for(name), sizes))
+             for name in GROUP_NAMES]
     if not geometry_command:
         calls.append(("_code_geometry", (codes,)))
     coded = _dispatch(calls, _shares(counts, procs))
@@ -670,60 +657,47 @@ def encode(
     if not collect_debug:
         return stream
 
-    chunks = _canonical_chunks(runs, parts)
-    levels = {name: quantize(kept[name].reshape(-1, comps), attr_grids[name]).ravel()
-              for name, comps in ATTRIBUTE_GROUPS}
-    local = _reconstruct_signals(chunks, levels, attr_grids, params, len(cloud))
-    return stream, Internals(part, chunks, recon_centers, local)
-
-
-def _reconstruct_signals(
-    chunks: list[tuple[np.ndarray, spectral.GraphSpectrum]],
-    levels: dict[str, np.ndarray],
-    grids: dict[str, QuantGrid],
-    params: CodecParams,
-    count: int,
-) -> dict[str, np.ndarray]:
-    """Shared inverse path from each group's levels in payload order over
-    the chunks' leaves: dequantize, zero-pad, inverse transform, one chunk
-    at a time, into (count, C) signals.  Used verbatim by the decoder and
-    by the encoder's local decode, so both sides produce bit-identical
-    attribute signals by construction.
-    """
-    out: dict[str, np.ndarray] = {}
-    for name, comps in ATTRIBUTE_GROUPS:
-        symbols = levels[name]
-        sig = np.empty((count, comps))
-        pos = 0
-        for rows, spec in chunks:
-            nb, m = rows.shape
-            k = spectral.clip_count(params.alpha_for(name), m)
-            block = symbols[pos : pos + nb * k * comps].reshape(nb, k, comps)
-            pos += block.size
-            padded = np.zeros((nb, m, comps))
-            padded[:, :k] = dequantize(block, grids[name])
-            sig[rows] = spectral.igft(spec, padded)
-        out[name] = sig
-    return out
+    dequantized = {name: dequantize(quantize(kept[name], grid), grid)
+                   for name, grid in attr_grids.items()}
+    local, _ = _decode_runs(runs, recon_centers, sigma, dequantized, params, False)
+    return stream, Internals(part, _canonical_chunks(runs, parts), recon_centers, local)
 
 
 def _decode_run(centers: np.ndarray, sizes: dict[int, int], sigma: float,
-                levels: dict[str, np.ndarray], grids: dict[str, QuantGrid],
-                params: CodecParams, debug: bool):
-    """Decoded signals of a run of leaves that lie on consecutive rows of
-    `centers`, `sizes` of them, from each group's levels over the run, and
-    with `debug` the run's chunks, else None."""
-    chunks = spectral.graph_spectra(centers, sizes, sigma)
+                dequantized: dict[str, np.ndarray], params: CodecParams, debug: bool):
+    """`spectral.inverse` of each group's dequantized levels over a run of
+    leaves; with `debug` the chunks too, else None.  The encoder's local
+    decode takes this path too, so both sides' signals are bit-identical."""
+    alphas = {name: params.alpha_for(name) for name in GROUP_NAMES}
     # Overflow on a hostile grid is `decode`'s to report (`_check_finite`).
     with np.errstate(over="ignore", invalid="ignore"):
-        signals = _reconstruct_signals(chunks, levels, grids, params, len(centers))
-    return signals, chunks if debug else None
+        return spectral.inverse(centers, sizes, sigma, dequantized, alphas, debug)
+
+
+def _decode_runs(runs, centers: np.ndarray, sigma: float, dequantized: dict[str, np.ndarray],
+                 params: CodecParams, debug: bool):
+    """Each group's (N, C) decoded signals in canonical order from its
+    (K, C) dequantized levels, each of `runs` one `_decode_run` on a
+    process of its own, and with `debug` the chunks, else None."""
+    split = {name: np.split(dequantized[name], np.cumsum(
+                 [_level_count(1, params.alpha_for(name), run) for _, run in runs])[:-1])
+             for name in GROUP_NAMES}
+    parts = _dispatch(
+        [("_decode_run", (centers[rows], run, sigma,
+                          {name: split[name][r] for name in GROUP_NAMES}, params, debug))
+         for r, (rows, run) in enumerate(runs)],
+        [[r] for r in range(len(runs))])
+    signals = {name: np.empty((len(centers), comps)) for name, comps in ATTRIBUTE_GROUPS}
+    for (rows, _), (run_signals, _) in zip(runs, parts):
+        for name in GROUP_NAMES:
+            signals[name][rows] = run_signals[name]
+    return signals, _canonical_chunks(runs, parts) if debug else None
 
 
 def _decode_payload(name: str, payload: bytes, grid: QuantGrid, alpha: float,
                     sizes: dict[int, int]) -> np.ndarray:
     try:
-        return decode_levels(payload, grid, alpha, sizes)
+        return decode_levels(payload, grid, alpha, sizes).reshape(-1, grid.components)
     except CorruptPayloadError as exc:
         raise CorruptPayloadError(f"{name}: {exc}") from exc
 
@@ -750,10 +724,10 @@ def decode(
     only for a stream whose geometry an external coder wrote (see
     `encode`).  Truncated or tampered payloads raise `CorruptPayloadError`;
     container problems raise `CodecError`.  `threads` (>= 1) has no
-    effect.  A decode shared with the worker pool decodes the payloads
-    first, then each process solves one run of the leaves, cut as
-    `encode` cuts it, and inverse transforms the run's slice of the
-    levels; with `collect_debug` it is one process and one run, as in
+    effect.  A decode shared with the worker pool decodes and
+    dequantizes the payloads first, then each process solves one run of
+    the leaves, cut as `encode` cuts it, and inverse transforms the run's
+    slice; with `collect_debug` it is one process and one run, as in
     `encode`, so that both return the same chunks.
     """
     params = stream.params
@@ -790,22 +764,10 @@ def decode(
         calls = [("_decode_payload", (name, stream.attribute_payloads[name],
                                       stream.attr_grids[name], params.alpha_for(name), sizes))
                  for name in GROUP_NAMES]
-        levels = dict(zip(GROUP_NAMES, _dispatch(calls, _shares(weights, procs))))
-
-        runs = _runs(part.leaves, procs)
-        split = {name: np.split(levels[name], np.cumsum(
-                     [_level_count(comps, params.alpha_for(name), run) for _, run in runs])[:-1])
-                 for name, comps in ATTRIBUTE_GROUPS}
-        parts = _dispatch(
-            [("_decode_run", (recon_centers[rows], run, sigma,
-                              {name: split[name][r] for name in GROUP_NAMES},
-                              stream.attr_grids, params, collect_debug))
-             for r, (rows, run) in enumerate(runs)],
-            [[r] for r in range(len(runs))])
-        signals = {name: np.empty((stream.gs_count, comps)) for name, comps in ATTRIBUTE_GROUPS}
-        for (rows, _), (run_signals, _) in zip(runs, parts):
-            for name in GROUP_NAMES:
-                signals[name][rows] = run_signals[name]
+        dequantized = {name: dequantize(levels, stream.attr_grids[name]) for name, levels
+                       in zip(GROUP_NAMES, _dispatch(calls, _shares(weights, procs)))}
+        signals, chunks = _decode_runs(_runs(part.leaves, procs), recon_centers, sigma,
+                                       dequantized, params, collect_debug)
 
         yuv = np.stack([signals["sh_y"], signals["sh_u"], signals["sh_v"]], axis=2)
         rgb = colorspace.sh_yuv_to_rgb(colorspace.ShTriple(coeffs=yuv, space="yuv"))
@@ -822,7 +784,6 @@ def decode(
     )
     if not collect_debug:
         return cloud
-    chunks = _canonical_chunks(runs, parts)
     return cloud, Internals(part, chunks, recon_centers, signals)
 
 

@@ -70,8 +70,8 @@ class _Grid:
     lattice over the bounding box of targets and queries."""
 
     def __init__(self, targets: np.ndarray, queries: np.ndarray) -> None:
-        self.lo = np.minimum(targets.min(axis=0), queries.min(axis=0))
-        hi = np.maximum(targets.max(axis=0), queries.max(axis=0))
+        self.lo = np.minimum(targets.min(axis=0), queries.min(axis=0, initial=np.inf))
+        hi = np.maximum(targets.max(axis=0), queries.max(axis=0, initial=-np.inf))
         self.span = float((hi - self.lo).max()) or 1.0
         self.points, self.codes, _ = self.distinct(targets)
 
@@ -145,7 +145,7 @@ class _Grid:
 
 def nearest_distances(targets: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Distance from each row of (M, 3) `queries` to its nearest row of
-    (N, 3) `targets`, both finite and N >= 1; float64 (M,)."""
+    (N, 3) `targets`, both finite, N >= 1 and M >= 0; float64 (M,)."""
     queries = np.asarray(queries, dtype=np.float64)
     grid = _Grid(np.asarray(targets, dtype=np.float64), queries)
     queries, _, index = grid.distinct(queries)

@@ -45,7 +45,9 @@ elementwise op or the same sum along the same axis as for one matrix,
 so a leaf's bits do not depend on the batch or the chunk it is solved
 in.  That holds for the graphs only as
 long as numpy's einsum and exp round each element alike whatever the
-operand's rank; `tests/test_spectral.py` checks it bit for bit.
+operand's rank; `tests/test_spectral.py` checks it bit for bit.  A
+basis is working state, never stream data: `forward` and `inverse` walk
+a run of leaves one chunk at a time, so one chunk's bases are alive.
 """
 
 from __future__ import annotations
@@ -419,31 +421,69 @@ def eig_sym(matrix: np.ndarray) -> GraphSpectrum:
 
 
 def graph_spectrum(centers: np.ndarray, sigma: float) -> GraphSpectrum:
-    """Spectrum of the Gaussian-affinity Laplacian of one leaf."""
+    """Spectrum of the Gaussian-affinity Laplacian of one leaf, (m, 3)
+    centers, or of each leaf of a (B, m, 3) stack, solved together."""
     return eig_sym(laplacian(build_adjacency(centers, sigma)))
 
 
-def graph_spectra(centers: np.ndarray, sizes: dict[int, int],
-                  sigma: float) -> list[tuple[np.ndarray, GraphSpectrum]]:
-    """Spectra of leaves that lie on consecutive rows of `centers`, one
-    (rows, spectrum) stack per chunk.
+def graph_spectra(centers: np.ndarray, sizes: dict[int, int], sigma: float):
+    """Spectra of leaves that lie on consecutive rows of `centers`, yielded
+    one (rows, spectrum) stack per chunk, in row order.
 
     `sizes` maps leaf size to leaf count in row order: the first leaf is
     rows 0 .. m - 1, the next follows it.  `sigma` is every leaf's kernel
     bandwidth.  Consecutive leaves of one size are solved together by
-    `eig_sym`, in chunks of at most `BATCH_ENTRIES` matrix entries; a
-    chunk's rows (B, m) are its leaves, in row order.  Every spectrum is
+    `graph_spectrum`, in chunks of at most `BATCH_ENTRIES` matrix entries;
+    a chunk's rows (B, m) are its leaves, in row order.  Every spectrum is
     bit-identical to `graph_spectrum(centers[leaf], sigma)`, whatever its
     batch or chunk.
     """
-    chunks, at = [], 0
+    at = 0
     for m, n in sizes.items():
         leaves = np.arange(at, at + n * m).reshape(n, m)
         per = max(1, BATCH_ENTRIES // (m * m))
-        chunks += [leaves[i:i + per] for i in range(0, n, per)]
+        for i in range(0, n, per):
+            yield leaves[i:i + per], graph_spectrum(centers[leaves[i:i + per]], sigma)
         at += n * m
-    return [(rows, eig_sym(laplacian(build_adjacency(centers[rows], sigma))))
-            for rows in chunks]
+
+
+def forward(centers: np.ndarray, sizes: dict[int, int], sigma: float,
+            signals: dict[str, np.ndarray], alphas: dict[str, float], keep: bool = False):
+    """Each group's (K, C) kept coefficients, leaf by leaf as `gft` gives
+    them, of leaves on consecutive rows of `centers` and of each (N, C)
+    signal, as `graph_spectra` takes them, and with `keep` the chunks,
+    else None.  Chunk by chunk: solve, transform every group at
+    `clip_count(alphas[name], m)` coefficients, drop the bases."""
+    kept = {name: [] for name in signals}
+    chunks = [] if keep else None
+    for rows, spec in graph_spectra(centers, sizes, sigma):
+        for name, signal in signals.items():
+            k = clip_count(alphas[name], rows.shape[1])
+            kept[name].append(gft(spec, signal[rows], k).reshape(-1, signal.shape[1]))
+        if keep:
+            chunks.append((rows, spec))
+    return {name: np.concatenate(parts) for name, parts in kept.items()}, chunks
+
+
+def inverse(centers: np.ndarray, sizes: dict[int, int], sigma: float,
+            coefficients: dict[str, np.ndarray], alphas: dict[str, float], keep: bool = False):
+    """Invert `forward`: each group's (N, C) signals from its (K, C) kept
+    coefficients, zero-padded to each leaf's m, one chunk at a time, and
+    with `keep` the chunks, else None."""
+    out = {name: np.empty((len(centers), c.shape[1])) for name, c in coefficients.items()}
+    at = dict.fromkeys(coefficients, 0)
+    chunks = [] if keep else None
+    for rows, spec in graph_spectra(centers, sizes, sigma):
+        nb, m = rows.shape
+        for name, c in coefficients.items():
+            k = clip_count(alphas[name], m)
+            padded = np.zeros((nb, m, c.shape[1]))
+            padded[:, :k] = c[at[name]:at[name] + nb * k].reshape(nb, k, -1)
+            at[name] += nb * k
+            out[name][rows] = igft(spec, padded)
+        if keep:
+            chunks.append((rows, spec))
+    return out, chunks
 
 
 def _operands(spectrum: GraphSpectrum, values, what: str):

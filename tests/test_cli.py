@@ -309,6 +309,16 @@ class TestSweep:
         assert rc == 1
         assert "unknown parameter" in capsys.readouterr().err
 
+    def test_repeated_axis_name(self, tmp_path, capsys):
+        """A parameter on two axes is refused, not swept at its last value."""
+        src = tmp_path / "s.ply"
+        src.write_bytes(write_ply(cloud_columns(make_cloud(10))))
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", str(src), str(out), "--axis", "q_geo=10,12", "--axis", "q_geo=14"])
+        assert rc == 1
+        assert "'q_geo' is given more than one --axis" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCorrelate:
     def test_monotone_pairs(self, tmp_path, capsys):

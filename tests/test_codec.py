@@ -8,6 +8,7 @@ import signal
 import struct
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -363,6 +364,33 @@ class TestMirrorDeterminism:
         np.testing.assert_array_equal(out.opacity, edbg.signals["opacity"][:, 0])
         np.testing.assert_array_equal(out.scale, edbg.signals["scale"])
         np.testing.assert_array_equal(out.rotation, edbg.signals["rotation"])
+
+
+class TestTransformMemory:
+    def test_one_chunk_of_spectra_alive_at_a_time(self, monkeypatch):
+        """A serial encode and decode with one leaf per chunk: whenever a
+        chunk is solved, at most two spectra are alive, the one just solved
+        and the one its predecessor's transforms may still hold, whatever
+        the number of chunks.  The bytes are those of the default chunks."""
+        cloud = make_cloud(300, seed=19)
+        blob = encode(cloud, SMALL).to_bytes()
+        monkeypatch.setattr(C, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(spectral, "BATCH_ENTRIES", 1)
+        # spectra are unhashable (their fields are arrays): key each by its solve
+        alive, most = weakref.WeakValueDictionary(), []
+        solve = spectral.eig_sym
+
+        def tracked(matrix):
+            alive[len(most)] = spec = solve(matrix)
+            most.append(len(alive))
+            return spec
+
+        monkeypatch.setattr(spectral, "eig_sym", tracked)
+        stream = encode(cloud, SMALL)
+        assert stream.to_bytes() == blob
+        decode(stream)
+        assert len(most) >= 8  # at least four chunks each way
+        assert max(most) <= 2, most
 
 
 class TestSymbolLayout:

@@ -175,6 +175,11 @@ class TestGeometryPsnr:
         np.testing.assert_array_equal(nearest.nearest_distances(targets, queries),
                                       np.sqrt(d2.min(axis=1)))
 
+    def test_no_queries(self):
+        """Zero queries against one target give an empty float64 array."""
+        got = nearest.nearest_distances(np.zeros((1, 3)), np.zeros((0, 3)))
+        assert got.dtype == np.float64 and got.shape == (0,)
+
     def test_chunks_and_batches_do_not_change_distances(self, monkeypatch):
         """Queries split over many chunks, and candidates over many
         batches (some holding a single cell larger than a batch), give the

@@ -8,7 +8,7 @@ scipy, which costs about half a second and 36 MiB; only the logistic fit
 loads it, on first use.  Nor do the codec commands load
 `concurrent.futures` or `subprocess`.  The eigensolver, the graph
 Fourier transforms and the colour conversions call no BLAS or LAPACK
-kernel."""
+kernel, and the codec leaves every spectrum to `spectral`."""
 
 import ast
 import json
@@ -54,7 +54,8 @@ def test_no_numba_import(path):
 SOLVER_FUNCTIONS = {
     "spectral.py": {"laplacian", "_tridiagonalize", "_tql_rotations",
                     "_apply_rotations", "_householder_ql", "_normalize_rows",
-                    "eig_sym", "gft", "igft", "_operands", "_sum_products"},
+                    "eig_sym", "gft", "igft", "_operands", "_sum_products",
+                    "forward", "inverse"},
     "colorspace.py": {"sh_rgb_to_yuv", "sh_yuv_to_rgb", "_mix"},
 }
 VENDOR_KERNELS = {"dot", "matmul", "einsum", "tensordot", "linalg"}
@@ -81,6 +82,23 @@ def test_eigensolver_uses_no_blas():
             assert _vendor_calls(funcs[name]) == [], (module, name)
     probe = ast.parse("def f(a):\n    a @= a\n    return a @ np.dot(a, a)\n").body[0]
     assert len(_vendor_calls(probe)) == 3
+
+
+# The codec hands each run of leaves to `spectral.forward` or `inverse`,
+# which solve and drop one chunk's bases at a time: it neither solves a
+# spectrum, nor transforms with one, nor reads a basis.
+SPECTRAL_INTERNALS = {"gft", "igft", "eig_sym", "graph_spectrum", "graph_spectra",
+                      "GraphSpectrum", "basis"}
+
+
+def test_codec_holds_no_spectrum():
+    tree = ast.parse((Path(ggsc.__file__).parent / "codec.py").read_text())
+    named = [(name, node.lineno) for node in ast.walk(tree)
+             if (name := getattr(node, "id", None) or getattr(node, "attr", None))
+             in SPECTRAL_INTERNALS]
+    assert named == []
+    assert {"forward", "inverse"} <= {node.attr for node in ast.walk(tree)
+                                      if isinstance(node, ast.Attribute)}
 
 
 # Runs in a fresh interpreter: argv[1] is a directory holding scene.ply

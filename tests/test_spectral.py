@@ -311,7 +311,7 @@ class TestGraphSpectra:
         rng = np.random.default_rng(21)
         pts = rng.normal(size=(12, 3))
         pts[4:8] = np.arange(4)[:, None] * 100.0
-        [(rows, spec)] = got = graph_spectra(pts, {4: 3}, 1.0)
+        [(rows, spec)] = got = list(graph_spectra(pts, {4: 3}, 1.0))
         np.testing.assert_array_equal(rows[1], np.arange(4, 8))
         np.testing.assert_array_equal(spec.basis[1], np.eye(4))
         np.testing.assert_array_equal(spec.eigenvalues[1], np.zeros(4))
@@ -341,7 +341,7 @@ class TestGraphSpectra:
         rng = np.random.default_rng(23)
         pts = rng.normal(size=(33, 3))
         sizes = {6: 5, 3: 1}
-        want = graph_spectra(pts, sizes, 0.7)
+        want = list(graph_spectra(pts, sizes, 0.7))
         shapes = []
         solve = spectral.eig_sym
 
@@ -351,7 +351,7 @@ class TestGraphSpectra:
 
         monkeypatch.setattr(spectral, "BATCH_ENTRIES", 2 * 36 + 35)
         monkeypatch.setattr(spectral, "eig_sym", spy)
-        got = graph_spectra(pts, sizes, 0.7)
+        got = list(graph_spectra(pts, sizes, 0.7))
         assert [rows.shape for rows, _ in got] == [(2, 6), (2, 6), (1, 6), (1, 3)]
         self._assert_single(pts, sizes, 0.7, got)
         assert shapes == [(2, 6, 6), (2, 6, 6), (1, 6, 6), (1, 3, 3)]
@@ -370,6 +370,52 @@ class TestGraphSpectra:
         monkeypatch.setattr(spectral, "QL_MAX_SWEEPS", 0)
         with pytest.raises(RuntimeError, match="converge"):
             eig_sym(np.stack([np.zeros((4, 4)), good]))
+
+
+class TestRunTransform:
+    """`forward` and `inverse` over a run of leaves on consecutive rows."""
+
+    SIZES = {6: 5, 3: 1}
+    ALPHAS = {"a": 1.0, "b": 0.5}
+
+    def _run(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        pts = rng.normal(size=(33, 3))
+        signals = {"a": rng.normal(size=(33, 2)), "b": rng.normal(size=(33, 1))}
+        monkeypatch.setattr(spectral, "BATCH_ENTRIES", 2 * 36 + 35)
+        return pts, signals
+
+    def test_forward_is_each_chunks_truncated_gft(self, monkeypatch):
+        """Each group's coefficients are every chunk's `gft` at its clip
+        count, (k, C) per leaf, in row order, bit for bit; `keep` returns
+        the chunks `graph_spectra` yields."""
+        pts, signals = self._run(monkeypatch)
+        spectra = list(graph_spectra(pts, self.SIZES, 0.7))
+        kept, chunks = spectral.forward(pts, self.SIZES, 0.7, signals, self.ALPHAS, keep=True)
+        assert [rows.tolist() for rows, _ in chunks] == [rows.tolist() for rows, _ in spectra]
+        for name, alpha in self.ALPHAS.items():
+            want = np.concatenate([
+                gft(spec, signals[name][rows], clip_count(alpha, rows.shape[1]))
+                .reshape(-1, signals[name].shape[1]) for rows, spec in spectra])
+            assert kept[name].tobytes() == want.tobytes()
+        assert spectral.forward(pts, self.SIZES, 0.7, signals, self.ALPHAS)[1] is None
+
+    def test_inverse_of_forward(self, monkeypatch):
+        """At alpha 1 the inverse gives the signal back to rounding; at 0.5
+        it is the zero-padded `igft` of each chunk, bit for bit."""
+        pts, signals = self._run(monkeypatch)
+        kept, _ = spectral.forward(pts, self.SIZES, 0.7, signals, self.ALPHAS)
+        out, chunks = spectral.inverse(pts, self.SIZES, 0.7, kept, self.ALPHAS, keep=True)
+        np.testing.assert_allclose(out["a"], signals["a"], rtol=0, atol=1e-12)
+        at = 0
+        for rows, spec in chunks:
+            nb, m = rows.shape
+            k = clip_count(0.5, m)
+            padded = np.zeros((nb, m, 1))
+            padded[:, :k] = kept["b"][at:at + nb * k].reshape(nb, k, 1)
+            at += nb * k
+            assert out["b"][rows].tobytes() == igft(spec, padded).tobytes()
+        assert at == len(kept["b"])
 
 
 class TestTransform:
