@@ -25,11 +25,12 @@ From `POOL_MIN_WORK` of work, counted in encoded symbols (a decoded level
 weighing `DECODE_WEIGHT`, a leaf spectrum `SPECTRUM_WEIGHT * m^2`), the
 runs and the seven independent payloads of step 6 are shared between
 this process and a pool of forked workers, one per further usable CPU
-(`_dispatch`, `pool`); a lighter call, or one that collects its
-`Internals`, makes one run and codes every payload here.  The pool is
-forked by the first call that needs it and serves every later one;
-`pool.close_pool` stops it, as does exit.  Every byte is the same
-whatever the worker count.
+(`_dispatch`, `pool`); a lighter call makes one run and codes every
+payload here.  A call that collects its `Internals` takes the same
+processes and runs as one that does not.  The pool is forked by the
+first call that needs it and serves every later one; `pool.close_pool`
+stops it, as does exit.  Every byte is the same whatever the worker
+count.
 
 An attribute payload lists the leaf sizes in order of first appearance
 in the partition, each size's leaves in partition order, and each
@@ -312,13 +313,12 @@ class Internals:
 
     `encode(..., collect_debug=True)` and `decode(..., collect_debug=True)`
     each return one; the decoder's equals the encoder's field by field.
+    It holds no leaf spectrum: each is working state, which
+    `spectral.graph_spectrum(recon_centers[leaf], sigma)` solves again,
+    bit for bit, with sigma from the box of `recon_centers`.
     """
 
     part: partition.Partition
-    #: One (rows, spectrum) pair per chunk of equal-size leaves, in payload
-    #: order, as `spectral.forward` or `inverse` keeps them: rows (B, m) in
-    #: canonical order, and the spectrum of those B leaves.
-    chunks: list[tuple]
     recon_centers: np.ndarray
     #: Group name -> (N, C) decoded attribute signals (dequantize,
     #: zero-pad, inverse transform); on the encoder, its local decode.
@@ -536,20 +536,12 @@ def _runs(leaves, count: int) -> list[tuple[np.ndarray, dict[int, int]]]:
     return runs
 
 
-def _canonical_chunks(runs, parts) -> list[tuple]:
-    """The chunks the runs returned (`parts`), in payload order, their rows
-    mapped from each run's consecutive rows back to canonical order."""
-    return [(rows[local], spec)
-            for (rows, _), (_, chunks) in zip(runs, parts) for local, spec in chunks]
-
-
 def _encode_run(centers: np.ndarray, sizes: dict[int, int], sigma: float,
-                signals: dict[str, np.ndarray], params: CodecParams, debug: bool):
+                signals: dict[str, np.ndarray], params: CodecParams):
     """`spectral.forward` of a run of leaves on consecutive rows, `sizes`
-    of them; with `debug` the chunks too, else None: bases cross no pipe
-    unasked."""
+    of them."""
     alphas = {name: params.alpha_for(name) for name in GROUP_NAMES}
-    return spectral.forward(centers, sizes, sigma, signals, alphas, debug)
+    return spectral.forward(centers, sizes, sigma, signals, alphas)
 
 
 def _code_geometry(codes: np.ndarray) -> bytes:
@@ -584,19 +576,20 @@ def encode(
 
     With `collect_debug` it returns `(stream, Internals)`, whose signals
     are the encoder's local decode: exactly what `decode` reproduces.
+    That call takes the processes and runs of one without it, and its
+    local decode is `decode`'s own inverse over the same runs.
 
     `geometry_command` hands the geometry section to an external lossless
     point-cloud coder: a command template with `{in}` and `{out}`
     placeholders, e.g. "tmc3 --mode=0 ... {in} {out}".  The stream records
-    that backend; decoding it needs the matching decode command.
+    that backend; decoding it needs the matching decode command.  Only
+    None codes the geometry here: a blank command raises `ValueError`.
 
     `threads` (>= 1) has no effect.  When the encode weighs enough to be
     shared with the worker pool (see `_process_count`), each process
     solves one run of the leaves (`_runs`), then codes its share of the
-    payloads (`_dispatch`).  With `collect_debug` the whole encode takes
-    that path as one process: one run, whose chunks it keeps, and the
-    local decode is the decoder's own.  A stream denser than
-    MAX_PRIMS_PER_BYTE raises `CodecError`.
+    payloads (`_dispatch`).  A stream denser than MAX_PRIMS_PER_BYTE
+    raises `CodecError`.
     """
     params.validate()
     if threads < 1:
@@ -616,30 +609,30 @@ def encode(
     signals = attribute_signals(ordered)
     counts = [_level_count(comps, params.alpha_for(name), sizes)
               for name, comps in ATTRIBUTE_GROUPS]
-    if not geometry_command:
+    if geometry_command is None:
         counts.append(len(codes))
-    procs = 1 if collect_debug else _process_count(sum(counts) + _spectra_work(sizes))
+    procs = _process_count(sum(counts) + _spectra_work(sizes))
 
     runs = _runs(part.leaves, procs)
     parts = _dispatch(
         [("_encode_run", (recon_centers[rows], run, sigma,
-                          {name: s[rows] for name, s in signals.items()}, params, collect_debug))
+                          {name: s[rows] for name, s in signals.items()}, params))
          for rows, run in runs],
         [[r] for r in range(len(runs))])
-    kept = {name: np.concatenate([p[name] for p, _ in parts]) for name in GROUP_NAMES}
+    kept = {name: np.concatenate([p[name] for p in parts]) for name in GROUP_NAMES}
     calls = [("_code_group", (kept[name], params.q_for(name), params.alpha_for(name), sizes))
              for name in GROUP_NAMES]
-    if not geometry_command:
+    if geometry_command is None:
         calls.append(("_code_geometry", (codes,)))
     coded = _dispatch(calls, _shares(counts, procs))
     attr_grids = {name: grid for name, (grid, _) in zip(GROUP_NAMES, coded)}
     payloads = {name: payload for name, (_, payload) in zip(GROUP_NAMES, coded)}
-    if geometry_command:
-        geometry_payload = geom_codec.encode_centers_external(lattice, geometry_command)
-        backend = GEOM_EXTERNAL
-    else:
+    if geometry_command is None:
         geometry_payload = coded[-1]
         backend = GEOM_INTERNAL
+    else:
+        geometry_payload = geom_codec.encode_centers_external(lattice, geometry_command)
+        backend = GEOM_EXTERNAL
 
     stream = CodedStream(
         params=params,
@@ -659,39 +652,39 @@ def encode(
 
     dequantized = {name: dequantize(quantize(kept[name], grid), grid)
                    for name, grid in attr_grids.items()}
-    local, _ = _decode_runs(runs, recon_centers, sigma, dequantized, params, False)
-    return stream, Internals(part, _canonical_chunks(runs, parts), recon_centers, local)
+    local = _decode_runs(runs, recon_centers, sigma, dequantized, params)
+    return stream, Internals(part, recon_centers, local)
 
 
 def _decode_run(centers: np.ndarray, sizes: dict[int, int], sigma: float,
-                dequantized: dict[str, np.ndarray], params: CodecParams, debug: bool):
+                dequantized: dict[str, np.ndarray], params: CodecParams):
     """`spectral.inverse` of each group's dequantized levels over a run of
-    leaves; with `debug` the chunks too, else None.  The encoder's local
-    decode takes this path too, so both sides' signals are bit-identical."""
+    leaves.  The encoder's local decode takes this path too, so both
+    sides' signals are bit-identical."""
     alphas = {name: params.alpha_for(name) for name in GROUP_NAMES}
     # Overflow on a hostile grid is `decode`'s to report (`_check_finite`).
     with np.errstate(over="ignore", invalid="ignore"):
-        return spectral.inverse(centers, sizes, sigma, dequantized, alphas, debug)
+        return spectral.inverse(centers, sizes, sigma, dequantized, alphas)
 
 
 def _decode_runs(runs, centers: np.ndarray, sigma: float, dequantized: dict[str, np.ndarray],
-                 params: CodecParams, debug: bool):
+                 params: CodecParams) -> dict[str, np.ndarray]:
     """Each group's (N, C) decoded signals in canonical order from its
     (K, C) dequantized levels, each of `runs` one `_decode_run` on a
-    process of its own, and with `debug` the chunks, else None."""
+    process of its own."""
     split = {name: np.split(dequantized[name], np.cumsum(
                  [_level_count(1, params.alpha_for(name), run) for _, run in runs])[:-1])
              for name in GROUP_NAMES}
     parts = _dispatch(
         [("_decode_run", (centers[rows], run, sigma,
-                          {name: split[name][r] for name in GROUP_NAMES}, params, debug))
+                          {name: split[name][r] for name in GROUP_NAMES}, params))
          for r, (rows, run) in enumerate(runs)],
         [[r] for r in range(len(runs))])
     signals = {name: np.empty((len(centers), comps)) for name, comps in ATTRIBUTE_GROUPS}
-    for (rows, _), (run_signals, _) in zip(runs, parts):
+    for (rows, _), run_signals in zip(runs, parts):
         for name in GROUP_NAMES:
             signals[name][rows] = run_signals[name]
-    return signals, _canonical_chunks(runs, parts) if debug else None
+    return signals
 
 
 def _decode_payload(name: str, payload: bytes, grid: QuantGrid, alpha: float,
@@ -718,7 +711,8 @@ def decode(
     """Reconstruct a cloud from a coded stream.
 
     With `collect_debug` it returns `(cloud, Internals)`, whose signals
-    are the decoded attribute signals before the colour conversion.
+    are the decoded attribute signals before the colour conversion; that
+    call takes the processes and runs of one without it.
 
     `geometry_command` is the external decoder's command template, needed
     only for a stream whose geometry an external coder wrote (see
@@ -727,8 +721,7 @@ def decode(
     effect.  A decode shared with the worker pool decodes and
     dequantizes the payloads first, then each process solves one run of
     the leaves, cut as `encode` cuts it, and inverse transforms the run's
-    slice; with `collect_debug` it is one process and one run, as in
-    `encode`, so that both return the same chunks.
+    slice.
     """
     params = stream.params
     params.validate()
@@ -760,14 +753,14 @@ def decode(
         sigma = _sigma(recon_centers)
         weights = [DECODE_WEIGHT * _level_count(comps, params.alpha_for(name), sizes)
                    for name, comps in ATTRIBUTE_GROUPS]
-        procs = 1 if collect_debug else _process_count(sum(weights) + _spectra_work(sizes))
+        procs = _process_count(sum(weights) + _spectra_work(sizes))
         calls = [("_decode_payload", (name, stream.attribute_payloads[name],
                                       stream.attr_grids[name], params.alpha_for(name), sizes))
                  for name in GROUP_NAMES]
         dequantized = {name: dequantize(levels, stream.attr_grids[name]) for name, levels
                        in zip(GROUP_NAMES, _dispatch(calls, _shares(weights, procs)))}
-        signals, chunks = _decode_runs(_runs(part.leaves, procs), recon_centers, sigma,
-                                       dequantized, params, collect_debug)
+        signals = _decode_runs(_runs(part.leaves, procs), recon_centers, sigma,
+                               dequantized, params)
 
         yuv = np.stack([signals["sh_y"], signals["sh_u"], signals["sh_v"]], axis=2)
         rgb = colorspace.sh_yuv_to_rgb(colorspace.ShTriple(coeffs=yuv, space="yuv"))
@@ -784,7 +777,7 @@ def decode(
     )
     if not collect_debug:
         return cloud
-    return cloud, Internals(part, chunks, recon_centers, signals)
+    return cloud, Internals(part, recon_centers, signals)
 
 
 def canonical_order(cloud: GaussianCloud, params: CodecParams) -> GaussianCloud:

@@ -448,31 +448,26 @@ def graph_spectra(centers: np.ndarray, sizes: dict[int, int], sigma: float):
 
 
 def forward(centers: np.ndarray, sizes: dict[int, int], sigma: float,
-            signals: dict[str, np.ndarray], alphas: dict[str, float], keep: bool = False):
+            signals: dict[str, np.ndarray], alphas: dict[str, float]):
     """Each group's (K, C) kept coefficients, leaf by leaf as `gft` gives
     them, of leaves on consecutive rows of `centers` and of each (N, C)
-    signal, as `graph_spectra` takes them, and with `keep` the chunks,
-    else None.  Chunk by chunk: solve, transform every group at
-    `clip_count(alphas[name], m)` coefficients, drop the bases."""
+    signal, as `graph_spectra` takes them.  Chunk by chunk: solve,
+    transform every group at `clip_count(alphas[name], m)` coefficients,
+    drop the bases."""
     kept = {name: [] for name in signals}
-    chunks = [] if keep else None
     for rows, spec in graph_spectra(centers, sizes, sigma):
         for name, signal in signals.items():
             k = clip_count(alphas[name], rows.shape[1])
             kept[name].append(gft(spec, signal[rows], k).reshape(-1, signal.shape[1]))
-        if keep:
-            chunks.append((rows, spec))
-    return {name: np.concatenate(parts) for name, parts in kept.items()}, chunks
+    return {name: np.concatenate(parts) for name, parts in kept.items()}
 
 
 def inverse(centers: np.ndarray, sizes: dict[int, int], sigma: float,
-            coefficients: dict[str, np.ndarray], alphas: dict[str, float], keep: bool = False):
+            coefficients: dict[str, np.ndarray], alphas: dict[str, float]):
     """Invert `forward`: each group's (N, C) signals from its (K, C) kept
-    coefficients, zero-padded to each leaf's m, one chunk at a time, and
-    with `keep` the chunks, else None."""
+    coefficients, zero-padded to each leaf's m, one chunk at a time."""
     out = {name: np.empty((len(centers), c.shape[1])) for name, c in coefficients.items()}
     at = dict.fromkeys(coefficients, 0)
-    chunks = [] if keep else None
     for rows, spec in graph_spectra(centers, sizes, sigma):
         nb, m = rows.shape
         for name, c in coefficients.items():
@@ -481,9 +476,7 @@ def inverse(centers: np.ndarray, sizes: dict[int, int], sigma: float,
             padded[:, :k] = c[at[name]:at[name] + nb * k].reshape(nb, k, -1)
             at[name] += nb * k
             out[name][rows] = igft(spec, padded)
-        if keep:
-            chunks.append((rows, spec))
-    return out, chunks
+    return out
 
 
 def _operands(spectrum: GraphSpectrum, values, what: str):
@@ -546,8 +539,11 @@ def clip_count(alpha: float, m: int) -> int:
 
     ceil(alpha * m), floored at 1 so the DC component always survives.
     The epsilon shields exact products like 0.1 * 200 from ceiling up on
-    a one-ulp-high multiply.
+    a one-ulp-high multiply.  The product is taken in double precision,
+    as the header carries alpha, so a float32 alpha keeps the count its
+    decoder derives.
     """
+    alpha = float(alpha)
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     if m < 1:

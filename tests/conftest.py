@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import ggsc
-from ggsc import pool
+from ggsc import codec, pool, spectral
 from ggsc.entropy import CorruptPayloadError
 from ggsc.gs_core import GaussianCloud
 
@@ -57,6 +57,32 @@ def bounded_failure(seconds, bytes_, error=CorruptPayloadError):
         tracemalloc.stop()
     assert elapsed < seconds, elapsed
     assert peak < bytes_, peak
+
+
+def solved_spectra(monkeypatch, op, *args, **kwargs):
+    """`op(*args, **kwargs)` run in this process alone, and every spectrum
+    it solved, in call order: one (centers, eigenvalues, basis) per
+    `spectral.graph_spectrum` call, of one leaf or a stack of them."""
+    calls = []
+    solve = spectral.graph_spectrum
+
+    def spy(centers, sigma):
+        spec = solve(centers, sigma)
+        calls.append((centers, spec.eigenvalues, spec.basis))
+        return spec
+
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "_usable_cpus", lambda: 1)
+        patch.setattr(spectral, "graph_spectrum", spy)
+        return op(*args, **kwargs), calls
+
+
+def assert_same_spectra(encoded, decoded) -> None:
+    """Two `solved_spectra` records agree call by call, bit for bit."""
+    assert encoded and len(encoded) == len(decoded)
+    for enc, dec in zip(encoded, decoded):
+        for a, b in zip(enc, dec):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def as_f32(values) -> np.ndarray:

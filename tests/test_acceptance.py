@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_cloud, make_realistic_cloud
+from conftest import assert_same_spectra, make_cloud, make_realistic_cloud, solved_spectra
 from ggsc import codec, colorspace, eval as eval_mod, spectral
 from ggsc.codec import (
     CodecParams,
@@ -129,12 +129,13 @@ def test_full_rate_guarantees():
     # transform domain: decoded coefficients sit within half a step of
     # the originals (alpha=1 keeps every coefficient)
     source = codec.attribute_signals(ordered)
-    for name in GROUP_NAMES:
-        tol = _half_step(stream, name) + 1e-9
-        for rows, spec in edbg.chunks:
-            back = spectral.gft(spec, ddbg.signals[name][rows])
-            coeffs = spectral.gft(spec, source[name][rows])
-            assert np.max(np.abs(back - coeffs)) <= tol
+    sigma = codec._sigma(edbg.recon_centers)
+    for leaf in edbg.part.leaves:
+        spec = spectral.graph_spectrum(edbg.recon_centers[leaf], sigma)
+        for name in GROUP_NAMES:
+            back = spectral.gft(spec, ddbg.signals[name][leaf])
+            coeffs = spectral.gft(spec, source[name][leaf])
+            assert np.max(np.abs(back - coeffs)) <= _half_step(stream, name) + 1e-9
 
     # attribute domain: l2 of the error is preserved, so l-inf grows by
     # at most sqrt(m) over the half step
@@ -271,9 +272,10 @@ def test_entropy_guarantees():
             assert gap <= 0.0, (alphabet, skewed, gap)
 
 
-def test_criterion_6_mirror_determinism(criterion):
+def test_criterion_6_mirror_determinism(criterion, monkeypatch):
     """50 random clouds: decoder-side spectra bit-identical to the
-    encoder's for every leaf, and two decodes bit-identical."""
+    encoder's for every leaf, call by call as each side solved them in
+    one process, and two decodes bit-identical."""
     with criterion(6):
         rng = np.random.default_rng(6)
         for i in range(50):
@@ -283,20 +285,17 @@ def test_criterion_6_mirror_determinism(criterion):
                 max_leaf=int(rng.choice([32, 64, 200])),
                 alpha_scale=float(rng.choice([0.5, 1.0])),
             )
-            stream, edbg = encode(cloud, params, collect_debug=True)
+            stream, enc = solved_spectra(monkeypatch, encode, cloud, params)
             parsed = CodedStream.from_bytes(stream.to_bytes())
-            first, ddbg = decode(parsed, collect_debug=True)
-            second = decode(parsed)
+            first, dec = solved_spectra(monkeypatch, decode, parsed)
+            assert_same_spectra(enc, dec)
+            _, edbg = encode(cloud, params, collect_debug=True)
+            second, ddbg = decode(parsed, collect_debug=True)
             assert first == second
             assert np.array_equal(edbg.recon_centers, ddbg.recon_centers)
             assert len(edbg.part.leaves) == len(ddbg.part.leaves)
             for eleaf, dleaf in zip(edbg.part.leaves, ddbg.part.leaves):
                 assert np.array_equal(eleaf, dleaf)
-            assert len(edbg.chunks) == len(ddbg.chunks)
-            for (erows, espec), (drows, dspec) in zip(edbg.chunks, ddbg.chunks):
-                assert np.array_equal(erows, drows)
-                assert np.array_equal(espec.eigenvalues, dspec.eigenvalues)
-                assert np.array_equal(espec.basis, dspec.basis)
 
 
 def test_criterion_7_correlation_protocol(criterion):

@@ -33,7 +33,14 @@ from ggsc.entropy import CorruptPayloadError, SymbolStream, aac_encode
 from ggsc.quantizer import QuantGrid, dequantize, quantize
 from ggsc import partition, pool, spectral
 
-from conftest import bounded_failure, child_env, make_cloud, make_realistic_cloud
+from conftest import (
+    assert_same_spectra,
+    bounded_failure,
+    child_env,
+    make_cloud,
+    make_realistic_cloud,
+    solved_spectra,
+)
 from ggsc.gs_core import save_ply
 import test_fuzz
 from test_golden import CASES as GOLDEN_CASES
@@ -309,6 +316,17 @@ class TestRoundTrip:
         bounds = _attr_bound(stream, 30)
         assert np.abs(out.opacity - cloud.opacity).max() <= bounds["opacity"]
 
+    def test_float32_alpha_round_trips(self):
+        """A float32 alpha clips as the double the header carries, so the
+        parsed stream decodes to the encoder's local decode (at alpha
+        0.1 and leaves of 10 the encoder kept one scale coefficient per
+        leaf in float32, and its decoder expected two)."""
+        params = CodecParams(max_leaf=10, alpha_scale=np.float32(0.1))
+        stream, enc = encode(make_cloud(20, seed=3), params, collect_debug=True)
+        _, dec = decode(CodedStream.from_bytes(stream.to_bytes()), collect_debug=True)
+        for name in GROUP_NAMES:
+            np.testing.assert_array_equal(dec.signals[name], enc.signals[name])
+
     def test_decode_is_deterministic(self):
         cloud = make_cloud(200, seed=6)
         stream = encode(cloud, SMALL)
@@ -338,21 +356,21 @@ class TestRoundTrip:
 
 
 class TestMirrorDeterminism:
-    def test_decoder_reproduces_encoder_internals(self):
+    def test_decoder_reproduces_encoder_internals(self, monkeypatch):
+        """The spectra a plain encode and decode solve in one process agree
+        call by call, and so do both sides' `Internals`."""
         cloud = make_cloud(300, seed=12)
         params = CodecParams(max_leaf=45, alpha_sh_y=0.6, alpha_scale=0.3)
-        stream, edbg = encode(cloud, params, collect_debug=True)
-        out, ddbg = decode(stream, collect_debug=True)
+        stream, enc = solved_spectra(monkeypatch, encode, cloud, params)
+        _, dec = solved_spectra(monkeypatch, decode, stream)
+        assert_same_spectra(enc, dec)
 
+        _, edbg = encode(cloud, params, collect_debug=True)
+        _, ddbg = decode(stream, collect_debug=True)
         np.testing.assert_array_equal(edbg.recon_centers, ddbg.recon_centers)
         assert len(edbg.part.leaves) == len(ddbg.part.leaves)
         for a, b in zip(edbg.part.leaves, ddbg.part.leaves):
             np.testing.assert_array_equal(a, b)
-        assert len(edbg.chunks) == len(ddbg.chunks)
-        for (ra, sa), (rb, sb) in zip(edbg.chunks, ddbg.chunks):
-            assert np.array_equal(ra, rb)
-            assert np.array_equal(sa.eigenvalues, sb.eigenvalues)
-            assert np.array_equal(sa.basis, sb.basis)
         for name in GROUP_NAMES:
             assert np.array_equal(edbg.signals[name], ddbg.signals[name])
 
@@ -582,6 +600,7 @@ class TestClassContexts:
             return aac_encode(stream, contexts)
 
         monkeypatch.setattr(C.entropy, "aac_encode", spy)
+        monkeypatch.setattr(C, "_usable_cpus", lambda: 1)  # the spy sees this process only
         params = CodecParams(max_leaf=40, **{f"q_{n}": 16 for n in GROUP_NAMES})
         stream, enc = encode(make_cloud(120, seed=5), params, collect_debug=True)
         assert min(len(leaf) for leaf in enc.part.leaves) > 16
@@ -696,10 +715,12 @@ class TestExternalGeometryBackend:
             decode(stream)
 
     def test_blank_command_is_refused(self):
-        """A whitespace-only command names no program: encode says so
-        instead of failing inside `subprocess`."""
-        with pytest.raises(ValueError, match="names no program"):
-            encode(make_cloud(30, seed=21), SMALL, geometry_command="   ")
+        """An empty or whitespace-only command names no program: encode
+        says so instead of failing inside `subprocess` or coding the
+        geometry itself."""
+        for command in ("   ", ""):
+            with pytest.raises(ValueError, match="names no program"):
+                encode(make_cloud(30, seed=21), SMALL, geometry_command=command)
 
 
 class TestCanonicalOrder:
@@ -934,6 +955,29 @@ class TestForkJoin:
         assert forks == []
         decode(stream)
         assert len(forks) == 1
+
+    def test_debug_calls_share_work_like_plain_ones(self, monkeypatch):
+        """A `collect_debug` encode and decode above `POOL_MIN_WORK` on two
+        CPUs share their work with one worker, as plain calls do, and give
+        the stream and `Internals` of one-process debug calls."""
+        cloud, params = make_realistic_cloud(400, seed=40), CodecParams(max_leaf=32)
+        with monkeypatch.context() as patch:
+            patch.setattr(C, "_usable_cpus", lambda: 1)
+            serial, senc = encode(cloud, params, collect_debug=True)
+            _, sdec = decode(serial, collect_debug=True)
+        forks = _count_forks(monkeypatch, cpus=2)
+        stream, enc = encode(cloud, params, collect_debug=True)
+        assert len(forks) == 1
+        _, dec = decode(CodedStream.from_bytes(stream.to_bytes()), collect_debug=True)
+        assert len(forks) == 1
+        assert stream.to_bytes() == serial.to_bytes()
+        for got, want in ((enc, senc), (dec, sdec)):
+            assert len(got.part.leaves) == len(want.part.leaves)
+            for a, b in zip(got.part.leaves, want.part.leaves):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(got.recon_centers, want.recon_centers)
+            for name in GROUP_NAMES:
+                assert got.signals[name].tobytes() == want.signals[name].tobytes()
 
     def test_results_in_job_order(self, monkeypatch):
         monkeypatch.setattr(C, "_job_and_pid", _job_and_pid, raising=False)

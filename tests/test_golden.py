@@ -100,15 +100,14 @@ def _sha(data: bytes) -> str:
 
 def _digests(blob: bytes, leaf: int) -> dict[str, str]:
     cloud, debug = codec.decode(CodedStream.from_bytes(blob), collect_debug=True)
-    # leaves are disjoint, so the leaf's row in its chunk holds its first point
-    first = debug.part.leaves[leaf][0]
-    [(spec, b)] = [(spec, b) for rows, spec in debug.chunks
-                   for b in np.flatnonzero(rows[:, 0] == first)]
+    # the decoder solved this leaf from these centers, bit for bit alike
+    centers = debug.recon_centers
+    spec = spectral.graph_spectrum(centers[debug.part.leaves[leaf]], codec._sigma(centers))
     return {
         "stream_sha": _sha(blob),
         "ply_sha": _sha(save_ply(cloud)),
-        "eigenvalues_sha": _sha(spec.eigenvalues[b].tobytes()),
-        "basis_sha": _sha(spec.basis[b].tobytes()),
+        "eigenvalues_sha": _sha(spec.eigenvalues.tobytes()),
+        "basis_sha": _sha(spec.basis.tobytes()),
     }
 
 

@@ -387,28 +387,25 @@ class TestRunTransform:
 
     def test_forward_is_each_chunks_truncated_gft(self, monkeypatch):
         """Each group's coefficients are every chunk's `gft` at its clip
-        count, (k, C) per leaf, in row order, bit for bit; `keep` returns
-        the chunks `graph_spectra` yields."""
+        count, (k, C) per leaf, in row order, bit for bit."""
         pts, signals = self._run(monkeypatch)
         spectra = list(graph_spectra(pts, self.SIZES, 0.7))
-        kept, chunks = spectral.forward(pts, self.SIZES, 0.7, signals, self.ALPHAS, keep=True)
-        assert [rows.tolist() for rows, _ in chunks] == [rows.tolist() for rows, _ in spectra]
+        kept = spectral.forward(pts, self.SIZES, 0.7, signals, self.ALPHAS)
         for name, alpha in self.ALPHAS.items():
             want = np.concatenate([
                 gft(spec, signals[name][rows], clip_count(alpha, rows.shape[1]))
                 .reshape(-1, signals[name].shape[1]) for rows, spec in spectra])
             assert kept[name].tobytes() == want.tobytes()
-        assert spectral.forward(pts, self.SIZES, 0.7, signals, self.ALPHAS)[1] is None
 
     def test_inverse_of_forward(self, monkeypatch):
         """At alpha 1 the inverse gives the signal back to rounding; at 0.5
         it is the zero-padded `igft` of each chunk, bit for bit."""
         pts, signals = self._run(monkeypatch)
-        kept, _ = spectral.forward(pts, self.SIZES, 0.7, signals, self.ALPHAS)
-        out, chunks = spectral.inverse(pts, self.SIZES, 0.7, kept, self.ALPHAS, keep=True)
+        kept = spectral.forward(pts, self.SIZES, 0.7, signals, self.ALPHAS)
+        out = spectral.inverse(pts, self.SIZES, 0.7, kept, self.ALPHAS)
         np.testing.assert_allclose(out["a"], signals["a"], rtol=0, atol=1e-12)
         at = 0
-        for rows, spec in chunks:
+        for rows, spec in graph_spectra(pts, self.SIZES, 0.7):
             nb, m = rows.shape
             k = clip_count(0.5, m)
             padded = np.zeros((nb, m, 1))
@@ -551,6 +548,15 @@ class TestClipCount:
         # point; a raw ceil would keep 8 coefficients instead of 7
         assert clip_count(0.7, 10) == 7
         assert clip_count(0.4, 5) == 2
+
+    def test_float32_alpha_counts_as_its_double(self):
+        """The header carries alpha as a double, so a float32 alpha must
+        clip as that double does: in float32, 0.1 * 10 rounds to 1.0 and
+        keeps one of ten; in double it is 1.0000000149 and keeps two."""
+        assert clip_count(np.float32(0.1), 10) == 2
+        for alpha in np.arange(1, 100, dtype=np.float32) / np.float32(100):
+            for m in range(1, 201):
+                assert clip_count(alpha, m) == clip_count(float(alpha), m), (alpha, m)
 
     def test_bad_alpha_rejected(self):
         for alpha in (0.0, -0.2, 1.0000001):
