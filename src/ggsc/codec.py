@@ -14,8 +14,8 @@ Encoding pipeline:
    channels, opacity, scale, rotation), and keep the lowest
    ceil(alpha * m) coefficients; leaves of one size m go through these
    steps a stack of them at a time, whose bases are then dropped,
-6. quantize kept coefficients on one global grid per group and entropy
-   code them; geometry travels separately as Morton deltas.
+6. quantize kept coefficients on one global zero-aligned grid per group
+   and entropy code them; geometry travels separately as Morton deltas.
 
 Step 5 works on runs: contiguous slices of the leaves in payload order
 (below), cut at about equal spectrum work (`_runs`), so that a group's

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
 
@@ -92,6 +92,35 @@ def geometry_psnr_d1(ref: GaussianCloud, dist: GaussianCloud) -> PsnrStats:
     mse = max(float(np.mean(d_ab**2)), float(np.mean(d_ba**2)))
     peak = bounding_box(ref).diagonal
     return _psnr(mse, peak)
+
+
+def bd_rate(rate_a, psnr_a, rate_b, psnr_b) -> float:
+    """Bjontegaard delta rate (VCEG-M33) of curve b against curve a: the
+    mean rate change, as a fraction, at equal PSNR (-0.1: b needs 10%
+    fewer bits).
+
+    Each side's log rate is fitted by a cubic in PSNR, and both cubics are
+    averaged over the PSNR range the two curves share.  Each side needs
+    at least four points, and the ranges must overlap.
+    """
+    fits, ranges = [], []
+    for rate, psnr in ((rate_a, psnr_a), (rate_b, psnr_b)):
+        rate = np.asarray(rate, dtype=np.float64)
+        psnr = np.asarray(psnr, dtype=np.float64)
+        if rate.ndim != 1 or rate.shape != psnr.shape:
+            raise ValueError("each curve needs equal-length 1-D rates and PSNRs")
+        if rate.shape[0] < 4:
+            raise ValueError("each curve needs at least 4 points for a cubic fit")
+        if not (np.isfinite(psnr).all() and np.isfinite(rate).all() and (rate > 0).all()):
+            raise ValueError("rates must be positive and PSNRs finite")
+        fits.append(np.polyint(np.polyfit(psnr, np.log(rate), 3)))
+        ranges.append((psnr.min(), psnr.max()))
+    lo = max(r[0] for r in ranges)
+    hi = min(r[1] for r in ranges)
+    if not lo < hi:
+        raise ValueError("the curves share no PSNR range")
+    area_a, area_b = (np.polyval(f, hi) - np.polyval(f, lo) for f in fits)
+    return float(np.expm1((area_b - area_a) / (hi - lo)))
 
 
 def _logistic5(x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -219,6 +248,8 @@ class RdPoint:
     header_bytes: int = 0
     b1_bytes: int = 0
     b2_bytes: int = 0
+    #: Group name -> bytes of its attribute payload; they sum to b2_bytes.
+    group_bytes: dict[str, int] = field(default_factory=dict)
     total_bytes: int = 0
     attr_psnr: dict[str, PsnrStats] | None = None
     d1_psnr: PsnrStats | None = None
@@ -227,7 +258,9 @@ class RdPoint:
 #: Column order of `write_sweep_csv`.
 SWEEP_COLUMNS = (
     [f.name for f in dc_fields(CodecParams)]
-    + ["header_bytes", "b1_bytes", "b2_bytes", "total_bytes"]
+    + ["header_bytes", "b1_bytes", "b2_bytes"]
+    + [f"b2_{name}_bytes" for name in codec_mod.GROUP_NAMES]
+    + ["total_bytes"]
     + [f"psnr_{axis}" for axis in PSNR_AXES]
     + ["psnr_d1", "status"]
 )
@@ -256,6 +289,7 @@ def rd_sweep(
                     header_bytes=report.header_bytes,
                     b1_bytes=report.b1,
                     b2_bytes=report.b2,
+                    group_bytes=report.attribute_bytes,
                     total_bytes=report.total_bytes,
                     attr_psnr=attribute_psnr(ref, decoded),
                     d1_psnr=geometry_psnr_d1(ref, decoded),
@@ -272,7 +306,9 @@ def write_sweep_csv(points: list[RdPoint], fh) -> None:
     writer.writerow(SWEEP_COLUMNS)
     for pt in points:
         row = [getattr(pt.params, f.name) for f in dc_fields(CodecParams)]
-        row += [pt.header_bytes, pt.b1_bytes, pt.b2_bytes, pt.total_bytes]
+        row += [pt.header_bytes, pt.b1_bytes, pt.b2_bytes]
+        row += [pt.group_bytes.get(name, 0) for name in codec_mod.GROUP_NAMES]
+        row.append(pt.total_bytes)
         for axis in PSNR_AXES:
             stats = (pt.attr_psnr or {}).get(axis)
             row.append("" if stats is None else repr(stats.psnr_db))

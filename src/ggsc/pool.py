@@ -47,28 +47,24 @@ def _send(fd: int, message) -> None:
             parts[0] = parts[0][sent:]
 
 
-def _read(fd: int, size: int) -> bytearray | None:
-    """`size` bytes from a pipe, or None if it ended first."""
+def _read(fd: int, size: int) -> bytearray:
+    """`size` bytes from a pipe; EOFError if it ends first."""
     out = bytearray(size)
     view, got = memoryview(out), 0
     while got < size:
         n = os.readv(fd, [view[got:]])
         if n == 0:
-            return None
+            raise EOFError(f"pipe {fd} ended")
         got += n
     return out
 
 
 def _receive(fd: int):
-    """The next message `_send` framed on pipe `fd`, or None if the pipe
-    ended first."""
-    head = _read(fd, 8)
-    sizes = None if head is None else _read(fd, 8 * struct.unpack("<Q", head)[0])
-    if sizes is None:
-        return None
-    parts = [_read(fd, size) for size in struct.unpack(f"<{len(sizes) // 8}Q", sizes)]
-    if None in parts:
-        return None
+    """The next message `_send` framed on pipe `fd`; EOFError if the pipe
+    ends first, so that the end is never taken for a message of None."""
+    count = struct.unpack("<Q", _read(fd, 8))[0]
+    sizes = struct.unpack(f"<{count}Q", _read(fd, 8 * count))
+    parts = [_read(fd, size) for size in sizes]
     return pickle.loads(parts[0], buffers=parts[1:])
 
 
@@ -79,7 +75,11 @@ def _serve(run, requests: int, replies: int) -> None:
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        while (request := _receive(requests)) is not None:
+        while True:
+            try:
+                request = _receive(requests)
+            except EOFError:
+                break
             _send(replies, run(request))
         code = 0
     finally:
@@ -124,10 +124,10 @@ class _Worker:
             self.died()
 
     def answer(self):
-        reply = _receive(self.replies)
-        if reply is None:
+        try:
+            return _receive(self.replies)
+        except EOFError:
             self.died()
-        return reply
 
     def died(self):
         """Drop from the pool and reap a worker whose pipe ended, and raise

@@ -1,19 +1,26 @@
 """Uniform scalar quantization of attribute groups.
 
-Values are mapped onto a 2^q-level integer grid anchored at the
-per-component minimum:
+Values are mapped onto a 2^q-level integer grid that starts at a
+per-component minimum a_min:
 
     b = floor((a - a_min) * (2^q - 1) / s + 1/2)
 
-The scale `s` is the widest component range, shared by every component
-of a group: one step per attribute keeps the index stream friendlier to
-the entropy coder.  A grid is fitted once over all values an attribute
-contributes across every leaf, travels in the stream header, and is the
-only thing the decoder needs to invert the mapping:
+The scale `s` is shared by every component of a group: one step per
+attribute keeps the index stream friendlier to the entropy coder.  A
+grid is fitted once over all values an attribute contributes across
+every leaf, travels in the stream header, and is the only thing the
+decoder needs to invert the mapping:
 
     a_hat = a_min + b * s / (2^q - 1)
 
 so the round-trip error is bounded by half a step, 0.5 * s / (2^q - 1).
+
+A float64 grid starts at each component's minimum, and its scale is the
+widest component range.  A float32 grid, which the attribute groups use,
+is zero-aligned: its scale is one step wider, and each a_min sits on a
+multiple of the step at or below the component's minimum, so that 0 is
+a level (to within float32 rounding).  Transform coefficients cluster at 0, and there they quantize
+without bias, at the level the codec codes most cheaply.
 """
 
 from __future__ import annotations
@@ -71,6 +78,10 @@ def fit_grid(values: np.ndarray, q: int, dtype=np.float64) -> QuantGrid:
     the shared scale up, far enough that every sample v still satisfies
     mins <= v <= mins + scale and v - mins <= scale in float64, so
     `quantize` clips none.  Samples beyond float32's range raise.
+
+    The float32 grid is also zero-aligned (`_align_zero`): for q >= 2 and a
+    nonzero scale, zero lies on a level of each component's grid, to
+    within float32 rounding, so a zero value quantizes without bias.
     """
     vals = _as_samples(values)
     if vals.shape[0] < 1:
@@ -86,6 +97,8 @@ def fit_grid(values: np.ndarray, q: int, dtype=np.float64) -> QuantGrid:
     with np.errstate(over="ignore", invalid="ignore"):
         mins = _round_f32(mins, -np.inf)
         scale = _round_f32((maxs - mins).max(), np.inf)
+        if q > 1 and scale > 0.0:
+            mins, scale = _align_zero(mins, maxs, scale, (1 << q) - 1)
         # mins + scale rounds in float64; one float32 step past it is far
         # more than that rounding can take away.
         if (mins + scale < maxs).any():
@@ -93,6 +106,27 @@ def fit_grid(values: np.ndarray, q: int, dtype=np.float64) -> QuantGrid:
     if not (np.isfinite(mins).all() and np.isfinite(scale)):
         raise ValueError("samples lie outside float32's range")
     return QuantGrid(mins=mins, scale=scale, q=q)
+
+
+def _align_zero(mins: np.ndarray, maxs: np.ndarray, scale: float,
+                levels: int) -> tuple[np.ndarray, float]:
+    """Float32 minima on multiples of the step, and the scale widened by
+    one step to make room: scale * levels / (levels - 1), rounded up.
+
+    Moving a minimum down to a multiple of the new step costs less than
+    that step, so the widened grid still reaches each maximum.  A
+    component whose aligned grid does not cover its samples in float64
+    (its step below float32's spacing at the minimum's magnitude) keeps
+    its minimum, which the wider scale covers too; so do all of them when
+    the wider scale would pass float32's range.
+    """
+    wide = _round_f32(scale * levels / (levels - 1), np.inf)
+    if not np.isfinite(wide):
+        return mins, scale
+    scale, step = wide, wide / levels
+    aligned = _round_f32(np.floor(mins / step) * step, -np.inf)
+    fits = (aligned <= mins) & (aligned + scale >= maxs) & (maxs - aligned <= scale)
+    return np.where(fits, aligned, mins), scale
 
 
 def _round_f32(x, toward: float) -> np.ndarray:

@@ -1276,6 +1276,19 @@ class TestForkJoin:
         assert len(forks) == 4
 
 
+    def test_none_reply_is_not_a_dead_worker(self):
+        """A reply of None comes back as one: only the end of a worker's
+        pipe means that it died, and the worker serves on."""
+        pool.close_pool()  # the workers serve the `run` they were forked with
+
+        def run(request):
+            return None if request == "none" else request
+
+        assert pool.share(run, [1, 2]) == [1, 2]
+        workers = _pool_pids()
+        assert pool.share(run, ["x", "none"]) == ["x", None]
+        assert _pool_pids() == workers
+
     def test_workers_ignore_sigint(self, monkeypatch):
         """An interrupt is the owner's to handle: a worker sent SIGINT
         serves on."""

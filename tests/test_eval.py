@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from ggsc import nearest
-from ggsc.codec import CodecParams, canonical_order, decode, encode
+from ggsc.codec import GROUP_NAMES, CodecParams, canonical_order, decode, encode
 from ggsc.eval import (
     PSNR_AXES,
     CorrelationReport,
     RdPoint,
     SWEEP_COLUMNS,
     attribute_psnr,
+    bd_rate,
     fit_logistic5,
     geometry_psnr_d1,
     rd_sweep,
@@ -379,6 +380,18 @@ class TestSweep:
         # the parameter columns survive the trip
         assert int(ok_row[header_index["max_leaf"]]) == 25
 
+    def test_csv_group_bytes_sum_to_b2(self):
+        """One column per attribute payload, after b2_bytes; together they
+        are b2_bytes."""
+        points = rd_sweep(make_cloud(60, seed=15), [CodecParams(max_leaf=25)])
+        buf = io.StringIO()
+        write_sweep_csv(points, buf)
+        header, row = list(csv.reader(io.StringIO(buf.getvalue())))
+        at = header.index("b2_bytes")
+        assert header[at + 1:at + 1 + len(GROUP_NAMES)] == [f"b2_{g}_bytes" for g in GROUP_NAMES]
+        groups = [int(row[header.index(f"b2_{g}_bytes")]) for g in GROUP_NAMES]
+        assert min(groups) > 0 and sum(groups) == int(row[at]) == points[0].b2_bytes
+
     def test_sweep_rate_ordering(self):
         """Coarser rotation bits shrink the stream within one sweep."""
         cloud = make_cloud(200, seed=16)
@@ -387,3 +400,38 @@ class TestSweep:
         fine, coarse = rd_sweep(cloud, grid)
         assert coarse.total_bytes < fine.total_bytes
         assert coarse.attr_psnr["rotation"].mse > fine.attr_psnr["rotation"].mse
+
+
+class TestBdRate:
+    """Bjontegaard delta rate on hand-made curves."""
+
+    PSNR = np.array([30.0, 33.5, 36.0, 40.0, 42.5])
+    #: log rate is a cubic in PSNR, so that any four points fit it exactly
+    RATE = np.exp(np.polyval([1e-4, -3e-3, 0.2, 7.0], PSNR - 30.0))
+
+    def test_identical_curves(self):
+        assert bd_rate(self.RATE, self.PSNR, self.RATE, self.PSNR) == 0.0
+
+    def test_constant_rate_ratio(self):
+        assert bd_rate(self.RATE, self.PSNR, 0.9 * self.RATE, self.PSNR) == pytest.approx(-0.1, abs=1e-9)
+        assert bd_rate(self.RATE, self.PSNR, 1.25 * self.RATE, self.PSNR) == pytest.approx(0.25, abs=1e-9)
+
+    def test_integrates_over_the_shared_range_only(self):
+        """b covers only the top of a's range, 33.5-42.5 dB, and its log
+        rate is a's plus 0.1 * (PSNR - 38): that averages 0 over b's range
+        (the result), and -0.175 over a's."""
+        psnr_b = self.PSNR[1:]
+        rate_b = self.RATE[1:] * np.exp(0.1 * (psnr_b - 38.0))
+        assert bd_rate(self.RATE, self.PSNR, rate_b, psnr_b) == pytest.approx(0.0, abs=1e-9)
+
+    def test_unfit_curves_rejected(self):
+        with pytest.raises(ValueError, match="at least 4"):
+            bd_rate(self.RATE[:3], self.PSNR[:3], self.RATE, self.PSNR)
+        with pytest.raises(ValueError, match="at least 4"):
+            bd_rate(self.RATE, self.PSNR, self.RATE[:3], self.PSNR[:3])
+        with pytest.raises(ValueError, match="share no PSNR range"):
+            bd_rate(self.RATE, self.PSNR, self.RATE, self.PSNR + 20.0)
+        with pytest.raises(ValueError, match="equal-length"):
+            bd_rate(self.RATE, self.PSNR[:4], self.RATE, self.PSNR)
+        with pytest.raises(ValueError, match="positive"):
+            bd_rate(-self.RATE, self.PSNR, self.RATE, self.PSNR)

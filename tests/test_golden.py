@@ -3,9 +3,11 @@ the decoder's PLY and one leaf's spectrum) and attribute payloads written
 by `codec.encode_levels`, pinned by SHA-256.
 
 The streams under `tests/golden/` were written by the codec when these
-pins were recorded.  Every test here reads or rebuilds them unchanged, so
-a drift anywhere in the pipeline -- the eigensolve's last bits included,
-which a float32 PLY can hide -- fails a test instead of passing silently.
+pins were recorded; those under `tests/golden/unaligned/` are decode-only
+vectors that an earlier encoder wrote in the same format.  Every test
+here reads or rebuilds them unchanged, so a drift anywhere in the
+pipeline -- the eigensolve's last bits included, which a float32 PLY can
+hide -- fails a test instead of passing silently.
 A deliberate format change bumps `codec.VERSION` and records them again:
 
     PYTHONPATH=src:tests python tests/test_golden.py
@@ -71,8 +73,8 @@ CASES = [
     # 100 primitives split into leaves of 12 and 13.
     Case("mixed", lambda: make_cloud(100, seed=31, smooth=True),
          CodecParams(max_leaf=16, **_SMALL_Q), leaf=0,
-         stream_sha="ab99570ff541ea4375eaf40892bf0e672b121c1ffffa9b1686dd4d11cd4fef82",
-         ply_sha="e9ed83fb1d8945dcf755f97fb3992291b88c0b3360bf93a16e5931f79dad020e",
+         stream_sha="63d799f327c4b6ce54184f3540506d21ff865db5407cc53b3a1e01a1c8fef377",
+         ply_sha="ba8be9667272409b0ee87e150ba9ac35c8abd9739e9556747ec6c911225abc5d",
          eigenvalues_sha="e67488e309293140dc75e2a7a2f8261030cd0615d88bf5cf811ccef5e22667e2",
          basis_sha="ca8b3dfe30c1c19961e309afd0beb3a17488ebc58488e1cc764c69a4693475da"),
     # A clipped lossy point: most high-frequency coefficients dropped.
@@ -80,18 +82,32 @@ CASES = [
          CodecParams(max_leaf=32, q_geo=16, alpha_sh_y=0.5, alpha_sh_u=0.25,
                      alpha_sh_v=0.25, alpha_opacity=0.5, alpha_scale=0.5,
                      alpha_rotation=0.5, **_SMALL_Q), leaf=1,
-         stream_sha="1e76168fe972aaff0aa41f8479f8326f686e8be70f6f3afa27c52f689be02ed5",
-         ply_sha="ca7c6ed8a0a8f55f5f9843dfb62f9462d9e594ce99c69111479b83f99fafc063",
+         stream_sha="1ce5fd0c7f21f89681907f70e84791efa9c260b5631f8aa8efa4e77be3f9855d",
+         ply_sha="13954feccb077291f900f6b0dabaf13e947091ac48155d01a6d250337739c5fb",
          eigenvalues_sha="c1e1318bc6e4b65d18e1bea7ce22ee0058a0ab3e3fa0b30e66e96fd0776aa219",
          basis_sha="605642bbc4fb39c06fa91099c3813bc66579f396a38558d119e25cea2e84a3af"),
     # Isolated points: the pinned leaf holds all three far points.
     Case("isolated", _isolated_cloud,
          CodecParams(max_leaf=16, **_SMALL_Q), leaf=3,
-         stream_sha="5828a6ed054f73be1f74e32b7528f387f9b800629047588a6c40a1645813e93b",
-         ply_sha="0afb608044a534b184f00a603d75b16eb8703ab56d904edd76665ad85cf11d31",
+         stream_sha="6c9f5cdf1f60b35eb7a87d8d7810736421ce53fb29087d56300e3349251f3d88",
+         ply_sha="4c96e4030f49e2dcc2a3dd13486a3b32354907ae5628166130e9b485a89baa35",
          eigenvalues_sha="65ea6dfb949fd7cab6b07246f0900d76482731ebbee8383d98a62fa19614c192",
          basis_sha="af699c78e00ddcca51b75c6ac947e90ffe79e337d00012907d1afe5e41f79c4a"),
 ]
+
+
+#: Each case's stream as the encoder wrote it before its attribute grids
+#: were zero-aligned (`golden/unaligned/`), and the PLY it decodes to:
+#: (stream_sha, ply_sha).  The format did not change with the grids, so
+#: these streams still decode, and to the same PLY.
+UNALIGNED = {
+    "mixed": ("ab99570ff541ea4375eaf40892bf0e672b121c1ffffa9b1686dd4d11cd4fef82",
+              "e9ed83fb1d8945dcf755f97fb3992291b88c0b3360bf93a16e5931f79dad020e"),
+    "lossy": ("1e76168fe972aaff0aa41f8479f8326f686e8be70f6f3afa27c52f689be02ed5",
+              "ca7c6ed8a0a8f55f5f9843dfb62f9462d9e594ce99c69111479b83f99fafc063"),
+    "isolated": ("5828a6ed054f73be1f74e32b7528f387f9b800629047588a6c40a1645813e93b",
+                 "0afb608044a534b184f00a603d75b16eb8703ab56d904edd76665ad85cf11d31"),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -124,6 +140,13 @@ class TestGoldenStreams:
         got = _digests(case.path.read_bytes(), case.leaf)
         want = {k: getattr(case, k) for k in got}
         assert got == want
+
+    def test_unaligned_stream_decodes_unchanged(self, case):
+        """A stream on the earlier, unaligned grids decodes as it did."""
+        stream_sha, ply_sha = UNALIGNED[case.name]
+        got = _digests((GOLDEN / "unaligned" / case.path.name).read_bytes(), case.leaf)
+        assert got == {"stream_sha": stream_sha, "ply_sha": ply_sha,
+                       "eigenvalues_sha": case.eigenvalues_sha, "basis_sha": case.basis_sha}
 
 
 def test_isolated_case_skips_a_reflector():

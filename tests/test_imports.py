@@ -122,6 +122,7 @@ codes = [
 unused = sorted(m for m in ("concurrent.futures", "subprocess") if m in sys.modules)
 codes.append(ggsc.cli.main(["psnr", str(ply), str(coded)]))
 d1 = ggsc.eval.geometry_psnr_d1(load_ply(ply.read_bytes()), load_ply(out.read_bytes()))
+bd = ggsc.eval.bd_rate([1, 2, 4, 8], [30, 33, 36, 39], [1, 2, 4, 8], [30, 33, 36, 39])
 before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 fit = ggsc.eval.fit_logistic5(*ggsc.eval.read_pairs_csv((root / "pairs.csv").read_text()))
 (root / "result.json").write_text(json.dumps({
@@ -131,6 +132,7 @@ fit = ggsc.eval.fit_logistic5(*ggsc.eval.read_pairs_csv((root / "pairs.csv").rea
     "unused_before": unused,
     "scipy_after": "scipy.optimize" in sys.modules,
     "d1": [d1.mse, d1.peak, d1.psnr_db],
+    "bd": bd,
     "fit": [fit.plcc, fit.srcc, fit.rmse, *fit.logistic_params],
 }))
 """
@@ -141,10 +143,10 @@ def test_codec_commands_load_no_scipy(tmp_path):
     leave scipy unloaded, and `concurrent.futures` and `subprocess` (about
     16 ms of start-up; only the external geometry backend runs a
     command); the import leaves `ggsc.pool` and `ggsc.nearest`
-    uncompiled, since only a call that uses them needs them.  `ggsc psnr`
-    and the D1 metric load no scipy either; the logistic fit, its one
-    user, loads `scipy.optimize`.  D1 and the fit return what they
-    return in this process."""
+    uncompiled, since only a call that uses them needs them.  `ggsc psnr`,
+    the D1 metric and the BD-rate load no scipy either; the logistic fit,
+    its one user, loads `scipy.optimize`.  D1 and the fit return what
+    they return in this process."""
     (tmp_path / "scene.ply").write_bytes(write_ply(cloud_columns(make_cloud(80, seed=5))))
     rng = np.random.default_rng(6)
     objective = rng.uniform(20.0, 45.0, 24)
@@ -166,4 +168,5 @@ def test_codec_commands_load_no_scipy(tmp_path):
     fit = eval_mod.fit_logistic5(
         *eval_mod.read_pairs_csv((tmp_path / "pairs.csv").read_text()))
     assert child["d1"] == [d1.mse, d1.peak, d1.psnr_db]
+    assert child["bd"] == 0.0
     assert child["fit"] == [fit.plcc, fit.srcc, fit.rmse, *fit.logistic_params]

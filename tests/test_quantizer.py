@@ -49,11 +49,49 @@ class TestFitGrid:
             fit_grid(np.array([[np.nan, 0.0]]), q=8)
 
     def test_float32_grid_of_float32_samples(self):
-        """Float32 minima stay put; only the scale rounds up."""
+        """The scale widens by one step, 3 * 255 / 254 rounded up to float32,
+        and each minimum moves down to a multiple of the new step.  The
+        first component's range excludes 0, so its zero level clamps to 0."""
         vals = np.array([[0.5, -2.0], [0.1, 1.0]], dtype=np.float32)
         grid = fit_grid(vals, q=8, dtype=np.float32)
+        assert grid.scale == 3.0118112564086914
+        np.testing.assert_allclose(grid.mins / grid.step, [8.0, -170.0], atol=1e-5)
+        assert (grid.mins <= vals.min(axis=0)).all()
+        np.testing.assert_array_equal(quantize(np.zeros(2), grid), [0, 170])
+
+    def test_float32_grid_is_zero_aligned(self):
+        """Zero lies within 0.01 of a level of every component's grid."""
+        rng = np.random.default_rng(5)
+        for q in range(2, 17):
+            for _ in range(20):
+                vals = rng.normal(size=(50, 3)) * rng.uniform(0.01, 10.0, 3) + rng.normal(size=3)
+                grid = fit_grid(vals, q=q, dtype=np.float32)
+                zero = -grid.mins * grid.levels / grid.scale  # `quantize(0)` before rounding
+                assert np.abs(zero - np.round(zero)).max() <= 0.01, (q, zero)
+
+    def test_float32_grid_unaligned_at_q1_and_zero_scale(self):
+        """At q = 1 there is no step to widen by, and a constant group has
+        no step at all: both keep the minima and the scale."""
+        vals = np.array([[0.5, -2.0], [0.1, 1.0]], dtype=np.float32)
+        grid = fit_grid(vals, q=1, dtype=np.float32)
         np.testing.assert_array_equal(grid.mins, vals.min(axis=0))
         assert grid.scale == 3.0
+        grid = fit_grid(np.tile(np.float32([3.5, -1.25]), (4, 1)), q=8, dtype=np.float32)
+        np.testing.assert_array_equal(grid.mins, [3.5, -1.25])
+        assert grid.scale == 0.0
+
+    def test_float32_grid_covers_what_it_cannot_align(self):
+        """A tiny negative minimum under a huge step, a constant column far
+        from zero beside a narrow one, and a range whose widened scale would
+        pass float32's largest value: every sample stays inside its grid."""
+        for q, vals in [(2, [[-2.5e-302], [3e22]]),
+                        (8, [[1e30, 0.0], [1e30, 1e-30]]),
+                        (8, [[-1.7e38], [1.7e38]])]:
+            vals = np.array(vals)
+            grid = fit_grid(vals, q=q, dtype=np.float32)
+            assert (grid.mins <= vals).all() and (vals <= grid.mins + grid.scale).all()
+            unclipped = np.floor((vals - grid.mins) * grid.levels / grid.scale + 0.5)
+            assert unclipped.min() >= 0 and unclipped.max() <= grid.levels
 
     def test_float32_grid_outside_float32_range_rejected(self):
         with pytest.raises(ValueError, match="float32"):
