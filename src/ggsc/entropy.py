@@ -44,14 +44,16 @@ contexts (then T2 is the second context's total).  Without contexts
 every symbol is in context 0.
 
 A model depends only on the symbols already coded, and `total` grows
-by a fixed step, so the points where it halves are known in advance.
-The encoder therefore computes every symbol's (cumlow, freq, total)
-with numpy before coding starts.  Until a context first halves, a
-symbol's cumulative count is COUNT_INIT times its value plus the
-increment times the number of earlier, smaller symbols of its context,
-so one pass over all symbols serves every context that never halves.
-Each context that does goes alone through its rescale segments, each
-counted the same way from the segment's base counts.  The pairs' joint
+by a fixed step, so the points where it halves are known in advance;
+they cut each context's symbols into rescale segments.  The encoder
+computes every symbol's (cumlow, freq, total) with numpy before coding
+starts, in rounds.  A round takes every context's next segment.  There a
+symbol's cumulative count is the segment's base cumulative count plus
+the increment times the number of earlier, smaller symbols of the
+segment, and one pass counts those for every segment of the round.  A
+context's counts at the end of its segment, halved, are its base in the
+next round; in the first, every count is COUNT_INIT.  A stream in which
+no context halves is thus one round over whole arrays.  The pairs' joint
 values are three int64 products of those arrays.
 
 The decoder learns each symbol only as it decodes it, so each of its
@@ -190,7 +192,7 @@ def _equal_before(key: np.ndarray) -> np.ndarray:
     order = np.argsort(key, kind="stable")
     ordered = key[order]
     first = np.empty(n, dtype=bool)
-    first[:1] = True  # `key` is empty when every context rescales
+    first[:1] = True  # `key` is empty for an empty stream
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     start = np.where(first, pos, 0)
     np.maximum.accumulate(start, out=start)
@@ -224,80 +226,51 @@ def _earlier_counts(seg: np.ndarray, alphabet: int, groups: np.ndarray,
     return less, above
 
 
-def _segments(symbols: np.ndarray, alphabet: int, paired: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One adaptive model's (cumlow, freq, total) for every symbol, as
-    int64 arrays.  `paired[i]` says that symbols i and i + 1 are coded in
-    one step.
-
-    `total` grows by COUNT_INCREMENT per symbol, so where the model halves
-    is known in advance: after the symbol that takes the total past
-    RESCALE_LIMIT, or after its partner when that symbol opens a pair.
-    Inside a segment the counts are the segment's base counts, COUNT_INIT
-    in the first, plus COUNT_INCREMENT per earlier occurrence.
-    """
-    n = symbols.shape[0]
-    cumlow = np.empty(n, dtype=np.int64)
-    freq = np.empty(n, dtype=np.int64)
-    total = np.empty(n, dtype=np.int64)
-    base = np.full(alphabet, COUNT_INIT, dtype=np.int64)
-    t = alphabet * COUNT_INIT
-    start = 0
-    while start < n:
-        stop = min(n, start + max(1, (RESCALE_LIMIT - t) // COUNT_INCREMENT + 1))
-        stop += int(paired[stop - 1])
-        seg = symbols[start:stop]
-        less, equal = _earlier_counts(seg, alphabet, np.zeros_like(seg),
-                                      np.arange(stop - start))
-        cum = np.cumsum(base)
-        cum -= base
-        cumlow[start:stop] = cum[seg] + COUNT_INCREMENT * less
-        freq[start:stop] = base[seg] + COUNT_INCREMENT * equal
-        total[start:stop] = t + COUNT_INCREMENT * np.arange(stop - start)
-        if stop < n:
-            base = (base + COUNT_INCREMENT * np.bincount(seg, minlength=alphabet) + 1) >> 1
-            t = int(base.sum())
-        start = stop
-    return cumlow, freq, total
-
-
 def _model(symbols: np.ndarray, alphabet: int, contexts: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The model's (cumlow, freq, total) for every symbol, as int64 arrays
-    in symbol order; each context has a model of its own, which sees only
-    that context's symbols.
-
-    Until a context's first rescale its base counts are all COUNT_INIT,
-    so one pass that counts only the earlier symbols of each symbol's
-    context gives the values of every context that never rescales.  A
-    context busy enough to rescale is left out of that pass and modelled
-    alone through `_segments`.
+    in symbol order, one round of rescale segments at a time (see the
+    module docstring).  A context's segment ends at the symbol that takes
+    its total past RESCALE_LIMIT, or at that symbol's partner when the
+    pair stays in the context.
     """
-    # A context with more symbols than a model's first segment holds rescales.
-    first = max(1, (RESCALE_LIMIT - alphabet * COUNT_INIT) // COUNT_INCREMENT + 1)
-    is_busy = np.bincount(contexts) > first
-    busy = np.flatnonzero(is_busy)
-    # The usual case, no busy context, takes whole arrays rather than a mask.
-    quiet = ~is_busy[contexts] if busy.size else slice(None)
-    sym, ctx = symbols[quiet], contexts[quiet]
-    above = _equal_before(ctx.astype(np.uint16))  # earlier symbols of the context
-    less, equal = _earlier_counts(sym, alphabet, ctx, above)
-    joint = (COUNT_INIT * sym + COUNT_INCREMENT * less,
-             COUNT_INIT + COUNT_INCREMENT * equal,
-             alphabet * COUNT_INIT + COUNT_INCREMENT * above)
-    if not busy.size:
-        return joint
-    model = tuple(np.empty(symbols.shape[0], dtype=np.int64) for _ in joint)
-    for out, values in zip(model, joint):
-        out[quiet] = values
-    for c in busy:
-        rows = np.flatnonzero(contexts == c)
-        # A symbol at an even index whose partner is the context's next
-        # symbol opens a step that stays in this model.
-        paired = np.append((rows[:-1] % 2 == 0) & (np.diff(rows) == 1), False)
-        for out, values in zip(model, _segments(symbols[rows], alphabet, paired)):
+    rank = _equal_before(contexts.astype(np.uint16))  # earlier symbols of the context
+    size = np.bincount(contexts)
+    start = np.zeros_like(size)
+    base, t = None, alphabet * COUNT_INIT  # every count COUNT_INIT until a halving
+    model = None
+    while True:
+        stop = start + np.maximum(1, (RESCALE_LIMIT - t) // COUNT_INCREMENT + 1)
+        if model is None and (stop >= size).all():
+            rows, above = slice(None), rank  # no context halves
+        else:
+            # A symbol that closes a pair inside its context goes with its partner.
+            place = rank.copy()
+            place[1::2] -= contexts[1::2] == contexts[:-1:2]
+            rows = np.flatnonzero((rank >= start[contexts]) & (place < stop[contexts]))
+            above = rank[rows] - start[contexts[rows]]
+        sym, ctx = symbols[rows], contexts[rows]
+        less, equal = _earlier_counts(sym, alphabet, ctx, above)
+        if base is None:
+            cum, freq, total = COUNT_INIT * sym, COUNT_INIT, t
+        else:
+            cum = np.cumsum(base, axis=1) - base
+            cum, freq, total = cum[ctx, sym], base[ctx, sym], t[ctx]
+        joint = (cum + COUNT_INCREMENT * less, freq + COUNT_INCREMENT * equal,
+                 total + COUNT_INCREMENT * above)
+        if isinstance(rows, slice):
+            return joint
+        if model is None:
+            model = tuple(np.empty(symbols.shape[0], dtype=np.int64) for _ in joint)
+        for out, values in zip(model, joint):
             out[rows] = values
-    return model
+        start += np.bincount(ctx, minlength=size.shape[0])
+        if (start == size).all():
+            return model
+        seen = np.bincount(ctx * alphabet + sym, minlength=size.shape[0] * alphabet)
+        base = ((COUNT_INIT if base is None else base)
+                + COUNT_INCREMENT * seen.reshape(-1, alphabet) + 1) >> 1
+        t = base.sum(axis=1)
 
 
 def _steps(cumlow: np.ndarray, freq: np.ndarray, total: np.ndarray

@@ -101,7 +101,7 @@ class Partition:
     leaves: list[np.ndarray] = field(default_factory=list)
 
 
-def kdtree_split(centers: np.ndarray, max_leaf: int = 200) -> Partition:
+def kdtree_split(centers: np.ndarray, max_leaf: int) -> Partition:
     """Partition points by recursive median splits until leaves fit `max_leaf`.
 
     At every internal node the split axis is the one with the widest

@@ -19,8 +19,9 @@ A float64 grid starts at each component's minimum, and its scale is the
 widest component range.  A float32 grid, which the attribute groups use,
 is zero-aligned: its scale is one step wider, and each a_min sits on a
 multiple of the step at or below the component's minimum, so that 0 is
-a level (to within float32 rounding).  Transform coefficients cluster at 0, and there they quantize
-without bias, at the level the codec codes most cheaply.
+a level (to within float32 rounding).  Transform coefficients cluster
+at 0, and there they quantize without bias, at the level the codec
+codes most cheaply.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ class QuantGrid:
     """Fitted quantization grid for one attribute group.
 
     mins:  (C,) per-component minima.
-    scale: the widest component range, shared by every component.
+    scale: shared by every component: the widest component range, or for
+           a zero-aligned float32 grid (`fit_grid`) one step wider.
     q:     bit depth, 1..31.
     """
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggsc import entropy
+from ggsc import codec, entropy
 from ggsc.entropy import (
     MAX_ALPHABET,
     MIN_ALPHABET,
@@ -22,6 +22,7 @@ from ggsc.entropy import (
     classed_sections,
     empirical_entropy_bits,
 )
+from ggsc.quantizer import QuantGrid
 
 from conftest import bounded_failure
 
@@ -718,6 +719,29 @@ class TestContexts:
         payload = aac_encode(stream(syms, 18), ctx)
         with pytest.raises(CorruptPayloadError):
             aac_decode(payload, 18, 3000, np.roll(ctx, 1))
+
+    def test_codec_contexts_halving_together(self, monkeypatch):
+        """The codec's 24 band x degree contexts of an SH channel, under a
+        rescale limit so low that every context halves after its first
+        five symbols and again in each round after: the bytes are the
+        reference coder's, and they decode exactly."""
+        grid = QuantGrid(mins=np.zeros(16), scale=1.0, q=16)
+        ctx, _ = codec._level_layout(grid, 1.0, {24: 16})
+        alphabet, n = grid.q + 2, ctx.shape[0]
+        syms = golden_symbols(alphabet, n, 31)
+        monkeypatch.setattr(entropy, "RESCALE_LIMIT",
+                            alphabet * entropy.COUNT_INIT + 4 * entropy.COUNT_INCREMENT)
+        groups = []
+        earlier_counts = entropy._earlier_counts
+        def spy(seg, alpha, group, above):
+            groups.append(np.unique(group).size)
+            return earlier_counts(seg, alpha, group, above)
+        monkeypatch.setattr(entropy, "_earlier_counts", spy)
+        payload = aac_encode(stream(syms, alphabet), ctx)
+        assert np.bincount(ctx).min() == 16
+        assert groups[:4] == [24] * 4
+        assert payload == reference_encode(syms, alphabet, ctx)
+        np.testing.assert_array_equal(aac_decode(payload, alphabet, n, ctx).symbols, syms)
 
     @pytest.mark.parametrize("contexts", [
         np.zeros(9, dtype=np.int64),            # one short
