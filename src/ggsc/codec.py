@@ -125,7 +125,7 @@ _HEADER = struct.Struct(f"<4sHBIIB{len(GROUP_NAMES)}B{len(GROUP_NAMES)}d"
 HEADER_BYTES = _HEADER.size
 
 #: Attribute bit depths: at q = 16 a zigzagged level has 17 bits, which
-#: the `_RAW_BYTES` = 3 byte field holds, while the coder sees only its
+#: one `partition.LIMB_BITS` limb holds, while the coder sees only its
 #: class (alphabet q + 2 = 18); 16 is also the deepest the tests run every
 #: group at.  The lattice depth is bounded by `partition.MAX_Q`.
 MAX_Q_ATTR = 16
@@ -460,11 +460,6 @@ def _code_group(kept: np.ndarray, q: int, alpha: float,
     return grid, encode_levels(quantize(kept, grid).ravel(), grid, alpha, sizes)
 
 
-#: Bytes of the big-endian field that holds a zigzagged level's raw bits:
-#: a level has at most MAX_Q_ATTR + 1 bits.
-_RAW_BYTES = 3
-
-
 def encode_levels(levels: np.ndarray, grid: QuantGrid, alpha: float,
                   sizes: dict[int, int]) -> bytes:
     """One attribute payload from its levels in payload order: leaf by
@@ -481,7 +476,7 @@ def encode_levels(levels: np.ndarray, grid: QuantGrid, alpha: float,
     u = np.where(d < 0, -2 * d - 1, 2 * d)
     classes = np.frexp(u.astype(np.float64))[1].astype(np.int64)
     coded = entropy.aac_encode(entropy.SymbolStream(grid.q + 2, classes), contexts)
-    return entropy.classed_payload(coded, entropy.be_fields(u, _RAW_BYTES), classes)
+    return entropy.classed_payload(coded, u[:, None], classes)
 
 
 def decode_levels(payload: bytes, grid: QuantGrid, alpha: float,
@@ -497,7 +492,7 @@ def decode_levels(payload: bytes, grid: QuantGrid, alpha: float,
     coded, raw = entropy.classed_sections(payload)
     contexts, zeros = _level_layout(grid, alpha, sizes)
     classes = entropy.aac_decode(coded, grid.q + 2, count, contexts).symbols
-    u = entropy.be_values(entropy.classed_fields(raw, classes, _RAW_BYTES, "raw section"))
+    u = entropy.classed_values(raw, classes, 1, "raw section")[:, 0]
     levels = zeros + np.where(u & 1, -(u + 1) // 2, u // 2)
     if count and (levels.min() < 0 or levels.max() > grid.levels):
         raise CorruptPayloadError(f"raw bits decode to a level outside [0, {grid.levels}]")

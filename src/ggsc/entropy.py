@@ -112,12 +112,12 @@ payload is framed as
     [raw bits, MSB-first, zero padded to a byte]
 
 where the class bytes are the coder's output after its count header.
-`classed_payload` writes it from the coder's payload and big-endian
-byte fields (`be_fields`), `classed_sections` checks its framing and
-splits it back into the coder's payload and the raw bits, and
-`classed_fields` checks the raw section's length and zero padding and
-restores each value's field, its leading 1 included.  The coder's
-calls stay with the callers: these helpers never code a symbol.
+Values come and go as (rows, L) int64 limbs of `partition.LIMB_BITS`
+bits, least significant first.  `classed_payload` writes the payload,
+`classed_sections` checks its framing and splits off the raw bits, and
+`classed_values` checks their length and zero padding and restores each
+value, its leading 1 included.  The coder's calls stay with the
+callers: these helpers never code a symbol.
 """
 
 from __future__ import annotations
@@ -127,6 +127,8 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
+
+from .partition import LIMB_BITS
 
 #: The coder's window: `low` has 88 bits, and a byte leaves it whenever
 #: the range falls below 2^80.  Python ints hold both in three 30-bit
@@ -139,8 +141,8 @@ _PRIME = 11
 
 # Coding steps whose values are converted to Python ints at a time.
 _CHUNK = 1 << 12
-#: Bit-matrix entries per `pack_raw_bits` / `unpack_raw_bits` chunk: bounds
-#: their (rows, bits) temporaries to 64 KiB each whatever the value count.
+#: Bit-matrix entries per `pack_raw_bits` / `unpack_raw_bits` chunk: each
+#: temporary of a chunk takes at most CHUNK_BITS bytes, 64 KiB.
 CHUNK_BITS = 1 << 16
 
 COUNT_INIT = 1
@@ -238,15 +240,16 @@ def _model(symbols: np.ndarray, alphabet: int, contexts: np.ndarray
     size = np.bincount(contexts)
     start = np.zeros_like(size)
     base, t = None, alphabet * COUNT_INIT  # every count COUNT_INIT until a halving
-    model = None
+    model = place = None
     while True:
         stop = start + np.maximum(1, (RESCALE_LIMIT - t) // COUNT_INCREMENT + 1)
         if model is None and (stop >= size).all():
             rows, above = slice(None), rank  # no context halves
         else:
-            # A symbol that closes a pair inside its context goes with its partner.
-            place = rank.copy()
-            place[1::2] -= contexts[1::2] == contexts[:-1:2]
+            if place is None:
+                # A symbol that closes a pair inside its context goes with its partner.
+                place = rank.copy()
+                place[1::2] -= contexts[1::2] == contexts[:-1:2]
             rows = np.flatnonzero((rank >= start[contexts]) & (place < stop[contexts]))
             above = rank[rows] - start[contexts[rows]]
         sym, ctx = symbols[rows], contexts[rows]
@@ -527,14 +530,14 @@ def aac_decode(payload: bytes, alphabet_size: int, count: int,
     return SymbolStream(alphabet_size, _decode_symbols(body, alphabet_size, claimed, ctx))
 
 
-def pack_raw_bits(fields: np.ndarray, widths: np.ndarray) -> bytes:
-    """The low `widths[i]` bits of each row of `fields`, MSB-first and in
+def pack_raw_bits(limbs: np.ndarray, widths: np.ndarray) -> bytes:
+    """The low `widths[i]` bits of each row of `limbs`, MSB-first and in
     row order, zero padded to a byte.
 
-    `fields` is (rows, B) uint8, each row a B-byte big-endian number, and
-    a width is at most 8 * B.  Rows are unpacked to bit matrices a chunk
-    at a time, keeping the columns of each row's low bits, so the
-    temporaries stay below CHUNK_BITS entries whatever the row count.
+    `limbs` is (rows, L) limbs (module docstring); a width is at most
+    L * LIMB_BITS.  Each chunk of rows is narrowed to the big-endian bytes
+    the widest width needs and unpacked to a bit matrix, whose columns of
+    low bits are kept: temporaries stay within CHUNK_BITS bytes each.
     """
     nbits = int(widths.sum())
     if nbits == 0:
@@ -542,18 +545,20 @@ def pack_raw_bits(fields: np.ndarray, widths: np.ndarray) -> bytes:
     bits = np.empty(nbits, dtype=np.uint8)
     pos = 0
     for rows, keep in _raw_chunks(widths):
-        chunk = np.unpackbits(fields[rows, fields.shape[1] - keep.shape[1] // 8 :],
-                              axis=1)[keep]
+        k = -(-keep.shape[1] // LIMB_BITS)
+        be = limbs[rows, k - 1 :: -1].astype(">u8").view(np.uint8).reshape(-1, k, 8)
+        be = be[:, :, 8 - LIMB_BITS // 8 :].reshape(be.shape[0], -1)
+        chunk = np.unpackbits(be[:, be.shape[1] - keep.shape[1] // 8 :], axis=1)[keep]
         bits[pos : pos + chunk.shape[0]] = chunk
         pos += chunk.shape[0]
     return np.packbits(bits).tobytes()
 
 
-def unpack_raw_bits(data: bytes, widths: np.ndarray, nbytes: int,
+def unpack_raw_bits(data: bytes, widths: np.ndarray, count: int,
                     what: str) -> np.ndarray:
-    """Invert `pack_raw_bits`: (rows, nbytes) uint8 big-endian fields that
-    hold each row's raw bits, zero above them.  A section of any other
-    length, or with nonzero padding, raises `CorruptPayloadError`."""
+    """Invert `pack_raw_bits`: (rows, count) int64 limbs that hold each
+    row's raw bits, zero above them.  A section of any other length, or
+    with nonzero padding, raises `CorruptPayloadError`."""
     nbits = int(widths.sum())
     if len(data) != (nbits + 7) // 8:
         raise CorruptPayloadError(
@@ -561,9 +566,9 @@ def unpack_raw_bits(data: bytes, widths: np.ndarray, nbytes: int,
         )
     if nbits % 8 and data[-1] & ((1 << (8 - nbits % 8)) - 1):
         raise CorruptPayloadError(f"nonzero padding in {what}")
-    fields = np.zeros((widths.shape[0], nbytes), dtype=np.uint8)
+    limbs = np.zeros((widths.shape[0], count), dtype=np.int64)
     if nbits == 0:
-        return fields
+        return limbs
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     pos = 0
     for rows, keep in _raw_chunks(widths):
@@ -571,15 +576,20 @@ def unpack_raw_bits(data: bytes, widths: np.ndarray, nbytes: int,
         end = pos + int(widths[rows].sum())
         mat[keep] = bits[pos:end]
         pos = end
-        fields[rows, nbytes - keep.shape[1] // 8 :] = np.packbits(mat, axis=1)
-    return fields
+        k = -(-keep.shape[1] // LIMB_BITS)
+        be = np.zeros((mat.shape[0], k * LIMB_BITS // 8), dtype=np.uint8)
+        be[:, be.shape[1] - keep.shape[1] // 8 :] = np.packbits(mat, axis=1)
+        words = np.zeros((mat.shape[0], k, 8), dtype=np.uint8)
+        words[:, :, 8 - LIMB_BITS // 8 :] = be.reshape(mat.shape[0], k, -1)
+        limbs[rows, k - 1 :: -1] = words.view(">u8")[..., 0]
+    return limbs
 
 
-def classed_payload(coded: bytes, fields: np.ndarray, classes: np.ndarray) -> bytes:
+def classed_payload(coded: bytes, limbs: np.ndarray, classes: np.ndarray) -> bytes:
     """A classed payload (module docstring) from the coder's payload of
-    the `classes` and each value's (rows, B) big-endian field; a class is
-    at most 8 * B."""
-    raw = pack_raw_bits(fields, np.maximum(classes - 1, 0))
+    the `classes` and each value's (rows, L) limbs; a class is at most
+    L * LIMB_BITS."""
+    raw = pack_raw_bits(limbs, np.maximum(classes - 1, 0))
     return b"".join([coded[:4], struct.pack("<I", len(coded) - 4), coded[4:], raw])
 
 
@@ -596,41 +606,27 @@ def classed_sections(payload: bytes) -> tuple[bytes, bytes]:
     return payload[:4] + payload[8 : 8 + class_len], payload[8 + class_len :]
 
 
-def classed_fields(raw: bytes, classes: np.ndarray, nbytes: int, what: str) -> np.ndarray:
-    """(rows, nbytes) uint8 big-endian fields of the values of `classes`
-    (each at most 8 * nbytes): the raw bits with each leading 1 set.  A
-    raw section of any other length, or with nonzero padding, raises
+def classed_values(raw: bytes, classes: np.ndarray, count: int, what: str) -> np.ndarray:
+    """(rows, count) int64 limbs of the values of `classes` (each at most
+    count * LIMB_BITS): the raw bits with each leading 1 set.  A raw
+    section of any other length, or with nonzero padding, raises
     `CorruptPayloadError`."""
-    fields = unpack_raw_bits(raw, np.maximum(classes - 1, 0), nbytes, what)
+    limbs = unpack_raw_bits(raw, np.maximum(classes - 1, 0), count, what)
     lead = np.flatnonzero(classes)
     top = classes[lead] - 1
-    fields[lead, nbytes - 1 - top // 8] |= (1 << top % 8).astype(np.uint8)
-    return fields
+    limbs[lead, top // LIMB_BITS] |= 1 << top % LIMB_BITS
+    return limbs
 
 
 def _raw_chunks(widths: np.ndarray):
     """(row slice, keep mask) per chunk of rows: the mask marks, in each
-    row's fields narrowed to the widest width's bytes and unpacked, the
+    row's number narrowed to the widest width's bytes and unpacked, the
     columns of its low bits."""
     cols = 8 * ((int(widths.max()) + 7) // 8)
     step = max(CHUNK_BITS // cols, 1)
     for a in range(0, widths.shape[0], step):
         rows = slice(a, a + step)
         yield rows, np.arange(cols - 1, -1, -1) < widths[rows, None]
-
-
-def be_fields(values: np.ndarray, nbytes: int) -> np.ndarray:
-    """The low `nbytes` bytes of nonnegative int64 values, big-endian:
-    shape (*values.shape, nbytes) uint8."""
-    full = values.astype(">u8").view(np.uint8).reshape(*values.shape, 8)
-    return full[..., 8 - nbytes :]
-
-
-def be_values(fields: np.ndarray) -> np.ndarray:
-    """Inverse of `be_fields`: int64 values of big-endian byte rows."""
-    full = np.zeros((*fields.shape[:-1], 8), dtype=np.uint8)
-    full[..., 8 - fields.shape[-1] :] = fields
-    return full.view(">u8")[..., 0].astype(np.int64)
 
 
 def empirical_entropy_bits(symbols: np.ndarray, alphabet_size: int) -> float:

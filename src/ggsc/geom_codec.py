@@ -12,10 +12,7 @@ section codes the sort's own codes: the (N, 4) int64 limbs of 24 bits
 that `partition.morton_limbs` built and `partition.morton_order` sorted,
 with no wrapper around them.  Their deltas stay in limbs, with borrows
 and carries moved limb by limb, and the decoder hands the summed limbs to
-`partition.points_of_limbs`, returning plain (N, 3) lattice points.  The
-raw bits are packed and unpacked from the limbs as 12-byte big-endian
-fields, at most `entropy.CHUNK_BITS` bits at a time, so temporaries stay
-O(points + remainder bits).
+`partition.points_of_limbs`, returning plain (N, 3) lattice points.
 
 Section layout: the buckets are the classes of an `entropy` classed
 payload, all little-endian,
@@ -43,8 +40,7 @@ import numpy as np
 from . import partition
 from .partition import LIMB_BITS, LIMBS
 from .entropy import (CorruptPayloadError, SymbolStream, aac_decode, aac_encode,
-                      be_fields, be_values, classed_fields, classed_payload,
-                      classed_sections)
+                      classed_payload, classed_sections, classed_values)
 
 #: Bit-length alphabet for the bucket stream (covers codes up to 127 bits).
 BUCKET_ALPHABET = 128
@@ -78,9 +74,8 @@ def encode_centers(codes: np.ndarray) -> bytes:
     """Serialize Morton-sorted `partition.morton_limbs` codes; limbs out of
     range or out of order raise."""
     deltas, buckets = _deltas(codes)
-    fields = be_fields(deltas[:, ::-1], LIMB_BITS // 8).reshape(len(deltas), -1)
     return classed_payload(aac_encode(SymbolStream(BUCKET_ALPHABET, buckets)),
-                           fields, buckets)
+                           deltas, buckets)
 
 
 def _check_count(n: int, count: int) -> None:
@@ -102,8 +97,7 @@ def decode_centers(payload: bytes, q: int, count: int) -> np.ndarray:
     buckets = aac_decode(coded, BUCKET_ALPHABET, count).symbols
     if buckets.size and buckets.max() > 3 * q:
         raise CorruptPayloadError("bucket exceeds the lattice code width")
-    fields = classed_fields(raw, buckets, LIMBS * LIMB_BITS // 8, "remainder section")
-    deltas = be_values(fields.reshape(count, LIMBS, LIMB_BITS // 8)[:, ::-1])
+    deltas = classed_values(raw, buckets, LIMBS, "remainder section")
     # Each limb's cumsum stays below count * 2^24 < 2^56; carries then move up.
     codes = np.cumsum(deltas, axis=0, out=deltas)
     for k in range(LIMBS - 1):

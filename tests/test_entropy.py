@@ -3,6 +3,7 @@ and the exact bytes it writes (golden hashes and a reference model)."""
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +18,14 @@ from ggsc.entropy import (
     SymbolStream,
     aac_decode,
     aac_encode,
-    classed_fields,
     classed_payload,
     classed_sections,
+    classed_values,
     empirical_entropy_bits,
+    pack_raw_bits,
+    unpack_raw_bits,
 )
+from ggsc.partition import LIMB_BITS
 from ggsc.quantizer import QuantGrid
 
 from conftest import bounded_failure
@@ -434,39 +438,50 @@ class TestEntropyHelper:
         assert bits == pytest.approx(8.0 * 10**5, rel=0.01)
 
 
+def as_limbs(values, count):
+    """Python ints as (len, count) int64 limbs of LIMB_BITS bits, least
+    significant first."""
+    mask = (1 << LIMB_BITS) - 1
+    return np.array([[v >> (LIMB_BITS * k) & mask for k in range(count)] for v in values],
+                    dtype=np.int64).reshape(len(values), count)
+
+
+def of_limbs(limbs):
+    """Inverse of `as_limbs`: one Python int per row."""
+    return [sum(int(limb) << (LIMB_BITS * k) for k, limb in enumerate(row)) for row in limbs]
+
+
 class TestClassedPayload:
     """`classed_payload` frames the coder's class payload and the raw bits
-    below each value's leading 1; `classed_sections` and `classed_fields`
-    give back the coder's payload and every value."""
+    below each value's leading 1; `classed_sections` and `classed_values`
+    give back the coder's payload and every value's limbs."""
 
     @staticmethod
-    def _payload(values, nbytes):
+    def _payload(values, count):
         classes = np.array([v.bit_length() for v in values], dtype=np.int64)
-        fields = np.frombuffer(b"".join(v.to_bytes(nbytes, "big") for v in values),
-                               dtype=np.uint8).reshape(len(values), nbytes)
-        coded = aac_encode(stream(classes, 8 * nbytes + 1))
-        return classes, coded, classed_payload(coded, fields, classes)
+        coded = aac_encode(stream(classes, count * LIMB_BITS + 1))
+        return classes, coded, classed_payload(coded, as_limbs(values, count), classes)
 
-    def _round_trip(self, values, nbytes):
+    def _round_trip(self, values, count):
         """The raw section, after checking the round trip and the framing."""
-        classes, coded, payload = self._payload(values, nbytes)
+        classes, coded, payload = self._payload(values, count)
         got, raw = classed_sections(payload)
         assert got == coded
         assert payload[4:8] == struct.pack("<I", len(coded) - 4)
         assert len(payload) == 8 + len(coded) - 4 + len(raw)
-        back = classed_fields(raw, classes, nbytes, "raw section")
-        assert back.shape == (len(values), nbytes)
-        assert [int.from_bytes(row.tobytes(), "big") for row in back] == values
+        back = classed_values(raw, classes, count, "raw section")
+        assert back.shape == (len(values), count)
+        assert of_limbs(back) == values
         return raw
 
     def test_class_zero_has_no_raw_bits(self):
-        assert self._round_trip([0, 0, 0], 2) == b""
+        assert self._round_trip([0, 0, 0], 1) == b""
 
-    @pytest.mark.parametrize("nbytes", [1, 3, 12])
-    def test_widest_class(self, nbytes):
-        """Class 8 * nbytes: the leading 1 is the field's top bit."""
-        top = 1 << (8 * nbytes - 1)
-        self._round_trip([top, 2 * top - 1, 0, 1, top + 1, 2], nbytes)
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_widest_class(self, count):
+        """Class count * LIMB_BITS: the leading 1 is the top limb's top bit."""
+        top = 1 << (count * LIMB_BITS - 1)
+        self._round_trip([top, 2 * top - 1, 0, 1, top + 1, 2], count)
 
     def test_class_bytes_past_the_end(self):
         _, _, payload = self._payload([5, 9, 0], 1)
@@ -480,9 +495,39 @@ class TestClassedPayload:
         """Class 3 leaves two raw bits and six of padding."""
         assert self._round_trip([5], 1) == bytes([0b01000000])
         with pytest.raises(CorruptPayloadError, match="nonzero padding in raw section"):
-            classed_fields(bytes([0b01000001]), np.array([3]), 1, "raw section")
+            classed_values(bytes([0b01000001]), np.array([3]), 1, "raw section")
         with pytest.raises(CorruptPayloadError, match="raw section holds 2 bytes"):
-            classed_fields(bytes([0b01000000, 0]), np.array([3]), 1, "raw section")
+            classed_values(bytes([0b01000000, 0]), np.array([3]), 1, "raw section")
+
+
+def traced_peak(call):
+    """`call()`, and the peak of what it allocated as traced by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_raw_bit_temporaries_stay_chunked():
+    """`pack_raw_bits` and `unpack_raw_bits` hold, beyond their output and
+    its one-byte-per-bit array, a few CHUNK_BITS-entry temporaries at a
+    time.  The values are 2 * 10^5 of one limb with up to 17 bits and
+    10^4 of four limbs with up to 92 bits, whose whole bit matrices would
+    be 73 and 15 times CHUNK_BITS entries."""
+    rng = np.random.default_rng(32)
+    for n, count, widest in [(200_000, 1, 17), (10_000, 4, 92)]:
+        limbs = rng.integers(0, 1 << LIMB_BITS, size=(n, count))
+        widths = rng.integers(0, widest + 1, size=n)
+        widths[0] = widest
+        nbits = int(widths.sum())
+        data, peak = traced_peak(lambda: pack_raw_bits(limbs, widths))
+        # The one-byte-per-bit array, and the packed bits as an array and as bytes.
+        assert peak - nbits - 2 * len(data) < 8 * entropy.CHUNK_BITS, (n, peak)
+        back, peak = traced_peak(lambda: unpack_raw_bits(data, widths, count, "raw bits"))
+        assert peak - nbits - back.nbytes < 8 * entropy.CHUNK_BITS, (n, peak)
+        low = np.clip(widths[:, None] - LIMB_BITS * np.arange(count), 0, LIMB_BITS)
+        assert (back == limbs & (1 << low) - 1).all()
 
 
 class TestCorruption:

@@ -26,9 +26,10 @@ from ggsc.geom_codec import (
     encode_centers,
     encode_centers_external,
 )
-from ggsc.partition import LIMB_BITS, morton_limbs, morton_order
+from ggsc.partition import LIMB_BITS, LIMBS, morton_limbs, morton_order
 
 from conftest import bounded_failure
+from test_entropy import of_limbs
 from test_partition import interleave_oracle
 
 
@@ -91,22 +92,20 @@ def reference_section(codes):
 @pytest.mark.parametrize("width", [0, 1, 16, 92])
 @pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
 def test_raw_bits_match_bit_at_a_time_packer(width, mixed):
-    """`pack_raw_bits` writes the reference packer's bytes from 12-byte
-    fields whose bits above each width are random, over enough rows for
-    several chunks, and `unpack_raw_bits` gives back each row's low bits
-    with zeros above them."""
+    """`pack_raw_bits` writes the reference packer's bytes from four
+    24-bit limbs whose bits above each width are random, over enough rows
+    for several chunks, and `unpack_raw_bits` gives back each row's low
+    bits with zeros above them."""
     rng = np.random.default_rng(width)
     n = 3000
-    values = [int(v) for v in rng.integers(0, 1 << 62, size=n)]
-    values = [v << 34 | int(w) for v, w in zip(values, rng.integers(0, 1 << 34, size=n))]
+    limbs = rng.integers(0, 1 << LIMB_BITS, size=(n, LIMBS))
+    values = of_limbs(limbs)
     widths = rng.integers(0, width + 1, size=n) if mixed else np.full(n, width)
-    fields = np.frombuffer(b"".join(v.to_bytes(12, "big") for v in values),
-                           dtype=np.uint8).reshape(n, 12)
-    data = pack_raw_bits(fields, widths)
+    data = pack_raw_bits(limbs, widths)
     assert data == reference_raw_bits(values, widths.tolist())
-    back = unpack_raw_bits(data, widths, 12, "raw bits")
-    assert [int.from_bytes(row.tobytes(), "big") for row in back] == [
-        v & ((1 << int(w)) - 1) for v, w in zip(values, widths)]
+    back = unpack_raw_bits(data, widths, LIMBS, "raw bits")
+    assert back.shape == (n, LIMBS)
+    assert of_limbs(back) == [v & ((1 << int(w)) - 1) for v, w in zip(values, widths)]
 
 
 class TestGoldenBytes:
