@@ -24,13 +24,15 @@ of `spectral.forward` (`inverse` on decode); the codec holds no basis.
 From `POOL_MIN_WORK` of work, counted in encoded symbols (a decoded level
 weighing `DECODE_WEIGHT`, a leaf spectrum `SPECTRUM_WEIGHT * m^2`), the
 runs and the seven independent payloads of step 6 are shared between
-this process and a pool of forked workers, one per further usable CPU
-(`_dispatch`, `pool`); a lighter call makes one run and codes every
-payload here.  A call that collects its `Internals` takes the same
-processes and runs as one that does not.  The pool is forked by the
-first call that needs it and serves every later one; `pool.close_pool`
-stops it, as does exit.  Every byte is the same whatever the worker
-count.
+this process and a pool of forked workers, one per further usable CPU;
+a lighter call makes one run and codes every payload here.  Either way
+`_dispatch` takes the work as (function, args) calls, `spectral.forward`
+or `geom_codec.encode_centers` among them: it runs one share here and
+hands more to `pool.share`, which sends functions by reference.  A call
+that collects its `Internals` takes the same processes and runs as one
+that does not.  The pool is forked by the first call that needs it and
+serves every later one; `pool.close_pool` stops it, as does exit.  Every
+byte is the same whatever the worker count.
 
 An attribute payload lists the leaf sizes in order of first appearance
 in the partition, each size's leaves in partition order, and each
@@ -387,44 +389,14 @@ def _shares(weights: list[int], workers: int) -> list[list[int]]:
     return [sorted(share) for share in shares if share]
 
 
-def _run_share(calls) -> dict[int, tuple[bool, object]]:
-    """Outcomes of `calls` (index, name of a function of this module,
-    args), run in order up to the first that raises: a later call of the
-    share cannot hold the first error."""
-    out = {}
-    for i, name, args in calls:
-        try:
-            out[i] = (True, globals()[name](*args))
-        except Exception as exc:  # noqa: BLE001 - returned to `_dispatch`
-            out[i] = (False, exc)
-            break
-    return out
+def _dispatch(calls: list[tuple], shares: list[list[int]]) -> list:
+    """Results of `calls` (function, args), in call order: one share runs
+    here, and more are shared with the pool (`pool.share`)."""
+    if len(shares) == 1:
+        return [fn(*args) for fn, args in calls]
+    from . import pool  # compiled only once a call needs it
 
-
-def _dispatch(calls: list[tuple[str, tuple]], shares: list[list[int]]) -> list:
-    """Results of `calls` (name of a function of this module, args), in
-    call order.
-
-    Share 0 runs here and share w on worker w of the pool (`pool.share`);
-    a single share runs here alone.  The exception raised is that of the
-    first call in list order that raised.
-    """
-    requests = [[(i, *calls[i]) for i in share] for share in shares]
-    if len(requests) == 1:
-        outcomes = _run_share(requests[0])
-    else:
-        from . import pool  # compiled only once a call needs it
-
-        outcomes = {}
-        for reply in pool.share(_run_share, requests):
-            outcomes.update(reply)
-    results = []
-    for i in range(len(calls)):
-        ok, value = outcomes[i]
-        if not ok:
-            raise value
-        results.append(value)
-    return results
+    return pool.share(calls, shares)
 
 
 def _level_count(comps: int, alpha: float, sizes: dict[int, int]) -> int:
@@ -531,18 +503,6 @@ def _runs(leaves, count: int) -> list[tuple[np.ndarray, dict[int, int]]]:
     return runs
 
 
-def _encode_run(centers: np.ndarray, sizes: dict[int, int], sigma: float,
-                signals: dict[str, np.ndarray], params: CodecParams):
-    """`spectral.forward` of a run of leaves on consecutive rows, `sizes`
-    of them."""
-    alphas = {name: params.alpha_for(name) for name in GROUP_NAMES}
-    return spectral.forward(centers, sizes, sigma, signals, alphas)
-
-
-def _code_geometry(codes: np.ndarray) -> bytes:
-    return geom_codec.encode_centers(codes)
-
-
 def attribute_signals(cloud: GaussianCloud) -> dict[str, np.ndarray]:
     """Each attribute group's (N, C) signal, by name in `GROUP_NAMES`: the
     SH colour as its Y, U and V channels (16 coefficients each), opacity
@@ -602,23 +562,23 @@ def encode(
     sizes = Counter(len(leaf) for leaf in part.leaves)
     sigma = _sigma(recon_centers)
     signals = attribute_signals(ordered)
-    counts = [_level_count(comps, params.alpha_for(name), sizes)
-              for name, comps in ATTRIBUTE_GROUPS]
+    alphas = {name: params.alpha_for(name) for name in GROUP_NAMES}
+    counts = [_level_count(comps, alphas[name], sizes) for name, comps in ATTRIBUTE_GROUPS]
     if geometry_command is None:
         counts.append(len(codes))
     procs = _process_count(sum(counts) + _spectra_work(sizes))
 
     runs = _runs(part.leaves, procs)
     parts = _dispatch(
-        [("_encode_run", (recon_centers[rows], run, sigma,
-                          {name: s[rows] for name, s in signals.items()}, params))
+        [(spectral.forward, (recon_centers[rows], run, sigma,
+                             {name: s[rows] for name, s in signals.items()}, alphas))
          for rows, run in runs],
         [[r] for r in range(len(runs))])
     kept = {name: np.concatenate([p[name] for p in parts]) for name in GROUP_NAMES}
-    calls = [("_code_group", (kept[name], params.q_for(name), params.alpha_for(name), sizes))
+    calls = [(_code_group, (kept[name], params.q_for(name), alphas[name], sizes))
              for name in GROUP_NAMES]
     if geometry_command is None:
-        calls.append(("_code_geometry", (codes,)))
+        calls.append((geom_codec.encode_centers, (codes,)))
     coded = _dispatch(calls, _shares(counts, procs))
     attr_grids = {name: grid for name, (grid, _) in zip(GROUP_NAMES, coded)}
     payloads = {name: payload for name, (_, payload) in zip(GROUP_NAMES, coded)}
@@ -647,32 +607,31 @@ def encode(
 
     dequantized = {name: dequantize(quantize(kept[name], grid), grid)
                    for name, grid in attr_grids.items()}
-    local = _decode_runs(runs, recon_centers, sigma, dequantized, params)
+    local = _decode_runs(runs, recon_centers, sigma, dequantized, alphas)
     return stream, Internals(part, recon_centers, local)
 
 
 def _decode_run(centers: np.ndarray, sizes: dict[int, int], sigma: float,
-                dequantized: dict[str, np.ndarray], params: CodecParams):
+                dequantized: dict[str, np.ndarray], alphas: dict[str, float]):
     """`spectral.inverse` of each group's dequantized levels over a run of
     leaves.  The encoder's local decode takes this path too, so both
     sides' signals are bit-identical."""
-    alphas = {name: params.alpha_for(name) for name in GROUP_NAMES}
     # Overflow on a hostile grid is `decode`'s to report (`_check_finite`).
     with np.errstate(over="ignore", invalid="ignore"):
         return spectral.inverse(centers, sizes, sigma, dequantized, alphas)
 
 
 def _decode_runs(runs, centers: np.ndarray, sigma: float, dequantized: dict[str, np.ndarray],
-                 params: CodecParams) -> dict[str, np.ndarray]:
+                 alphas: dict[str, float]) -> dict[str, np.ndarray]:
     """Each group's (N, C) decoded signals in canonical order from its
     (K, C) dequantized levels, each of `runs` one `_decode_run` on a
     process of its own."""
     split = {name: np.split(dequantized[name], np.cumsum(
-                 [_level_count(1, params.alpha_for(name), run) for _, run in runs])[:-1])
+                 [_level_count(1, alphas[name], run) for _, run in runs])[:-1])
              for name in GROUP_NAMES}
     parts = _dispatch(
-        [("_decode_run", (centers[rows], run, sigma,
-                          {name: split[name][r] for name in GROUP_NAMES}, params))
+        [(_decode_run, (centers[rows], run, sigma,
+                        {name: split[name][r] for name in GROUP_NAMES}, alphas))
          for r, (rows, run) in enumerate(runs)],
         [[r] for r in range(len(runs))])
     signals = {name: np.empty((len(centers), comps)) for name, comps in ATTRIBUTE_GROUPS}
@@ -746,16 +705,17 @@ def decode(
         part = partition.kdtree_split(recon_centers, params.max_leaf)
         sizes = Counter(len(leaf) for leaf in part.leaves)
         sigma = _sigma(recon_centers)
-        weights = [DECODE_WEIGHT * _level_count(comps, params.alpha_for(name), sizes)
+        alphas = {name: params.alpha_for(name) for name in GROUP_NAMES}
+        weights = [DECODE_WEIGHT * _level_count(comps, alphas[name], sizes)
                    for name, comps in ATTRIBUTE_GROUPS]
         procs = _process_count(sum(weights) + _spectra_work(sizes))
-        calls = [("_decode_payload", (name, stream.attribute_payloads[name],
-                                      stream.attr_grids[name], params.alpha_for(name), sizes))
+        calls = [(_decode_payload, (name, stream.attribute_payloads[name],
+                                    stream.attr_grids[name], alphas[name], sizes))
                  for name in GROUP_NAMES]
         dequantized = {name: dequantize(levels, stream.attr_grids[name]) for name, levels
                        in zip(GROUP_NAMES, _dispatch(calls, _shares(weights, procs)))}
         signals = _decode_runs(_runs(part.leaves, procs), recon_centers, sigma,
-                               dequantized, params)
+                               dequantized, alphas)
 
         yuv = np.stack([signals["sh_y"], signals["sh_u"], signals["sh_v"]], axis=2)
         rgb = colorspace.sh_yuv_to_rgb(colorspace.ShTriple(coeffs=yuv, space="yuv"))

@@ -139,16 +139,13 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; each run of equal values takes its mean rank."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
     sx = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1]])
+    ends = np.r_[starts[1:], len(x)] - 1
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -1,12 +1,14 @@
 """A pool of forked worker processes that share the codec's work.
 
-`share(run, requests)` runs `run(requests[0])` in this process and
-`run(requests[w])` on worker w, where `run` turns a request into a reply.
-A worker is a fork of this process, made by the first call that needs it
-and reused by every later one, so a call pays only the round trips of
-its request and reply.  They travel over pipes as pickles, the numpy
-arrays they hold out of band (`_send`).  For the length of a call, each
-process that serves it runs on a CPU of its own where it can (`share`).
+`share(calls, shares)` runs calls, each a (function, args) pair, and
+returns their results in call order: share 0 of them runs in this
+process and share w on worker w, each through `_run`.  A worker is a
+fork of this process, made by the first call that needs it and reused
+by every later one, so a call pays only the round trips of its request
+and reply.  They travel over pipes as pickles, the functions by
+reference and the numpy arrays out of band (`_send`).  For the length
+of a call, each process that serves it runs on a CPU of its own where
+it can (`share`).
 
 The codec imports this module only once a call uses the pool, so that
 importing the package compiles none of it.
@@ -68,8 +70,22 @@ def _receive(fd: int):
     return pickle.loads(parts[0], buffers=parts[1:])
 
 
-def _serve(run, requests: int, replies: int) -> None:
-    """A worker: answer each request on pipe `requests` with `run(request)`
+def _run(calls) -> dict[int, tuple[bool, object]]:
+    """Outcomes of `calls` (index, function, args), run in order up to the
+    first that raises: a later call of the share cannot hold the first
+    error."""
+    out = {}
+    for i, fn, args in calls:
+        try:
+            out[i] = (True, fn(*args))
+        except Exception as exc:  # noqa: BLE001 - raised by `share`
+            out[i] = (False, exc)
+            break
+    return out
+
+
+def _serve(requests: int, replies: int) -> None:
+    """A worker: answer each request on pipe `requests` with `_run(request)`
     on pipe `replies`, and exit once the request pipe ends.  SIGINT is the
     owner's to handle."""
     code = 1
@@ -80,7 +96,7 @@ def _serve(run, requests: int, replies: int) -> None:
                 request = _receive(requests)
             except EOFError:
                 break
-            _send(replies, run(request))
+            _send(replies, _run(request))
         code = 0
     finally:
         os._exit(code)
@@ -90,7 +106,7 @@ class _Worker:
     """A worker as its owner sees it: its pid, the pipe it reads requests
     from and the pipe it answers on."""
 
-    def __init__(self, run) -> None:
+    def __init__(self) -> None:
         req_r, req_w = os.pipe()
         rep_r, rep_w = os.pipe()
         # Collections skip frozen objects, so neither process's collector
@@ -110,7 +126,7 @@ class _Worker:
         if pid == 0:
             os.close(req_w)
             os.close(rep_r)
-            _serve(run, req_r, rep_w)
+            _serve(req_r, rep_w)
         os.close(req_r)
         os.close(rep_w)
         self.pid = pid
@@ -169,12 +185,12 @@ class _Worker:
 _POOL: list[_Worker] = []
 
 
-def _workers(run, count: int) -> list[_Worker]:
-    """The first `count` workers, forking any that are missing to serve
-    `run`.  A worker found exited is reaped and replaced."""
+def _workers(count: int) -> list[_Worker]:
+    """The first `count` workers, forking any that are missing.  A worker
+    found exited is reaped and replaced."""
     _POOL[:] = [worker for worker in _POOL if not worker.exited()]
     while len(_POOL) < count:
-        _POOL.append(_Worker(run))
+        _POOL.append(_Worker())
     return _POOL[:count]
 
 
@@ -210,12 +226,13 @@ def _pin(pid: int, cpus) -> None:
         pass
 
 
-def share(run, requests: list) -> list:
-    """`run(request)` of each request, in order: request 0 runs here and
-    request w on worker w.  Every call passes the same `run`, which the
-    workers were forked to serve.  Raises what the run here raised, else
-    RuntimeError naming the exit status of a worker that died; either way
-    a worker still holding its request is killed and reaped.
+def share(calls: list[tuple], shares: list[list[int]]) -> list:
+    """Results of `calls` (function, args), in call order.  `shares` lists
+    call indices: share 0 runs here and share w on worker w.  Raises what
+    escapes `_run` here (an interrupt), else RuntimeError naming the exit
+    status of a worker that died, else the exception of the first call in
+    call order that raised; a worker still holding its request when this
+    raises is killed and reaped.
 
     For the call, this process runs on the first CPU of its affinity set
     and worker w on CPU w, round robin: a scheduler that does not balance
@@ -223,10 +240,11 @@ def share(run, requests: list) -> list:
     worker on the CPU its owner forked it on.  The owner's own set comes
     back however the call ends.  Without `os.sched_setaffinity`, placement
     stays with the scheduler."""
+    requests = [[(i, *calls[i]) for i in indices] for indices in shares]
     held = []
     own = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
     try:
-        workers = _workers(run, len(requests) - 1)
+        workers = _workers(len(requests) - 1)
         if own:
             cpus = sorted(own)
             for w, pid in enumerate([0, *(worker.pid for worker in workers)]):
@@ -234,9 +252,9 @@ def share(run, requests: list) -> list:
         for worker, request in zip(workers, requests[1:]):
             held.append(worker)
             worker.ask(request)
-        replies = [run(requests[0])]
+        outcomes = _run(requests[0])
         while held:
-            replies.append(held[0].answer())
+            outcomes.update(held[0].answer())
             held.pop(0)
     finally:
         for worker in held:
@@ -245,4 +263,10 @@ def share(run, requests: list) -> list:
                 worker.reap(kill=True)
         if own:
             _pin(0, own)
-    return replies
+    results = []
+    for i in range(len(calls)):
+        ok, value = outcomes[i]
+        if not ok:
+            raise value
+        results.append(value)
+    return results

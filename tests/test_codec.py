@@ -1,5 +1,6 @@
 """Container format and end-to-end encode/decode behavior."""
 
+import functools
 import gc
 import json
 import math
@@ -31,7 +32,7 @@ from ggsc.codec import (
 )
 from ggsc.entropy import CorruptPayloadError, SymbolStream, aac_encode
 from ggsc.quantizer import QuantGrid, dequantize, quantize
-from ggsc import partition, pool, spectral
+from ggsc import geom_codec, partition, pool, spectral
 
 from conftest import (
     assert_same_spectra,
@@ -862,12 +863,11 @@ def _affinity() -> set[int] | None:
 def _record_placement(monkeypatch, tmp_path) -> list[dict[int, list[int]]]:
     """From now on, each `pool.share` call appends {pid: sorted CPUs} of
     every process that ran one of its shares, as it held them then.  Call
-    before the pool forks: the workers serve the `run` they were forked
-    with."""
+    before the pool forks: a worker runs the `pool._run` of its fork."""
     log = tmp_path / "placement"
     log.write_text("")
     calls = []
-    run, share = C._run_share, pool.share
+    run, share = pool._run, pool.share
 
     def placed_run(requests):
         with open(log, "a") as f:
@@ -881,7 +881,7 @@ def _record_placement(monkeypatch, tmp_path) -> list[dict[int, list[int]]]:
             calls.append(dict(json.loads(line) for line in log.read_text().splitlines()))
             log.write_text("")
 
-    monkeypatch.setattr(C, "_run_share", placed_run)
+    monkeypatch.setattr(pool, "_run", placed_run)
     monkeypatch.setattr(pool, "share", recorded_share)
     return calls
 
@@ -917,6 +917,14 @@ def _in_child(parent: int, i: int) -> int:
 
 def _job_and_pid(i: int) -> tuple[int, int]:
     return i, os.getpid()
+
+
+def _negated_and_pid(i: int) -> tuple[int, int]:
+    return -i, os.getpid()
+
+
+def _echo(value):
+    return value
 
 
 _MIXED = next((c.name, c.cloud, c.params) for c in GOLDEN_CASES if c.name == "mixed")
@@ -980,13 +988,43 @@ class TestForkJoin:
                 assert got.signals[name].tobytes() == want.signals[name].tobytes()
 
     def test_results_in_job_order(self, monkeypatch):
-        monkeypatch.setattr(C, "_job_and_pid", _job_and_pid, raising=False)
         forks = _force_pool(monkeypatch)
-        calls = [("_job_and_pid", (i,)) for i in range(5)]
+        calls = [(_job_and_pid, (i,)) for i in range(5)]
         got = C._dispatch(calls, C._shares([5, 1, 9, 2, 7], 3))
         assert [i for i, _ in got] == [0, 1, 2, 3, 4]
         assert {pid for _, pid in got} == {os.getpid(), *forks}
         assert len(forks) == 2
+
+    def test_same_workers_run_different_functions(self, monkeypatch):
+        """Two pooled calls in a row run different functions on the same
+        workers, each call's results from its own function."""
+        forks = _force_pool(monkeypatch)
+        shares = [[0], [1], [2]]
+        first = C._dispatch([(_job_and_pid, (i,)) for i in range(3)], shares)
+        second = C._dispatch([(_negated_and_pid, (i,)) for i in range(3)], shares)
+        pids = [os.getpid(), *forks]
+        assert len(forks) == 2 and _pool_pids() == forks
+        assert first == [(i, pid) for i, pid in enumerate(pids)]
+        assert second == [(-i, pid) for i, pid in enumerate(pids)]
+
+    def test_wrapped_function_runs_on_a_worker(self, monkeypatch):
+        """A `functools.wraps` wrapper on a module attribute, as the
+        benchmark's tracer installs one, travels to a worker by reference
+        like the function it wraps: the geometry section, coded on a
+        worker, gives the serial bytes."""
+        case = ("", lambda: make_cloud(150, seed=18), SMALL)
+        blob, _ = _serial(monkeypatch, case)
+        real, here = geom_codec.encode_centers, []
+
+        @functools.wraps(real)
+        def wrapped(*args):
+            here.append(os.getpid())
+            return real(*args)
+
+        monkeypatch.setattr(geom_codec, "encode_centers", wrapped)
+        forks = _force_pool(monkeypatch)
+        assert encode(case[1](), SMALL).to_bytes() == blob
+        assert len(forks) == 2 and here == []
 
     def test_first_corrupt_group_is_reported(self, monkeypatch):
         """sh_u goes to a worker and rotation stays in this process; the
@@ -1005,9 +1043,8 @@ class TestForkJoin:
         assert str(pooled.value) == str(serial.value)
 
     def test_child_exception_surfaces(self, monkeypatch):
-        monkeypatch.setattr(C, "_in_child", _in_child, raising=False)
         forks = _force_pool(monkeypatch)
-        calls = [("_in_child", (os.getpid(), i)) for i in range(3)]
+        calls = [(_in_child, (os.getpid(), i)) for i in range(3)]
         with pytest.raises(ValueError, match="^job 1 raised in a child$"):
             C._dispatch(calls, C._shares([1, 1, 1], 3))
         assert len(forks) == 2
@@ -1213,8 +1250,8 @@ class TestForkJoin:
         own, victim = _affinity(), _pool_pids()[0]
         picked = pool._workers
 
-        def killing(run, count):
-            workers = picked(run, count)
+        def killing(count):
+            workers = picked(count)
             if victim in _pool_pids():
                 os.kill(victim, signal.SIGKILL)
                 os.waitid(os.P_PID, victim, os.WEXITED | os.WNOWAIT)
@@ -1246,7 +1283,7 @@ class TestForkJoin:
             raise error("own share")
 
         with monkeypatch.context() as patch:
-            patch.setattr(C, "_code_group", failing)  # here only: the workers exist
+            patch.setattr(C, "encode_levels", failing)  # here only: the workers exist
             with pytest.raises(error, match="own share"):
                 encode(case[1](), SMALL)
         assert _affinity() == own
@@ -1279,14 +1316,9 @@ class TestForkJoin:
     def test_none_reply_is_not_a_dead_worker(self):
         """A reply of None comes back as one: only the end of a worker's
         pipe means that it died, and the worker serves on."""
-        pool.close_pool()  # the workers serve the `run` they were forked with
-
-        def run(request):
-            return None if request == "none" else request
-
-        assert pool.share(run, [1, 2]) == [1, 2]
+        assert pool.share([(_echo, (1,)), (_echo, (2,))], [[0], [1]]) == [1, 2]
         workers = _pool_pids()
-        assert pool.share(run, ["x", "none"]) == ["x", None]
+        assert pool.share([(_echo, ("x",)), (_echo, (None,))], [[0], [1]]) == ["x", None]
         assert _pool_pids() == workers
 
     def test_workers_ignore_sigint(self, monkeypatch):
