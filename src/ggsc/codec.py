@@ -73,7 +73,7 @@ import numpy as np
 
 from . import colorspace, entropy, geom_codec, partition, spectral
 from .entropy import CorruptPayloadError
-from .gs_core import Box3, GaussianCloud
+from .gs_core import GaussianCloud
 from .quantizer import QuantGrid, dequantize, fit_grid, quantize
 
 MAGIC = b"GGSC"
@@ -316,8 +316,8 @@ class Internals:
     `encode(..., collect_debug=True)` and `decode(..., collect_debug=True)`
     each return one; the decoder's equals the encoder's field by field.
     It holds no leaf spectrum: each is working state, which
-    `spectral.graph_spectrum(recon_centers[leaf], sigma)` solves again,
-    bit for bit, with sigma from the box of `recon_centers`.
+    `spectral.graph_spectrum(recon_centers[leaf],
+    spectral.kernel_sigma(recon_centers))` solves again, bit for bit.
     """
 
     part: partition.Partition
@@ -471,11 +471,6 @@ def decode_levels(payload: bytes, grid: QuantGrid, alpha: float,
     return levels
 
 
-def _sigma(centers: np.ndarray) -> float:
-    """Every leaf's kernel bandwidth, from the box of all the centers."""
-    return spectral.sigma_from_box(Box3(min=centers.min(axis=0), max=centers.max(axis=0)))
-
-
 def _spectra_work(sizes: dict[int, int]) -> int:
     return sum(n * SPECTRUM_WEIGHT * m * m for m, n in sizes.items())
 
@@ -503,12 +498,22 @@ def _runs(leaves, count: int) -> list[tuple[np.ndarray, dict[int, int]]]:
     return runs
 
 
+def _morton_sort(centers: np.ndarray, q_geo: int):
+    """The lattice grid of `centers`, their lattice points and Morton
+    codes sorted along the curve, and the sorting permutation."""
+    grid = fit_grid(centers, q_geo)
+    lattice = quantize(centers, grid)
+    codes = partition.morton_limbs(lattice, q_geo)
+    perm = partition.morton_order(codes)
+    return grid, lattice[perm], codes[perm], perm
+
+
 def attribute_signals(cloud: GaussianCloud) -> dict[str, np.ndarray]:
     """Each attribute group's (N, C) signal, by name in `GROUP_NAMES`: the
     SH colour as its Y, U and V channels (16 coefficients each), opacity
     as one column, scale and rotation as they are.  The encoder transforms
     these; `eval.attribute_psnr` compares them."""
-    yuv = colorspace.sh_rgb_to_yuv(colorspace.sh_from_flat(cloud.sh)).coeffs
+    yuv = colorspace.sh_rgb_to_yuv(colorspace.sh_from_flat(cloud.sh))
     return {
         "sh_y": yuv[:, :, 0],
         "sh_u": yuv[:, :, 1],
@@ -550,17 +555,13 @@ def encode(
     if threads < 1:
         raise ValueError("threads must be >= 1")
 
-    geom_grid = fit_grid(cloud.centers, params.q_geo)
-    lattice = quantize(cloud.centers, geom_grid)
-    codes = partition.morton_limbs(lattice, params.q_geo)
-    perm = partition.morton_order(codes)
-    lattice, codes = lattice[perm], codes[perm]
+    geom_grid, lattice, codes, perm = _morton_sort(cloud.centers, params.q_geo)
     ordered = cloud.take(perm)
 
     recon_centers = dequantize(lattice, geom_grid)
     part = partition.kdtree_split(recon_centers, params.max_leaf)
     sizes = Counter(len(leaf) for leaf in part.leaves)
-    sigma = _sigma(recon_centers)
+    sigma = spectral.kernel_sigma(recon_centers)
     signals = attribute_signals(ordered)
     alphas = {name: params.alpha_for(name) for name in GROUP_NAMES}
     counts = [_level_count(comps, alphas[name], sizes) for name, comps in ATTRIBUTE_GROUPS]
@@ -704,7 +705,7 @@ def decode(
         _check_finite("centers", recon_centers)
         part = partition.kdtree_split(recon_centers, params.max_leaf)
         sizes = Counter(len(leaf) for leaf in part.leaves)
-        sigma = _sigma(recon_centers)
+        sigma = spectral.kernel_sigma(recon_centers)
         alphas = {name: params.alpha_for(name) for name in GROUP_NAMES}
         weights = [DECODE_WEIGHT * _level_count(comps, alphas[name], sizes)
                    for name, comps in ATTRIBUTE_GROUPS]
@@ -717,9 +718,8 @@ def decode(
         signals = _decode_runs(_runs(part.leaves, procs), recon_centers, sigma,
                                dequantized, alphas)
 
-        yuv = np.stack([signals["sh_y"], signals["sh_u"], signals["sh_v"]], axis=2)
-        rgb = colorspace.sh_yuv_to_rgb(colorspace.ShTriple(coeffs=yuv, space="yuv"))
-        sh = colorspace.sh_to_flat(rgb)
+        sh = colorspace.sh_to_flat(colorspace.sh_yuv_to_rgb(
+            np.stack([signals["sh_y"], signals["sh_u"], signals["sh_v"]], axis=2)))
         _check_finite("sh", sh)
         for name in ("opacity", "scale", "rotation"):
             _check_finite(name, signals[name])
@@ -740,8 +740,7 @@ def canonical_order(cloud: GaussianCloud, params: CodecParams) -> GaussianCloud:
 
     `decode(encode(cloud, params))` returns primitives in this order, so
     metrics compare the decoded cloud against `canonical_order(cloud,
-    params)` row by row.
+    params)` row by row.  Both sort with `_morton_sort`.
     """
-    grid = fit_grid(cloud.centers, params.q_geo)
-    codes = partition.morton_limbs(quantize(cloud.centers, grid), params.q_geo)
-    return cloud.take(partition.morton_order(codes))
+    *_, perm = _morton_sort(cloud.centers, params.q_geo)
+    return cloud.take(perm)

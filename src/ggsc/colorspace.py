@@ -15,8 +15,6 @@ decoder's SH must not depend on the machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gs_core import SH_COEFFS, SH_DC, SH_REST
@@ -44,30 +42,9 @@ YUV_TO_RGB = np.array(
 )
 
 
-@dataclass
-class ShTriple:
-    """SH coefficients grouped as per-index color triples.
-
-    coeffs: (N, 16, 3); axis 1 is the coefficient index (0 = DC), axis 2
-            the color channel -- (R, G, B) or (Y, U, V) depending on tag.
-    space:  "rgb" or "yuv".
-    """
-
-    coeffs: np.ndarray
-    space: str
-
-    def __post_init__(self) -> None:
-        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if self.coeffs.ndim != 3 or self.coeffs.shape[1:] != (SH_TRIPLES, 3):
-            raise ValueError(
-                f"coeffs must be (N, {SH_TRIPLES}, 3), got {self.coeffs.shape}"
-            )
-        if self.space not in ("rgb", "yuv"):
-            raise ValueError(f"unknown color space tag {self.space!r}")
-
-
-def sh_from_flat(sh: np.ndarray) -> ShTriple:
-    """Regroup stored-order SH rows (N, 48) into RGB triples (N, 16, 3).
+def sh_from_flat(sh: np.ndarray) -> np.ndarray:
+    """Regroup stored-order SH rows (N, 48) into RGB triples (N, 16, 3):
+    axis 1 is the coefficient index (0 = DC), axis 2 the colour channel.
 
     Stored order is f_dc_0..2 then f_rest channel-major (15 consecutive
     coefficients per channel), so triple j > 0 of channel c comes from
@@ -81,17 +58,18 @@ def sh_from_flat(sh: np.ndarray) -> ShTriple:
     out[:, 0, :] = flat[:, :SH_DC]
     rest = flat[:, SH_DC:].reshape(n, 3, SH_REST // 3)
     out[:, 1:, :] = rest.transpose(0, 2, 1)
-    return ShTriple(coeffs=out, space="rgb")
+    return out
 
 
-def sh_to_flat(triple: ShTriple) -> np.ndarray:
-    """Inverse of `sh_from_flat`; requires the RGB tag."""
-    if triple.space != "rgb":
-        raise ValueError("stored SH layout is defined for RGB coefficients")
-    n = triple.coeffs.shape[0]
+def sh_to_flat(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of `sh_from_flat`: RGB triples (N, 16, 3) to rows (N, 48)."""
+    coeffs = np.asarray(coeffs)
+    if coeffs.ndim != 3 or coeffs.shape[1:] != (SH_TRIPLES, 3):
+        raise ValueError(f"coeffs must be (N, {SH_TRIPLES}, 3), got {coeffs.shape}")
+    n = coeffs.shape[0]
     flat = np.empty((n, SH_COEFFS))
-    flat[:, :SH_DC] = triple.coeffs[:, 0, :]
-    flat[:, SH_DC:] = triple.coeffs[:, 1:, :].transpose(0, 2, 1).reshape(n, SH_REST)
+    flat[:, :SH_DC] = coeffs[:, 0, :]
+    flat[:, SH_DC:] = coeffs[:, 1:, :].transpose(0, 2, 1).reshape(n, SH_REST)
     return flat
 
 
@@ -102,13 +80,11 @@ def _mix(coeffs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return x[..., 0:1] * m[:, 0] + x[..., 1:2] * m[:, 1] + x[..., 2:3] * m[:, 2]
 
 
-def sh_rgb_to_yuv(triple: ShTriple) -> ShTriple:
-    if triple.space != "rgb":
-        raise ValueError(f"expected rgb input, got {triple.space!r}")
-    return ShTriple(coeffs=_mix(triple.coeffs, RGB_TO_YUV), space="yuv")
+def sh_rgb_to_yuv(coeffs: np.ndarray) -> np.ndarray:
+    """(..., 3) RGB triples to (..., 3) YUV triples."""
+    return _mix(coeffs, RGB_TO_YUV)
 
 
-def sh_yuv_to_rgb(triple: ShTriple) -> ShTriple:
-    if triple.space != "yuv":
-        raise ValueError(f"expected yuv input, got {triple.space!r}")
-    return ShTriple(coeffs=_mix(triple.coeffs, YUV_TO_RGB), space="rgb")
+def sh_yuv_to_rgb(coeffs: np.ndarray) -> np.ndarray:
+    """(..., 3) YUV triples to (..., 3) RGB triples."""
+    return _mix(coeffs, YUV_TO_RGB)

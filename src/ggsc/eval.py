@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
 from . import codec as codec_mod
-from .codec import CodecParams, bitrate_breakdown
+from .codec import BitrateReport, CodecParams, bitrate_breakdown
 from .gs_core import GaussianCloud, bounding_box
 
 #: Attribute axes reported by `attribute_psnr`.
@@ -242,12 +242,8 @@ class RdPoint:
 
     params: CodecParams
     status: str = "ok"
-    header_bytes: int = 0
-    b1_bytes: int = 0
-    b2_bytes: int = 0
-    #: Group name -> bytes of its attribute payload; they sum to b2_bytes.
-    group_bytes: dict[str, int] = field(default_factory=dict)
-    total_bytes: int = 0
+    #: The stream's byte accounting; None for a failed point.
+    report: BitrateReport | None = None
     attr_psnr: dict[str, PsnrStats] | None = None
     d1_psnr: PsnrStats | None = None
 
@@ -278,16 +274,11 @@ def rd_sweep(
             stream = codec_mod.encode(cloud, params)
             decoded = codec_mod.decode(stream)
             ref = codec_mod.canonical_order(cloud, params)
-            report = bitrate_breakdown(stream)
             points.append(
                 RdPoint(
                     params=params,
                     status="ok",
-                    header_bytes=report.header_bytes,
-                    b1_bytes=report.b1,
-                    b2_bytes=report.b2,
-                    group_bytes=report.attribute_bytes,
-                    total_bytes=report.total_bytes,
+                    report=bitrate_breakdown(stream),
                     attr_psnr=attribute_psnr(ref, decoded),
                     d1_psnr=geometry_psnr_d1(ref, decoded),
                 )
@@ -301,11 +292,14 @@ def write_sweep_csv(points: list[RdPoint], fh) -> None:
     """Write sweep results as CSV (one row per point, fixed column set)."""
     writer = csv.writer(fh)
     writer.writerow(SWEEP_COLUMNS)
+    # A failed point writes 0 in every byte column.
+    failed = BitrateReport(header_bytes=0, geometry_bytes=0, attribute_bytes={}, total_bytes=0)
     for pt in points:
         row = [getattr(pt.params, f.name) for f in dc_fields(CodecParams)]
-        row += [pt.header_bytes, pt.b1_bytes, pt.b2_bytes]
-        row += [pt.group_bytes.get(name, 0) for name in codec_mod.GROUP_NAMES]
-        row.append(pt.total_bytes)
+        report = pt.report or failed
+        row += [report.header_bytes, report.b1, report.b2]
+        row += [report.attribute_bytes.get(name, 0) for name in codec_mod.GROUP_NAMES]
+        row.append(report.total_bytes)
         for axis in PSNR_AXES:
             stats = (pt.attr_psnr or {}).get(axis)
             row.append("" if stats is None else repr(stats.psnr_db))

@@ -73,7 +73,7 @@ class QuantGrid:
 
 
 def fit_grid(values: np.ndarray, q: int, dtype=np.float64) -> QuantGrid:
-    """Fit a grid over samples shaped (S, C) (or (S,) for C = 1).
+    """Fit a grid over samples shaped (S, C).
 
     With `dtype=np.float32` every grid field is a float32 value, so the
     grid can travel in single precision: each minimum is rounded down and
@@ -85,7 +85,10 @@ def fit_grid(values: np.ndarray, q: int, dtype=np.float64) -> QuantGrid:
     nonzero scale, zero lies on a level of each component's grid, to
     within float32 rounding, so a zero value quantizes without bias.
     """
-    vals = _as_samples(values)
+    vals = np.asarray(values)
+    if vals.ndim != 2:
+        raise ValueError(f"expected (S, C) samples, got shape {vals.shape}")
+    vals = vals.astype(np.float64, copy=False)
     if vals.shape[0] < 1:
         raise ValueError("cannot fit a grid on zero samples")
     if not np.isfinite(vals).all():
@@ -147,47 +150,31 @@ def quantize(values: np.ndarray, grid: QuantGrid) -> np.ndarray:
     lie inside the fitted range; a half-ulp excursion past either end is
     clamped rather than wrapped.
     """
-    vals, squeeze = _align(values, grid)
+    vals = _align(values, grid)
     if grid.scale > 0.0:
         scaled = (vals - grid.mins) * grid.levels
         # Clipped before the cast: an overflow to +-inf has no int64 value.
         out = np.clip(np.floor(scaled / grid.scale + 0.5), 0, grid.levels)
-        out = out.astype(np.int64)
-    else:
-        out = np.zeros(vals.shape, dtype=np.int64)
-    return out[..., 0] if squeeze else out
+        return out.astype(np.int64)
+    return np.zeros(vals.shape, dtype=np.int64)
 
 
 def dequantize(levels: np.ndarray, grid: QuantGrid) -> np.ndarray:
-    """Invert `quantize` onto grid points; levels outside [0, 2^q-1] raise."""
-    lev, squeeze = _align(levels, grid)
+    """Invert `quantize` onto grid points; levels (..., C) of an integer
+    dtype.  Levels outside [0, 2^q-1] raise."""
+    lev = _align(levels, grid)
     if not np.issubdtype(lev.dtype, np.integer):
-        if not np.equal(np.mod(lev, 1), 0).all():
-            raise ValueError("levels must be integers")
-        lev = lev.astype(np.int64)
+        raise ValueError(f"levels must have an integer dtype, not {lev.dtype}")
     if lev.size and (lev.min() < 0 or lev.max() > grid.levels):
         raise ValueError(f"levels must lie in [0, {grid.levels}]")
     return grid.mins + lev * grid.scale / grid.levels
 
 
-def _as_samples(values) -> np.ndarray:
+def _align(values, grid: QuantGrid) -> np.ndarray:
+    """`values` as an array whose trailing dimension is the grid's C."""
     vals = np.asarray(values)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    if vals.ndim != 2:
-        raise ValueError(f"expected (S, C) samples, got shape {vals.shape}")
-    return vals.astype(np.float64, copy=False)
-
-
-def _align(values, grid: QuantGrid):
-    """Broadcast-check trailing dim against the grid; C=1 accepts (...,)."""
-    vals = np.asarray(values)
-    squeeze = False
-    if grid.components == 1 and (vals.ndim == 0 or vals.shape[-1] != 1):
-        vals = vals[..., None]
-        squeeze = True
     if vals.ndim < 1 or vals.shape[-1] != grid.components:
         raise ValueError(
             f"trailing dimension must be {grid.components}, got {vals.shape}"
         )
-    return vals, squeeze
+    return vals

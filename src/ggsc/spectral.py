@@ -3,7 +3,7 @@
 Each leaf of the partition becomes a fully connected weighted graph: the
 edge weight between two primitives is a Gaussian kernel of their distance,
 W[p, q] = exp(-||v_p - v_q||^2 / sigma^2), with a zero diagonal.  The
-kernel bandwidth follows the bounding box of the cloud,
+kernel bandwidth follows the bounding box of the cloud (`kernel_sigma`),
 sigma = sqrt(min(X, Y, Z) / 20), so flat or tiny clouds fall back to a
 small positive constant.  The combinatorial Laplacian L = D - W is
 symmetric positive semidefinite; its eigenvectors, ordered by ascending
@@ -58,8 +58,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gs_core import Box3
-
 #: QL sweep limit per eigenvalue (EISPACK's); exceeding it raises instead
 #: of returning garbage.
 QL_MAX_SWEEPS = 30
@@ -90,13 +88,14 @@ class GraphSpectrum:
     basis: np.ndarray
 
 
-def sigma_from_box(box: Box3) -> float:
-    """Kernel bandwidth from a bounding box: sqrt(min extent / 20).
+def kernel_sigma(centers: np.ndarray) -> float:
+    """Kernel bandwidth from (N, 3) centers: sqrt(min extent / 20) of
+    their bounding box.
 
     Degenerate boxes (a zero extent) use the floor sqrt(1e-12) = 1e-6 so
     coincident points still yield finite weights.
     """
-    h = float(box.extents.min()) / 20.0
+    h = float(np.ptp(np.asarray(centers, dtype=np.float64), axis=0).min()) / 20.0
     return math.sqrt(max(h, _SIGMA_FLOOR_SQ))
 
 

@@ -35,7 +35,7 @@ from ggsc.entropy import (
     empirical_entropy_bits,
 )
 from ggsc.eval import PSNR_AXES, _average_ranks, _pearson, fit_logistic5, spearman
-from ggsc.gs_core import Box3, load_ply, save_ply
+from ggsc.gs_core import load_ply, save_ply
 from ggsc.quantizer import dequantize, quantize
 from test_eval import rank_oracle
 
@@ -129,7 +129,7 @@ def test_full_rate_guarantees():
     # transform domain: decoded coefficients sit within half a step of
     # the originals (alpha=1 keeps every coefficient)
     source = codec.attribute_signals(ordered)
-    sigma = codec._sigma(edbg.recon_centers)
+    sigma = spectral.kernel_sigma(edbg.recon_centers)
     for leaf in edbg.part.leaves:
         spec = spectral.graph_spectrum(edbg.recon_centers[leaf], sigma)
         for name in GROUP_NAMES:
@@ -164,8 +164,7 @@ def test_criterion_2_spectral_orthonormality(criterion):
             pts = rng.uniform(-5.0, 5.0, size=(m, 3))
             if m > 3 and i % 3 == 0:
                 pts[m // 2] = pts[0]  # coincident points now and then
-            box = Box3(min=pts.min(axis=0), max=pts.max(axis=0))
-            spec = spectral.graph_spectrum(pts, spectral.sigma_from_box(box))
+            spec = spectral.graph_spectrum(pts, spectral.kernel_sigma(pts))
             a = spec.basis
             worst_ortho = max(worst_ortho, float(np.max(np.abs(a.T @ a - np.eye(m)))))
             sig = rng.standard_normal((m, 2))
@@ -330,29 +329,22 @@ def test_criterion_8_color_chain(criterion):
         rng = np.random.default_rng(8)
         n = 100_000 // colorspace.SH_TRIPLES  # 6250 rows of 16 triples
         coeffs = rng.uniform(-4.0, 4.0, size=(n, colorspace.SH_TRIPLES, 3))
-        rgb = colorspace.ShTriple(coeffs=coeffs, space="rgb")
-        back = colorspace.sh_yuv_to_rgb(colorspace.sh_rgb_to_yuv(rgb))
-        assert np.max(np.abs(back.coeffs - coeffs)) < 1e-9
+        back = colorspace.sh_yuv_to_rgb(colorspace.sh_rgb_to_yuv(coeffs))
+        assert np.max(np.abs(back - coeffs)) < 1e-9
 
         m = 150
         pts = rng.uniform(0.0, 2.0, size=(m, 3))
-        box = Box3(min=pts.min(axis=0), max=pts.max(axis=0))
-        spec = spectral.graph_spectrum(pts, spectral.sigma_from_box(box))
-        leaf_rgb = colorspace.ShTriple(
-            coeffs=coeffs[:m].copy(), space="rgb"
-        )
+        spec = spectral.graph_spectrum(pts, spectral.kernel_sigma(pts))
+        leaf_rgb = coeffs[:m].copy()
         yuv_then_gft = spectral.gft(
-            spec, colorspace.sh_rgb_to_yuv(leaf_rgb).coeffs.reshape(m, -1)
+            spec, colorspace.sh_rgb_to_yuv(leaf_rgb).reshape(m, -1)
         )
         mixed = colorspace.sh_rgb_to_yuv(
-            colorspace.ShTriple(
-                coeffs=spectral.gft(spec, leaf_rgb.coeffs.reshape(m, -1)).reshape(
-                    m, colorspace.SH_TRIPLES, 3
-                ),
-                space="rgb",
+            spectral.gft(spec, leaf_rgb.reshape(m, -1)).reshape(
+                m, colorspace.SH_TRIPLES, 3
             )
         )
-        gft_then_yuv = mixed.coeffs.reshape(m, -1)
+        gft_then_yuv = mixed.reshape(m, -1)
         assert np.max(np.abs(yuv_then_gft - gft_then_yuv)) < 1e-9
 
 

@@ -427,7 +427,7 @@ class TestSymbolLayout:
         assert order != sorted(order)  # the sizes interleave
 
         centers = edbg.recon_centers
-        sigma = C._sigma(centers)
+        sigma = spectral.kernel_sigma(centers)
         scale = canonical_order(cloud, params).scale
         expected = []
         grid = stream.attr_grids["scale"]

@@ -9,7 +9,6 @@ from ggsc.colorspace import (
     RGB_TO_YUV,
     SH_TRIPLES,
     YUV_TO_RGB,
-    ShTriple,
     sh_from_flat,
     sh_rgb_to_yuv,
     sh_to_flat,
@@ -58,13 +57,12 @@ class TestShLayout:
         n = 4
         flat = np.arange(n * 48, dtype=np.float64).reshape(n, 48)
         triple = sh_from_flat(flat)
-        assert triple.space == "rgb"
-        assert triple.coeffs.shape == (n, 16, 3)
-        np.testing.assert_array_equal(triple.coeffs[:, 0, :], flat[:, :3])
+        assert triple.shape == (n, 16, 3)
+        np.testing.assert_array_equal(triple[:, 0, :], flat[:, :3])
         for c in range(3):
             for j in range(1, 16):
                 np.testing.assert_array_equal(
-                    triple.coeffs[:, j, c], flat[:, 3 + c * 15 + (j - 1)]
+                    triple[:, j, c], flat[:, 3 + c * 15 + (j - 1)]
                 )
 
     def test_round_trip_is_exact(self):
@@ -73,46 +71,38 @@ class TestShLayout:
         back = sh_to_flat(sh_from_flat(flat))
         np.testing.assert_array_equal(back, flat)
 
-    def test_to_flat_requires_rgb(self):
-        rng = np.random.default_rng(1)
-        triple = ShTriple(rng.normal(size=(3, 16, 3)), "yuv")
-        with pytest.raises(ValueError):
-            sh_to_flat(triple)
-
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError):
             sh_from_flat(np.zeros((4, 47)))
         with pytest.raises(ValueError):
-            ShTriple(np.zeros((4, 15, 3)), "rgb")
+            sh_to_flat(np.zeros((4, 15, 3)))
         with pytest.raises(ValueError):
-            ShTriple(np.zeros((4, 16, 3)), "hsv")
+            sh_to_flat(np.zeros((4, 48)))
 
 
 class TestConversion:
     def test_round_trip_tight(self):
         rng = np.random.default_rng(2)
-        triple = ShTriple(rng.normal(size=(1000, 16, 3)), "rgb")
+        triple = rng.normal(size=(1000, 16, 3))
         back = sh_yuv_to_rgb(sh_rgb_to_yuv(triple))
-        assert back.space == "rgb"
-        assert np.abs(back.coeffs - triple.coeffs).max() < 1e-9
+        assert np.abs(back - triple).max() < 1e-9
 
     def test_matches_per_pixel_matmul(self):
         rng = np.random.default_rng(3)
-        triple = ShTriple(rng.normal(size=(7, 16, 3)), "rgb")
+        triple = rng.normal(size=(7, 16, 3))
         yuv = sh_rgb_to_yuv(triple)
-        assert yuv.space == "yuv"
         for i in range(7):
             for j in range(16):
                 np.testing.assert_allclose(
-                    yuv.coeffs[i, j], RGB_TO_YUV @ triple.coeffs[i, j],
+                    yuv[i, j], RGB_TO_YUV @ triple[i, j],
                     atol=1e-14,
                 )
 
-    @pytest.mark.parametrize("convert, space, matrix", [
-        (sh_rgb_to_yuv, "rgb", RGB_TO_YUV),
-        (sh_yuv_to_rgb, "yuv", YUV_TO_RGB),
+    @pytest.mark.parametrize("convert, matrix", [
+        (sh_rgb_to_yuv, RGB_TO_YUV),
+        (sh_yuv_to_rgb, YUV_TO_RGB),
     ], ids=["to_yuv", "to_rgb"])
-    def test_bits_match_sequential_sum(self, convert, space, matrix):
+    def test_bits_match_sequential_sum(self, convert, matrix):
         """Channel i is x0 * M[i, 0] + x1 * M[i, 1] + x2 * M[i, 2] added
         left to right, as Python floats add it, so no BLAS kernel picked
         per CPU decides the decoded colours' last bits."""
@@ -121,16 +111,8 @@ class TestConversion:
         m = matrix.tolist()
         want = [[[p[0] * m[i][0] + p[1] * m[i][1] + p[2] * m[i][2] for i in range(3)]
                  for p in prim] for prim in x.tolist()]
-        got = convert(ShTriple(x, space)).coeffs
+        got = convert(x)
         assert got.tobytes() == np.array(want).tobytes()
-
-    def test_space_tags_enforced(self):
-        rgb = ShTriple(np.zeros((2, 16, 3)), "rgb")
-        yuv = ShTriple(np.zeros((2, 16, 3)), "yuv")
-        with pytest.raises(ValueError):
-            sh_rgb_to_yuv(yuv)
-        with pytest.raises(ValueError):
-            sh_yuv_to_rgb(rgb)
 
     def test_gft_helper_agrees_with_einsum(self):
         rng = np.random.default_rng(5)
@@ -144,6 +126,6 @@ class TestConversion:
 @given(seed=st.integers(0, 2**16), n=st.integers(min_value=1, max_value=60))
 def test_conversion_round_trip_property(seed, n):
     rng = np.random.default_rng(seed)
-    triple = ShTriple(rng.normal(size=(n, 16, 3)) * 10.0, "rgb")
+    triple = rng.normal(size=(n, 16, 3)) * 10.0
     back = sh_yuv_to_rgb(sh_rgb_to_yuv(triple))
-    assert np.abs(back.coeffs - triple.coeffs).max() < 1e-8
+    assert np.abs(back - triple).max() < 1e-8

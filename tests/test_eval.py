@@ -355,11 +355,11 @@ class TestSweep:
         assert len(points) == 2
         ok, bad = points
         assert ok.status == "ok"
-        assert ok.total_bytes == ok.header_bytes + ok.b1_bytes + ok.b2_bytes
+        assert ok.report.total_bytes == ok.report.header_bytes + ok.report.b1 + ok.report.b2
         assert ok.attr_psnr is not None and ok.d1_psnr is not None
         assert set(ok.attr_psnr) == set(PSNR_AXES)
         assert bad.status.startswith("failed:")
-        assert bad.attr_psnr is None
+        assert bad.report is None and bad.attr_psnr is None
 
     def test_csv_layout(self):
         cloud = make_cloud(60, seed=15)
@@ -390,7 +390,7 @@ class TestSweep:
         at = header.index("b2_bytes")
         assert header[at + 1:at + 1 + len(GROUP_NAMES)] == [f"b2_{g}_bytes" for g in GROUP_NAMES]
         groups = [int(row[header.index(f"b2_{g}_bytes")]) for g in GROUP_NAMES]
-        assert min(groups) > 0 and sum(groups) == int(row[at]) == points[0].b2_bytes
+        assert min(groups) > 0 and sum(groups) == int(row[at]) == points[0].report.b2
 
     def test_sweep_rate_ordering(self):
         """Coarser rotation bits shrink the stream within one sweep."""
@@ -398,7 +398,7 @@ class TestSweep:
         grid = [CodecParams(max_leaf=50, q_rotation=12),
                 CodecParams(max_leaf=50, q_rotation=4)]
         fine, coarse = rd_sweep(cloud, grid)
-        assert coarse.total_bytes < fine.total_bytes
+        assert coarse.report.total_bytes < fine.report.total_bytes
         assert coarse.attr_psnr["rotation"].mse > fine.attr_psnr["rotation"].mse
 
 

@@ -118,7 +118,8 @@ def _digests(blob: bytes, leaf: int) -> dict[str, str]:
     cloud, debug = codec.decode(CodedStream.from_bytes(blob), collect_debug=True)
     # the decoder solved this leaf from these centers, bit for bit alike
     centers = debug.recon_centers
-    spec = spectral.graph_spectrum(centers[debug.part.leaves[leaf]], codec._sigma(centers))
+    spec = spectral.graph_spectrum(centers[debug.part.leaves[leaf]],
+                                   spectral.kernel_sigma(centers))
     return {
         "stream_sha": _sha(blob),
         "ply_sha": _sha(save_ply(cloud)),
@@ -155,7 +156,7 @@ def test_isolated_case_skips_a_reflector():
     case = CASES[2]
     _, debug = codec.encode(case.cloud(), case.params, collect_debug=True)
     leaf = debug.part.leaves[case.leaf]
-    sigma = codec._sigma(debug.recon_centers)
+    sigma = spectral.kernel_sigma(debug.recon_centers)
     w = spectral.build_adjacency(debug.recon_centers[leaf], sigma)
     isolated = np.flatnonzero(~w.any(axis=1))
     assert isolated.size and isolated.min() <= len(leaf) - 3

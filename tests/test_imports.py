@@ -11,6 +11,7 @@ Fourier transforms and the colour conversions call no BLAS or LAPACK
 kernel, and the codec leaves every spectrum to `spectral`."""
 
 import ast
+import importlib.util
 import json
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from ggsc import eval as eval_mod
 from ggsc.gs_core import load_ply
 
 MODULES = sorted(Path(ggsc.__file__).parent.glob("*.py"))
+CODECBENCH = Path(__file__).resolve().parent.parent / "codecbench"
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -170,3 +172,29 @@ def test_codec_commands_load_no_scipy(tmp_path):
     assert child["d1"] == [d1.mse, d1.peak, d1.psnr_db]
     assert child["bd"] == 0.0
     assert child["fit"] == [fit.plcc, fit.srcc, fit.rmse, *fit.logistic_params]
+
+
+def test_benchmark_tracer_hooks_exist(monkeypatch):
+    """The benchmark's tracer wraps codec functions by name: every name it
+    installs exists, a traced encode and decode record a span in every
+    layer and the partition and coder notes, and removal leaves no
+    wrapper behind."""
+    monkeypatch.syspath_prepend(str(CODECBENCH))
+    spec = importlib.util.spec_from_file_location("codecbench_run", CODECBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    monkeypatch.setattr(ggsc.codec, "_usable_cpus", lambda: 1)
+    ops = run.Ops(ggsc, 64, ggsc.save_ply(make_cloud(64, seed=7)), ggsc.CodecParams(max_leaf=8))
+    tracer = run.Tracer()
+    try:
+        run.install_tracer(tracer, ggsc)
+        assert ops.encode(threads=2, tracer=tracer) is not None
+        assert ops.decode(tracer=tracer) is not None
+    finally:
+        tracer.remove()
+    assert not ops.errors and ops.check_failures == []
+    names = {name for name, *_ in tracer.spans}
+    assert {name.split(".")[0] for name in names} >= set(run.LAYERS)
+    assert {tracer.spans[i][0] for i in tracer.notes} >= {"partition.kdtree_split",
+                                                          "entropy.aac_encode"}
+    assert run.leftover_wrappers(run._ggsc_modules(ggsc)) == []

@@ -36,11 +36,18 @@ class TestFitGrid:
         levels = quantize(np.full((10, 2), 3.5), grid)
         assert (levels == 0).all()
 
-    def test_one_dimensional_samples(self):
-        grid = fit_grid(np.array([1.0, 3.0, 2.0]), q=4)
+    def test_one_dimensional_samples_rejected(self):
+        """Samples are (S, C) and values (..., C): a 1-D array of several
+        values is not read as one component."""
+        values = np.array([1.0, 3.0, 2.0])
+        with pytest.raises(ValueError, match="samples"):
+            fit_grid(values, q=4)
+        grid = fit_grid(values[:, None], q=4)
         assert grid.components == 1
-        assert grid.mins[0] == 1.0
-        assert grid.scale == 2.0
+        with pytest.raises(ValueError, match="trailing dimension"):
+            quantize(values, grid)
+        with pytest.raises(ValueError, match="trailing dimension"):
+            dequantize(np.array([0, 1, 2]), grid)
 
     def test_bad_input_rejected(self):
         with pytest.raises(ValueError):
@@ -95,9 +102,9 @@ class TestFitGrid:
 
     def test_float32_grid_outside_float32_range_rejected(self):
         with pytest.raises(ValueError, match="float32"):
-            fit_grid(np.array([0.0, 1e39]), q=8, dtype=np.float32)
+            fit_grid(np.array([[0.0], [1e39]]), q=8, dtype=np.float32)
         with pytest.raises(ValueError, match="float64 or float32"):
-            fit_grid(np.array([0.0, 1.0]), q=8, dtype=np.float16)
+            fit_grid(np.array([[0.0], [1.0]]), q=8, dtype=np.float16)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -130,8 +137,8 @@ class TestQuantize:
     def test_rounds_to_nearest(self):
         grid = QuantGrid(mins=np.array([0.0]), scale=10.0, q=4)
         step = 10.0 / 15.0
-        vals = np.array([0.49 * step, 0.51 * step, 7 * step + 0.2 * step])
-        np.testing.assert_array_equal(quantize(vals, grid), [0, 1, 7])
+        vals = np.array([[0.49 * step], [0.51 * step], [7 * step + 0.2 * step]])
+        np.testing.assert_array_equal(quantize(vals, grid), [[0], [1], [7]])
 
     def test_clamps_half_ulp_excursions(self):
         grid = QuantGrid(mins=np.array([0.0]), scale=1.0, q=8)
@@ -143,10 +150,10 @@ class TestQuantize:
 
     def test_monotone(self):
         rng = np.random.default_rng(1)
-        vals = np.sort(rng.uniform(-3.0, 3.0, size=1000))
+        vals = np.sort(rng.uniform(-3.0, 3.0, size=1000))[:, None]
         grid = fit_grid(vals, q=6)
         levels = quantize(vals, grid)
-        assert (np.diff(levels) >= 0).all()
+        assert (np.diff(levels, axis=0) >= 0).all()
 
     def test_multidim_shapes(self):
         rng = np.random.default_rng(2)
@@ -180,11 +187,13 @@ class TestDequantize:
             dequantize(np.array([-1]), grid)
 
     def test_non_integer_levels_rejected(self):
+        """Levels must have an integer dtype: float levels raise even when
+        every value is whole."""
         grid = QuantGrid(mins=np.zeros(1), scale=1.0, q=3)
-        with pytest.raises(ValueError):
-            dequantize(np.array([1.5]), grid)
-        # float-typed but integral values are accepted
-        assert dequantize(np.array([2.0]), grid)[0] == pytest.approx(2.0 / 7.0)
+        for levels in ([1.5], [2.0], [[0.0], [7.0]]):
+            with pytest.raises(ValueError, match="integer dtype"):
+                dequantize(np.array(levels), grid)
+        assert dequantize(np.array([2]), grid)[0] == pytest.approx(2.0 / 7.0)
 
 
 class TestRoundTrip:

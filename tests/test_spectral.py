@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggsc import spectral
-from ggsc.gs_core import Box3
 from ggsc.spectral import (
     GraphSpectrum,
     _apply_rotations,
@@ -23,23 +22,23 @@ from ggsc.spectral import (
     graph_spectra,
     graph_spectrum,
     igft,
+    kernel_sigma,
     laplacian,
-    sigma_from_box,
 )
 
 
 class TestSigma:
     def test_formula(self):
-        box = Box3(np.array([0.0, 0.0, 0.0]), np.array([5.0, 2.0, 9.0]))
-        assert sigma_from_box(box) == pytest.approx(math.sqrt(2.0 / 20.0))
+        centers = np.array([[0.0, 0.0, 0.0], [5.0, 2.0, 9.0]])
+        assert kernel_sigma(centers) == pytest.approx(math.sqrt(2.0 / 20.0))
 
     def test_degenerate_box_floor(self):
-        box = Box3(np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0]))
-        assert sigma_from_box(box) == pytest.approx(1e-6)
+        centers = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
+        assert kernel_sigma(centers) == pytest.approx(1e-6)
 
     def test_point_box_floor(self):
-        box = Box3(np.array([4.0, 4.0, 4.0]), np.array([4.0, 4.0, 4.0]))
-        assert sigma_from_box(box) == pytest.approx(1e-6)
+        centers = np.array([[4.0, 4.0, 4.0], [4.0, 4.0, 4.0]])
+        assert kernel_sigma(centers) == pytest.approx(1e-6)
 
 
 class TestAdjacency:
